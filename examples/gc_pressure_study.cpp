@@ -34,7 +34,8 @@ void RunWithSlcBlocks(std::uint32_t slc_blocks) {
   std::vector<JobSpec> jobs;
   for (int j = 0; j < 2; ++j) {
     JobSpec s;
-    s.name = "w" + std::to_string(j);
+    s.name = "w";  // append, not "w" + ...: GCC 12 flags that with -Wrestrict
+    s.name += std::to_string(j);
     s.direction = IoDirection::kWrite;
     s.block_size = 48 * kKiB;
     s.zone_list = {j == 0 ? 0ull : 2ull};

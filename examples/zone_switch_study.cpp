@@ -39,7 +39,8 @@ Cell RunWriters(std::uint32_t num_buffers, std::uint64_t granularity) {
   std::vector<JobSpec> jobs;
   for (std::uint64_t j = 0; j < 4; ++j) {
     JobSpec s;
-    s.name = "w" + std::to_string(j);
+    s.name = "w";  // append, not "w" + ...: GCC 12 flags that with -Wrestrict
+    s.name += std::to_string(j);
     s.direction = IoDirection::kWrite;
     s.block_size = granularity;
     s.zone_list = {j};

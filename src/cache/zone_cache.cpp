@@ -445,13 +445,12 @@ Result<ZoneCache::GetResult> ZoneCache::Get(std::uint64_t key, SimTime now) {
   return GetResult{true, rd.value().done, std::move(rd.value().tokens)};
 }
 
-Status ZoneCache::DropIndexEntry(std::uint64_t key) {
+void ZoneCache::DropIndexEntry(std::uint64_t key) {
   auto it = index_.find(key);
-  if (it == index_.end()) return Status::Ok();
+  if (it == index_.end()) return;
   zones_[it->second.zone - first_data_zone_].live_slots -=
       1 + it->second.value_slots;
   index_.erase(it);
-  return Status::Ok();
 }
 
 Result<SimTime> ZoneCache::OpenZoneFor(std::uint32_t stream, SimTime now) {

@@ -207,7 +207,7 @@ class ZoneCache {
   // Data-path helpers.
   Result<SimTime> EvictOne(bool allow_migration, SimTime now);
   Result<SimTime> OpenZoneFor(std::uint32_t stream, SimTime now);
-  Status DropIndexEntry(std::uint64_t key);  // live-count bookkeeping
+  void DropIndexEntry(std::uint64_t key);  // live-count bookkeeping
   std::uint64_t ZoneBase(std::uint32_t zone) const {
     return static_cast<std::uint64_t>(zone) * zone_bytes_;
   }

@@ -855,23 +855,8 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
   const SimTime t0 = now + cfg_.request_overhead;
   SimTime data_done = t0;
 
-  // Per-request page groups: every distinct flash page touched costs one
-  // sense + one transfer of its live slots, no matter how the slots are
-  // interleaved (SLC staging stripes consecutive LPNs across chips).
-  std::vector<PageGroup>& groups = read_groups_;
-  groups.clear();
-  auto add_to_group = [&](FlashPageId page, SimTime dep, std::uint32_t retries) {
-    for (PageGroup& g : groups) {
-      if (g.page == page) {
-        ++g.slots;
-        g.dep = Later(g.dep, dep);
-        if (retries > g.retries) g.retries = retries;
-        return;
-      }
-    }
-    groups.push_back(PageGroup{page, 1, dep, retries});
-  };
-
+  // Per-request page groups: one sense + transfer per distinct flash page.
+  read_groups_.Clear();
   for (std::uint64_t off = offset; off < offset + len; off += slot) {
     const Lpn lpn = Lpn(div_slot_.Div(off));
     const ZoneId zone{div_zone_.Div(off)};
@@ -898,8 +883,8 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
                                 std::to_string(lpn.value()) + ")");
       }
       if (tokens_out) tokens_out->push_back(r.token);
-      add_to_group(FlashPageId(div_slots_per_page_.Div(tr.value().ppn.value())), dep,
-                   r.retry_level);
+      read_groups_.Add(FlashPageId(div_slots_per_page_.Div(tr.value().ppn.value())), dep,
+                       r.retry_level);
       continue;
     }
     if (Status st = zones_.CheckRead(zone, off_in_zone, slot); !st.ok()) return st;
@@ -940,10 +925,10 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
                               std::to_string(ppn.value()) + ")");
     }
     if (tokens_out) tokens_out->push_back(r.token);
-    add_to_group(FlashPageId(div_slots_per_page_.Div(ppn.value())), dep, r.retry_level);
+    read_groups_.Add(FlashPageId(div_slots_per_page_.Div(ppn.value())), dep, r.retry_level);
   }
 
-  for (const PageGroup& g : groups) {
+  for (const PageGroup& g : read_groups_.groups()) {
     const BlockId block = geo.BlockOfPage(g.page);
     array_.CountPageRead();
     data_done = Later(data_done, engine_.ReadPage(geo.ChipOfBlock(block),
@@ -1851,14 +1836,9 @@ ConZoneDevice::ZoneReconcile ConZoneDevice::ReconcileZoneMapping(
   while (s < zone_lpns && table_.Get(Lpn(zbase.value() + s)).mapped()) ++s;
   rec.staged_end = s * slot;
 
-  // 3. Mapped islands beyond the staged extent (early exit: the caller
-  //    only needs to know whether any exist).
-  for (std::uint64_t k = s; k < zone_lpns; ++k) {
-    if (table_.Get(Lpn(zbase.value() + k)).mapped()) {
-      rec.has_orphans = true;
-      break;
-    }
-  }
+  // 3. Mapped islands beyond the staged extent: the s lpns below it are
+  //    all mapped, so any further mapped entry shows in the zone's count.
+  rec.has_orphans = table_.zone_mapped_count(zone) > s;
 
   // 4. §III-E patch contiguity, rechecked against the stripe layout so
   //    aggregated reads stay sound after the remount.
@@ -1998,6 +1978,17 @@ Result<SimTime> ConZoneDevice::Recover(SimTime now) {
         "recovery reconcile failed: " + std::to_string(valid) +
         " valid slots vs " + std::to_string(table_.mapped_count()) +
         " mapped lpns"));
+  }
+  // The per-zone counts that checkpoint serialisation and reconciliation
+  // trust must add up to the same total.
+  std::uint64_t zone_mapped = 0;
+  for (std::uint64_t z = 0; z < table_.num_zones(); ++z) {
+    zone_mapped += table_.zone_mapped_count(ZoneId{z});
+  }
+  if (zone_mapped != table_.mapped_count()) {
+    return fail(Status::Internal(
+        "recovery reconcile failed: per-zone mapped counts sum to " +
+        std::to_string(zone_mapped) + ", not " + std::to_string(table_.mapped_count())));
   }
 
   for (SimTime& br : buffer_ready_) br = t;

@@ -38,6 +38,7 @@
 #include "fault/fault_model.hpp"
 #include "flash/array.hpp"
 #include "flash/normal_allocator.hpp"
+#include "flash/page_groups.hpp"
 #include "flash/slc_allocator.hpp"
 #include "flash/superblock.hpp"
 #include "flash/timing_engine.hpp"
@@ -379,17 +380,10 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   bool mount_have_snaps_ = false;
   RecoveryStats recovery_;
 
-  /// One flash page touched by a read request and the slots it serves.
-  struct PageGroup {
-    FlashPageId page;
-    std::uint32_t slots = 0;
-    SimTime dep;  // latest metadata fetch feeding this page
-    std::uint32_t retries = 0;  // max read-retry level across the slots
-  };
   // Per-request scratch buffers: Read/Write never recurse into
   // themselves, so reusing these keeps the per-IO paths allocation-free
   // after warm-up (capacity is retained across requests).
-  std::vector<PageGroup> read_groups_;   ///< Read()
+  PageGrouper read_groups_;              ///< Read()
   std::vector<SlotWrite> chunk_scratch_; ///< Write()/WriteConventional()
 
   // Reciprocals of the configuration constants the per-IO paths divide

@@ -152,6 +152,7 @@ std::optional<Ppn> L2PCache::Peek(const L2pKey& key) const {
 }
 
 void L2PCache::RemoveSlot(std::uint32_t slot, std::size_t bucket) {
+  if (slots_[slot].pinned) --pinned_count_;
   LruUnlink(slot);
   TableErase(bucket);
   free_slots_.push_back(slot);
@@ -218,9 +219,7 @@ void L2PCache::Erase(const L2pKey& key) {
   bool found = false;
   const std::size_t b = FindBucket(key.Encoded(), &found);
   if (!found) return;
-  const std::uint32_t slot = table_[b];
-  if (slots_[slot].pinned) --pinned_count_;
-  RemoveSlot(slot, b);
+  RemoveSlot(table_[b], b);
 }
 
 void L2PCache::EvictCoveredBy(const L2pKey& key) {
@@ -243,16 +242,25 @@ void L2PCache::EvictCoveredBy(const L2pKey& key) {
 }
 
 void L2PCache::InvalidateLpnRange(Lpn start, std::uint64_t count) {
+  // Walk the resident entries (at most max_entries_) instead of probing
+  // every page, chunk and zone key of the range: callers pass whole
+  // zones or the whole device. Backward-shift deletion leaves the same
+  // table whatever order keys are erased in, so LRU order is as good as
+  // key order.
   const std::uint64_t lo = start.value();
   const std::uint64_t hi = lo + count;  // exclusive
-  for (std::uint64_t lpn = lo; lpn < hi; ++lpn) {
-    Erase(L2pKey{MapGranularity::kPage, lpn});
-  }
-  for (std::uint64_t c = lo / cfg_.lpns_per_chunk; c * cfg_.lpns_per_chunk < hi; ++c) {
-    Erase(L2pKey{MapGranularity::kChunk, c});
-  }
-  for (std::uint64_t z = lo / cfg_.lpns_per_zone; z * cfg_.lpns_per_zone < hi; ++z) {
-    Erase(L2pKey{MapGranularity::kZone, z});
+  for (std::uint32_t s = lru_head_; s != kNil;) {
+    const Slot& e = slots_[s];
+    const std::uint32_t next = e.next;
+    const std::uint64_t unit = UnitLpns(static_cast<MapGranularity>(e.key & 3));
+    const std::uint64_t first = (e.key >> 2) * unit;
+    if (first < hi && first + unit > lo) {
+      bool found = false;
+      const std::size_t b = FindBucket(e.key, &found);
+      assert(found);
+      RemoveSlot(s, b);
+    }
+    s = next;
   }
 }
 

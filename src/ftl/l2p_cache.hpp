@@ -89,7 +89,8 @@ class L2PCache {
   void EvictCoveredBy(const L2pKey& key);
 
   /// Remove every entry overlapping the LPA range [start, start+count) —
-  /// used on zone reset and on remapping (fold-back, GC migration).
+  /// used on zone reset and at remount. Costs O(resident entries), not
+  /// O(count).
   void InvalidateLpnRange(Lpn start, std::uint64_t count);
 
   std::size_t size() const { return size_; }

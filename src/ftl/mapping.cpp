@@ -7,18 +7,33 @@
 
 namespace conzone {
 
-MappingTable::MappingTable(const MappingGeometry& geometry) : geo_(geometry) {
+MappingTable::MappingTable(const MappingGeometry& geometry)
+    : geo_(geometry), div_lpns_per_zone_(geometry.lpns_per_zone) {
   assert(geo_.num_lpns > 0);
-  assert(geo_.lpns_per_chunk > 0);
+  assert(geo_.lpns_per_chunk > 0 && geo_.lpns_per_zone > 0);
   assert(geo_.lpns_per_zone % geo_.lpns_per_chunk == 0 &&
          "a zone must be a whole number of chunks");
   entries_.resize(static_cast<std::size_t>(geo_.num_lpns));
+  zone_mapped_.resize(static_cast<std::size_t>(CeilDiv(geo_.num_lpns, geo_.lpns_per_zone)));
+}
+
+void MappingTable::CountRun(std::uint64_t lpn, std::uint64_t count) {
+  mapped_ += count;
+  for (const std::uint64_t end = lpn + count; lpn < end;) {
+    const std::uint64_t z = div_lpns_per_zone_.Div(lpn);
+    const std::uint64_t n = std::min(end, (z + 1) * geo_.lpns_per_zone) - lpn;
+    zone_mapped_[static_cast<std::size_t>(z)] += static_cast<std::uint32_t>(n);
+    lpn += n;
+  }
 }
 
 void MappingTable::Set(Lpn lpn, Ppn ppn) {
   assert(lpn.value() < geo_.num_lpns);
   MapEntry& e = entries_[static_cast<std::size_t>(lpn.value())];
-  if (!e.mapped()) ++mapped_;
+  if (!e.mapped()) {
+    ++mapped_;
+    ++zone_mapped_[static_cast<std::size_t>(div_lpns_per_zone_.Div(lpn.value()))];
+  }
   e.ppn = ppn;
   e.gran = MapGranularity::kPage;
 }
@@ -33,7 +48,7 @@ void MappingTable::InstallRunAtMount(Lpn lpn, Ppn ppn, std::uint64_t count,
     v.ppn = Ppn{ppn.value() + i};
     e[i] = v;  // whole-struct store: full-width writes, no read-modify-write
   }
-  mapped_ += count;
+  CountRun(lpn.value(), count);
 }
 
 void MappingTable::ClearForMountExcept(
@@ -53,12 +68,16 @@ void MappingTable::ClearForMountExcept(
     entries_[static_cast<std::size_t>(i)] = MapEntry{};
   }
   mapped_ = 0;
+  std::fill(zone_mapped_.begin(), zone_mapped_.end(), 0u);
 }
 
 void MappingTable::Unmap(Lpn lpn) {
   assert(lpn.value() < geo_.num_lpns);
   MapEntry& e = entries_[static_cast<std::size_t>(lpn.value())];
-  if (e.mapped()) --mapped_;
+  if (e.mapped()) {
+    --mapped_;
+    --zone_mapped_[static_cast<std::size_t>(div_lpns_per_zone_.Div(lpn.value()))];
+  }
   e = MapEntry{};
 }
 
@@ -90,6 +109,7 @@ std::uint64_t MappingTable::NumMapPages() const {
 void MappingTable::ClearAllForMount() {
   for (MapEntry& e : entries_) e = MapEntry{};
   mapped_ = 0;
+  std::fill(zone_mapped_.begin(), zone_mapped_.end(), 0u);
 }
 
 }  // namespace conzone

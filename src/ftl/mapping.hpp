@@ -13,10 +13,12 @@
 // number of flash reads on an L2P cache miss.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "common/fastdiv.hpp"
 #include "common/ids.hpp"
 #include "common/status.hpp"
 
@@ -72,7 +74,7 @@ class MappingTable {
   /// already knows which lpn ranges it will immediately re-install
   /// (checkpoint runs whose media is untouched): zeroes only the gaps
   /// between the `keep` ranges — sorted by lpn, disjoint, in bounds —
-  /// plus the tail, and resets the mapped count. Entries inside keep
+  /// plus the tail, and resets the mapped counts. Entries inside keep
   /// ranges retain stale bytes until InstallRunAtMount overwrites them;
   /// rewriting the whole table is the mount fast path's single biggest
   /// cost, so touching each entry exactly once is the point.
@@ -106,23 +108,44 @@ class MappingTable {
   /// Number of currently mapped entries (diagnostics).
   std::uint64_t mapped_count() const { return mapped_; }
 
+  /// Mapped entries in zone `z`'s lpn range. Kept in step with
+  /// mapped_count() by every call that changes it, so the per-zone
+  /// counts always sum to it.
+  std::uint64_t zone_mapped_count(ZoneId z) const {
+    return zone_mapped_[static_cast<std::size_t>(z.value())];
+  }
+  /// Zones the table spans (the last one may be partial).
+  std::uint64_t num_zones() const { return zone_mapped_.size(); }
+
   /// Power-loss remount: drop every entry (and all aggregation) so the
   /// recovery scan can rebuild the table from media OOB state.
   void ClearAllForMount();
 
   /// Visit every mapped entry in lpn order as fn(Lpn, Ppn) — checkpoint
   /// serialization walks the table without exposing the entry vector.
+  /// Zones with no mapped entry are skipped by their count.
   template <typename Fn>
   void ForEachMapped(Fn&& fn) const {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].mapped()) fn(Lpn(i), entries_[i].ppn);
+    const std::size_t per_zone = geo_.lpns_per_zone;
+    for (std::size_t z = 0; z < zone_mapped_.size(); ++z) {
+      if (zone_mapped_[z] == 0) continue;
+      const std::size_t end = std::min(entries_.size(), (z + 1) * per_zone);
+      for (std::size_t i = z * per_zone; i < end; ++i) {
+        if (entries_[i].mapped()) fn(Lpn(i), entries_[i].ppn);
+      }
     }
   }
 
  private:
+  /// Count the run [lpn, lpn + count) as mapped, in total and per zone.
+  void CountRun(std::uint64_t lpn, std::uint64_t count);
+
   MappingGeometry geo_;
+  /// Zone of an lpn: Set/Unmap run once per written slot, so no divide.
+  FastDiv div_lpns_per_zone_;
   std::vector<MapEntry> entries_;
   std::uint64_t mapped_ = 0;
+  std::vector<std::uint32_t> zone_mapped_;
 };
 
 }  // namespace conzone

@@ -421,23 +421,7 @@ Result<SimTime> LegacyDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
   const SimTime t0 = now + cfg_.request_overhead;
   SimTime data_done = t0;
 
-  struct PageGroup {
-    FlashPageId page;
-    std::uint32_t slots = 0;
-    SimTime dep;
-  };
-  std::vector<PageGroup> groups;
-  auto add_to_group = [&](FlashPageId page, SimTime dep) {
-    for (PageGroup& g : groups) {
-      if (g.page == page) {
-        ++g.slots;
-        g.dep = Later(g.dep, dep);
-        return;
-      }
-    }
-    groups.push_back(PageGroup{page, 1, dep});
-  };
-
+  read_groups_.Clear();
   auto buffered_token = [&](Lpn lpn) -> const std::uint64_t* {
     for (std::uint32_t b = 0; b < cfg_.buffers.num_buffers; ++b) {
       const BufferedExtent& e = buffers_.Contents(WriteBufferId{b});
@@ -471,9 +455,9 @@ Result<SimTime> LegacyDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
                               std::to_string(lpn.value()) + ")");
     }
     if (tokens_out) tokens_out->push_back(r.token);
-    add_to_group(geo.PageOfSlot(ppn), dep);
+    read_groups_.Add(geo.PageOfSlot(ppn), dep, /*retries=*/0);
   }
-  for (const PageGroup& g : groups) {
+  for (const PageGroup& g : read_groups_.groups()) {
     const BlockId b = geo.BlockOfPage(g.page);
     array_.CountPageRead();
     data_done = Later(data_done, engine_.ReadPage(geo.ChipOfBlock(b), geo.CellOfBlock(b),

@@ -27,6 +27,7 @@
 #include "buffer/write_buffer.hpp"
 #include "core/storage_device.hpp"
 #include "flash/array.hpp"
+#include "flash/page_groups.hpp"
 #include "flash/slc_allocator.hpp"
 #include "flash/superblock.hpp"
 #include "flash/timing_engine.hpp"
@@ -144,6 +145,7 @@ class LegacyDevice final : public StorageDevice {
   Translator translator_;
   ResourceTimeline host_link_;
   std::vector<SimTime> buffer_ready_;
+  PageGrouper read_groups_;  ///< Read() scratch, reused across requests
   LegacyStats stats_;
   /// Successful reads/writes bucketed by IoRequest::io_class.
   std::array<std::uint64_t, kNumIoClasses> class_reads_{};

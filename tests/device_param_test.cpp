@@ -24,6 +24,11 @@ struct GeometryCase {
   L2pSearchStrategy strategy;
 };
 
+// Without this, gtest prints a case as its raw bytes, which include the
+// address of `name`. Address randomisation then changes the test names
+// ctest discovers from build to build.
+void PrintTo(const GeometryCase& p, std::ostream* os) { *os << p.name; }
+
 ConZoneConfig MakeConfig(const GeometryCase& p) {
   ConZoneConfig cfg = ConZoneConfig::PaperConfig();
   cfg.geometry.channels = p.channels;

@@ -2,6 +2,11 @@
 // LRU, pinning) and the translator's three search strategies.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "ftl/l2p_cache.hpp"
 #include "ftl/mapping.hpp"
 #include "ftl/translator.hpp"
@@ -61,6 +66,72 @@ TEST(MappingTableTest, AggregateAndDowngradeRanges) {
   EXPECT_EQ(t.Get(Lpn{512}).gran, MapGranularity::kPage);
   // PPNs survive bit flips — the table is always a full page map.
   EXPECT_EQ(t.Get(Lpn{512}).ppn, Ppn{512});
+}
+
+TEST(MappingTableTest, PerZoneCountsMatchBruteForce) {
+  // Random Set / Unmap / InstallRunAtMount / both mount clears; after
+  // every step the per-zone counts must equal a brute-force count, sum
+  // to mapped_count(), and ForEachMapped (which skips zones by their
+  // count) must visit exactly the mapped entries. The last zone is
+  // partial, as on a Legacy device.
+  MappingGeometry geo = SmallMapGeo();
+  geo.num_lpns += 1000;
+  MappingTable t(geo);
+  ASSERT_EQ(t.num_zones(), 5u);
+  const std::uint64_t n = t.geometry().num_lpns;
+  const std::uint64_t per_zone = t.geometry().lpns_per_zone;
+  Rng rng(0x20C0);
+  // Unmap then bulk-install [lpn, lpn + count): InstallRunAtMount does no
+  // occupancy check, so its contract is an unmapped or just-cleared range.
+  auto install = [&](std::uint64_t lpn, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) t.Unmap(Lpn{lpn + i});
+    t.InstallRunAtMount(Lpn{lpn}, Ppn{rng.NextBelow(1u << 20)}, count,
+                        MapGranularity::kPage);
+  };
+  for (int step = 0; step < 300; ++step) {
+    const std::uint64_t op = rng.NextBelow(20);
+    if (op < 9) {
+      t.Set(Lpn{rng.NextBelow(n)}, Ppn{rng.NextBelow(1u << 20)});
+    } else if (op < 15) {
+      t.Unmap(Lpn{rng.NextBelow(n)});
+    } else if (op < 18) {
+      const std::uint64_t lpn = rng.NextBelow(n);
+      install(lpn, 1 + rng.NextBelow(std::min<std::uint64_t>(2 * per_zone, n - lpn)));
+    } else if (op == 18) {
+      // The mount fast path: clear all but some sorted, disjoint keep
+      // ranges (some spanning zones), then re-install exactly those.
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> keep;
+      for (std::uint64_t pos = rng.NextBelow(per_zone); pos < n;) {
+        const std::uint64_t count = 1 + rng.NextBelow(std::min<std::uint64_t>(per_zone, n - pos));
+        keep.emplace_back(pos, count);
+        pos += count + rng.NextBelow(per_zone);
+      }
+      t.ClearForMountExcept(keep);
+      for (const auto& [lpn, count] : keep) {
+        t.InstallRunAtMount(Lpn{lpn}, Ppn{lpn}, count, MapGranularity::kPage);
+      }
+    } else {
+      t.ClearAllForMount();
+    }
+
+    std::vector<std::uint64_t> brute(t.num_zones(), 0);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> mapped;
+    for (std::uint64_t l = 0; l < n; ++l) {
+      const MapEntry e = t.Get(Lpn{l});
+      if (!e.mapped()) continue;
+      ++brute[l / per_zone];
+      mapped.emplace_back(l, e.ppn.value());
+    }
+    std::uint64_t sum = 0;
+    for (std::uint64_t z = 0; z < t.num_zones(); ++z) {
+      ASSERT_EQ(t.zone_mapped_count(ZoneId{z}), brute[z]) << "step " << step << " zone " << z;
+      sum += t.zone_mapped_count(ZoneId{z});
+    }
+    ASSERT_EQ(sum, t.mapped_count()) << "step " << step;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> visited;
+    t.ForEachMapped([&](Lpn l, Ppn p) { visited.emplace_back(l.value(), p.value()); });
+    ASSERT_EQ(visited, mapped) << "step " << step;
+  }
 }
 
 TEST(MappingTableTest, AddressHelpers) {
@@ -142,6 +213,85 @@ TEST(L2PCacheTest, InvalidateLpnRangeRemovesOverlaps) {
   EXPECT_FALSE(c.Peek({MapGranularity::kChunk, 4}).has_value());
   EXPECT_FALSE(c.Peek({MapGranularity::kZone, 1}).has_value());
   EXPECT_TRUE(c.Peek({MapGranularity::kPage, 0}).has_value());
+}
+
+/// Reference for InvalidateLpnRange: erase every page, chunk and zone key
+/// overlapping [lo, hi) one by one, as the cache once did itself.
+void EraseOverlappingKeys(L2PCache& c, std::uint64_t lo, std::uint64_t hi) {
+  const std::uint64_t chunk = c.UnitLpns(MapGranularity::kChunk);
+  const std::uint64_t zone = c.UnitLpns(MapGranularity::kZone);
+  for (std::uint64_t l = lo; l < hi; ++l) c.Erase({MapGranularity::kPage, l});
+  for (std::uint64_t k = lo / chunk; k * chunk < hi; ++k) c.Erase({MapGranularity::kChunk, k});
+  for (std::uint64_t k = lo / zone; k * zone < hi; ++k) c.Erase({MapGranularity::kZone, k});
+}
+
+TEST(L2PCacheTest, InvalidateLpnRangeMatchesPerKeyErase) {
+  // Two caches see the same pinned/unpinned inserts, lookups and erases;
+  // ranges are invalidated on one and erased key by key on the other.
+  // Every observable must agree, including which entries later inserts
+  // evict.
+  constexpr std::uint64_t kZones = 8;
+  constexpr std::uint64_t kLpns = kZones * 4096;
+  Rng rng(0x1A7E);
+  for (int trial = 0; trial < 20; ++trial) {
+    L2PCache walk(SmallCacheCfg(64));
+    L2PCache probe(SmallCacheCfg(64));
+    // A pool of 256 keys over all three granularities, so ops hit.
+    std::vector<L2pKey> pool;
+    for (int i = 0; i < 256; ++i) {
+      const auto gran = static_cast<MapGranularity>(rng.NextBelow(3));
+      pool.push_back(L2pKey{gran, rng.NextBelow(kLpns / walk.UnitLpns(gran))});
+    }
+    auto expect_same = [&](const std::string& where) {
+      ASSERT_EQ(walk.size(), probe.size()) << where;
+      ASSERT_EQ(walk.pinned_count(), probe.pinned_count()) << where;
+      ASSERT_EQ(walk.stats().evictions, probe.stats().evictions) << where;
+      ASSERT_EQ(walk.stats().rejected_insertions, probe.stats().rejected_insertions) << where;
+      for (const L2pKey& k : pool) ASSERT_EQ(walk.Peek(k), probe.Peek(k)) << where;
+    };
+    for (int step = 0; step < 400; ++step) {
+      const L2pKey key = pool[rng.NextBelow(pool.size())];
+      const std::uint64_t op = rng.NextBelow(10);
+      if (op < 5) {
+        const Ppn ppn{rng.NextBelow(1u << 20)};
+        const bool pinned = rng.NextBelow(8) == 0;
+        walk.Insert(key, ppn, pinned);
+        probe.Insert(key, ppn, pinned);
+      } else if (op < 7) {
+        ASSERT_EQ(walk.Lookup(key), probe.Lookup(key));
+      } else if (op < 8) {
+        walk.Erase(key);
+        probe.Erase(key);
+      } else {
+        // Part of a zone, one zone, or the whole device.
+        const std::uint64_t z = rng.NextBelow(kZones);
+        std::uint64_t start = z * 4096;
+        std::uint64_t count = 4096;
+        const std::uint64_t kind = rng.NextBelow(3);
+        if (kind == 0) {
+          start += rng.NextBelow(4096);
+          count = 1 + rng.NextBelow((z + 1) * 4096 - start);
+        } else if (kind == 2) {
+          start = 0;
+          count = kLpns;
+        }
+        walk.InvalidateLpnRange(Lpn{start}, count);
+        EraseOverlappingKeys(probe, start, start + count);
+      }
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same("trial " + std::to_string(trial) + " step " + std::to_string(step)));
+    }
+    // Eviction order: fresh unpinned inserts must push out the same
+    // victims from both caches.
+    for (std::uint64_t i = 0; i < 128; ++i) {
+      const L2pKey fresh{MapGranularity::kPage, kLpns + i};
+      walk.Insert(fresh, Ppn{i});
+      probe.Insert(fresh, Ppn{i});
+      pool.push_back(fresh);
+      ASSERT_NO_FATAL_FAILURE(expect_same("trial " + std::to_string(trial) +
+                                          " fresh insert " + std::to_string(i)));
+    }
+  }
 }
 
 TEST(L2PCacheTest, StatsTrackHitRate) {

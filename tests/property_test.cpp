@@ -12,12 +12,15 @@
 //   P4  Accounting: flash programs >= host bytes (WAF >= 1 once flushed),
 //       valid-slot counts match the mapping.
 //   P5  Time is monotone: every completion is >= its submission.
+//   P6  The read paths' page grouping equals the linear first-appearance
+//       scan it replaced.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "common/rng.hpp"
 #include "core/device.hpp"
+#include "flash/page_groups.hpp"
 
 #include "test_io.hpp"
 
@@ -177,6 +180,87 @@ TEST(AggregationPropertyTest, AggregatedEntriesResolveToTablePpns) {
       const MapEntry e = table.Get(lpn);
       ASSERT_TRUE(e.mapped());
       ASSERT_EQ(e.gran, MapGranularity::kZone) << lpn.value();
+    }
+  }
+}
+
+/// One slot of a read request, as the read paths hand it to the grouper.
+struct SlotIn {
+  FlashPageId page;
+  SimTime dep;
+  std::uint32_t retries;
+};
+
+/// Reference for P6: the linear scan the read paths used before
+/// PageGrouper — O(groups) per slot, first-appearance order.
+std::vector<PageGroup> LinearGroups(const std::vector<SlotIn>& slots) {
+  std::vector<PageGroup> groups;
+  for (const SlotIn& s : slots) {
+    bool merged = false;
+    for (PageGroup& g : groups) {
+      if (g.page == s.page) {
+        ++g.slots;
+        g.dep = Later(g.dep, s.dep);
+        if (s.retries > g.retries) g.retries = s.retries;
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) groups.push_back(PageGroup{s.page, 1, s.dep, s.retries});
+  }
+  return groups;
+}
+
+/// P6: the grouper must reproduce the linear scan exactly — group order,
+/// slot counts, the latest metadata dependency and the worst retry level
+/// per page — for requests of 1 to 4096 slots. Odd cases reuse one
+/// grouper across requests (stale buckets from earlier epochs); even
+/// cases start fresh, so the index grows in the middle of a request.
+TEST(PageGrouperPropertyTest, MatchesLinearScan) {
+  const FlashGeometry geo = ConZoneConfig::PaperConfig().geometry;
+  const std::uint64_t chips = geo.NumChips();
+  const std::uint64_t slots_per_page = geo.SlotsPerPage();
+  Rng rng(0x6A0E);
+  PageGrouper reused;
+  for (int c = 0; c < 400; ++c) {
+    PageGrouper fresh;
+    PageGrouper& grouper = c % 2 == 1 ? reused : fresh;
+    const std::uint64_t n = c % 3 == 0 ? 1 : c % 3 == 1 ? 4096 : 2 + rng.NextBelow(1024);
+    const std::uint64_t kind = rng.NextBelow(3);
+    const std::uint64_t pool = 1 + rng.NextBelow(rng.NextBool(0.5) ? 64 : 8192);
+    const std::uint64_t base_page = rng.NextBelow(geo.pages_per_block / 2);
+    const std::uint64_t block = rng.NextBelow(geo.blocks_per_chip);
+    std::vector<SlotIn> slots;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      std::uint64_t page = 0;
+      if (kind == 0) {
+        // Random pages from a small pool: repeats far apart.
+        page = rng.NextBelow(pool) * 7919 % geo.TotalFlashPages();
+      } else if (kind == 1) {
+        // SLC staging: consecutive slots striped across the chips, so a
+        // page's slots recur every `chips` slots, never back to back.
+        const std::uint64_t chip = i % chips;
+        const std::uint64_t in_block = (base_page + i / chips / slots_per_page) %
+                                       geo.pages_per_block;
+        page = (chip * geo.blocks_per_chip + block) * geo.pages_per_block + in_block;
+      } else {
+        // A normal-region run: slots_per_page consecutive slots per page.
+        page = (block * geo.pages_per_block + base_page) + i / slots_per_page;
+      }
+      const SimTime dep = SimTime::FromNanos(rng.NextBelow(1000));
+      const std::uint64_t retries = rng.NextBelow(8) == 0 ? rng.NextBelow(4) : 0;
+      slots.push_back(SlotIn{FlashPageId(page), dep, static_cast<std::uint32_t>(retries)});
+    }
+    grouper.Clear();
+    for (const SlotIn& s : slots) grouper.Add(s.page, s.dep, s.retries);
+    const std::vector<PageGroup> want = LinearGroups(slots);
+    const std::span<const PageGroup> got = grouper.groups();
+    ASSERT_EQ(got.size(), want.size()) << "case " << c;
+    for (std::size_t g = 0; g < want.size(); ++g) {
+      ASSERT_EQ(got[g].page, want[g].page) << "case " << c << " group " << g;
+      ASSERT_EQ(got[g].slots, want[g].slots) << "case " << c << " group " << g;
+      ASSERT_EQ(got[g].dep, want[g].dep) << "case " << c << " group " << g;
+      ASSERT_EQ(got[g].retries, want[g].retries) << "case " << c << " group " << g;
     }
   }
 }
