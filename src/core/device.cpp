@@ -10,6 +10,12 @@ namespace conzone {
 namespace {
 /// Default integrity token when the host does not supply payloads.
 std::uint64_t DefaultToken(Lpn lpn) { return 0xC0DE0000u ^ lpn.value(); }
+
+Status StaleSlot(Lpn lpn, Ppn ppn) {
+  return Status::Internal("mapping points at stale slot (lpn " +
+                          std::to_string(lpn.value()) + " ppn " +
+                          std::to_string(ppn.value()) + ")");
+}
 }  // namespace
 
 Result<std::unique_ptr<ConZoneDevice>> ConZoneDevice::Create(const ConZoneConfig& config) {
@@ -193,7 +199,7 @@ Result<SimTime> ConZoneDevice::WriteImpl(std::uint64_t offset, std::uint64_t len
   if (zone.value() >= cfg_.num_conventional_zones + layout_.num_zones()) {
     return Status::OutOfRange("write beyond device capacity");
   }
-  if (off_in_zone + len > cfg_.zone_size_bytes) {
+  if (len > cfg_.zone_size_bytes || off_in_zone > cfg_.zone_size_bytes - len) {
     return Status::InvalidArgument("write crosses a zone boundary");
   }
   if (!tokens.empty() && tokens.size() != nslots) {
@@ -843,10 +849,10 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
   // Full logical capacity: the conventional pool precedes the
   // sequential zones, so the bound must include both (the write path's
   // zone-count check already does).
-  if (offset + len >
+  const std::uint64_t capacity =
       layout_.device_capacity() +
-          static_cast<std::uint64_t>(cfg_.num_conventional_zones) *
-              cfg_.zone_size_bytes) {
+      static_cast<std::uint64_t>(cfg_.num_conventional_zones) * cfg_.zone_size_bytes;
+  if (len > capacity || offset > capacity - len) {
     return Status::OutOfRange("read beyond device capacity");
   }
 
@@ -857,7 +863,8 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
 
   // Per-request page groups: one sense + transfer per distinct flash page.
   read_groups_.Clear();
-  for (std::uint64_t off = offset; off < offset + len; off += slot) {
+  const std::uint64_t end = offset + len;
+  for (std::uint64_t off = offset; off < end; off += slot) {
     const Lpn lpn = Lpn(div_slot_.Div(off));
     const ZoneId zone{div_zone_.Div(off)};
     const std::uint64_t off_in_zone = off - zone.value() * cfg_.zone_size_bytes;
@@ -919,13 +926,17 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
 
     const Ppn ppn = tr.value().ppn;
     const SlotRead r = array_.ReadSlot(ppn);
-    if (r.state != SlotState::kValid || r.lpn != lpn) {
-      return Status::Internal("mapping points at stale slot (lpn " +
-                              std::to_string(lpn.value()) + " ppn " +
-                              std::to_string(ppn.value()) + ")");
-    }
+    if (r.state != SlotState::kValid || r.lpn != lpn) return StaleSlot(lpn, ppn);
     if (tokens_out) tokens_out->push_back(r.token);
     read_groups_.Add(FlashPageId(div_slots_per_page_.Div(ppn.value())), dep, r.retry_level);
+    // An aggregated hit also covers the slots after it in its unit.
+    if (off + slot < end && tr.value().cache_hit &&
+        tr.value().gran != MapGranularity::kPage) {
+      auto run = ReadAggregatedRun(zone, off_in_zone, off_in_zone + (end - off), lpn, ppn,
+                                   tr.value().gran, t0, tokens_out);
+      if (!run.ok()) return run.status();
+      off += run.value() * slot;
+    }
   }
 
   for (const PageGroup& g : read_groups_.groups()) {
@@ -937,8 +948,51 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
   }
 
   // Stream the payload back to the host.
-  const SimTime end = host_link_.Reserve(data_done, HostTransferTime(len)).end;
-  return end;
+  return host_link_.Reserve(data_done, HostTransferTime(len)).end;
+}
+
+Result<std::uint64_t> ConZoneDevice::ReadAggregatedRun(
+    ZoneId zone, std::uint64_t off_in_zone, std::uint64_t req_end, Lpn lpn, Ppn ppn,
+    MapGranularity gran, SimTime t0, std::vector<std::uint64_t>* tokens_out) {
+  const FlashGeometry& geo = cfg_.geometry;
+  const std::uint64_t slot = geo.slot_size;
+  const std::uint64_t unit_bytes =
+      gran == MapGranularity::kZone
+          ? cfg_.zone_size_bytes
+          : static_cast<std::uint64_t>(cfg_.lpns_per_chunk) * slot;
+  // Translate would hit the same entry, unchanged, for every later slot
+  // of the unit that is still durable (not in the write buffer), below
+  // the write pointer and in the normal region (patch slots resolve
+  // through the SLC stripe instead of the layout).
+  const std::uint64_t run_end =
+      std::min({(off_in_zone / unit_bytes + 1) * unit_bytes,
+                runtime_[static_cast<std::size_t>(zone.value())].staged_end,
+                zones_.Info(zone).write_pointer, layout_.normal_bytes(), req_end});
+  // A program unit's slots are consecutive ppns in one block: consult
+  // the layout once per program unit and step inside it.
+  std::uint64_t next_unit = (off_in_zone / geo.program_unit + 1) * geo.program_unit;
+  std::uint64_t n = 0;
+  for (std::uint64_t off = off_in_zone + slot; off < run_end; off += slot) {
+    ++n;
+    lpn = Lpn(lpn.value() + 1);
+    if (off == next_unit) {
+      ppn = layout_.NormalSlot(SeqZone(zone), off);
+      next_unit += geo.program_unit;
+    } else {
+      ppn = Ppn(ppn.value() + 1);
+    }
+    // ReadSlot draws read-retry levels from the fault RNG: one call per
+    // slot, in slot order, exactly as the per-slot path makes them.
+    const SlotRead r = array_.ReadSlot(ppn);
+    if (r.state != SlotState::kValid || r.lpn != lpn) {
+      translator_.BookRepeatedHits(gran, n);
+      return StaleSlot(lpn, ppn);
+    }
+    if (tokens_out) tokens_out->push_back(r.token);
+    read_groups_.Add(FlashPageId(div_slots_per_page_.Div(ppn.value())), t0, r.retry_level);
+  }
+  translator_.BookRepeatedHits(gran, n);
+  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -960,17 +1014,19 @@ Result<SimTime> ConZoneDevice::ResetZone(ZoneId zone, SimTime now) {
 
   // Invalidate SLC-resident slots (staged data and the patch, E.2: "if
   // the zone has some data in SLC, ConZone invalidates it also") and drop
-  // all mappings.
+  // all mappings. The walk stops at the zone's last mapped lpn.
   const std::uint64_t mark = array_.MarkJournal();
   const Lpn zbase = ZoneBaseLpn(zone);
-  for (std::uint64_t i = 0; i < LpnsPerZone(); ++i) {
+  for (std::uint64_t i = 0; i < LpnsPerZone() && table_.zone_mapped_count(zone) > 0;
+       ++i) {
     const Lpn lpn = Lpn(zbase.value() + i);
     const MapEntry e = table_.Get(lpn);
-    if (e.mapped() && geo.IsSlcBlock(geo.BlockOfSlot(e.ppn))) {
+    if (!e.mapped()) continue;
+    if (geo.IsSlcBlock(geo.BlockOfSlot(e.ppn))) {
       // Erased normal blocks reset their own slot state below.
       (void)array_.InvalidateSlot(e.ppn);
     }
-    if (e.mapped()) table_.Unmap(lpn);
+    table_.Unmap(lpn);
   }
   cache_.InvalidateLpnRange(zbase, LpnsPerZone());
 
@@ -1681,6 +1737,10 @@ Result<SimTime> ConZoneDevice::RecoverScanMedia(SimTime now) {
         // the full scan. (Same-ppn is unreachable; kept for symmetry
         // with the image path.)
         if (prev.ppn == ppn) continue;
+        // ClearForMountExcept trusts that a zone with no mapped entry
+        // holds only default ones; the skipped keep ranges still hold
+        // stale bytes, so a failed mount leaves a wholly cleared table.
+        table_.ClearAllForMount();
         return Status::Internal("mount scan found two valid copies of lpn " +
                                 std::to_string(r.lpn.value()));
       }
@@ -1778,6 +1838,7 @@ Result<SimTime> ConZoneDevice::RecoverScanMedia(SimTime now) {
           // The tail scan installed this exact mapping already; anything
           // else is a genuine double copy, same as the full scan.
           if (prev.ppn == ppn) continue;
+          table_.ClearAllForMount();  // as for the tail scan's double above
           return Status::Internal("mount scan found two valid copies of lpn " +
                                   std::to_string(lpn_v));
         }

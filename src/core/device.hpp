@@ -164,6 +164,15 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
                             std::span<const std::uint64_t> tokens);
   Result<SimTime> ReadImpl(std::uint64_t offset, std::uint64_t len, SimTime now,
                            std::vector<std::uint64_t>* tokens_out);
+  /// Serve the slots after `lpn` (zone-relative byte `off_in_zone`,
+  /// just read from `ppn` through an aggregated cache hit at `gran`) that
+  /// the same entry covers, up to zone-relative byte `req_end`. Returns
+  /// how many slots it served, books their translations as repeated
+  /// hits, and fails like ReadImpl on a stale slot.
+  Result<std::uint64_t> ReadAggregatedRun(ZoneId zone, std::uint64_t off_in_zone,
+                                          std::uint64_t req_end, Lpn lpn, Ppn ppn,
+                                          MapGranularity gran, SimTime t0,
+                                          std::vector<std::uint64_t>* tokens_out);
 
   /// Per-zone write-path runtime (§III-B bookkeeping).
   struct ZoneRuntime {

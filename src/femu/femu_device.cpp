@@ -99,7 +99,7 @@ Result<SimTime> FemuModelDevice::WriteImpl(std::uint64_t offset, std::uint64_t l
   const ZoneId zone{offset / zone_bytes_};
   if (zone.value() >= num_zones_) return Status::OutOfRange("write beyond capacity");
   const std::uint64_t off_in_zone = offset % zone_bytes_;
-  if (off_in_zone + len > zone_bytes_) {
+  if (len > zone_bytes_ || off_in_zone > zone_bytes_ - len) {
     return Status::InvalidArgument("write crosses a zone boundary");
   }
   if (!tokens.empty() && tokens.size() != len / slot) {
@@ -148,7 +148,8 @@ Result<SimTime> FemuModelDevice::ReadImpl(std::uint64_t offset, std::uint64_t le
   if (offset % slot != 0 || len % slot != 0 || len == 0) {
     return Status::InvalidArgument("read must be aligned and non-empty");
   }
-  if (offset + len > info().capacity_bytes) {
+  const std::uint64_t capacity = info().capacity_bytes;
+  if (len > capacity || offset > capacity - len) {
     return Status::OutOfRange("read beyond capacity");
   }
   // Validate against write pointers zone by zone.

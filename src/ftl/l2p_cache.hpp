@@ -77,6 +77,13 @@ class L2PCache {
   /// Probe without touching recency or statistics (diagnostics).
   std::optional<Ppn> Peek(const L2pKey& key) const;
 
+  /// Count `lookups` probes, `hits` of which found an entry already at
+  /// the LRU head (Translator::BookRepeatedHits).
+  void BookRepeatedHits(std::uint64_t lookups, std::uint64_t hits) {
+    stats_.lookups += lookups;
+    stats_.hits += hits;
+  }
+
   /// Insert (or refresh) a translation. Evicts the LRU unpinned entry
   /// when full; if every resident entry is pinned the insertion of an
   /// unpinned entry is dropped.

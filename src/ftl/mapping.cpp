@@ -53,20 +53,30 @@ void MappingTable::InstallRunAtMount(Lpn lpn, Ppn ppn, std::uint64_t count,
 
 void MappingTable::ClearForMountExcept(
     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& keep) {
+  // Clear [lo, hi) zone by zone, skipping zones whose count is 0: they
+  // hold only default entries already (the counts are reset below, after
+  // every gap has been cleared).
+  auto clear_gap = [&](std::uint64_t lo, std::uint64_t hi) {
+    while (lo < hi) {
+      const std::uint64_t z = div_lpns_per_zone_.Div(lo);
+      const std::uint64_t zone_end = std::min(hi, (z + 1) * geo_.lpns_per_zone);
+      if (zone_mapped_[static_cast<std::size_t>(z)] != 0) {
+        std::fill(entries_.begin() + static_cast<std::ptrdiff_t>(lo),
+                  entries_.begin() + static_cast<std::ptrdiff_t>(zone_end), MapEntry{});
+      }
+      lo = zone_end;
+    }
+  };
   std::uint64_t pos = 0;
   for (const auto& [lpn, count] : keep) {
     assert(lpn >= pos && lpn + count <= geo_.num_lpns &&
            "keep ranges must be sorted, disjoint and in bounds");
     // max(): stay safe on release builds if the caller's list overlaps —
     // the region is still cleared-or-installed, never skipped.
-    for (std::uint64_t i = pos; i < lpn; ++i) {
-      entries_[static_cast<std::size_t>(i)] = MapEntry{};
-    }
+    clear_gap(pos, lpn);
     pos = std::max(pos, lpn + count);
   }
-  for (std::uint64_t i = pos; i < geo_.num_lpns; ++i) {
-    entries_[static_cast<std::size_t>(i)] = MapEntry{};
-  }
+  clear_gap(pos, geo_.num_lpns);
   mapped_ = 0;
   std::fill(zone_mapped_.begin(), zone_mapped_.end(), 0u);
 }

@@ -77,7 +77,11 @@ class MappingTable {
   /// plus the tail, and resets the mapped counts. Entries inside keep
   /// ranges retain stale bytes until InstallRunAtMount overwrites them;
   /// rewriting the whole table is the mount fast path's single biggest
-  /// cost, so touching each entry exactly once is the point.
+  /// cost, so touching each entry exactly once is the point. Gaps in
+  /// zones whose mapped count is 0 are skipped: outside this window
+  /// (until the keep ranges are re-installed) such a zone holds only
+  /// default entries, so a caller that gives up inside the window must
+  /// call ClearAllForMount to restore that.
   void ClearForMountExcept(
       const std::vector<std::pair<std::uint64_t, std::uint64_t>>& keep);
 

@@ -76,6 +76,15 @@ Result<TranslateOutcome> Translator::Translate(Lpn lpn) {
   return Status::Internal("unknown search strategy");
 }
 
+void Translator::BookRepeatedHits(MapGranularity g, std::uint64_t n) {
+  assert(cfg_.hybrid && g != MapGranularity::kPage);
+  stats_.translations += n;
+  stats_.cache_hits += n;
+  stats_.hits_by_gran[static_cast<int>(g)] += n;
+  // The probe runs zone -> chunk, so a chunk hit follows a zone miss.
+  cache_.BookRepeatedHits(g == MapGranularity::kZone ? n : 2 * n, n);
+}
+
 Result<TranslateOutcome> Translator::MissBitmap(Lpn lpn, TranslateOutcome out) {
   // The SRAM bitmap mirrors the map bits: one fetch at the right level.
   const MapGranularity g = table_.Get(lpn).gran;

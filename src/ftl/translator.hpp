@@ -123,6 +123,13 @@ class Translator {
   /// Translate `lpn`; fails if the address was never written.
   Result<TranslateOutcome> Translate(Lpn lpn);
 
+  /// Book `n` further Translate calls that hit the same resident
+  /// aggregated entry at granularity `g` as the call before them. The
+  /// read path serves the rest of an aggregated unit without probing
+  /// again: a repeated hit only moves the entry to the LRU head, where
+  /// the first hit left it, so the statistics are all that would change.
+  void BookRepeatedHits(MapGranularity g, std::uint64_t n);
+
   /// Write-path hook: a new aggregate was generated (§III-C ④ / Fig. 5 ②).
   /// Inserts it into the cache — pinned under kPinned, which also evicts
   /// the covered finer entries.

@@ -216,13 +216,13 @@ Status RedundantVolume::Resolve(const IoRequest& req, bool write,
       return Status::OutOfRange("request beyond volume capacity");
     }
     const std::uint64_t in = req.offset - l * zone_bytes_;
-    if (in + req.len > zone_bytes_) {
+    if (req.len > zone_bytes_ || in > zone_bytes_ - req.len) {
       return Status::InvalidArgument("request crosses a zone boundary");
     }
     *logical = l;
     *in_zone = in;
   } else {
-    if (req.offset + req.len > member_span_) {
+    if (req.len > member_span_ || req.offset > member_span_ - req.len) {
       return Status::OutOfRange("request beyond volume capacity");
     }
     *logical = 0;

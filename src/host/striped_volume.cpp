@@ -174,7 +174,7 @@ Status StripedVolume::Resolve(const IoRequest& req, std::uint32_t* first_member,
       return Status::OutOfRange("request beyond volume capacity");
     }
     const std::uint64_t in_zone = req.offset - logical * zone_bytes_;
-    if (in_zone + req.len > zone_bytes_) {
+    if (req.len > zone_bytes_ || in_zone > zone_bytes_ - req.len) {
       // Mirrors the members' own rule; a zoned host never issues these.
       return Status::InvalidArgument("request crosses a zone boundary");
     }
@@ -183,7 +183,8 @@ Status StripedVolume::Resolve(const IoRequest& req, std::uint32_t* first_member,
     *member_base = anchor.zone.value() * member_info_.zone_size_bytes;
     *rel = in_zone;
   } else {
-    if (req.offset + req.len > member_span_ * members_.size()) {
+    const std::uint64_t capacity = member_span_ * members_.size();
+    if (req.len > capacity || req.offset > capacity - req.len) {
       return Status::OutOfRange("request beyond volume capacity");
     }
     *first_member = 0;

@@ -138,7 +138,7 @@ Result<SimTime> LegacyDevice::WriteImpl(std::uint64_t offset, std::uint64_t len,
   if (offset % slot != 0 || len % slot != 0 || len == 0) {
     return Status::InvalidArgument("write must be 4 KiB aligned and non-empty");
   }
-  if (offset + len > usable_bytes_) {
+  if (len > usable_bytes_ || offset > usable_bytes_ - len) {
     return Status::OutOfRange("write beyond device capacity");
   }
   if (!tokens.empty() && tokens.size() != len / slot) {
@@ -413,7 +413,7 @@ Result<SimTime> LegacyDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
   if (offset % slot != 0 || len % slot != 0 || len == 0) {
     return Status::InvalidArgument("read must be 4 KiB aligned and non-empty");
   }
-  if (offset + len > usable_bytes_) {
+  if (len > usable_bytes_ || offset > usable_bytes_ - len) {
     return Status::OutOfRange("read beyond device capacity");
   }
   ++stats_.reads;

@@ -67,7 +67,7 @@ Status ZoneManager::BeginWrite(ZoneId zone, std::uint64_t offset_in_zone,
         "non-sequential write to zone " + std::to_string(zone.value()) + ": offset " +
         std::to_string(offset_in_zone) + " != wp " + std::to_string(z.write_pointer));
   }
-  if (offset_in_zone + len > cfg_.zone_capacity_bytes) {
+  if (len > cfg_.zone_capacity_bytes || offset_in_zone > cfg_.zone_capacity_bytes - len) {
     return Status::OutOfRange("write beyond zone capacity");
   }
 
@@ -97,7 +97,7 @@ Status ZoneManager::CheckRead(ZoneId zone, std::uint64_t offset_in_zone,
   if (Status st = CheckId(zone); !st.ok()) return st;
   const ZoneInfo& z = zones_[static_cast<std::size_t>(zone.value())];
   if (len == 0) return Status::InvalidArgument("zero-length read");
-  if (offset_in_zone + len > z.write_pointer) {
+  if (len > z.write_pointer || offset_in_zone > z.write_pointer - len) {
     return Status::OutOfRange("read beyond write pointer of zone " +
                               std::to_string(zone.value()));
   }

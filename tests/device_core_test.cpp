@@ -165,14 +165,43 @@ TEST_F(ConZoneDeviceTest, ChunkTailStagedInSlcBlocksAggregation) {
 
 TEST_F(ConZoneDeviceTest, ZoneResetErasesAndUnmaps) {
   SimTime t;
+  // Zone 0 is full, with its patch in SLC. Zone 1 holds one normal unit
+  // and a flushed SLC-staged tail.
   for (std::uint64_t off = 0; off < zone_bytes_; off += 512 * kKiB) {
     WriteAt(off, 512 * kKiB, t);
   }
-  auto r = dev_->ResetZone(ZoneId{0}, t);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  t = r.value();
-  EXPECT_EQ(dev_->zones().Info(ZoneId{0}).state, ZoneState::kEmpty);
-  EXPECT_FALSE(dev_->mapping().Get(Lpn{0}).mapped());
+  WriteAt(zone_bytes_, 140 * kKiB, t);
+  t = dev_->Flush(t).value();
+
+  const FlashGeometry& geo = dev_->config().geometry;
+  const std::uint64_t lpns = zone_bytes_ / 4096;
+  auto slc_valid = [&] {
+    std::uint64_t v = 0;
+    for (std::uint64_t b = 0; b < geo.TotalBlocks(); ++b) {
+      if (geo.IsSlcBlock(BlockId{b})) v += dev_->array().ValidSlots(BlockId{b});
+    }
+    return v;
+  };
+  for (const std::uint64_t z : {0u, 1u}) {
+    std::uint64_t slc_resident = 0;
+    for (std::uint64_t i = 0; i < lpns; ++i) {
+      const MapEntry e = dev_->mapping().Get(Lpn{z * lpns + i});
+      if (e.mapped() && geo.IsSlcBlock(geo.BlockOfSlot(e.ppn))) ++slc_resident;
+    }
+    ASSERT_GT(slc_resident, 0u) << "zone " << z;
+    const std::uint64_t slc_before = slc_valid();
+    auto r = dev_->ResetZone(ZoneId{z}, t);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    t = r.value();
+    EXPECT_EQ(dev_->zones().Info(ZoneId{z}).state, ZoneState::kEmpty);
+    EXPECT_EQ(dev_->mapping().zone_mapped_count(ZoneId{z}), 0u) << "zone " << z;
+    std::uint64_t still_mapped = 0;
+    for (std::uint64_t i = 0; i < lpns; ++i) {
+      if (dev_->mapping().Get(Lpn{z * lpns + i}).mapped()) ++still_mapped;
+    }
+    EXPECT_EQ(still_mapped, 0u) << "zone " << z;
+    EXPECT_EQ(slc_before - slc_valid(), slc_resident) << "zone " << z;
+  }
   // Reads of a reset zone fail.
   auto bad = TestRead(*dev_, 0, 4096, t);
   EXPECT_FALSE(bad.ok());

@@ -1,10 +1,16 @@
 // Parameterized whole-device sweeps: the full write→flush→read→reset
 // cycle must hold across geometries (channel/chip counts, block sizes,
 // media types, buffer pools, strategies) — the configuration space a
-// ConZone user explores — plus bit-exact determinism of the simulation.
+// ConZone user explores — plus bit-exact determinism of the simulation,
+// and range checks that hold on every StorageDevice when offset + len
+// wraps past 2^64.
 #include <gtest/gtest.h>
 
 #include "core/device.hpp"
+#include "femu/femu_device.hpp"
+#include "host/redundant_volume.hpp"
+#include "host/striped_volume.hpp"
+#include "legacy/legacy_device.hpp"
 #include "workload/fio.hpp"
 
 #include "test_io.hpp"
@@ -163,6 +169,91 @@ INSTANTIATE_TEST_SUITE_P(
         DeterminismCase{"seq_read", IoPattern::kSequential, IoDirection::kRead,
                         512 * kKiB},
         DeterminismCase{"rand_read", IoPattern::kRandom, IoDirection::kRead, 4096}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// --- ranges whose end wraps past 2^64 ---
+
+struct DeviceCase {
+  const char* name;
+  std::unique_ptr<StorageDevice> (*make)();
+};
+
+void PrintTo(const DeviceCase& c, std::ostream* os) { *os << c.name; }
+
+FlashGeometry SmallGeometry() {
+  FlashGeometry geo;
+  geo.blocks_per_chip = 20;
+  geo.slc_blocks_per_chip = 4;
+  return geo;
+}
+
+std::unique_ptr<StorageDevice> MakeConZone() {
+  ConZoneConfig cfg = ConZoneConfig::PaperConfig();
+  cfg.geometry.blocks_per_chip = 20;
+  cfg.geometry.slc_blocks_per_chip = 4;
+  return std::move(ConZoneDevice::Create(cfg)).value();
+}
+
+std::unique_ptr<StorageDevice> MakeLegacy() {
+  LegacyConfig cfg;
+  cfg.geometry = SmallGeometry();
+  return std::move(LegacyDevice::Create(cfg)).value();
+}
+
+std::unique_ptr<StorageDevice> MakeFemu() {
+  FemuConfig cfg;
+  cfg.geometry = SmallGeometry();
+  return std::move(FemuModelDevice::Create(cfg)).value();
+}
+
+std::vector<std::unique_ptr<StorageDevice>> TwoFemus() {
+  std::vector<std::unique_ptr<StorageDevice>> devs;
+  devs.push_back(MakeFemu());
+  devs.push_back(MakeFemu());
+  return devs;
+}
+
+std::unique_ptr<StorageDevice> MakeStriped() {
+  return std::move(StripedVolume::Create(TwoFemus(), {})).value();
+}
+
+std::unique_ptr<StorageDevice> MakeMirror() {
+  RedundantVolumeOptions opt;
+  opt.layout = RedundancyLayout::kMirror;
+  return std::move(RedundantVolume::Create(TwoFemus(), opt)).value();
+}
+
+class WrappingRangeTest : public ::testing::TestWithParam<DeviceCase> {};
+
+TEST_P(WrappingRangeTest, RangeEndingPast2To64IsRejected) {
+  std::unique_ptr<StorageDevice> dev = GetParam().make();
+  const std::uint64_t slot = dev->info().io_alignment;
+  // Two slots at offset 0 put zone 0's write pointer at 2 * slot.
+  auto w = TestWrite(*dev, 0, 2 * slot, SimTime{});
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  const SimTime t = w.value();
+  const StatsSnapshot before = dev->Stats();
+  auto range_error = [](const Status& st) {
+    return st.code() == StatusCode::kOutOfRange ||
+           st.code() == StatusCode::kInvalidArgument;
+  };
+  // [2^64 - slot, 2^64 + slot): the end wraps to `slot`.
+  const std::uint64_t near_top = 0 - slot;
+  auto rd = dev->Read(IoRequest{near_top, 2 * slot, t, {}, /*want_tokens=*/true});
+  ASSERT_FALSE(rd.ok()) << "returned " << rd.value().tokens.size() << " tokens";
+  EXPECT_TRUE(range_error(rd.status())) << rd.status().ToString();
+  // At the write pointer, a length whose end wraps to `slot`.
+  auto wr = dev->Write(IoRequest{2 * slot, near_top, t});
+  ASSERT_FALSE(wr.ok());
+  EXPECT_TRUE(range_error(wr.status())) << wr.status().ToString();
+  EXPECT_EQ(dev->Stats(), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDevices, WrappingRangeTest,
+    ::testing::Values(DeviceCase{"conzone", MakeConZone}, DeviceCase{"legacy", MakeLegacy},
+                      DeviceCase{"femu", MakeFemu}, DeviceCase{"striped2", MakeStriped},
+                      DeviceCase{"mirror2", MakeMirror}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

@@ -72,8 +72,10 @@ TEST(MappingTableTest, PerZoneCountsMatchBruteForce) {
   // Random Set / Unmap / InstallRunAtMount / both mount clears; after
   // every step the per-zone counts must equal a brute-force count, sum
   // to mapped_count(), and ForEachMapped (which skips zones by their
-  // count) must visit exactly the mapped entries. The last zone is
-  // partial, as on a Legacy device.
+  // count) must visit exactly the mapped entries. ClearForMountExcept,
+  // which skips zones by their count too, must leave every entry outside
+  // its keep ranges at MapEntry{}. The last zone is partial, as on a
+  // Legacy device.
   MappingGeometry geo = SmallMapGeo();
   geo.num_lpns += 1000;
   MappingTable t(geo);
@@ -91,7 +93,10 @@ TEST(MappingTableTest, PerZoneCountsMatchBruteForce) {
   for (int step = 0; step < 300; ++step) {
     const std::uint64_t op = rng.NextBelow(20);
     if (op < 9) {
-      t.Set(Lpn{rng.NextBelow(n)}, Ppn{rng.NextBelow(1u << 20)});
+      const Lpn lpn{rng.NextBelow(n)};
+      t.Set(lpn, Ppn{rng.NextBelow(1u << 20)});
+      // Aggregated map bits too, so a cleared entry must reset them.
+      if (op < 3) t.SetAggregated(lpn, 1, MapGranularity::kChunk);
     } else if (op < 15) {
       t.Unmap(Lpn{rng.NextBelow(n)});
     } else if (op < 18) {
@@ -107,6 +112,17 @@ TEST(MappingTableTest, PerZoneCountsMatchBruteForce) {
         pos += count + rng.NextBelow(per_zone);
       }
       t.ClearForMountExcept(keep);
+      // Everything outside the keep ranges now reads as never mapped.
+      std::uint64_t next = 0;
+      for (std::size_t k = 0; k <= keep.size(); ++k) {
+        const std::uint64_t gap_end = k < keep.size() ? keep[k].first : n;
+        for (std::uint64_t l = next; l < gap_end; ++l) {
+          const MapEntry e = t.Get(Lpn{l});
+          ASSERT_TRUE(!e.mapped() && e.gran == MapGranularity::kPage)
+              << "step " << step << " lpn " << l;
+        }
+        if (k < keep.size()) next = keep[k].first + keep[k].second;
+      }
       for (const auto& [lpn, count] : keep) {
         t.InstallRunAtMount(Lpn{lpn}, Ppn{lpn}, count, MapGranularity::kPage);
       }

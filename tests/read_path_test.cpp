@@ -1,7 +1,12 @@
 // Focused read-path tests: page-read coalescing and accounting, media
 // visibility (SLC vs TLC latency through the full device), cross-zone
-// reads, and host-link behavior.
+// reads, host-link behavior, and the equivalence of one multi-slot read
+// with the single-slot reads it covers.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/device.hpp"
 #include "workload/fio.hpp"
@@ -148,6 +153,170 @@ TEST_F(ReadPathTest, PinnedKeepsZoneEntriesAcrossCachePressure) {
   t = TestRead(**dev, 1 * kMiB, 4096, t).value();
   EXPECT_EQ((*dev)->translator().stats().cache_hits, 1u);
 }
+
+// --- one N-slot read books what N single-slot reads would ---
+//
+// An aggregated cache hit serves the rest of its unit without probing
+// again. Everything the probes would have done must still happen: the
+// same tokens, translator and L2P cache statistics, and cache contents.
+
+struct RunMode {
+  const char* name;
+  L2pSearchStrategy strategy;
+  bool hybrid;
+  double read_retry = 0.0;  // per-read probability, SLC and normal alike
+};
+
+void PrintTo(const RunMode& m, std::ostream* os) { *os << m.name; }
+
+class RunReadEquivalenceTest : public ::testing::TestWithParam<RunMode> {
+ protected:
+  static constexpr std::uint64_t kZone = 16 * kMiB;  // PaperConfig zone size
+
+  /// Zone 0 full (zone-aggregated, patch in SLC); zone 1 flushed at
+  /// 8 MiB (chunk 0 aggregated, chunk 1 page-mapped around its SLC-staged
+  /// tail); zone 3 at 4424 KiB unflushed (chunk 0 aggregated, 200 KiB in
+  /// the write buffer).
+  std::unique_ptr<ConZoneDevice> Make(SimTime* t) {
+    ConZoneConfig cfg = Cfg();
+    cfg.translator.strategy = GetParam().strategy;
+    cfg.translator.hybrid = GetParam().hybrid;
+    cfg.fault.slc.read_retry = GetParam().read_retry;
+    cfg.fault.normal.read_retry = GetParam().read_retry;
+    auto dev = ConZoneDevice::Create(cfg);
+    EXPECT_TRUE(dev.ok()) << dev.status().ToString();
+    EXPECT_EQ((*dev)->info().zone_size_bytes, kZone);
+    *t = SimTime{};
+    auto write = [&](std::uint64_t off, std::uint64_t len) {
+      auto r = TestWrite(**dev, off, len, *t);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      *t = r.value();
+    };
+    for (std::uint64_t off = 0; off < kZone; off += 512 * kKiB) write(off, 512 * kKiB);
+    for (std::uint64_t off = 0; off < 8 * kMiB; off += 512 * kKiB) {
+      write(kZone + off, 512 * kKiB);
+    }
+    *t = (*dev)->Flush(*t).value();
+    for (std::uint64_t off = 0; off < 4 * kMiB; off += 512 * kKiB) {
+      write(3 * kZone + off, 512 * kKiB);
+    }
+    write(3 * kZone + 4 * kMiB, 328 * kKiB);
+    return std::move(dev).value();
+  }
+
+  struct Outcome {
+    Status status;
+    std::vector<std::uint64_t> tokens;
+  };
+
+  /// [off, off + len) as one read.
+  static Outcome ReadOnce(ConZoneDevice& dev, std::uint64_t off, std::uint64_t len,
+                          SimTime now) {
+    Outcome o;
+    auto r = dev.Read(IoRequest{off, len, now, {}, /*want_tokens=*/true});
+    o.status = r.status();
+    if (r.ok()) o.tokens = std::move(r.value().tokens);
+    return o;
+  }
+
+  /// [off, off + len) as single-slot reads, stopping at the first error.
+  static Outcome ReadSlots(ConZoneDevice& dev, std::uint64_t off, std::uint64_t len,
+                           SimTime now) {
+    Outcome o;
+    for (std::uint64_t s = off; s < off + len; s += 4096) {
+      auto r = dev.Read(IoRequest{s, 4096, now, {}, /*want_tokens=*/true});
+      o.status = r.status();
+      if (!r.ok()) break;
+      o.tokens.insert(o.tokens.end(), r.value().tokens.begin(), r.value().tokens.end());
+    }
+    return o;
+  }
+
+  static void ExpectSameFtlState(const ConZoneDevice& a, const ConZoneDevice& b,
+                                 const std::string& what) {
+    const TranslatorStats& ta = a.translator().stats();
+    const TranslatorStats& tb = b.translator().stats();
+    EXPECT_EQ(ta.translations, tb.translations) << what;
+    EXPECT_EQ(ta.cache_hits, tb.cache_hits) << what;
+    EXPECT_EQ(ta.map_fetches, tb.map_fetches) << what;
+    for (int g = 0; g < 3; ++g) {
+      EXPECT_EQ(ta.hits_by_gran[g], tb.hits_by_gran[g]) << what << " gran " << g;
+    }
+    const L2pCacheStats& ca = a.l2p_cache().stats();
+    const L2pCacheStats& cb = b.l2p_cache().stats();
+    EXPECT_EQ(ca.lookups, cb.lookups) << what;
+    EXPECT_EQ(ca.hits, cb.hits) << what;
+    EXPECT_EQ(ca.insertions, cb.insertions) << what;
+    EXPECT_EQ(ca.evictions, cb.evictions) << what;
+    EXPECT_EQ(ca.rejected_insertions, cb.rejected_insertions) << what;
+    // Every slot read draws its read-retry level, in slot order.
+    EXPECT_EQ(a.Reliability().reads_with_retry, b.Reliability().reads_with_retry) << what;
+    EXPECT_EQ(a.Reliability().read_retries, b.Reliability().read_retries) << what;
+    // Cache contents over zones 0-3: every page, chunk and zone key.
+    const L2PCache& pa = a.l2p_cache();
+    const L2PCache& pb = b.l2p_cache();
+    std::uint64_t differ = 0;
+    for (std::uint64_t lpn = 0; lpn < 4 * kZone / 4096; ++lpn) {
+      for (MapGranularity g :
+           {MapGranularity::kPage, MapGranularity::kChunk, MapGranularity::kZone}) {
+        const L2pKey key = pa.KeyFor(g, Lpn{lpn});
+        if (pa.Peek(key) != pb.Peek(key)) ++differ;
+      }
+    }
+    EXPECT_EQ(differ, 0u) << what;
+  }
+};
+
+TEST_P(RunReadEquivalenceTest, OneReadMatchesSingleSlotReads) {
+  SimTime ta;
+  SimTime tb;
+  auto a = Make(&ta);
+  auto b = Make(&tb);
+  ASSERT_EQ(ta, tb);
+  // The ranges below reach the map states they are named for.
+  ASSERT_EQ(a->mapping().Get(Lpn{0}).gran, MapGranularity::kZone);
+  ASSERT_EQ(a->mapping().Get(Lpn{kZone / 4096}).gran, MapGranularity::kChunk);
+  ASSERT_EQ(a->mapping().Get(Lpn{(kZone + 4 * kMiB) / 4096}).gran, MapGranularity::kPage);
+  ASSERT_EQ(a->mapping().Get(Lpn{3 * kZone / 4096}).gran, MapGranularity::kChunk);
+  ASSERT_GT(a->zones().Info(ZoneId{3}).write_pointer, 4 * kMiB + 128 * kKiB);
+
+  struct Range {
+    const char* name;
+    std::uint64_t off;
+    std::uint64_t len;
+  };
+  const Range ranges[] = {
+      {"zone_aggregated", 0, kZone},
+      {"chunk_then_page", kZone + 3 * kMiB, 2 * kMiB},
+      {"patch", kZone - 512 * kKiB, 512 * kKiB},
+      {"buffered_tail", 3 * kZone + 4000 * kKiB, 424 * kKiB},
+      {"cross_zone", kZone - 64 * kKiB, 128 * kKiB},
+      {"across_write_pointer", 3 * kZone + 4000 * kKiB, 500 * kKiB},
+  };
+  const SimTime now = ta;
+  for (const Range& r : ranges) {
+    for (const char* pass : {"cold", "warm"}) {
+      const std::string what = std::string(r.name) + " " + pass;
+      const Outcome oa = ReadOnce(*a, r.off, r.len, now);
+      const Outcome ob = ReadSlots(*b, r.off, r.len, now);
+      EXPECT_EQ(oa.status.code(), ob.status.code()) << what << ": " << oa.status.ToString();
+      if (oa.status.ok()) EXPECT_EQ(oa.tokens, ob.tokens) << what;
+      ExpectSameFtlState(*a, *b, what);
+    }
+  }
+  EXPECT_FALSE(ReadOnce(*a, 3 * kZone + 4000 * kKiB, 500 * kKiB, now).status.ok());
+  EXPECT_GT(a->stats().buffer_ram_reads, 0u);
+  if (GetParam().read_retry > 0) EXPECT_GT(a->Reliability().reads_with_retry, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, RunReadEquivalenceTest,
+    ::testing::Values(RunMode{"bitmap", L2pSearchStrategy::kBitmap, true},
+                      RunMode{"multiple", L2pSearchStrategy::kMultiple, true},
+                      RunMode{"pinned", L2pSearchStrategy::kPinned, true},
+                      RunMode{"bitmap_read_retry", L2pSearchStrategy::kBitmap, true, 0.3},
+                      RunMode{"page_only", L2pSearchStrategy::kBitmap, false}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace conzone
