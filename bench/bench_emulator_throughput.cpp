@@ -174,9 +174,8 @@ void BM_ShardedRandRead4K(::benchmark::State& state) {
 //     distinct members whose timelines advance independently, so this
 //     should grow with the member count (until iodepth runs out).
 //   * sim_ios_per_s: wall-clock emulator throughput. 4 KiB requests
-//     touch one stripe unit, so they take the single-run fast path and
-//     never fan out (no executor set here); this stays roughly flat in
-//     N — reported honestly, not gated. Parallel fan-out is what
+//     touch one stripe unit, so they take the single-run fast path;
+//     this stays roughly flat in N. The multi-run path is what
 //     BM_StripedSeqWrite512K measures.
 void BM_StripedRandWrite4K(::benchmark::State& state) {
   const auto members = static_cast<std::uint32_t>(state.range(0));
@@ -215,19 +214,14 @@ void BM_StripedRandWrite4K(::benchmark::State& state) {
   state.counters["members"] = static_cast<double>(members);
 }
 
-// Host-layer striping with a real fork-join: 512 KiB sequential writes
-// span 8 stripe units (64 KiB each), so every request fans out across
-// min(8, members) member devices — the multi-run path BM_StripedRandWrite4K
-// (4 KiB, single-run fast path) never reaches. The volume runs the
-// fan-out on a WorkStealingExecutor with `threads` lanes; threads=1 is
-// the serial reference path (the executor runs inline). Results are
-// bit-identical across thread counts (exec_test cross-checks), so
-// sim_kiops must not move with `threads` — only sim_ios_per_s (wall
-// clock) may. On a single-hardware-thread host the parallel rows can
-// only show overhead, not speedup; EXPERIMENTS.md records that cap.
+// Host-layer striping on the multi-run path: 512 KiB sequential writes
+// span 8 stripe units (64 KiB each), so every request splits across
+// min(8, members) member devices — the path BM_StripedRandWrite4K
+// (4 KiB, single-run fast path) never reaches. The volume issues the
+// member legs in a serial loop; the gate on sim_ios_per_s covers that
+// loop's host cost per request.
 void BM_StripedSeqWrite512K(::benchmark::State& state) {
   const auto members = static_cast<std::uint32_t>(state.range(0));
-  const auto threads = static_cast<std::uint32_t>(state.range(1));
   std::vector<std::unique_ptr<StorageDevice>> devs;
   for (std::uint32_t i = 0; i < members; ++i) devs.push_back(MakeLegacy());
   auto volr = StripedVolume::Create(std::move(devs), {});
@@ -237,8 +231,6 @@ void BM_StripedSeqWrite512K(::benchmark::State& state) {
     std::abort();
   }
   StripedVolume& vol = **volr;
-  WorkStealingExecutor exec(threads);
-  vol.set_executor(&exec);
 
   JobSpec s;
   s.name = "seqwrite";
@@ -263,7 +255,6 @@ void BM_StripedSeqWrite512K(::benchmark::State& state) {
   }
   ExportWallClock(state, ios, events, sim_kiops);
   state.counters["members"] = static_cast<double>(members);
-  state.counters["threads"] = static_cast<double>(threads);
 }
 
 // Degraded mirror reads: 4 KiB random reads through a 2-way
@@ -434,15 +425,13 @@ BENCHMARK(BM_StripedRandWrite4K)
     ->Arg(4)
     ->Arg(8)
     ->Unit(::benchmark::kMillisecond);
-// Real time: the fan-out happens on executor lanes.
+// Real time, as the baseline rows were recorded; the member loop is
+// serial, so real and process time agree.
 BENCHMARK(BM_StripedSeqWrite512K)
-    ->ArgNames({"members", "threads"})
-    ->Args({2, 1})
-    ->Args({2, 2})
-    ->Args({4, 1})
-    ->Args({4, 4})
-    ->Args({8, 1})
-    ->Args({8, 8})
+    ->ArgName("members")
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(::benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();

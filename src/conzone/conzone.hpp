@@ -23,7 +23,6 @@
 #include "core/device.hpp"             // IWYU pragma: export
 #include "core/storage_device.hpp"     // IWYU pragma: export
 #include "core/zone_layout.hpp"        // IWYU pragma: export
-#include "exec/executor.hpp"           // IWYU pragma: export
 #include "fault/fault_model.hpp"       // IWYU pragma: export
 #include "femu/femu_device.hpp"        // IWYU pragma: export
 #include "flash/array.hpp"             // IWYU pragma: export
@@ -37,6 +36,7 @@
 #include "host/redundant_volume.hpp"   // IWYU pragma: export
 #include "host/striped_volume.hpp"     // IWYU pragma: export
 #include "legacy/legacy_device.hpp"    // IWYU pragma: export
+#include "shard/shard_runner.hpp"      // IWYU pragma: export
 #include "shard/sharded_runner.hpp"    // IWYU pragma: export
 #include "soak/fleet_soak.hpp"         // IWYU pragma: export
 #include "workload/cache_workload.hpp" // IWYU pragma: export

@@ -1,15 +1,14 @@
 // Deterministic fork-join executor with work stealing (DESIGN.md §7).
 //
-// One substrate for every wall-clock-parallel corner of the emulator:
-// StripedVolume fans per-member sub-requests out across real cores, and
-// ShardedRunner schedules its shard tasks here instead of carrying its
-// own thread pool. Both rely on the same contract, generalized from the
-// merge-after-join pattern the sharded runner proved thread-count
-// invariant:
+// It has one consumer: the shard runner (shard/shard_runner.hpp), which
+// runs whole device shards as its tasks. Parallelism stays at shard
+// granularity because one simulated device cannot be sped up by host
+// threads, and per-request fork/join measured slower than the serial
+// member loop it replaced. The contract:
 //
 //   * Tasks are submitted in a fixed order with stable ids 0..n-1.
-//   * A task writes only to state it owns (its result slot, its member
-//     device, its shard); tasks never communicate.
+//   * A task writes only to state it owns (its result slot, its shard);
+//     tasks never communicate.
 //   * Run() is a join barrier: it returns only after every task of the
 //     batch has completed, and the caller merges results strictly in
 //     submission (task-id) order afterwards.
@@ -22,17 +21,17 @@
 // Scheduling. WorkStealingExecutor keeps `threads` lanes: the calling
 // thread is lane 0 and `threads - 1` persistent workers are lanes
 // 1..threads-1 (parked on a condition variable between batches, so a
-// per-IO fan-out does not pay thread creation). Run() deals task ids
+// reused executor does not pay thread creation per batch). Run() deals task ids
 // round-robin into per-lane deques in submission order; a lane pops its
 // own deque front (FIFO — lane 0 alone degenerates to exactly the
 // serial order) and steals from the back of other lanes' deques when
 // its own runs dry.
 //
-// Nesting. A Run() issued from inside a task — e.g. a StripedVolume
-// fan-out inside a ShardedRunner shard — executes inline and serially
-// on the calling lane. Blocking a worker on a nested join could
-// deadlock the pool, and the determinism contract makes inline
-// execution indistinguishable from parallel execution anyway.
+// Nesting. A Run() issued from inside a task — e.g. a shard body that
+// starts a shard run of its own — executes inline and serially on the
+// calling lane. This guard is deadlock protection: blocking a worker on
+// a nested join could wedge the pool, and the determinism contract
+// makes inline execution indistinguishable from parallel execution.
 //
 // Tasks must not throw: the emulator's failure vocabulary is Status,
 // carried out through the task's result slot.
@@ -117,9 +116,9 @@ class WorkStealingExecutor final : public Executor {
 
  private:
   /// One lane's deque of dealt task ids. The owner pops head (FIFO in
-  /// submission order), thieves pop tail. Guarded by `mu`: fan-out
-  /// batches are small (members, shards), so a plain mutex costs less
-  /// than it looks and keeps the executor trivially TSan-clean.
+  /// submission order), thieves pop tail. Guarded by `mu`: batches are
+  /// small (one task per shard), so a plain mutex costs less than it
+  /// looks and keeps the executor trivially TSan-clean.
   struct Lane {
     std::mutex mu;
     std::vector<std::uint32_t> tasks;

@@ -3,23 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "exec/executor.hpp"
-
 namespace conzone {
-
-namespace {
-/// Fan a batch of member sub-ops out: on `exec` when it can actually
-/// parallelize, inline otherwise. Each task owns disjoint state; the
-/// caller merges the per-task slots in submission order afterwards.
-template <class F>
-void FanOut(Executor* exec, std::size_t n, F&& task) {
-  if (exec != nullptr && exec->threads() > 1 && n > 1) {
-    exec->Run(n, task);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) task(i);
-  }
-}
-}  // namespace
 
 Result<std::unique_ptr<RedundantVolume>> RedundantVolume::Create(
     std::vector<std::unique_ptr<StorageDevice>> members,
@@ -139,9 +123,8 @@ RedundantVolume::RedundantVolume(std::vector<std::unique_ptr<StorageDevice>> mem
     member_span_ = span - span % stripe_;
   }
   lane_tokens_.resize(group_);
-  target_scratch_.reserve(group_);
-  run_status_.reserve(n);
-  run_done_.reserve(n);
+  target_scratch_.reserve(n);
+  failed_scratch_.reserve(n);
   scrub_clean_.assign(n, 1);
 }
 
@@ -250,6 +233,28 @@ void RedundantVolume::LatchFailed(std::uint32_t m) {
   if (static_cast<std::int32_t>(m) == rebuild_member_) rebuild_member_ = -1;
 }
 
+template <class Leg>
+RedundantVolume::Legs RedundantVolume::IssueLegs(SimTime now, Leg&& leg) {
+  Legs out{now, 0, Status::Ok()};
+  failed_scratch_.clear();
+  for (const std::uint32_t m : target_scratch_) {
+    Result<SimTime> r = leg(m);
+    if (r.ok()) {
+      out.done = Later(out.done, r.value());
+    } else {
+      if (out.first_err.ok()) out.first_err = r.status();
+      failed_scratch_.push_back(m);
+    }
+  }
+  out.failed = failed_scratch_.size();
+  // Every leg refused identically — almost certainly the request itself
+  // (misaligned, beyond WP), not a member fault. No latching.
+  if (out.failed < target_scratch_.size()) {
+    for (const std::uint32_t m : failed_scratch_) LatchFailed(m);
+  }
+  return out;
+}
+
 bool RedundantVolume::Writable(std::uint32_t m, std::uint64_t where) const {
   switch (state_[m]) {
     case MemberState::kActive:
@@ -315,50 +320,22 @@ Result<IoResult> RedundantVolume::WriteMirror(const IoRequest& req,
       degraded = true;
       continue;
     }
-    target_scratch_.push_back(lane);
+    target_scratch_.push_back(m);
   }
   if (target_scratch_.empty()) {
     return Status::FailedPrecondition("no writable replica in mirror group");
   }
 
-  run_status_.assign(target_scratch_.size(), Status::Ok());
-  run_done_.assign(target_scratch_.size(), req.now);
-  FanOut(exec_, target_scratch_.size(), [&](std::size_t i) {
-    const std::uint32_t m = base + target_scratch_[i];
+  const Legs legs = IssueLegs(req.now, [&](std::uint32_t m) -> Result<SimTime> {
     auto res = members_[m]->Write(
         IoRequest{moff, req.len, req.now, toks, /*want_tokens=*/false,
                   req.io_class});
-    if (!res.ok()) {
-      run_status_[i] = res.status();
-    } else {
-      run_done_[i] = res.value().done;
-    }
+    if (!res.ok()) return res.status();
+    return res.value().done;
   });
-
-  SimTime done = req.now;
-  std::size_t failed = 0;
-  Status first_err;
-  for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-    if (!run_status_[i].ok()) {
-      ++failed;
-      if (first_err.ok()) first_err = run_status_[i];
-    } else {
-      done = Later(done, run_done_[i]);
-    }
-  }
-  if (failed == target_scratch_.size()) {
-    // Every leg refused identically — almost certainly the request
-    // itself (misaligned, beyond WP), not a member fault. No latching.
-    return first_err;
-  }
-  if (failed > 0) {
-    for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-      if (!run_status_[i].ok()) LatchFailed(base + target_scratch_[i]);
-    }
-    degraded = true;
-  }
-  if (degraded) red_.degraded_writes++;
-  return IoResult{done, {}};
+  if (legs.failed == target_scratch_.size()) return legs.first_err;
+  if (degraded || legs.failed > 0) red_.degraded_writes++;
+  return IoResult{legs.done, {}};
 }
 
 Result<IoResult> RedundantVolume::WriteParity(const IoRequest& req,
@@ -418,7 +395,7 @@ Result<IoResult> RedundantVolume::WriteParity(const IoRequest& req,
 
   target_scratch_.clear();
   for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    if (Writable(base + lane, zr)) target_scratch_.push_back(lane);
+    if (Writable(base + lane, zr)) target_scratch_.push_back(base + lane);
   }
   if (target_scratch_.empty()) {
     return Status::FailedPrecondition("no writable lane in parity set");
@@ -430,50 +407,27 @@ Result<IoResult> RedundantVolume::WriteParity(const IoRequest& req,
     return Status::FailedPrecondition("parity set beyond single-fault tolerance");
   }
 
-  run_status_.assign(target_scratch_.size(), Status::Ok());
-  run_done_.assign(target_scratch_.size(), req.now);
-  FanOut(exec_, target_scratch_.size(), [&](std::size_t i) {
-    const std::uint32_t lane = target_scratch_[i];
-    auto res = members_[base + lane]->Write(
+  const Legs legs = IssueLegs(req.now, [&](std::uint32_t m) -> Result<SimTime> {
+    auto res = members_[m]->Write(
         IoRequest{run_off, run_len, req.now,
-                  std::span<const std::uint64_t>(lane_tokens_[lane]),
+                  std::span<const std::uint64_t>(lane_tokens_[m - base]),
                   /*want_tokens=*/false, req.io_class});
-    if (!res.ok()) {
-      run_status_[i] = res.status();
-    } else {
-      run_done_[i] = res.value().done;
-    }
+    if (!res.ok()) return res.status();
+    return res.value().done;
   });
-
-  SimTime done = req.now;
-  std::size_t failed = 0;
-  Status first_err;
-  for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-    if (!run_status_[i].ok()) {
-      ++failed;
-      if (first_err.ok()) first_err = run_status_[i];
-    } else {
-      done = Later(done, run_done_[i]);
-    }
-  }
-  if (failed == target_scratch_.size()) return first_err;  // Request bug.
-  if (failed > 0) {
-    for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-      if (!run_status_[i].ok()) LatchFailed(base + target_scratch_[i]);
-    }
-  }
+  if (legs.failed == target_scratch_.size()) return legs.first_err;  // Request bug.
   const std::uint32_t missing =
-      group_ - static_cast<std::uint32_t>(target_scratch_.size() - failed);
+      group_ - static_cast<std::uint32_t>(target_scratch_.size() - legs.failed);
   if (missing > 1) {
     // Two lanes short of one row: single parity cannot get the data
     // back; acknowledging the write would be silent loss.
-    return !first_err.ok()
-               ? first_err
+    return !legs.first_err.ok()
+               ? legs.first_err
                : Status::FailedPrecondition(
                      "parity set beyond single-fault tolerance");
   }
   if (missing > 0) red_.degraded_writes++;
-  return IoResult{done, {}};
+  return IoResult{legs.done, {}};
 }
 
 Result<IoResult> RedundantVolume::Read(const IoRequest& req) {
@@ -555,45 +509,31 @@ Result<IoResult> RedundantVolume::ReadParity(const IoRequest& req,
     left -= take;
   }
 
-  // Group fragments per member: devices are not thread-safe, so one
-  // fan-out task owns all of a member's fragments and issues them
-  // serially; results land in per-fragment slots (disjoint across
-  // tasks) and merge in fragment order below.
-  std::vector<std::vector<std::size_t>> by_lane(group_);
-  for (std::size_t i = 0; i < frags.size(); ++i) {
-    by_lane[frags[i].lane].push_back(i);
-  }
+  // Direct pass: read every fragment whose lane is readable, in
+  // fragment order; the rest are marked for reconstruction.
   std::vector<std::uint8_t> need(frags.size(), 0);
-  target_scratch_.clear();
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    if (by_lane[lane].empty()) continue;
-    if (!Readable(base + lane)) {
-      for (std::size_t idx : by_lane[lane]) need[idx] = 1;
-    } else {
-      target_scratch_.push_back(lane);
-    }
-  }
-
   std::vector<Status> fstat(frags.size());
   std::vector<SimTime> fdone(frags.size(), req.now);
   std::vector<std::vector<std::uint64_t>> ftok(frags.size());
-  FanOut(exec_, target_scratch_.size(), [&](std::size_t ti) {
-    for (std::size_t idx : by_lane[target_scratch_[ti]]) {
-      const Frag& f = frags[idx];
-      auto res = members_[base + f.lane]->Read(
-          IoRequest{f.moff, f.len, req.now, {}, req.want_tokens, req.io_class});
-      if (!res.ok()) {
-        fstat[idx] = res.status();
-      } else {
-        fdone[idx] = res.value().done;
-        if (req.want_tokens) ftok[idx] = std::move(res.value().tokens);
-      }
+  for (std::size_t idx = 0; idx < frags.size(); ++idx) {
+    const Frag& f = frags[idx];
+    if (!Readable(base + f.lane)) {
+      need[idx] = 1;
+      continue;
     }
-  });
+    auto res = members_[base + f.lane]->Read(
+        IoRequest{f.moff, f.len, req.now, {}, req.want_tokens, req.io_class});
+    if (!res.ok()) {
+      fstat[idx] = res.status();
+    } else {
+      fdone[idx] = res.value().done;
+      if (req.want_tokens) ftok[idx] = std::move(res.value().tokens);
+    }
+  }
 
-  // Serial reconstruction pass: a lost fragment reads the same in-unit
-  // byte range from the other W-1 lanes and XORs pagewise. Serial on
-  // purpose — reconstruction touches members other tasks may own.
+  // Reconstruction pass, after every direct read: a lost fragment reads
+  // the same in-unit byte range from the other W-1 lanes and XORs
+  // pagewise.
   IoResult out;
   out.done = req.now;
   std::uint32_t recon = 0;
@@ -688,40 +628,17 @@ Result<SimTime> RedundantVolume::ResetZone(ZoneId zone, SimTime now) {
         restart_copy = true;
       }
     }
-    target_scratch_.push_back(lane);
+    target_scratch_.push_back(m);
   }
   if (target_scratch_.empty()) {
     return Status::FailedPrecondition("no serviceable member for zone reset");
   }
 
-  run_status_.assign(target_scratch_.size(), Status::Ok());
-  run_done_.assign(target_scratch_.size(), now);
-  FanOut(exec_, target_scratch_.size(), [&](std::size_t i) {
-    auto r = members_[base + target_scratch_[i]]->ResetZone(ZoneId{zr}, now);
-    if (!r.ok()) {
-      run_status_[i] = r.status();
-    } else {
-      run_done_[i] = r.value();
-    }
+  const Legs legs = IssueLegs(now, [&](std::uint32_t m) {
+    return members_[m]->ResetZone(ZoneId{zr}, now);
   });
-
-  SimTime done = now;
-  std::size_t failed = 0;
-  Status first_err;
-  for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-    if (!run_status_[i].ok()) {
-      ++failed;
-      if (first_err.ok()) first_err = run_status_[i];
-    } else {
-      done = Later(done, run_done_[i]);
-    }
-  }
-  if (failed == target_scratch_.size()) return first_err;
-  if (failed > 0) {
-    for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-      if (!run_status_[i].ok()) LatchFailed(base + target_scratch_[i]);
-    }
-  }
+  if (legs.failed == target_scratch_.size()) return legs.first_err;
+  SimTime done = legs.done;
   if (restart_copy && rebuild_member_ >= 0) {
     rebuild_off_ = 0;
     rebuild_fail_streak_ = 0;
@@ -741,42 +658,17 @@ Result<SimTime> RedundantVolume::ResetZone(ZoneId zone, SimTime now) {
 }
 
 Result<SimTime> RedundantVolume::Flush(SimTime now) {
-  std::vector<std::uint32_t> targets;
-  targets.reserve(members_.size());
+  target_scratch_.clear();
   for (std::uint32_t m = 0; m < members_.size(); ++m) {
-    if (state_[m] != MemberState::kFailed) targets.push_back(m);
+    if (state_[m] != MemberState::kFailed) target_scratch_.push_back(m);
   }
-  if (targets.empty()) {
+  if (target_scratch_.empty()) {
     return Status::FailedPrecondition("no serviceable member to flush");
   }
-  run_status_.assign(targets.size(), Status::Ok());
-  run_done_.assign(targets.size(), now);
-  FanOut(exec_, targets.size(), [&](std::size_t i) {
-    auto r = members_[targets[i]]->Flush(now);
-    if (!r.ok()) {
-      run_status_[i] = r.status();
-    } else {
-      run_done_[i] = r.value();
-    }
-  });
-  SimTime done = now;
-  std::size_t failed = 0;
-  Status first_err;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (!run_status_[i].ok()) {
-      ++failed;
-      if (first_err.ok()) first_err = run_status_[i];
-    } else {
-      done = Later(done, run_done_[i]);
-    }
-  }
-  if (failed == targets.size()) return first_err;
-  if (failed > 0) {
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      if (!run_status_[i].ok()) LatchFailed(targets[i]);
-    }
-  }
-  return done;
+  const Legs legs =
+      IssueLegs(now, [&](std::uint32_t m) { return members_[m]->Flush(now); });
+  if (legs.failed == target_scratch_.size()) return legs.first_err;
+  return legs.done;
 }
 
 StatsSnapshot RedundantVolume::Stats() const {

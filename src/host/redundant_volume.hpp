@@ -6,7 +6,7 @@
 // weakest member: one failed or power-cut device makes the whole logical
 // address space unreadable. RedundantVolume is the robustness
 // counterpart — the btrfs scrub/replace story over the same typed
-// MemberZone machinery and the same deterministic fork-join executor:
+// MemberZone machinery:
 //
 //   * kMirror — members form groups of R replicas; every stripe unit is
 //     written to all R members of its group at identical member offsets.
@@ -61,11 +61,11 @@
 // there — never a torn row (the PR 4 crash checker's prefix rule, lifted
 // to the volume).
 //
-// Determinism. All fan-out runs on the attached Executor under the §7
-// contract (per-task result slots, merge in submission order), replica
-// selection and reconstruction orders are functions of the request
-// alone, and scrub/rebuild advance in fixed cursor order — so every
-// outcome is bit-identical across thread counts and same-seed reruns.
+// Determinism. Member legs are issued one after another on the calling
+// thread, in member order; replica selection and reconstruction orders
+// are functions of the request alone, and scrub/rebuild advance in fixed
+// cursor order — so same-seed reruns are bit-identical. Every leg of a
+// request is issued even when an earlier one fails.
 #pragma once
 
 #include <cstdint>
@@ -81,8 +81,6 @@
 #include "host/striped_volume.hpp"  // MemberZone
 
 namespace conzone {
-
-class Executor;
 
 enum class RedundancyLayout {
   kMirror,  ///< R-way replication per stripe unit.
@@ -150,12 +148,6 @@ class RedundantVolume final : public StorageDevice {
   std::vector<StatsSnapshot> PerMemberStats() const;
   std::vector<ReliabilityStats> PerMemberReliability() const;
   std::vector<RecoveryStats> PerMemberRecovery() const;
-
-  /// Attach a fork-join executor for per-member fan-out (writes, parity
-  /// read legs). Null (default) or 1 thread = serial reference path.
-  /// Non-owning; must outlive the volume.
-  void set_executor(Executor* exec) { exec_ = exec; }
-  Executor* executor() const { return exec_; }
 
   // --- Member failure & replacement ---
 
@@ -236,6 +228,17 @@ class RedundantVolume final : public StorageDevice {
   static bool Reconstructable(StatusCode code);
   /// Latch a member failed (idempotent) and count it.
   void LatchFailed(std::uint32_t m);
+  /// Outcome of one leg per member of target_scratch_.
+  struct Legs {
+    SimTime done;              ///< Latest completion of the legs that succeeded.
+    std::size_t failed = 0;    ///< Legs that failed.
+    Status first_err;          ///< Status of the lowest-index failed leg.
+  };
+  /// Issue `leg(m)` (returning Result<SimTime>) to every member m of
+  /// target_scratch_, in order, and latch the members whose legs failed —
+  /// unless every leg failed, which blames the request, not a member.
+  template <class Leg>
+  Legs IssueLegs(SimTime now, Leg&& leg);
   /// Reads are served only by fully-active members: a rebuilding member
   /// may hold holes until its completion verify sweep passes, so it never
   /// serves foreground reads.
@@ -319,8 +322,6 @@ class RedundantVolume final : public StorageDevice {
   std::uint64_t align_;       ///< I/O alignment = token granularity.
   std::uint32_t rows_per_tick_;  ///< Background quantum (stripe rows / Tick).
 
-  Executor* exec_ = nullptr;
-
   RedundancyStats red_;
   std::vector<ScrubMismatch> scrub_log_;
   static constexpr std::size_t kScrubLogCap = 4096;
@@ -355,14 +356,11 @@ class RedundantVolume final : public StorageDevice {
   std::uint32_t rebuild_fail_streak_ = 0;
 
   // Per-request scratch, reused so the routing path stays allocation-
-  // free after warm-up (the volume never re-enters itself). During a
-  // parallel fan-out task i owns exactly run_status_[i]/run_done_[i] and
-  // its own lane_tokens_ slot — tasks share nothing.
+  // free after warm-up (the volume never re-enters itself).
   std::vector<std::uint64_t> token_scratch_;  ///< Materialized write tokens.
   std::vector<std::vector<std::uint64_t>> lane_tokens_;
-  std::vector<std::uint32_t> target_scratch_;  ///< Lanes served by this request.
-  std::vector<Status> run_status_;
-  std::vector<SimTime> run_done_;
+  std::vector<std::uint32_t> target_scratch_;  ///< Members served by this request.
+  std::vector<std::uint32_t> failed_scratch_;  ///< IssueLegs: members whose leg failed.
 };
 
 }  // namespace conzone

@@ -3,23 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "exec/executor.hpp"
-
 namespace conzone {
-
-namespace {
-/// Fan a batch of member sub-ops out: on `exec` when it can actually
-/// parallelize, inline otherwise. Each task owns disjoint state; the
-/// caller merges the per-task slots in submission order afterwards.
-template <class F>
-void FanOut(Executor* exec, std::size_t n, F&& task) {
-  if (exec != nullptr && exec->threads() > 1 && n > 1) {
-    exec->Run(n, task);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) task(i);
-  }
-}
-}  // namespace
 
 Result<std::unique_ptr<StripedVolume>> StripedVolume::Create(
     std::vector<std::unique_ptr<StorageDevice>> members,
@@ -116,8 +100,6 @@ StripedVolume::StripedVolume(std::vector<std::unique_ptr<StorageDevice>> members
   }
   runs_.reserve(members_.size());
   lane_tokens_.resize(width_);
-  run_status_.reserve(members_.size());
-  run_done_.reserve(members_.size());
 }
 
 DeviceInfo StripedVolume::info() const {
@@ -255,14 +237,11 @@ Result<IoResult> StripedVolume::Write(const IoRequest& req) {
     }
   }
 
-  // Fork one task per member run. Every run is issued (see header: a
-  // failing member does not shield later members), results land in
-  // per-task slots, and the merge below walks them in run order — the
-  // same bits whether the tasks ran serially or on executor threads.
-  run_status_.assign(runs_.size(), Status::Ok());
-  run_done_.assign(runs_.size(), req.now);
-  FanOut(exec_, runs_.size(), [&](std::size_t i) {
-    const Run& r = runs_[i];
+  // Issue every run in run order (see header: a failing member does not
+  // shield later members) and report the lowest-run-index error.
+  SimTime done = req.now;
+  Status first_err;
+  for (const Run& r : runs_) {
     const std::size_t lane = r.member - first_member;
     IoRequest sub{r.offset, r.len, req.now,
                   tokens ? std::span<const std::uint64_t>(lane_tokens_[lane])
@@ -270,17 +249,12 @@ Result<IoResult> StripedVolume::Write(const IoRequest& req) {
                   /*want_tokens=*/false, req.io_class};
     auto res = members_[r.member]->Write(sub);
     if (!res.ok()) {
-      run_status_[i] = res.status();
+      if (first_err.ok()) first_err = res.status();
     } else {
-      run_done_[i] = res.value().done;
+      done = Later(done, res.value().done);
     }
-  });
-
-  SimTime done = req.now;
-  for (std::size_t i = 0; i < runs_.size(); ++i) {
-    if (!run_status_[i].ok()) return std::move(run_status_[i]);
-    done = Later(done, run_done_[i]);
   }
+  if (!first_err.ok()) return first_err;
   return IoResult{done, {}};
 }
 
@@ -301,30 +275,23 @@ Result<IoResult> StripedVolume::Read(const IoRequest& req) {
   }
 
   for (auto& v : lane_tokens_) v.clear();
-  run_status_.assign(runs_.size(), Status::Ok());
-  run_done_.assign(runs_.size(), req.now);
-  FanOut(exec_, runs_.size(), [&](std::size_t i) {
-    const Run& r = runs_[i];
+  IoResult out;
+  out.done = req.now;
+  Status first_err;
+  for (const Run& r : runs_) {
     auto res = members_[r.member]->Read(
         IoRequest{r.offset, r.len, req.now, {}, req.want_tokens, req.io_class});
     if (!res.ok()) {
-      run_status_[i] = res.status();
-      return;
+      if (first_err.ok()) first_err = res.status();
+      continue;
     }
-    run_done_[i] = res.value().done;
+    out.done = Later(out.done, res.value().done);
     if (req.want_tokens) {
-      // Each task scatters into its own lane slot only.
       lane_tokens_[static_cast<std::size_t>(r.member - first_member)] =
           std::move(res.value().tokens);
     }
-  });
-
-  IoResult out;
-  out.done = req.now;
-  for (std::size_t i = 0; i < runs_.size(); ++i) {
-    if (!run_status_[i].ok()) return std::move(run_status_[i]);
-    out.done = Later(out.done, run_done_[i]);
   }
+  if (!first_err.ok()) return first_err;
 
   if (req.want_tokens) {
     // Scatter member tokens back into logical (request) page order.
@@ -355,42 +322,33 @@ Result<SimTime> StripedVolume::ResetZone(ZoneId zone, SimTime now) {
   if (!zone.valid() || zone.value() >= static_cast<std::uint64_t>(rows_) * num_sets_) {
     return Status::OutOfRange("reset of invalid zone");
   }
-  run_status_.assign(width_, Status::Ok());
-  run_done_.assign(width_, now);
-  FanOut(exec_, width_, [&](std::size_t lane) {
-    const MemberZone mz = ToMemberZone(zone, static_cast<std::uint32_t>(lane));
+  SimTime done = now;
+  Status first_err;
+  for (std::uint32_t lane = 0; lane < width_; ++lane) {
+    const MemberZone mz = ToMemberZone(zone, lane);
     auto r = members_[mz.member]->ResetZone(mz.zone, now);
     if (!r.ok()) {
-      run_status_[lane] = r.status();
+      if (first_err.ok()) first_err = r.status();
     } else {
-      run_done_[lane] = r.value();
+      done = Later(done, r.value());
     }
-  });
-  SimTime done = now;
-  for (std::uint32_t lane = 0; lane < width_; ++lane) {
-    if (!run_status_[lane].ok()) return std::move(run_status_[lane]);
-    done = Later(done, run_done_[lane]);
   }
+  if (!first_err.ok()) return first_err;
   return done;
 }
 
 Result<SimTime> StripedVolume::Flush(SimTime now) {
-  const std::size_t n = members_.size();
-  run_status_.assign(n, Status::Ok());
-  run_done_.assign(n, now);
-  FanOut(exec_, n, [&](std::size_t i) {
-    auto r = members_[i]->Flush(now);
-    if (!r.ok()) {
-      run_status_[i] = r.status();
-    } else {
-      run_done_[i] = r.value();
-    }
-  });
   SimTime done = now;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!run_status_[i].ok()) return std::move(run_status_[i]);
-    done = Later(done, run_done_[i]);
+  Status first_err;
+  for (const auto& m : members_) {
+    auto r = m->Flush(now);
+    if (!r.ok()) {
+      if (first_err.ok()) first_err = r.status();
+    } else {
+      done = Later(done, r.value());
+    }
   }
+  if (!first_err.ok()) return first_err;
   return done;
 }
 

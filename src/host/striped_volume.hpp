@@ -3,8 +3,8 @@
 //
 // The consumer stack the paper implies — a host striping I/O over
 // several zoned devices — is modeled as a StorageDevice *composition*:
-// a StripedVolume is itself a StorageDevice, so FioRunner, the sharded
-// runner, benches and examples drive it unchanged.
+// a StripedVolume is itself a StorageDevice, so FioRunner, ZoneCache,
+// benches and examples drive it unchanged.
 //
 // Geometry. Members are grouped into `sets` of `stripe_width` devices
 // (width divides the member count; default width = all members).
@@ -25,18 +25,13 @@
 // ResetZone fans out to every member that owns a stripe of the logical
 // zone, Flush to every member; both complete at the max across members.
 //
-// Execution. With an attached fork-join Executor (set_executor), a
-// multi-run fan-out forks one task per member sub-request across real
-// cores — each member device is owned by exactly one in-flight task —
-// and the results (completion timestamps, tokens, statuses) are merged
-// strictly in run-submission order after the join barrier, so the
-// outcome is bit-identical to the serial reference path at any thread
-// count (tests/exec_test.cpp cross-checks this). Without an executor
-// (the default) the same merge runs inline on the calling thread.
-// Either way every member sub-request of a request is issued — a
+// Execution. The volume issues a request's member sub-requests one after
+// another on the calling thread, in run order. Their overlap is modelled
+// in simulated time, so host threads would not make one request faster
+// (DESIGN.md §6). Every member sub-request of a request is issued — a
 // failing member does not shield later members from their sub-IOs,
 // mirroring a real host that already has all stripe legs in flight —
-// and a failure reports the lowest-run-index error, deterministically.
+// and a failure reports the lowest-run-index error.
 //
 // Zone identity is typed at every boundary: the volume's own ZoneId
 // values are *logical* zones, and member zones only travel as
@@ -61,8 +56,6 @@
 #include "core/storage_device.hpp"
 
 namespace conzone {
-
-class Executor;
 
 /// A zone on one member device, as opposed to a logical zone of the
 /// volume. Keeping the two in distinct types makes accidental
@@ -107,14 +100,6 @@ class StripedVolume final : public StorageDevice {
   std::vector<StatsSnapshot> PerMemberStats() const;
   std::vector<ReliabilityStats> PerMemberReliability() const;
   std::vector<RecoveryStats> PerMemberRecovery() const;
-
-  /// Attach a fork-join executor: multi-run requests fork one task per
-  /// member sub-request on it and merge after the join, in run order.
-  /// Null (default) or a 1-thread executor keeps the serial reference
-  /// path. Non-owning; the executor must outlive the volume. The volume
-  /// itself must still be driven from one thread at a time.
-  void set_executor(Executor* exec) { exec_ = exec; }
-  Executor* executor() const { return exec_; }
 
   // --- Introspection (tests, tools) ---
   std::uint32_t num_members() const { return static_cast<std::uint32_t>(members_.size()); }
@@ -165,16 +150,10 @@ class StripedVolume final : public StorageDevice {
   std::uint64_t member_span_;///< Striped bytes used per member (conventional).
   std::uint64_t align_;      ///< I/O alignment = token granularity.
 
-  Executor* exec_ = nullptr;  ///< Fan-out backend; null = serial.
-
   // Per-request scratch, reused so the routing path is allocation-free
-  // after warm-up (the volume never re-enters itself). During a
-  // parallel fan-out, task i owns exactly run_status_[i]/run_done_[i]
-  // and its own lane's lane_tokens_ slot — tasks share nothing.
+  // after warm-up (the volume never re-enters itself).
   std::vector<Run> runs_;
   std::vector<std::vector<std::uint64_t>> lane_tokens_;  ///< Gather/scatter.
-  std::vector<Status> run_status_;  ///< Per-task result slots (merge order).
-  std::vector<SimTime> run_done_;
 };
 
 }  // namespace conzone

@@ -1,38 +1,27 @@
 #include "soak/fleet_soak.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "common/rng.hpp"
-#include "exec/executor.hpp"
+#include "shard/shard_runner.hpp"
 
 namespace conzone {
 
 namespace {
 
-/// Per-shard slot a worker fills in; merged only after the join.
-struct FleetShardOutcome {
-  Status status = Status::Ok();
-  FleetShardResult result;
-};
-
 /// One shard's whole soak: workload slices between scheduled cuts, each
 /// cut followed by the full remount pipeline and the consistency
 /// checker. The loop is the same shape examples/crash_study drives on a
 /// single device — that is the identity the shard-0 test pins down.
-FleetShardOutcome SoakOneShard(const FleetSoakPlan& plan,
-                               std::uint32_t shard_id) {
-  FleetShardOutcome out;
-  FleetShardResult& r = out.result;
+Result<FleetShardResult> SoakOneShard(const FleetSoakPlan& plan,
+                                      std::uint32_t shard_id) {
+  FleetShardResult r;
   r.shard_id = shard_id;
 
   const ConZoneConfig cfg = FleetSoakRunner::ConfigForShard(plan, shard_id);
   CrashHarness h(cfg, FleetSoakRunner::WorkloadForShard(plan, shard_id));
-  if (Status st = h.Init(); !st.ok()) {
-    out.status = std::move(st);
-    return out;
-  }
+  if (Status st = h.Init(); !st.ok()) return st;
 
   // The cut stream is a pure function of the shard's derived fault seed
   // and draws from FaultModel's private decorrelated stream, so it
@@ -58,25 +47,18 @@ FleetShardOutcome SoakOneShard(const FleetSoakPlan& plan,
       // run the write-heavy stream any further — a survivor, not a
       // failure. Anything else is genuine.
       if (h.device().read_only()) break;
-      out.status = std::move(st);
-      return out;
+      return st;
     }
     r.ops += slice;
     if (h.now() < next_cut) continue;  // keep running until the alarm
     // The alarm can land inside an idle gap that ended before the last
     // submission; PowerCut refuses to rewind, so clamp forward.
     const SimTime at = Later(next_cut, h.last_submit());
-    if (Status st = h.CutAt(at); !st.ok()) {
-      out.status = std::move(st);
-      return out;
-    }
+    if (Status st = h.CutAt(at); !st.ok()) return st;
     ++r.cuts;
     // Remount + full crash-consistency verification before the shard
     // resumes. A violation here is the soak's whole point of failure.
-    if (Status st = h.RecoverAndVerify(); !st.ok()) {
-      out.status = std::move(st);
-      return out;
-    }
+    if (Status st = h.RecoverAndVerify(); !st.ok()) return st;
     ++r.remounts;
     ++r.checker_passes;
     next_cut = next_cut_after(h.now());
@@ -88,7 +70,7 @@ FleetShardOutcome SoakOneShard(const FleetSoakPlan& plan,
   r.recovery = h.device().Recovery();
   r.reliability = h.device().Reliability();
   r.device = h.device().Stats();
-  return out;
+  return r;
 }
 
 }  // namespace
@@ -140,49 +122,21 @@ CrashHarness::Options FleetSoakRunner::WorkloadForShard(
 }
 
 Result<FleetSoakResult> FleetSoakRunner::Run() {
-  if (plan_.shards == 0) {
-    return Status::InvalidArgument("fleet soak: need at least one shard");
-  }
   if (plan_.cut_interval_ns == 0) {
     return Status::InvalidArgument("fleet soak: cut interval must be > 0");
   }
-  const std::uint32_t shards = plan_.shards;
-  std::uint32_t threads = plan_.threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = std::min(shards, hw == 0 ? 1u : static_cast<std::uint32_t>(hw));
-  }
-  threads = std::min(threads, shards);
-
-  std::vector<FleetShardOutcome> outcomes(shards);
-  // Shard ids are the executor's task ids; each outcome lands in its own
-  // preallocated slot and the merge below runs after the join barrier,
-  // in shard-id order — thread count cannot change any output bit.
-  auto shard_task = [&](std::size_t id) {
-    outcomes[id] = SoakOneShard(plan_, static_cast<std::uint32_t>(id));
-  };
-  if (plan_.executor != nullptr) {
-    plan_.executor->Run(shards, shard_task);
-  } else if (threads <= 1) {
-    SerialExecutor().Run(shards, shard_task);
-  } else {
-    WorkStealingExecutor(threads).Run(shards, shard_task);
-  }
-
-  // Lowest failing shard wins — deterministic, unlike first-to-fail.
-  for (std::uint32_t i = 0; i < shards; ++i) {
-    if (!outcomes[i].status.ok()) return std::move(outcomes[i].status);
-  }
+  auto shards = RunShards<FleetShardResult>(
+      plan_.shards, plan_.threads, plan_.executor,
+      [this](std::uint32_t id) { return SoakOneShard(plan_, id); });
+  if (!shards.ok()) return shards.status();
 
   FleetSoakResult merged;
-  merged.shards.reserve(shards);
+  merged.shards = std::move(shards).value();
   std::uint64_t fp = 0xCBF29CE484222325ull;
   auto mix = [&fp](std::uint64_t v) { fp = (fp ^ v) * 0x100000001B3ull; };
-  for (std::uint32_t i = 0; i < shards; ++i) {
-    FleetShardResult& s = outcomes[i].result;
+  for (const FleetShardResult& s : merged.shards) {
     merged.recovery.Merge(s.recovery);
     merged.reliability.Merge(s.reliability);
-    merged.redundancy.Merge(s.redundancy);
     merged.device.Merge(s.device);
     merged.total_ops += s.ops;
     merged.total_cuts += s.cuts;
@@ -193,7 +147,6 @@ Result<FleetSoakResult> FleetSoakRunner::Run() {
     mix(s.fingerprint);
     mix(s.cuts);
     mix(s.end_time.ns());
-    merged.shards.push_back(std::move(s));
   }
   merged.fleet_fingerprint = fp;
   return merged;

@@ -13,17 +13,17 @@
 // shard that degrades to read-only is recorded as a survivor, not a
 // fatal error.
 //
-// Determinism contract (same as ShardedRunner, DESIGN.md §7):
+// Determinism contract (the shard runner's, shard/shard_runner.hpp):
 //   * A shard's entire soak is a pure function of
 //     (plan, shard_id): its config, fault stream, cut schedule,
 //     checkpoint cadence and op stream all derive from the plan via
 //     MixSeeds. Shard 0 is the identity derivation — bit-identical to a
 //     single-device soak of ConfigForShard(plan, 0) under
 //     WorkloadForShard(plan, 0).
-//   * Shard tasks run on the shared work-stealing executor; results
-//     land in preallocated slots and merge after the join in shard-id
-//     order, so merged fleet stats are bit-identical at any thread
-//     count.
+//   * Shards run on the shard runner, which hands the results back in
+//     shard-id order after the join, so merged fleet stats are
+//     bit-identical at any thread count. This file keeps only the
+//     soak body, its seed derivation and its merge.
 #pragma once
 
 #include <cstdint>
@@ -108,10 +108,6 @@ struct FleetShardResult {
   SimTime end_time;
   RecoveryStats recovery;
   ReliabilityStats reliability;
-  /// Volume-level redundancy counters; zero on the bare ConZone shards
-  /// this soak drives today (kept in the result so volume-backed shards
-  /// can aggregate through the same path).
-  RedundancyStats redundancy;
   StatsSnapshot device;
 };
 
@@ -120,7 +116,6 @@ struct FleetSoakResult {
   std::vector<FleetShardResult> shards;
   RecoveryStats recovery;        ///< Merged remount/checkpoint counters.
   ReliabilityStats reliability;  ///< Merged fault/recovery counters.
-  RedundancyStats redundancy;    ///< Merged (zero for bare shards).
   StatsSnapshot device;          ///< Merged device counters.
   std::uint64_t total_ops = 0;
   std::uint64_t total_cuts = 0;
@@ -136,9 +131,10 @@ class FleetSoakRunner {
  public:
   explicit FleetSoakRunner(FleetSoakPlan plan);
 
-  /// Run every shard and merge. Only genuine failures (a consistency
-  /// violation, a device error that is not the read-only latch) fail
-  /// the run; the lowest-numbered failing shard's status is returned.
+  /// Run every shard on the shard runner and merge. Only genuine
+  /// failures (a consistency violation, a device error that is not the
+  /// read-only latch) fail the run; the lowest-numbered failing shard's
+  /// status is returned.
   Result<FleetSoakResult> Run();
 
   const FleetSoakPlan& plan() const { return plan_; }

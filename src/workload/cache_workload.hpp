@@ -5,8 +5,8 @@
 //
 // Determinism contract: the same spec and seed produce the same request
 // stream, the same hit/miss sequence, the same simulated timeline, and
-// the same fingerprint — on any executor thread count (the cache issues
-// I/O single-threaded; parallelism lives below, inside volumes).
+// the same fingerprint. The cache and every device below it, volumes
+// included, run on the calling thread.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 #include "workload/fio.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <utility>
 
 namespace conzone {
 
@@ -238,31 +238,15 @@ void FioRunner::IssueLoop(RunCtx& ctx, std::size_t idx, SimTime t) {
 }
 
 Result<RunResult> FioRunner::Run(const std::vector<JobSpec>& jobs, SimTime start) {
-  // One uninterrupted session — Begin + RunAll + Finish is the exact
-  // event stream the pre-session Run() drove, bit for bit.
-  Session session(*this, jobs, start);
-  if (Status st = session.Begin(); !st.ok()) return st;
-  if (Status st = session.RunAll(); !st.ok()) return st;
-  return session.Finish();
-}
-
-FioRunner::Session::Session(FioRunner& runner, std::vector<JobSpec> jobs,
-                            SimTime start)
-    : runner_(runner), jobs_(std::move(jobs)), start_(start) {}
-
-FioRunner::Session::~Session() = default;
-
-Status FioRunner::Session::Begin() {
-  if (begun_) return Status::FailedPrecondition("session already begun");
-  for (const JobSpec& s : jobs_) {
-    if (Status st = runner_.ValidateSpec(s); !st.ok()) return st;
+  for (const JobSpec& s : jobs) {
+    if (Status st = ValidateSpec(s); !st.ok()) return st;
   }
-  runner_.run_error_ = Status::Ok();
+  run_error_ = Status::Ok();
 
-  states_ = std::make_unique<std::vector<JobState>>();
-  states_->reserve(jobs_.size());
-  const std::uint64_t zs = runner_.info_.zone_size_bytes;
-  for (const JobSpec& s : jobs_) {
+  std::vector<JobState> states;
+  states.reserve(jobs.size());
+  const std::uint64_t zs = info_.zone_size_bytes;
+  for (const JobSpec& s : jobs) {
     JobState js;
     js.spec = s;
     js.virtual_size =
@@ -274,149 +258,30 @@ Status FioRunner::Session::Begin() {
     js.rand_threshold = Rng::RejectionThreshold(js.rand_slots);
     js.div_span_ = FastDiv(s.zone_span_bytes ? s.zone_span_bytes : zs);
     js.result.name = s.name;
-    js.result.first_issue = start_;
-    if (s.runtime != SimDuration()) js.deadline = start_ + s.runtime;
+    js.result.first_issue = start;
+    if (s.runtime != SimDuration()) js.deadline = start + s.runtime;
     js.ready.reserve(s.iodepth);
-    states_->push_back(std::move(js));
+    states.push_back(std::move(js));
   }
 
-  q_ = std::make_unique<EventQueue>(runner_.backend_);
-  ctx_ = std::make_unique<RunCtx>(RunCtx{*states_, *q_});
+  EventQueue q(backend_);
+  RunCtx ctx{states, q};
   // The initial burst rides the submission ring too: all iodepth chains
   // of a job are ready at `start`, so each job costs one flush event —
   // not iodepth dispatch events — to get airborne.
-  for (std::size_t i = 0; i < states_->size(); ++i) {
-    const std::uint32_t depth = (*states_)[i].spec.iodepth;
-    for (std::uint32_t d = 0; d < depth; ++d) runner_.ArmChain(*ctx_, i, start_);
-  }
-  begun_ = true;
-  return Status::Ok();
-}
-
-Status FioRunner::Session::RunUntil(SimTime until) {
-  if (!begun_) return Status::FailedPrecondition("session not begun");
-  q_->RunUntil(until);
-  return runner_.run_error_;
-}
-
-Status FioRunner::Session::RunAll() {
-  if (!begun_) return Status::FailedPrecondition("session not begun");
-  q_->RunAll();
-  return runner_.run_error_;
-}
-
-bool FioRunner::Session::done() const {
-  if (!begun_) return false;
-  for (const JobState& js : *states_) {
-    if (!js.done) return false;
-  }
-  return true;
-}
-
-Result<SimTime> FioRunner::Session::Resume(SimTime at, const ZoneWpFn& zone_wp) {
-  if (!begun_) return Status::FailedPrecondition("session not begun");
-  if (!runner_.run_error_.ok()) return runner_.run_error_;
-  // The old queue holds completions of IOs that were in flight at the
-  // cut and stale submission flushes; all of it died with the power.
-  // Bank the executed-event count and rebuild queue + context.
-  events_base_ += q_->executed();
-  q_ = std::make_unique<EventQueue>(runner_.backend_);
-  ctx_ = std::make_unique<RunCtx>(RunCtx{*states_, *q_});
-
-  SimTime t = at;
-  const std::uint64_t zs = runner_.info_.zone_size_bytes;
-  for (JobState& js : *states_) {
-    js.ready.clear();
-    if (js.done) continue;
-    if (zs != 0 && zone_wp && js.spec.direction == IoDirection::kWrite &&
-        js.spec.pattern == IoPattern::kSequential) {
-      if (Status st = ResyncJob(js, zone_wp, &t); !st.ok()) return st;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    for (std::uint32_t d = 0; d < states[i].spec.iodepth; ++d) {
+      ArmChain(ctx, i, start);
     }
   }
-  for (std::size_t i = 0; i < states_->size(); ++i) {
-    JobState& js = (*states_)[i];
-    if (js.done) continue;
-    for (std::uint32_t d = 0; d < js.spec.iodepth; ++d) {
-      runner_.ArmChain(*ctx_, i, t);
-    }
-  }
-  return t;
-}
-
-// Reconcile one sequential zoned write job with the recovered device:
-// its cursor must land exactly on the write pointer of the zone it is
-// in, and every zone ahead of it must be appendable from the start.
-Status FioRunner::Session::ResyncJob(JobState& js, const ZoneWpFn& zone_wp,
-                                     SimTime* t) {
-  const JobSpec& s = js.spec;
-  const std::uint64_t zs = runner_.info_.zone_size_bytes;
-  const std::uint32_t conv = runner_.info_.num_conventional_zones;
-  // The job's zones in virtual-address order, and the cursor's index in
-  // that order (PickOffset's mapping, inverted).
-  const bool listed = !s.zone_list.empty();
-  const std::uint64_t span =
-      listed ? (s.zone_span_bytes ? s.zone_span_bytes : zs) : 0;
-  const std::uint64_t z0 = listed ? 0 : s.region_offset / zs;
-  const std::size_t nzones =
-      listed ? s.zone_list.size()
-             : static_cast<std::size_t>(
-                   (s.region_offset + s.region_size + zs - 1) / zs - z0);
-  auto zone_at = [&](std::size_t k) {
-    return listed ? s.zone_list[k] : z0 + static_cast<std::uint64_t>(k);
-  };
-  auto reset = [&](std::uint64_t z) -> Status {
-    auto r = runner_.device_.ResetZone(ZoneId{z}, *t);
-    if (!r.ok()) return r.status();
-    *t = Later(*t, r.value());
-    return Status::Ok();
-  };
-
-  const std::uint64_t vpos = js.position;
-  const std::size_t zi =
-      listed ? static_cast<std::size_t>(vpos / span)
-             : static_cast<std::size_t>((s.region_offset + vpos) / zs - z0);
-  const std::uint64_t zone = zone_at(zi);
-  if (zone >= conv) {  // conventional zones update in place: no resync
-    auto wpr = zone_wp(zone);
-    if (!wpr.ok()) return wpr.status();
-    const std::uint64_t wp = wpr.value();
-    const std::uint64_t in_zone =
-        listed ? vpos - static_cast<std::uint64_t>(zi) * span
-               : (s.region_offset + vpos) - zone * zs;
-    if (wp < in_zone) {
-      // The cut ate a buffered/in-flight tail; back up to what survived.
-      const std::uint64_t back = in_zone - wp;
-      js.position = back >= vpos ? 0 : vpos - back;
-    } else if (wp > in_zone) {
-      // Recovery resurrected durable data past the cursor (a torn reset
-      // undone). The zone cannot be appended mid-way; restart it.
-      if (Status st = reset(zone); !st.ok()) return st;
-      js.position = vpos - in_zone;
-    }
-  }
-  // Zones ahead of the cursor must be empty for the pass to append into
-  // them; reset any resurrected one now instead of failing the job when
-  // the cursor arrives.
-  for (std::size_t k = zi + 1; k < nzones; ++k) {
-    const std::uint64_t z = zone_at(k);
-    if (z < conv) continue;
-    auto wpr = zone_wp(z);
-    if (!wpr.ok()) return wpr.status();
-    if (wpr.value() == 0) continue;
-    if (Status st = reset(z); !st.ok()) return st;
-  }
-  return Status::Ok();
-}
-
-Result<RunResult> FioRunner::Session::Finish() {
-  if (!begun_) return Status::FailedPrecondition("session not begun");
-  if (!runner_.run_error_.ok()) return runner_.run_error_;
+  q.RunAll();
+  if (!run_error_.ok()) return run_error_;
 
   RunResult out;
-  out.events = events_base_ + q_->executed();
+  out.events = q.executed();
   SimTime span_start = SimTime::Max();
-  SimTime span_end = start_;
-  for (JobState& js : *states_) {
+  SimTime span_end = start;
+  for (JobState& js : states) {
     // A job that failed on its first IO has no completions; guard the span.
     js.result.throughput.elapsed =
         js.result.last_completion > js.result.first_issue

@@ -26,8 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -188,78 +186,6 @@ class FioRunner {
   FastDiv div_zone_;  ///< info_.zone_size_bytes (hardware div when 0)
   EventQueue::Backend backend_;
   Status run_error_;
-
- public:
-  /// A resumable run — the same jobs, states and event stream Run()
-  /// drives, but pausable at an arbitrary simulated time so a caller can
-  /// power-cut the device mid-workload, recover it, and continue the
-  /// surviving jobs (the sharded runner's cut schedule and the fleet
-  /// soak ride on this). Begin(); RunUntil(cut) as many times as needed,
-  /// with Resume(recover_time, wp) after each cut; Finish() collects the
-  /// RunResult. Run() itself is Begin + RunAll + Finish, so a session
-  /// with no cuts is bit-identical to the one-shot path. One session per
-  /// runner at a time (they share run_error_).
-  class Session {
-   public:
-    /// Recovered write pointer of `zone` — byte offset within the zone —
-    /// queried by Resume() to resync sequential write cursors with what
-    /// the remount actually made durable. Callers with a concrete device
-    /// adapt their zone introspection; StorageDevice itself exposes no
-    /// WP query.
-    using ZoneWpFn = std::function<Result<std::uint64_t>(std::uint64_t)>;
-
-    Session(FioRunner& runner, std::vector<JobSpec> jobs, SimTime start);
-    ~Session();
-    Session(const Session&) = delete;
-    Session& operator=(const Session&) = delete;
-
-    /// Validate the jobs and arm every submission chain at `start`.
-    Status Begin();
-
-    /// Run every scheduled event with timestamp <= `until`, then pause.
-    /// All submissions through `until` have been issued; events past it
-    /// (in-flight completions) stay queued. Returns the run-aborting
-    /// error, if any (per-IO failures stay per-job, as in Run()).
-    Status RunUntil(SimTime until);
-
-    /// Run to completion (no further cuts).
-    Status RunAll();
-
-    /// True once every job has hit its stop condition or failed.
-    bool done() const;
-
-    /// Continue after a PowerCut()/Recover() cycle completed at `at`.
-    /// Discards the dead event stream (queued completions of in-flight
-    /// IOs died with the power), resyncs each live sequential zoned
-    /// write job's cursor against the recovered write pointers — rewind
-    /// to the WP when the cut ate a buffered tail; reset the zone and
-    /// restart it when recovery resurrected data past the cursor (a torn
-    /// reset undone) — resets any resurrected zone ahead of a cursor,
-    /// and re-arms every live job's chains. Conventional zones accept
-    /// in-place writes and never resync. Returns the simulated time the
-    /// chains were re-armed at (>= `at`; later when resyncing resets
-    /// zones).
-    Result<SimTime> Resume(SimTime at, const ZoneWpFn& zone_wp);
-
-    /// Collect the RunResult (same shape Run() returns). Call once,
-    /// after the final RunAll()/RunUntil().
-    Result<RunResult> Finish();
-
-   private:
-    Status ResyncJob(JobState& job, const ZoneWpFn& zone_wp, SimTime* t);
-
-    FioRunner& runner_;
-    std::vector<JobSpec> jobs_;
-    SimTime start_;
-    /// Heap-held so the scheduled lambdas' captured references stay
-    /// stable; queue+ctx are rebuilt per segment by Resume().
-    std::unique_ptr<std::vector<JobState>> states_;
-    std::unique_ptr<EventQueue> q_;
-    std::unique_ptr<RunCtx> ctx_;
-    /// executed() of queues already torn down by Resume().
-    std::uint64_t events_base_ = 0;
-    bool begun_ = false;
-  };
 };
 
 }  // namespace conzone

@@ -6,9 +6,8 @@
 // half-zone, sequential ping-pong), remount persistence, a deterministic
 // power-cut sweep over every op boundary of a scripted zipfian workload,
 // 24 randomized cut seeds, bit-identical same-seed recovery, fsck
-// fingerprint stability, per-class I/O accounting, executor-thread-count
-// invariance on a striped volume, and an opt-in crash soak
-// (CONZONE_CACHE_SOAK=1).
+// fingerprint stability, per-class I/O accounting, same-seed reruns on
+// a striped volume, and an opt-in crash soak (CONZONE_CACHE_SOAK=1).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -19,7 +18,6 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/device.hpp"
-#include "exec/executor.hpp"
 #include "femu/femu_device.hpp"
 #include "host/striped_volume.hpp"
 #include "legacy/legacy_device.hpp"
@@ -455,10 +453,10 @@ TEST(ZoneCacheCrashTest, SameSeedRecoveryIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism across executor thread counts (striped volume)
+// Same-seed determinism on a striped volume
 // ---------------------------------------------------------------------------
 
-TEST(ZoneCacheExecutorTest, FingerprintsIdenticalAcrossThreadCounts) {
+TEST(ZoneCacheVolumeTest, SameSeedRerunOnStripedVolumeIsBitIdentical) {
   CacheJobSpec spec;
   spec.keys = 256;
   spec.ops = 400;
@@ -469,7 +467,7 @@ TEST(ZoneCacheExecutorTest, FingerprintsIdenticalAcrossThreadCounts) {
     std::uint64_t hits;
   };
   std::vector<Round> rounds;
-  for (std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+  for (int round = 0; round < 2; ++round) {
     std::vector<std::unique_ptr<StorageDevice>> devs;
     for (std::uint32_t i = 0; i < 2; ++i) {
       FemuConfig fcfg;
@@ -480,8 +478,6 @@ TEST(ZoneCacheExecutorTest, FingerprintsIdenticalAcrossThreadCounts) {
     }
     auto vol = StripedVolume::Create(std::move(devs), {});
     ASSERT_TRUE(vol.ok()) << vol.status().ToString();
-    WorkStealingExecutor exec(threads);
-    (*vol)->set_executor(&exec);
 
     auto cache = ZoneCache::Mount(vol->get(), {}, SimTime::Zero());
     ASSERT_TRUE(cache.ok()) << cache.status().ToString();
@@ -492,11 +488,10 @@ TEST(ZoneCacheExecutorTest, FingerprintsIdenticalAcrossThreadCounts) {
     rounds.push_back(Round{r.value().fingerprint, rep.fingerprint,
                            r.value().hits});
   }
-  for (std::size_t i = 1; i < rounds.size(); ++i) {
-    EXPECT_EQ(rounds[i].run_fp, rounds[0].run_fp);
-    EXPECT_EQ(rounds[i].fsck_fp, rounds[0].fsck_fp);
-    EXPECT_EQ(rounds[i].hits, rounds[0].hits);
-  }
+  EXPECT_EQ(rounds[1].run_fp, rounds[0].run_fp);
+  EXPECT_EQ(rounds[1].fsck_fp, rounds[0].fsck_fp);
+  EXPECT_EQ(rounds[1].hits, rounds[0].hits);
+  EXPECT_GT(rounds[0].hits, 0u);
 }
 
 // ---------------------------------------------------------------------------

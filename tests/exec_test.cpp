@@ -1,5 +1,5 @@
 // Executor tests: the determinism contract of the fork-join substrate
-// (DESIGN.md §7) and its two consumers.
+// (DESIGN.md §7) and its one consumer, the shard runner.
 //
 //   * Core contract: Run(n, fn) invokes fn exactly once per task id in
 //     [0, n), at every thread count, including n == 0 and n much larger
@@ -12,26 +12,17 @@
 //     are scheduling-dependent, so the test asserts completion, not that
 //     stealing happened — on a single-hardware-thread host the workers
 //     may never wake in time to steal.
-//   * StripedVolume cross-check: randomized request streams over FEMU-,
-//     Legacy- and ConZone-member volumes produce bit-identical results
-//     (completions, tokens, statuses, stats) with a WorkStealingExecutor
-//     at threads 2/4/8 as with the SerialExecutor reference, and as with
-//     no executor at all. Same-seed reruns included.
 //   * ShardedRunner cross-check: an external executor passed through
 //     ShardPlan::executor yields the same fingerprint as the runner's
 //     own pool at any thread count.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "conzone/conzone.hpp"
-
-#include "test_io.hpp"
 
 namespace conzone {
 namespace {
@@ -133,219 +124,6 @@ TEST(ExecutorTest, StealStressSkewedTaskCosts) {
 }
 
 // ---------------------------------------------------------------------------
-// StripedVolume cross-check: parallel fan-out == serial reference
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<StorageDevice> MakeFemuMember(std::uint64_t seed) {
-  FemuConfig cfg;
-  cfg.seed = seed;
-  auto dev = FemuModelDevice::Create(cfg);
-  EXPECT_TRUE(dev.ok()) << dev.status().ToString();
-  return std::move(dev).value();
-}
-
-std::unique_ptr<StorageDevice> MakeLegacyMember() {
-  LegacyConfig cfg;
-  cfg.geometry.blocks_per_chip = 20;
-  cfg.geometry.slc_blocks_per_chip = 4;
-  auto dev = LegacyDevice::Create(cfg);
-  EXPECT_TRUE(dev.ok()) << dev.status().ToString();
-  return std::move(dev).value();
-}
-
-std::unique_ptr<StorageDevice> MakeConZoneMember(std::uint32_t i) {
-  ConZoneConfig cfg = ConZoneConfig::PaperConfig();
-  cfg.geometry.blocks_per_chip = 20;
-  cfg.geometry.slc_blocks_per_chip = 4;
-  auto dev = ConZoneDevice::Create(cfg.ForShard(i, /*master_seed=*/42));
-  EXPECT_TRUE(dev.ok()) << dev.status().ToString();
-  return std::move(dev).value();
-}
-
-enum class MemberKind { kFemu, kLegacy, kConZone };
-
-std::unique_ptr<StripedVolume> MakeVolume(MemberKind kind, std::uint32_t members) {
-  std::vector<std::unique_ptr<StorageDevice>> devs;
-  for (std::uint32_t i = 0; i < members; ++i) {
-    switch (kind) {
-      case MemberKind::kFemu: devs.push_back(MakeFemuMember(i + 1)); break;
-      case MemberKind::kLegacy: devs.push_back(MakeLegacyMember()); break;
-      case MemberKind::kConZone: devs.push_back(MakeConZoneMember(i)); break;
-    }
-  }
-  auto vol = StripedVolume::Create(std::move(devs), {});
-  EXPECT_TRUE(vol.ok()) << vol.status().ToString();
-  return std::move(vol).value();
-}
-
-/// Drive `vol` with a seeded random stream of stripe-spanning writes,
-/// reads (token round-trips), flushes and (zoned) resets; append every
-/// observable to `*out` as one comparable string. Timestamps in exact
-/// nanoseconds — "bit-identical" means bit-identical.
-void DriveInto(StripedVolume& vol, std::uint64_t seed, std::string* out) {
-  const DeviceInfo di = vol.info();
-  const bool zoned = di.zone_size_bytes != 0;
-  const std::uint64_t span = zoned ? di.zone_size_bytes : 2 * kMiB;
-  constexpr std::uint64_t kPage = 4 * kKiB;  // token granularity
-  Rng rng;
-  rng.Seed(seed);
-
-  std::string fp;
-  SimTime t;
-  std::uint64_t wp = 0;  // sequential cursor within the first logical zone
-  for (int step = 0; step < 120; ++step) {
-    const std::uint64_t dice = rng.NextBelow(10);
-    if (dice < 5) {
-      // Stripe-spanning write (1..8 stripe units) at the zone cursor;
-      // wraps via reset (zoned) or plain overwrite (conventional).
-      const std::uint64_t len = (1 + rng.NextBelow(8)) * vol.stripe_bytes();
-      if (wp + len > span) {
-        if (zoned) {
-          auto r = vol.ResetZone(ZoneId{0}, t);
-          ASSERT_TRUE(r.ok()) << r.status().ToString();
-          t = r.value();
-        }
-        wp = 0;
-      }
-      std::vector<std::uint64_t> tokens(len / kPage);
-      for (std::size_t i = 0; i < tokens.size(); ++i) {
-        tokens[i] = seed * 1000003 + static_cast<std::uint64_t>(step) * 131 + i;
-      }
-      IoRequest req{wp, len, t, tokens};
-      auto r = vol.Write(req);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      t = r.value().done;
-      wp += len;
-      fp += "w" + std::to_string(len) + "@" + std::to_string(t.ns()) + ";";
-    } else if (dice < 8) {
-      if (wp == 0) continue;  // nothing written since the last wrap
-      // Read a random page-aligned slice of the written prefix, tokens
-      // back through the gather/scatter path.
-      const std::uint64_t pages = wp / kPage;
-      const std::uint64_t first = rng.NextBelow(pages);
-      const std::uint64_t len = std::min<std::uint64_t>(
-          wp - first * kPage, (1 + rng.NextBelow(12)) * kPage);
-      IoRequest req{first * kPage, len, t};
-      req.want_tokens = true;
-      auto r = vol.Read(req);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      t = r.value().done;
-      fp += "r" + std::to_string(len) + "@" + std::to_string(t.ns());
-      for (std::uint64_t tok : r.value().tokens) fp += "," + std::to_string(tok);
-      fp += ";";
-    } else {
-      auto r = vol.Flush(t);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      t = r.value();
-      fp += "f@" + std::to_string(t.ns()) + ";";
-    }
-  }
-  const StatsSnapshot st = vol.Stats();
-  fp += "stats:" + std::to_string(st.host_bytes_written) + "," +
-        std::to_string(st.host_bytes_read) + "," +
-        std::to_string(st.flash_bytes_written) + "," +
-        std::to_string(st.zone_resets);
-  *out = fp;
-}
-
-TEST(ExecutorStripedVolumeTest, ParallelFanOutBitIdenticalToSerial) {
-  for (const MemberKind kind :
-       {MemberKind::kFemu, MemberKind::kLegacy, MemberKind::kConZone}) {
-    for (const std::uint64_t seed : {1ull, 77ull, 4242ull}) {
-      // Reference: no executor attached (the historical inline path).
-      auto ref_vol = MakeVolume(kind, 4);
-      std::string reference;
-      DriveInto(*ref_vol, seed, &reference);
-      ASSERT_FALSE(reference.empty());
-
-      // SerialExecutor attached must match exactly.
-      {
-        auto vol = MakeVolume(kind, 4);
-        SerialExecutor serial;
-        vol->set_executor(&serial);
-        std::string fp;
-        DriveInto(*vol, seed, &fp);
-        EXPECT_EQ(fp, reference) << "serial, kind=" << static_cast<int>(kind)
-                                 << " seed=" << seed;
-      }
-      // Work stealing at several widths must match bit for bit.
-      for (const std::uint32_t threads : {2u, 4u, 8u}) {
-        auto vol = MakeVolume(kind, 4);
-        WorkStealingExecutor exec(threads);
-        vol->set_executor(&exec);
-        std::string fp;
-        DriveInto(*vol, seed, &fp);
-        EXPECT_EQ(fp, reference) << "threads=" << threads
-                                 << " kind=" << static_cast<int>(kind)
-                                 << " seed=" << seed;
-      }
-    }
-  }
-}
-
-TEST(ExecutorStripedVolumeTest, SameSeedRerunIsBitIdenticalUnderParallelism) {
-  // Two fresh volumes, same seed, same parallel executor width: the
-  // whole observable stream must repeat exactly (run-to-run determinism,
-  // not just parallel-vs-serial agreement).
-  for (const std::uint32_t threads : {2u, 8u}) {
-    WorkStealingExecutor exec(threads);
-    std::string first;
-    for (int rep = 0; rep < 2; ++rep) {
-      auto vol = MakeVolume(MemberKind::kConZone, 4);
-      vol->set_executor(&exec);
-      std::string fp;
-      DriveInto(*vol, /*seed=*/99, &fp);
-      if (rep == 0) {
-        first = fp;
-      } else {
-        EXPECT_EQ(fp, first) << "threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(ExecutorStripedVolumeTest, FioWorkloadOnVolumeMatchesSerial) {
-  // End to end through FioRunner: 512 KiB sequential writes span 8
-  // stripe units, so every IO exercises the multi-run fan-out.
-  auto run_one = [](Executor* exec) {
-    auto vol = MakeVolume(MemberKind::kLegacy, 4);
-    vol->set_executor(exec);
-    JobSpec s;
-    s.name = "seqwrite";
-    s.pattern = IoPattern::kSequential;
-    s.direction = IoDirection::kWrite;
-    s.block_size = 512 * kKiB;
-    // Whatever the small members add up to, rounded to whole blocks.
-    s.region_size =
-        std::min<std::uint64_t>(8 * kMiB, vol->info().capacity_bytes / s.block_size *
-                                              s.block_size);
-    s.io_count = 200;
-    s.iodepth = 4;
-    s.seed = 3;
-    FioRunner fio(*vol);
-    auto r = fio.Run({s});
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    const RunResult& rr = r.value();
-    std::string fp;
-    for (const JobResult& j : rr.jobs) {
-      fp += j.name + ":" + std::to_string(j.throughput.bytes) + "," +
-            std::to_string(j.throughput.ops) + "," +
-            std::to_string(j.last_completion.ns()) + "," + j.latency.Summary() + ";";
-    }
-    fp += "events=" + std::to_string(rr.events) +
-          " end=" + std::to_string(rr.end_time.ns());
-    return fp;
-  };
-  const std::string reference = run_one(nullptr);
-  SerialExecutor serial;
-  EXPECT_EQ(run_one(&serial), reference);
-  for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    WorkStealingExecutor exec(threads);
-    EXPECT_EQ(run_one(&exec), reference) << "threads=" << threads;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // ShardedRunner on an external executor
 // ---------------------------------------------------------------------------
 
@@ -399,36 +177,6 @@ TEST(ExecutorShardedRunnerTest, ExternalExecutorMatchesInternalPool) {
     ASSERT_TRUE(res.ok()) << res.status().ToString();
     EXPECT_EQ(Fingerprint(res.value()), reference) << "threads=" << threads;
   }
-}
-
-TEST(ExecutorShardedRunnerTest, SharedExecutorServesBothConsumers) {
-  // The unification claim, literally: one executor instance drives a
-  // sharded run and a striped-volume fan-out; nested fan-outs inside
-  // shard tasks fall back to inline execution via the InTask() guard.
-  WorkStealingExecutor exec(4);
-
-  ShardPlan plan = ShardPlanForTest();
-  plan.members = 2;  // shard devices are striped volumes -> nested path
-  plan.executor = &exec;
-  auto sharded = ShardedRunner(plan).Run();
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-
-  ShardPlan serial_plan = ShardPlanForTest();
-  serial_plan.members = 2;
-  serial_plan.threads = 1;
-  auto reference = ShardedRunner(serial_plan).Run();
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  EXPECT_EQ(Fingerprint(sharded.value()), Fingerprint(reference.value()));
-
-  // Same instance, striped-volume consumer, after the sharded batch.
-  auto vol = MakeVolume(MemberKind::kConZone, 4);
-  vol->set_executor(&exec);
-  std::string fp;
-  DriveInto(*vol, /*seed=*/5, &fp);
-  auto ref_vol = MakeVolume(MemberKind::kConZone, 4);
-  std::string ref_fp;
-  DriveInto(*ref_vol, /*seed=*/5, &ref_fp);
-  EXPECT_EQ(fp, ref_fp);
 }
 
 }  // namespace

@@ -58,7 +58,6 @@ std::string Fingerprint(const FleetShardResult& s) {
      << " remount_hist={" << s.recovery.remount_hist.Summary() << "}"
      << " ckpt_age_hist={" << s.recovery.checkpoint_age_hist.Summary() << "}"
      << " rel={" << s.reliability.Summary() << "}"
-     << " red={" << s.redundancy.Summary() << "}"
      << " waf=" << s.device.WriteAmplification()
      << " flash=" << s.device.flash_bytes_written
      << " resets=" << s.device.zone_resets;
@@ -73,7 +72,6 @@ std::string Fingerprint(const FleetSoakResult& r) {
      << " ro_shards=" << r.read_only_shards << " end=" << r.end_time.ns()
      << " rec={" << r.recovery.Summary() << "}"
      << " rel={" << r.reliability.Summary() << "}"
-     << " red={" << r.redundancy.Summary() << "}"
      << " flash=" << r.device.flash_bytes_written;
   return os.str();
 }

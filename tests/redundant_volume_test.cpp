@@ -16,9 +16,8 @@
 //     byte-identical durable content of its sources while foreground
 //     traffic keeps flowing — including across a power cut of the fresh
 //     member mid-rebuild.
-//   * Determinism: same-seed reruns and executor thread counts
-//     {serial,2,4,8} produce bit-identical completions, tokens and
-//     RedundancyStats.
+//   * Determinism: same-seed reruns produce bit-identical completions,
+//     tokens and RedundancyStats.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -870,7 +869,7 @@ TEST(RedundantVolumeTest, ConsumerFaultRatesAreMaskedByRedundancy) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: same-seed reruns and executor thread counts
+// Determinism: same-seed reruns
 // ---------------------------------------------------------------------------
 
 struct RunTrace {
@@ -879,13 +878,12 @@ struct RunTrace {
   RedundancyStats red;
 };
 
-/// A mixed scenario exercising every fan-out path: mirror writes, a
-/// degraded read, a scrub pass, and a full rebuild.
-RunTrace RunScenario(Executor* exec) {
+/// A mixed scenario exercising every multi-member path: mirror writes,
+/// a degraded read, a scrub pass, and a full rebuild.
+RunTrace RunScenario() {
   auto volr = MakeFemuMirror(4, /*replicas=*/2, /*stripe=*/16 * kKiB);
   EXPECT_TRUE(volr.ok());
   RedundantVolume& v = **volr;
-  v.set_executor(exec);
   const std::uint64_t stripe = v.stripe_bytes();
   const std::uint64_t zb = v.info().zone_size_bytes;
 
@@ -933,22 +931,11 @@ RunTrace RunScenario(Executor* exec) {
 }
 
 TEST(RedundantVolumeDeterminismTest, SameSeedRerunsAreBitIdentical) {
-  const RunTrace a = RunScenario(nullptr);
-  const RunTrace b = RunScenario(nullptr);
+  const RunTrace a = RunScenario();
+  const RunTrace b = RunScenario();
   EXPECT_EQ(a.done_ns, b.done_ns);
   EXPECT_EQ(a.tokens, b.tokens);
   EXPECT_TRUE(a.red == b.red);
-}
-
-TEST(RedundantVolumeDeterminismTest, ThreadCountDoesNotChangeOutcomes) {
-  const RunTrace serial = RunScenario(nullptr);
-  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    WorkStealingExecutor exec(threads);
-    const RunTrace par = RunScenario(&exec);
-    EXPECT_EQ(par.done_ns, serial.done_ns) << threads << " threads";
-    EXPECT_EQ(par.tokens, serial.tokens) << threads << " threads";
-    EXPECT_TRUE(par.red == serial.red) << threads << " threads";
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
-// Sharded-runner tests: the determinism contract of scale-out.
+// Shard-runner tests: the determinism contract of scale-out.
 //
+//   * Lowest failing shard: RunShards, called directly with a body that
+//     fails on two shards, returns the lower shard's status at every
+//     thread count and on a caller-provided executor.
 //   * Thread-count invariance: the same plan merged from any number of
 //     worker threads is bit-identical (shard isolation + merge-after-
 //     join, never first-to-finish).
@@ -172,76 +175,40 @@ TEST(ShardedRunnerTest, ShardsBeyondZeroGetDecorrelatedSeeds) {
             plan.config.ForShard(2, plan.master_seed).fault.seed);
 }
 
-// Shards whose device is a striped volume (members > 1) keep the whole
-// determinism contract: thread-count invariance and run-to-run
-// bit-identity, with member configs derived as shard*members+j.
-TEST(ShardedRunnerTest, StripedMemberShardsStayDeterministic) {
-  ShardPlan plan = MakePlan(false, /*shards=*/2, /*threads=*/1);
-  plan.members = 2;
-  std::string reference;
-  for (const std::uint32_t threads : {1u, 2u}) {
-    plan.threads = threads;
-    auto res = ShardedRunner(plan).Run();
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    // Volume-backed shards actually spread the work over both members.
-    for (const ShardResult& s : res.value().shards) {
-      EXPECT_GT(s.device.host_bytes_written, 0u);
-    }
-    const std::string fp = Fingerprint(res.value());
-    if (reference.empty()) {
-      reference = fp;
-    } else {
-      EXPECT_EQ(fp, reference) << "threads=" << threads;
-    }
-  }
-}
-
-// A plan with a per-shard power-cut schedule keeps the full determinism
-// contract: mid-run cuts, remounts, and workload resume do not leak
-// thread-count dependence into any merged counter. Both schedule kinds.
-TEST(ShardedRunnerTest, CutScheduleStaysDeterministicAcrossThreads) {
-  for (const auto kind :
-       {CutScheduleKind::kFixedInterval, CutScheduleKind::kRandomInterval}) {
-    std::string reference;
-    for (const std::uint32_t threads : {1u, 3u}) {
-      ShardPlan plan = MakePlan(/*faults=*/true, /*shards=*/3, threads);
-      plan.cut_schedule.cuts = 4;
-      plan.cut_schedule.kind = kind;
-      plan.cut_schedule.interval_ns = 300'000;  // well inside the run
-      auto res = ShardedRunner(plan).Run();
-      ASSERT_TRUE(res.ok()) << res.status().ToString();
-      // The schedule must actually fire, and every cut must remount.
-      EXPECT_GT(res.value().recovery.power_cuts, 0u);
-      EXPECT_EQ(res.value().recovery.recoveries,
-                res.value().recovery.power_cuts);
-      std::uint64_t per_shard_cuts = 0;
-      for (const ShardResult& s : res.value().shards) {
-        per_shard_cuts += s.recovery.power_cuts;
-      }
-      EXPECT_EQ(per_shard_cuts, res.value().recovery.power_cuts);
-      const std::string fp = Fingerprint(res.value());
-      if (reference.empty()) {
-        reference = fp;
-      } else {
-        EXPECT_EQ(fp, reference) << "threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(ShardedRunnerTest, CutScheduleRejectsMultiMemberShards) {
-  ShardPlan plan = MakePlan(false, 1, 1);
-  plan.members = 2;
-  plan.cut_schedule.cuts = 1;
-  auto res = ShardedRunner(plan).Run();
-  EXPECT_FALSE(res.ok());
-}
-
 TEST(ShardedRunnerTest, ZeroShardsIsAnError) {
   ShardPlan plan = MakePlan(false, 1, 1);
   plan.shards = 0;
   auto res = ShardedRunner(plan).Run();
   EXPECT_FALSE(res.ok());
+}
+
+// Shards 1 and 3 fail with different statuses. Whichever lane finishes
+// first, the run reports shard 1's; on success the values come back in
+// shard-id order.
+TEST(ShardRunnerTest, LowestFailingShardWinsAtAnyThreadCount) {
+  auto body = [](std::uint32_t id) -> Result<std::uint32_t> {
+    if (id == 1) return Status::MediaError("shard 1");
+    if (id == 3) return Status::Internal("shard 3");
+    return id * 10;
+  };
+  auto check = [&](std::uint32_t threads, Executor* exec) {
+    auto res = RunShards<std::uint32_t>(5, threads, exec, body);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::kMediaError);
+    EXPECT_EQ(res.status().message(), "shard 1");
+  };
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    check(threads, nullptr);
+  }
+  WorkStealingExecutor exec(4);
+  check(/*threads=*/0, &exec);
+
+  auto ok = RunShards<std::uint32_t>(
+      4, 4, nullptr, [](std::uint32_t id) -> Result<std::uint32_t> { return id * 10; });
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.value(), (std::vector<std::uint32_t>{0, 10, 20, 30}));
+  EXPECT_FALSE(RunShards<std::uint32_t>(0, 1, nullptr, body).ok());
 }
 
 // Device-level wheel-vs-heap cross-check (faults on and off): the whole

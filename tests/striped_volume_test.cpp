@@ -7,6 +7,9 @@
 //     different sets on disjoint members.
 //   * Data path: integrity tokens survive the split/gather/scatter round
 //     trip in logical page order, across stripe-unit fragments.
+//   * Every leg is issued: a multi-run write whose legs fail on two
+//     members still writes the other members' legs and reports the
+//     lowest-run-index error.
 //   * Determinism: same seed => bit-identical runs; a 1-member volume is
 //     bit-identical (completions AND stats) to the bare device.
 //   * Overlap: a full-stripe write on N members completes earlier in
@@ -227,6 +230,53 @@ TEST(StripedVolumeTest, ResetFansOutToOwningSetOnly) {
   // And zone 0 accepts a fresh sequential write from its start.
   auto w2 = v.Write(IoRequest{0, 32 * kKiB, r1.value().done, Tokens(50, 8)});
   ASSERT_TRUE(w2.ok()) << w2.status().ToString();
+}
+
+// A failing leg does not shield later legs: a real host already has every
+// stripe leg in flight. Runs 0..3 of a 4-unit write land on members
+// 0..3; members 1 and 3 refuse theirs for different reasons.
+TEST(StripedVolumeTest, FailedLegDoesNotShieldOtherLegs) {
+  ConZoneConfig cfg = SmallConZoneCfg();
+  cfg.fault.power_loss = true;  // lets member 3 lose power
+  std::vector<ConZoneDevice*> raw;
+  std::vector<std::unique_ptr<StorageDevice>> devs;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    auto dev = ConZoneDevice::Create(cfg.ForShard(i, 42));
+    ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+    raw.push_back(dev.value().get());
+    devs.push_back(std::move(dev).value());
+  }
+  StripedVolumeOptions opt;
+  opt.stripe_bytes = 16 * kKiB;
+  auto volr = StripedVolume::Create(std::move(devs), opt);
+  ASSERT_TRUE(volr.ok()) << volr.status().ToString();
+  StripedVolume& v = **volr;
+  const std::uint64_t stripe = v.stripe_bytes();
+  const std::uint64_t pages = stripe / 4096;
+
+  // Member 1's write pointer moves behind the volume's back (its leg
+  // becomes a non-sequential write), and member 3 loses power.
+  SimTime t;
+  auto stray = v.member(1).Write(IoRequest{0, 4096, t, Tokens(900, 1)});
+  ASSERT_TRUE(stray.ok()) << stray.status().ToString();
+  t = stray.value().done;
+  ASSERT_TRUE(raw[3]->PowerCut(t).ok());
+
+  auto w = v.Write(IoRequest{0, 4 * stripe, t, Tokens(0, 4 * pages)});
+  ASSERT_FALSE(w.ok());
+  // Run 1's error (write-pointer violation), not run 3's (powered off).
+  EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument)
+      << w.status().ToString();
+
+  // Members 0 and 2 still took their legs, before and after the first
+  // failed one: their units are on the media.
+  for (const std::uint32_t m : {0u, 2u}) {
+    auto f = v.member(m).Flush(t);
+    ASSERT_TRUE(f.ok()) << f.status().ToString();
+    auto r = v.member(m).Read(IoRequest{0, stripe, f.value(), {}, /*want_tokens=*/true});
+    ASSERT_TRUE(r.ok()) << "member " << m << ": " << r.status().ToString();
+    EXPECT_EQ(r.value().tokens, Tokens(m * pages, pages)) << "member " << m;
+  }
 }
 
 // ---------------------------------------------------------------------------
