@@ -90,6 +90,19 @@ WriteBufferId WriteBufferPool::PickBufferForStream(Lpn next_lpn) const {
   return WriteBufferId{victim};
 }
 
+WriteBufferId WriteBufferPool::OverlappingBuffer(Lpn first, std::uint64_t n,
+                                                 WriteBufferId except) const {
+  for (std::uint32_t i = 0; i < cfg_.num_buffers; ++i) {
+    const BufferedExtent& b = buffers_[i];
+    if (WriteBufferId{i} == except || b.empty()) continue;
+    if (first.value() < b.first_lpn.value() + b.slot_count() &&
+        first.value() + n > b.first_lpn.value()) {
+      return WriteBufferId{i};
+    }
+  }
+  return WriteBufferId::Invalid();
+}
+
 BufferedExtent WriteBufferPool::Take(WriteBufferId buffer, bool conflict) {
   BufferedExtent& b = buffers_[static_cast<std::size_t>(buffer.value())];
   BufferedExtent out = std::move(b);

@@ -12,7 +12,9 @@
 //
 // The pool is pure bookkeeping: it tracks which zone owns each buffer
 // and the 4 KiB slots accumulated so far. The flush policy and flush
-// timing live in the core device.
+// timing live in the core device. In-place writes (conventional zones,
+// Legacy) keep one rule the pool answers for: at most one buffered copy
+// of an LPN (OverlappingBuffer).
 #pragma once
 
 #include <cstdint>
@@ -88,6 +90,14 @@ class WriteBufferPool {
   /// whose extent it continues, then an empty buffer, then the least
   /// recently appended one (which the caller must flush first).
   WriteBufferId PickBufferForStream(Lpn next_lpn) const;
+
+  /// A buffer other than `except` whose extent overlaps the slots
+  /// [first, first + n), or an invalid id when none does. In-place
+  /// writers take and flush every such buffer before appending those
+  /// slots to `except`, so at most one buffered copy of any LPN exists
+  /// and copies reach media in host-write order.
+  WriteBufferId OverlappingBuffer(Lpn first, std::uint64_t n,
+                                  WriteBufferId except) const;
 
   /// Remove and return a buffer's content for flushing. `conflict` marks
   /// a flush forced by another zone's write (statistics).

@@ -190,20 +190,20 @@ struct RecoveryStats {
   std::string Summary() const;
 };
 
-/// Redundancy accounting for host-side mirrored/parity volumes: degraded
+/// Redundancy accounting for host-side mirrored volumes: degraded
 /// serving, scrub verification/repair, and member rebuild progress.
 /// Owned by RedundantVolume; merged across shards like the other stats.
 struct RedundancyStats {
   // Degraded foreground service.
-  std::uint64_t degraded_reads = 0;   ///< Reads that needed reconstruction.
+  std::uint64_t degraded_reads = 0;   ///< Reads served by a fallback replica.
   std::uint64_t degraded_writes = 0;  ///< Writes acknowledged with missing legs.
-  std::uint64_t reconstructed_units = 0;  ///< Stripe units rebuilt from peers/parity.
+  std::uint64_t reconstructed_units = 0;  ///< Stripe units served from peers.
   std::uint64_t member_failures = 0;      ///< Members latched failed.
   std::uint64_t members_readmitted = 0;   ///< Failed members resynced by a clean scrub.
 
   // Online scrub.
   std::uint64_t scrub_rows = 0;        ///< Stripe rows verified.
-  std::uint64_t scrub_mismatches = 0;  ///< Rows with replica/parity disagreement.
+  std::uint64_t scrub_mismatches = 0;  ///< Rows with replica disagreement.
   std::uint64_t scrub_repaired_slots = 0;  ///< 4 KiB slots repaired/completed.
   std::uint64_t scrubs_completed = 0;      ///< Full volume passes finished.
 

@@ -101,8 +101,8 @@ struct IoResult {
   SimTime done;  ///< Completion time.
   /// Reads with want_tokens: stored token per 4 KiB page, request order.
   std::vector<std::uint64_t> tokens;
-  /// Stripe units a redundancy layer had to rebuild from peers/parity to
-  /// serve this request (0 on bare devices and clean reads): the per-IO
+  /// Stripe units a redundancy layer had to serve from a fallback peer for
+  /// this request (0 on bare devices and clean reads): the per-IO
   /// degraded-mode signal, mirrored in aggregate by RedundancyStats.
   std::uint32_t reconstructed_units = 0;
 };

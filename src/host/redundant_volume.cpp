@@ -37,30 +37,16 @@ Result<std::unique_ptr<RedundantVolume>> RedundantVolume::Create(
     }
   }
 
-  std::uint32_t group = 0;
-  if (options.layout == RedundancyLayout::kMirror) {
-    group = options.replicas == 0 ? n : options.replicas;
-    if (group < 2 || n % group != 0) {
-      return Status::InvalidArgument(
-          "mirror replicas must be >= 2 and divide the member count");
-    }
-    if (!first.zoned() && group != n) {
-      // Without zones there is no row to interleave groups over; a
-      // conventional mirror replicates across all members.
-      return Status::InvalidArgument(
-          "conventional mirrors replicate across all members");
-    }
-  } else {
-    if (!first.zoned()) {
-      // Parity over in-place media would need read-modify-write of the
-      // parity unit on every small write — out of scope by design.
-      return Status::InvalidArgument("parity layout requires zoned members");
-    }
-    group = options.stripe_width == 0 ? n : options.stripe_width;
-    if (group < 3 || n % group != 0) {
-      return Status::InvalidArgument(
-          "parity stripe width must be >= 3 and divide the member count");
-    }
+  const std::uint32_t group = options.replicas == 0 ? n : options.replicas;
+  if (group < 2 || n % group != 0) {
+    return Status::InvalidArgument(
+        "mirror replicas must be >= 2 and divide the member count");
+  }
+  if (!first.zoned() && group != n) {
+    // Without zones there is no row to interleave groups over; a
+    // conventional mirror replicates across all members.
+    return Status::InvalidArgument(
+        "conventional mirrors replicate across all members");
   }
 
   if (options.stripe_bytes == 0 ||
@@ -99,22 +85,15 @@ RedundantVolume::RedundantVolume(std::vector<std::unique_ptr<StorageDevice>> mem
     : members_(std::move(members)),
       state_(members_.size(), MemberState::kActive),
       member_info_(std::move(member_info)),
-      layout_(options.layout),
       stripe_(options.stripe_bytes),
       rows_(rows),
       align_(member_info_.io_alignment),
       rows_per_tick_(options.rows_per_tick) {
   const std::uint32_t n = static_cast<std::uint32_t>(members_.size());
-  if (layout_ == RedundancyLayout::kMirror) {
-    group_ = options.replicas == 0 ? n : options.replicas;
-  } else {
-    group_ = options.stripe_width == 0 ? n : options.stripe_width;
-  }
+  group_ = options.replicas == 0 ? n : options.replicas;
   num_groups_ = n / group_;
   if (member_info_.zoned()) {
-    zone_bytes_ = layout_ == RedundancyLayout::kParity
-                      ? (group_ - 1) * member_info_.zone_size_bytes
-                      : member_info_.zone_size_bytes;
+    zone_bytes_ = member_info_.zone_size_bytes;
     member_span_ = member_info_.zone_size_bytes * rows_;
   } else {
     zone_bytes_ = 0;
@@ -122,7 +101,6 @@ RedundantVolume::RedundantVolume(std::vector<std::unique_ptr<StorageDevice>> mem
     for (const auto& m : members_) span = std::min(span, m->info().capacity_bytes);
     member_span_ = span - span % stripe_;
   }
-  lane_tokens_.resize(group_);
   target_scratch_.reserve(n);
   failed_scratch_.reserve(n);
   scrub_clean_.assign(n, 1);
@@ -130,16 +108,15 @@ RedundantVolume::RedundantVolume(std::vector<std::unique_ptr<StorageDevice>> mem
 
 DeviceInfo RedundantVolume::info() const {
   DeviceInfo di;
-  di.name = (layout_ == RedundancyLayout::kMirror ? "mirror-" : "parity-") +
-            std::to_string(members_.size()) + "x" + std::to_string(group_) + "-" +
-            member_info_.name;
+  di.name = "mirror-" + std::to_string(members_.size()) + "x" +
+            std::to_string(group_) + "-" + member_info_.name;
   di.io_alignment = align_;
   if (member_info_.zoned()) {
     di.zone_size_bytes = zone_bytes_;
     di.num_zones = rows_ * num_groups_;
     di.capacity_bytes = zone_bytes_ * di.num_zones;
-    // Opening a logical zone opens one member zone on each group/set
-    // member, so the guaranteed volume-wide limit is the weakest
+    // Opening a logical zone opens one member zone on each replica of
+    // its group, so the guaranteed volume-wide limit is the weakest
     // member's (0 = unlimited; any limited member caps the volume).
     std::uint32_t open = 0, active = 0;
     for (const auto& m : members_) {
@@ -158,17 +135,15 @@ DeviceInfo RedundantVolume::info() const {
     di.capacity_bytes = member_span_;
   }
   for (const auto& m : members_) di.slc_bytes += m->info().slc_bytes;
-  // The volume serves while every group/set is within its failure
-  // tolerance; one lost group takes the whole address space with it.
+  // The volume serves while every group keeps an active replica; one
+  // lost group takes the whole address space with it.
   di.health = DeviceHealth::kHealthy;
   for (std::uint32_t g = 0; g < num_groups_; ++g) {
     std::uint32_t live = 0;
     for (std::uint32_t lane = 0; lane < group_; ++lane) {
       if (state_[g * group_ + lane] == MemberState::kActive) ++live;
     }
-    const bool dead = layout_ == RedundancyLayout::kMirror ? live == 0
-                                                           : group_ - live > 1;
-    if (dead) {
+    if (live == 0) {
       di.health = DeviceHealth::kOffline;
       break;
     }
@@ -186,10 +161,8 @@ ZoneId RedundantVolume::ToLogicalZone(const MemberZone& mz) const {
   return ZoneId{mz.zone.value() * num_groups_ + g};
 }
 
-Status RedundantVolume::Resolve(const IoRequest& req, bool write,
-                                std::uint64_t* logical,
+Status RedundantVolume::Resolve(const IoRequest& req, std::uint64_t* logical,
                                 std::uint64_t* in_zone) const {
-  (void)write;
   if (req.len == 0 || req.offset % align_ != 0 || req.len % align_ != 0) {
     return Status::InvalidArgument("request must be aligned and non-empty");
   }
@@ -274,7 +247,7 @@ bool RedundantVolume::Writable(std::uint32_t m, std::uint64_t where) const {
 
 Result<IoResult> RedundantVolume::Write(const IoRequest& req) {
   std::uint64_t logical = 0, in_zone = 0;
-  if (Status st = Resolve(req, /*write=*/true, &logical, &in_zone); !st.ok()) {
+  if (Status st = Resolve(req, &logical, &in_zone); !st.ok()) {
     return st;
   }
   if (!req.tokens.empty() && req.tokens.size() != req.len / align_) {
@@ -287,13 +260,7 @@ Result<IoResult> RedundantVolume::Write(const IoRequest& req) {
                                          : req.offset <= scrub_off_;
     if (behind) scrub_dirty_ = true;
   }
-  return layout_ == RedundancyLayout::kMirror ? WriteMirror(req, logical, in_zone)
-                                              : WriteParity(req, logical, in_zone);
-}
 
-Result<IoResult> RedundantVolume::WriteMirror(const IoRequest& req,
-                                              std::uint64_t logical,
-                                              std::uint64_t in_zone) {
   const std::uint64_t pages = req.len / align_;
   // Materialize explicit tokens so every replica stores identical
   // content regardless of its device type's default-token scheme.
@@ -338,110 +305,11 @@ Result<IoResult> RedundantVolume::WriteMirror(const IoRequest& req,
   return IoResult{legs.done, {}};
 }
 
-Result<IoResult> RedundantVolume::WriteParity(const IoRequest& req,
-                                              std::uint64_t logical,
-                                              std::uint64_t in_zone) {
-  const std::uint64_t row_bytes = (group_ - 1) * stripe_;
-  if (in_zone % row_bytes != 0 || req.len % row_bytes != 0) {
-    // Every lane is written in every row, so sub-row writes would need
-    // read-modify-write of the parity unit (the RAID-5 write hole).
-    return Status::InvalidArgument(
-        "parity volume writes must be whole stripe-row multiples");
-  }
-  const std::uint64_t pages = req.len / align_;
-  std::span<const std::uint64_t> toks = req.tokens;
-  if (toks.empty()) {
-    token_scratch_.resize(pages);
-    const std::uint64_t p0 = req.offset / align_;
-    for (std::uint64_t i = 0; i < pages; ++i) {
-      token_scratch_[i] = VolumeToken(p0 + i);
-    }
-    toks = token_scratch_;
-  }
-
-  const std::uint32_t base = GroupBase(logical);
-  const std::uint64_t zr = MemberRow(logical);
-  const std::uint64_t r0 = in_zone / row_bytes;
-  const std::uint64_t nrows = req.len / row_bytes;
-  const std::uint64_t unit_pages = stripe_ / align_;
-  const std::uint64_t run_off = zr * member_info_.zone_size_bytes + r0 * stripe_;
-  const std::uint64_t run_len = nrows * stripe_;
-
-  // Gather each lane's tokens (data units in rotating-parity order,
-  // parity units XOR-folded) row by row; every lane's run is contiguous
-  // in its member's address space because every row touches every lane.
-  for (auto& v : lane_tokens_) v.clear();
-  for (std::uint64_t x = 0; x < nrows; ++x) {
-    const std::uint64_t k = r0 + x;
-    const std::uint32_t p = ParityLane(k);
-    const std::uint64_t row_base = x * (group_ - 1) * unit_pages;
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      auto& lt = lane_tokens_[lane];
-      if (lane == p) {
-        for (std::uint64_t j = 0; j < unit_pages; ++j) {
-          std::uint64_t acc = 0;
-          for (std::uint32_t d = 0; d + 1 < group_; ++d) {
-            acc ^= toks[row_base + d * unit_pages + j];
-          }
-          lt.push_back(acc);
-        }
-      } else {
-        const std::uint32_t d = lane - (lane > p ? 1 : 0);
-        const std::uint64_t from = row_base + d * unit_pages;
-        for (std::uint64_t j = 0; j < unit_pages; ++j) lt.push_back(toks[from + j]);
-      }
-    }
-  }
-
-  target_scratch_.clear();
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    if (Writable(base + lane, zr)) target_scratch_.push_back(base + lane);
-  }
-  if (target_scratch_.empty()) {
-    return Status::FailedPrecondition("no writable lane in parity set");
-  }
-  if (group_ - static_cast<std::uint32_t>(target_scratch_.size()) > 1) {
-    // Refuse before any leg is issued: appending the row on the
-    // survivors and then failing would skew their write pointers within
-    // the stripe and poison full-row retries after the members return.
-    return Status::FailedPrecondition("parity set beyond single-fault tolerance");
-  }
-
-  const Legs legs = IssueLegs(req.now, [&](std::uint32_t m) -> Result<SimTime> {
-    auto res = members_[m]->Write(
-        IoRequest{run_off, run_len, req.now,
-                  std::span<const std::uint64_t>(lane_tokens_[m - base]),
-                  /*want_tokens=*/false, req.io_class});
-    if (!res.ok()) return res.status();
-    return res.value().done;
-  });
-  if (legs.failed == target_scratch_.size()) return legs.first_err;  // Request bug.
-  const std::uint32_t missing =
-      group_ - static_cast<std::uint32_t>(target_scratch_.size() - legs.failed);
-  if (missing > 1) {
-    // Two lanes short of one row: single parity cannot get the data
-    // back; acknowledging the write would be silent loss.
-    return !legs.first_err.ok()
-               ? legs.first_err
-               : Status::FailedPrecondition(
-                     "parity set beyond single-fault tolerance");
-  }
-  if (missing > 0) red_.degraded_writes++;
-  return IoResult{legs.done, {}};
-}
-
 Result<IoResult> RedundantVolume::Read(const IoRequest& req) {
   std::uint64_t logical = 0, in_zone = 0;
-  if (Status st = Resolve(req, /*write=*/false, &logical, &in_zone); !st.ok()) {
+  if (Status st = Resolve(req, &logical, &in_zone); !st.ok()) {
     return st;
   }
-  return layout_ == RedundancyLayout::kMirror ? ReadMirror(req, logical, in_zone)
-                                              : ReadParity(req, logical, in_zone);
-}
-
-Result<IoResult> RedundantVolume::ReadMirror(const IoRequest& req,
-                                             std::uint64_t logical,
-                                             std::uint64_t in_zone) {
   const std::uint32_t base = GroupBase(logical);
   const std::uint64_t zr = MemberRow(logical);
   const std::uint64_t moff =
@@ -475,131 +343,6 @@ Result<IoResult> RedundantVolume::ReadMirror(const IoRequest& req,
   }
   if (!first_err.ok()) return first_err;
   return Status::FailedPrecondition("no readable replica in mirror group");
-}
-
-Result<IoResult> RedundantVolume::ReadParity(const IoRequest& req,
-                                             std::uint64_t logical,
-                                             std::uint64_t in_zone) {
-  const std::uint64_t row_bytes = (group_ - 1) * stripe_;
-  const std::uint32_t base = GroupBase(logical);
-  const std::uint64_t zr = MemberRow(logical);
-  const std::uint64_t mzs = member_info_.zone_size_bytes;
-
-  // Split the data-space range into per-unit fragments; each fragment
-  // lives on exactly one lane of the set.
-  struct Frag {
-    std::uint32_t lane;
-    std::uint64_t moff;
-    std::uint64_t len;
-    std::uint64_t row;
-    std::uint64_t unit_off;
-  };
-  std::vector<Frag> frags;
-  std::uint64_t db = in_zone, left = req.len;
-  while (left > 0) {
-    const std::uint64_t k = db / row_bytes;
-    const std::uint64_t wr = db % row_bytes;
-    const std::uint64_t d = wr / stripe_;
-    const std::uint64_t uo = wr % stripe_;
-    const std::uint64_t take = std::min(stripe_ - uo, left);
-    const std::uint32_t p = ParityLane(k);
-    const std::uint32_t lane = static_cast<std::uint32_t>(d) + (d >= p ? 1u : 0u);
-    frags.push_back(Frag{lane, zr * mzs + k * stripe_ + uo, take, k, uo});
-    db += take;
-    left -= take;
-  }
-
-  // Direct pass: read every fragment whose lane is readable, in
-  // fragment order; the rest are marked for reconstruction.
-  std::vector<std::uint8_t> need(frags.size(), 0);
-  std::vector<Status> fstat(frags.size());
-  std::vector<SimTime> fdone(frags.size(), req.now);
-  std::vector<std::vector<std::uint64_t>> ftok(frags.size());
-  for (std::size_t idx = 0; idx < frags.size(); ++idx) {
-    const Frag& f = frags[idx];
-    if (!Readable(base + f.lane)) {
-      need[idx] = 1;
-      continue;
-    }
-    auto res = members_[base + f.lane]->Read(
-        IoRequest{f.moff, f.len, req.now, {}, req.want_tokens, req.io_class});
-    if (!res.ok()) {
-      fstat[idx] = res.status();
-    } else {
-      fdone[idx] = res.value().done;
-      if (req.want_tokens) ftok[idx] = std::move(res.value().tokens);
-    }
-  }
-
-  // Reconstruction pass, after every direct read: a lost fragment reads
-  // the same in-unit byte range from the other W-1 lanes and XORs
-  // pagewise.
-  IoResult out;
-  out.done = req.now;
-  std::uint32_t recon = 0;
-  for (std::size_t idx = 0; idx < frags.size(); ++idx) {
-    if (need[idx] == 0 && !fstat[idx].ok()) {
-      if (!Reconstructable(fstat[idx].code())) return std::move(fstat[idx]);
-      need[idx] = 1;
-    }
-    if (need[idx] != 0) {
-      const Frag& f = frags[idx];
-      std::vector<std::uint64_t> rec;
-      auto r = ReconstructParity(logical, f.row, f.lane, f.unit_off, f.len,
-                                 req.now, &rec);
-      if (!r.ok()) {
-        // Prefer the direct read's own error (e.g. plain beyond-WP) so a
-        // degraded volume fails the same way a bare device would.
-        return fstat[idx].ok() ? r.status() : std::move(fstat[idx]);
-      }
-      fdone[idx] = r.value();
-      ftok[idx] = std::move(rec);
-      ++recon;
-    }
-    out.done = Later(out.done, fdone[idx]);
-  }
-
-  if (recon > 0) {
-    out.reconstructed_units = recon;
-    red_.degraded_reads++;
-    red_.reconstructed_units += recon;
-  }
-  if (req.want_tokens) {
-    out.tokens.reserve(req.len / align_);
-    for (std::size_t idx = 0; idx < frags.size(); ++idx) {
-      out.tokens.insert(out.tokens.end(), ftok[idx].begin(), ftok[idx].end());
-    }
-  }
-  return out;
-}
-
-Result<SimTime> RedundantVolume::ReconstructParity(
-    std::uint64_t logical, std::uint64_t row, std::uint32_t lost,
-    std::uint64_t unit_off, std::uint64_t len, SimTime now,
-    std::vector<std::uint64_t>* tokens_out) {
-  const std::uint32_t base = GroupBase(logical);
-  const std::uint64_t zr = MemberRow(logical);
-  const std::uint64_t moff =
-      zr * member_info_.zone_size_bytes + row * stripe_ + unit_off;
-  const std::uint64_t pages = len / align_;
-  tokens_out->assign(pages, 0);
-  SimTime done = now;
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    if (lane == lost) continue;
-    const std::uint32_t m = base + lane;
-    if (!Readable(m)) {
-      return Status::FailedPrecondition(
-          "parity reconstruction needs every surviving lane of the set");
-    }
-    auto res = members_[m]->Read(
-        IoRequest{moff, len, now, {}, /*want_tokens=*/true});
-    if (!res.ok()) return res.status();
-    for (std::uint64_t j = 0; j < pages; ++j) {
-      (*tokens_out)[j] ^= res.value().tokens[j];
-    }
-    done = Later(done, res.value().done);
-  }
-  return done;
 }
 
 Result<SimTime> RedundantVolume::ResetZone(ZoneId zone, SimTime now) {
@@ -830,9 +573,7 @@ Result<SimTime> RedundantVolume::TickScrub(SimTime now) {
         break;
       }
       bool content = true;
-      auto r = layout_ == RedundancyLayout::kMirror
-                   ? ScrubRowMirror(scrub_zone_, scrub_row_, now, &content)
-                   : ScrubRowParity(scrub_zone_, scrub_row_, now, &content);
+      auto r = ScrubRow(scrub_zone_, scrub_row_, now, &content);
       if (!r.ok()) return r;
       done = Later(done, r.value());
       if (content) {
@@ -891,9 +632,8 @@ Result<SimTime> RedundantVolume::TickScrub(SimTime now) {
   return done;
 }
 
-Result<SimTime> RedundantVolume::ScrubRowMirror(std::uint64_t logical,
-                                                std::uint64_t row, SimTime now,
-                                                bool* content) {
+Result<SimTime> RedundantVolume::ScrubRow(std::uint64_t logical, std::uint64_t row,
+                                          SimTime now, bool* content) {
   const std::uint32_t base = GroupBase(logical);
   const std::uint64_t zr = MemberRow(logical);
   const std::uint64_t row_off =
@@ -1017,157 +757,6 @@ Result<SimTime> RedundantVolume::ScrubRowMirror(std::uint64_t logical,
     } else {
       RecordMismatch(logical, row, m);
       scrub_clean_[m] = 0;
-    }
-  }
-  return done;
-}
-
-Result<SimTime> RedundantVolume::ScrubRowParity(std::uint64_t logical,
-                                                std::uint64_t row, SimTime now,
-                                                bool* content) {
-  const std::uint32_t base = GroupBase(logical);
-  const std::uint64_t zr = MemberRow(logical);
-  const std::uint64_t row_off =
-      zr * member_info_.zone_size_bytes + row * stripe_;
-  const std::uint64_t slots = stripe_ / align_;
-  SimTime done = now;
-
-  bool all_online = true;
-  std::vector<std::uint64_t> prefix(group_, 0);
-  std::vector<std::vector<std::uint64_t>> toks(group_);
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    const std::uint32_t m = base + lane;
-    if (members_[m]->info().health == DeviceHealth::kOffline) {
-      scrub_clean_[m] = 0;
-      all_online = false;
-      continue;
-    }
-    auto res = members_[m]->Read(
-        IoRequest{row_off, stripe_, now, {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-    if (res.ok()) {
-      prefix[lane] = slots;
-      toks[lane] = std::move(res.value().tokens);
-      done = Later(done, res.value().done);
-      continue;
-    }
-    if (!Reconstructable(res.status().code())) return res.status();
-    prefix[lane] = ProbePrefix(m, row_off, stripe_, now, &done);
-    if (prefix[lane] > 0) {
-      auto rr = members_[m]->Read(IoRequest{row_off, prefix[lane] * align_, now,
-                                            {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-      if (rr.ok()) {
-        toks[lane] = std::move(rr.value().tokens);
-        done = Later(done, rr.value().done);
-      } else {
-        prefix[lane] = 0;
-        scrub_clean_[m] = 0;
-      }
-    }
-  }
-
-  std::uint64_t max_p = 0, min_p = slots;
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    max_p = std::max(max_p, prefix[lane]);
-    min_p = std::min(min_p, prefix[lane]);
-  }
-  if (max_p == 0) {
-    *content = false;
-    return done;
-  }
-  *content = true;
-  if (!all_online) return done;  // Cannot verify or repair without every lane.
-
-  // Repair authority is bounded by the active lanes: a failed-but-online
-  // lane may hold a stale tail (e.g. a zone reset issued while it was
-  // unreachable), which XOR reconstruction would launder into its peers.
-  std::uint64_t active_max = 0;
-  bool any_active = false;
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    if (state_[base + lane] != MemberState::kActive) continue;
-    any_active = true;
-    active_max = std::max(active_max, prefix[lane]);
-  }
-  if (!any_active) {
-    // No authority at all; nothing read here is verifiable.
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      scrub_clean_[base + lane] = 0;
-    }
-    *content = false;
-    return done;
-  }
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    const std::uint32_t m = base + lane;
-    if (state_[m] != MemberState::kActive && prefix[lane] > active_max) {
-      RecordMismatch(logical, row, m);
-      scrub_clean_[m] = 0;
-    }
-  }
-  if (active_max == 0) {
-    *content = false;  // Active content ends before this row.
-    return done;
-  }
-
-  // Where every lane is present the row must XOR to zero, slot by slot.
-  for (std::uint64_t j = 0; j < min_p; ++j) {
-    std::uint64_t acc = 0;
-    for (std::uint32_t lane = 0; lane < group_; ++lane) acc ^= toks[lane][j];
-    if (acc != 0) {
-      RecordMismatch(logical, row, base);
-      for (std::uint32_t lane = 0; lane < group_; ++lane) {
-        scrub_clean_[base + lane] = 0;  // Cannot tell which lane lies.
-      }
-      break;
-    }
-  }
-
-  std::uint32_t short_lanes = 0, short_lane = 0;
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    if (prefix[lane] < max_p) {
-      ++short_lanes;
-      short_lane = lane;
-    }
-  }
-  if (short_lanes == 1) {
-    // The W-1 source lanes must all be active: XOR with a non-active
-    // lane's tokens would append reconstructed-from-stale data.
-    bool sources_active = true;
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      if (lane != short_lane && state_[base + lane] != MemberState::kActive) {
-        sources_active = false;
-      }
-    }
-    const std::uint32_t m = base + short_lane;
-    if (sources_active && scrub_clean_[m] != 0) {
-      // Exactly one lagging lane: its missing slots are the XOR of the
-      // other W-1, appended at its write pointer.
-      const std::uint64_t nmiss = max_p - prefix[short_lane];
-      std::vector<std::uint64_t> rec(nmiss, 0);
-      for (std::uint32_t lane = 0; lane < group_; ++lane) {
-        if (lane == short_lane) continue;
-        for (std::uint64_t j = 0; j < nmiss; ++j) {
-          rec[j] ^= toks[lane][prefix[short_lane] + j];
-        }
-      }
-      auto w = members_[m]->Write(
-          IoRequest{row_off + prefix[short_lane] * align_, nmiss * align_, now,
-                    std::span<const std::uint64_t>(rec), /*want_tokens=*/false,
-                  IoClass::kMaintenance});
-      if (w.ok()) {
-        red_.scrub_repaired_slots += nmiss;
-        done = Later(done, w.value().done);
-      } else {
-        RecordMismatch(logical, row, m);
-        scrub_clean_[m] = 0;
-      }
-    }
-  } else if (short_lanes >= 2) {
-    // Two lanes short of the same row: single parity cannot reconstruct
-    // either — this is the double-fault data-loss case; log it.
-    RecordMismatch(logical, row, base);
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      if (prefix[lane] < max_p) scrub_clean_[base + lane] = 0;
     }
   }
   return done;
@@ -1385,36 +974,19 @@ Status RedundantVolume::SourceZoneSlots(std::uint32_t zr, SimTime now,
   const std::uint32_t base = (m / group_) * group_;
   const std::uint64_t mzs = member_info_.zone_size_bytes;
   const std::uint64_t zbase = static_cast<std::uint64_t>(zr) * mzs;
-  if (layout_ == RedundancyLayout::kMirror) {
-    std::uint64_t best = 0;
-    bool any = false;
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      const std::uint32_t pm = base + lane;
-      if (pm == m || state_[pm] != MemberState::kActive) continue;
-      if (members_[pm]->info().health == DeviceHealth::kOffline) {
-        return Status::FailedPrecondition("rebuild source is powered off");
-      }
-      any = true;
-      best = std::max(best, ProbePrefix(pm, zbase, mzs, now, done));
+  std::uint64_t best = 0;
+  bool any = false;
+  for (std::uint32_t lane = 0; lane < group_; ++lane) {
+    const std::uint32_t pm = base + lane;
+    if (pm == m || state_[pm] != MemberState::kActive) continue;
+    if (members_[pm]->info().health == DeviceHealth::kOffline) {
+      return Status::FailedPrecondition("rebuild source is powered off");
     }
-    if (!any) return Status::FailedPrecondition("no surviving source for rebuild");
-    *slots = best;
-  } else {
-    std::uint64_t mn = mzs / align_;
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      const std::uint32_t pm = base + lane;
-      if (pm == m) continue;
-      if (state_[pm] != MemberState::kActive) {
-        return Status::FailedPrecondition(
-            "parity rebuild needs every other lane of the set");
-      }
-      if (members_[pm]->info().health == DeviceHealth::kOffline) {
-        return Status::FailedPrecondition("rebuild source is powered off");
-      }
-      mn = std::min(mn, ProbePrefix(pm, zbase, mzs, now, done));
-    }
-    *slots = mn;
+    any = true;
+    best = std::max(best, ProbePrefix(pm, zbase, mzs, now, done));
   }
+  if (!any) return Status::FailedPrecondition("no surviving source for rebuild");
+  *slots = best;
   return Status::Ok();
 }
 
@@ -1461,99 +1033,51 @@ Result<SimTime> RedundantVolume::RebuildRow(SimTime now, bool* content) {
   *content = true;
 
   std::vector<std::uint64_t> data;
-  if (layout_ == RedundancyLayout::kMirror) {
-    std::int32_t peer0 = -1;
+  std::int32_t peer0 = -1;
+  for (std::uint32_t lane = 0; lane < group_; ++lane) {
+    const std::uint32_t pm = base + lane;
+    if (pm == m || state_[pm] != MemberState::kActive) continue;
+    if (members_[pm]->info().health == DeviceHealth::kOffline) {
+      return Status::FailedPrecondition("rebuild source is powered off");
+    }
+    if (peer0 < 0) peer0 = static_cast<std::int32_t>(pm);
+  }
+  if (peer0 < 0) {
+    return Status::FailedPrecondition("no surviving source for rebuild");
+  }
+  auto res = members_[static_cast<std::uint32_t>(peer0)]->Read(
+      IoRequest{moff, span, now, {}, /*want_tokens=*/true,
+                IoClass::kMaintenance});
+  if (res.ok()) {
+    data = std::move(res.value().tokens);
+    done = Later(done, res.value().done);
+  } else if (!Reconstructable(res.status().code())) {
+    return res.status();
+  } else {
+    // Near the content end (or a lagging first peer): take the row
+    // from whichever surviving replica holds the most of it.
+    std::uint64_t best = 0;
+    std::int32_t bm = -1;
     for (std::uint32_t lane = 0; lane < group_; ++lane) {
       const std::uint32_t pm = base + lane;
       if (pm == m || state_[pm] != MemberState::kActive) continue;
-      if (members_[pm]->info().health == DeviceHealth::kOffline) {
-        return Status::FailedPrecondition("rebuild source is powered off");
-      }
-      if (peer0 < 0) peer0 = static_cast<std::int32_t>(pm);
-    }
-    if (peer0 < 0) {
-      return Status::FailedPrecondition("no surviving source for rebuild");
-    }
-    auto res = members_[static_cast<std::uint32_t>(peer0)]->Read(
-        IoRequest{moff, span, now, {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-    if (res.ok()) {
-      data = std::move(res.value().tokens);
-      done = Later(done, res.value().done);
-    } else if (!Reconstructable(res.status().code())) {
-      return res.status();
-    } else {
-      // Near the content end (or a lagging first peer): take the row
-      // from whichever surviving replica holds the most of it.
-      std::uint64_t best = 0;
-      std::int32_t bm = -1;
-      for (std::uint32_t lane = 0; lane < group_; ++lane) {
-        const std::uint32_t pm = base + lane;
-        if (pm == m || state_[pm] != MemberState::kActive) continue;
-        const std::uint64_t p = ProbePrefix(pm, moff, span, now, &done);
-        if (p > best) {
-          best = p;
-          bm = static_cast<std::int32_t>(pm);
-        }
-      }
-      if (best == 0) {
-        *content = false;  // The zone's durable content ends here.
-        return done;
-      }
-      auto rr = members_[static_cast<std::uint32_t>(bm)]->Read(
-          IoRequest{moff, best * align_, now, {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-      if (!rr.ok()) return rr.status();
-      data = std::move(rr.value().tokens);
-      done = Later(done, rr.value().done);
-      if (best * align_ < span) *content = false;
-    }
-  } else {
-    // Parity: the lost lane — data or parity alike — is the XOR of all
-    // other lanes, bounded by the shortest surviving prefix.
-    std::vector<std::vector<std::uint64_t>> lt;
-    std::uint64_t min_p = span / align_;
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      const std::uint32_t pm = base + lane;
-      if (pm == m) continue;
-      if (state_[pm] != MemberState::kActive) {
-        return Status::FailedPrecondition(
-            "parity rebuild needs every other lane of the set");
-      }
-      if (members_[pm]->info().health == DeviceHealth::kOffline) {
-        return Status::FailedPrecondition("rebuild source is powered off");
-      }
-      auto res = members_[pm]->Read(
-          IoRequest{moff, span, now, {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-      if (res.ok()) {
-        lt.push_back(std::move(res.value().tokens));
-        done = Later(done, res.value().done);
-        continue;
-      }
-      if (!Reconstructable(res.status().code())) return res.status();
       const std::uint64_t p = ProbePrefix(pm, moff, span, now, &done);
-      min_p = std::min(min_p, p);
-      if (p > 0) {
-        auto rr = members_[pm]->Read(
-            IoRequest{moff, p * align_, now, {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-        if (!rr.ok()) return rr.status();
-        lt.push_back(std::move(rr.value().tokens));
-        done = Later(done, rr.value().done);
-      } else {
-        lt.emplace_back();
+      if (p > best) {
+        best = p;
+        bm = static_cast<std::int32_t>(pm);
       }
     }
-    if (min_p == 0) {
-      *content = false;
+    if (best == 0) {
+      *content = false;  // The zone's durable content ends here.
       return done;
     }
-    data.assign(min_p, 0);
-    for (const auto& v : lt) {
-      for (std::uint64_t j = 0; j < min_p; ++j) data[j] ^= v[j];
-    }
-    if (min_p * align_ < span) *content = false;
+    auto rr = members_[static_cast<std::uint32_t>(bm)]->Read(
+        IoRequest{moff, best * align_, now, {}, /*want_tokens=*/true,
+                IoClass::kMaintenance});
+    if (!rr.ok()) return rr.status();
+    data = std::move(rr.value().tokens);
+    done = Later(done, rr.value().done);
+    if (best * align_ < span) *content = false;
   }
 
   auto w = members_[m]->Write(IoRequest{

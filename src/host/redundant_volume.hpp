@@ -1,42 +1,32 @@
-// Host-side redundant volume: mirrored or single-parity layouts over N
-// member devices, with degraded reads, an online scrub, and live member
-// rebuild (DESIGN.md §8).
+// Host-side redundant volume: an R-way mirror over N member devices,
+// with degraded reads, an online scrub, and live member rebuild
+// (DESIGN.md §8).
 //
 // StripedVolume (§6) scales capacity and bandwidth but dies with its
 // weakest member: one failed or power-cut device makes the whole logical
 // address space unreadable. RedundantVolume is the robustness
 // counterpart — the btrfs scrub/replace story over the same typed
-// MemberZone machinery:
-//
-//   * kMirror — members form groups of R replicas; every stripe unit is
-//     written to all R members of its group at identical member offsets.
-//     Logical zones interleave round-robin across the N/R groups, so a
-//     logical zone is exactly one member zone, R times.
-//   * kParity — members form sets of W lanes (W >= 3). Each stripe row
-//     holds W-1 data units plus one XOR parity unit on a rotating lane
-//     (parity lane of row k is W-1-(k%W), RAID-5 style), so one member's
-//     loss costs 1/W of capacity, not half. A logical zone spans W member
-//     zones and holds (W-1) * member_zone_size data bytes. Because every
-//     lane is written in every row, parity volumes accept writes only in
-//     whole stripe-row multiples (full-stripe writes — the standard ZNS
-//     answer to the read-modify-write hole).
+// MemberZone machinery. Members form groups of R replicas; every write
+// goes to all R members of its group at identical member offsets.
+// Logical zones interleave round-robin across the N/R groups, so a
+// logical zone is exactly one member zone, R times. The stripe unit is
+// the granularity of scrub, rebuild and degraded-read accounting.
 //
 // Degraded reads. A member is excluded from service once it is latched
 // failed — explicitly (MarkFailed), by a failed write leg, or because a
 // replacement is rebuilding it. Reads that hit a failed/lagging member
 // (media error, powered-off FailedPrecondition, write-pointer-regressed
-// OutOfRange) are reconstructed: mirror reads fail over to the next
-// replica; parity reads XOR the row's surviving units. The request still
-// succeeds, the per-IO IoResult::reconstructed_units signals it, and
-// RedundancyStats aggregates it. kInvalidArgument/kInternal/kUnimplemented
+// OutOfRange) fail over to the next replica in the group. The request
+// still succeeds, the per-IO IoResult::reconstructed_units signals it,
+// and RedundancyStats aggregates it. kInvalidArgument/kInternal/kUnimplemented
 // are volume bugs and propagate.
 //
 // Online scrub. StartScrub + Tick walk the volume stripe row by stripe
 // row at a configured rows-per-tick pace, interleaved with foreground
-// traffic by the caller: replicas are compared token for token, parity
-// rows are checked to XOR to zero, and a lagging member (its durable
-// prefix ends inside the row — the signature of a survived power cut) is
-// repaired by appending the reconstructed slots at its write pointer.
+// traffic by the caller: replicas are compared token for token, and a
+// lagging member (its durable prefix ends inside the row — the signature
+// of a survived power cut) is repaired by appending the missing slots at
+// its write pointer.
 // Repair authority is strictly the kActive members: a failed member may
 // hold stale content (writes and zone resets issued while it was out of
 // service never reached it), so its tokens never overwrite or extend an
@@ -50,16 +40,15 @@
 //
 // Live rebuild. ReplaceMember(i, fresh) swaps in a fresh device and
 // rebuilds member i's content zone by zone, stripe row by stripe row,
-// from peers (mirror) or by XOR of the other lanes (parity), while the
-// volume keeps serving foreground traffic: writes land on the fresh
-// member for zones already rebuilt and are recopied later for zones
-// ahead of the cursor; reads treat the rebuilding member as absent. Each
-// Tick ends with a Flush of the fresh member, so a power cut at a tick
-// boundary recovers to exactly the rebuilt prefix; a cut mid-tick
-// regresses the fresh member to a durable row prefix and the next Tick
-// resynchronizes by probing the readable prefix and continuing from
-// there — never a torn row (the PR 4 crash checker's prefix rule, lifted
-// to the volume).
+// from its surviving replicas, while the volume keeps serving foreground
+// traffic: writes land on the fresh member for zones already rebuilt
+// and are recopied later for zones ahead of the cursor; reads treat the
+// rebuilding member as absent. Each Tick ends with a Flush of the fresh
+// member, so a power cut at a tick boundary recovers to exactly the
+// rebuilt prefix; a cut mid-tick regresses the fresh member to a durable
+// row prefix and the next Tick resynchronizes by probing the readable
+// prefix and continuing from there — never a torn row (the crash
+// checker's prefix rule, lifted to the volume).
 //
 // Determinism. Member legs are issued one after another on the calling
 // thread, in member order; replica selection and reconstruction orders
@@ -82,11 +71,6 @@
 
 namespace conzone {
 
-enum class RedundancyLayout {
-  kMirror,  ///< R-way replication per stripe unit.
-  kParity,  ///< Rotating single-parity (RAID-5-style XOR) per stripe row.
-};
-
 enum class MemberState {
   kActive,      ///< Serving reads and writes.
   kFailed,      ///< Excluded from service; awaiting ReplaceMember.
@@ -94,28 +78,24 @@ enum class MemberState {
 };
 
 struct RedundantVolumeOptions {
-  RedundancyLayout layout = RedundancyLayout::kMirror;
   /// Stripe unit: reconstruction, scrub and rebuild all advance in units
   /// of this many bytes. Must divide the member zone size and be a
   /// multiple of the members' I/O alignment.
   std::uint64_t stripe_bytes = 64 * 1024;
-  /// kMirror: replicas per mirror group (0 = all members in one group).
-  /// Must divide the member count and be >= 2.
+  /// Replicas per mirror group (0 = all members in one group). Must
+  /// divide the member count and be >= 2.
   std::uint32_t replicas = 0;
-  /// kParity: lanes per stripe set, parity included (0 = all members).
-  /// Must divide the member count and be >= 3.
-  std::uint32_t stripe_width = 0;
   /// Background quantum: stripe rows verified (scrub) or copied
   /// (rebuild) per Tick().
   std::uint32_t rows_per_tick = 8;
 };
 
-/// One deterministic scrub finding: replica/parity disagreement that
-/// could not be repaired in place (zoned media is append-only).
+/// One deterministic scrub finding: replica disagreement that could not
+/// be repaired in place (zoned media is append-only).
 struct ScrubMismatch {
   ZoneId logical;        ///< Logical zone of the divergent row.
   std::uint32_t row;     ///< Stripe row index within the zone.
-  std::uint32_t member;  ///< Divergent member (parity rows: the set's first).
+  std::uint32_t member;  ///< Divergent member.
 
   bool operator==(const ScrubMismatch&) const = default;
 };
@@ -123,8 +103,7 @@ struct ScrubMismatch {
 class RedundantVolume final : public StorageDevice {
  public:
   /// Validates member geometry (uniform zonedness, zone size, alignment;
-  /// group/set arithmetic; parity requires zoned members) and takes
-  /// ownership.
+  /// group arithmetic) and takes ownership.
   static Result<std::unique_ptr<RedundantVolume>> Create(
       std::vector<std::unique_ptr<StorageDevice>> members,
       const RedundantVolumeOptions& options = {});
@@ -188,23 +167,18 @@ class RedundantVolume final : public StorageDevice {
 
   // --- Introspection (tests, tools) ---
   std::uint32_t num_members() const { return static_cast<std::uint32_t>(members_.size()); }
-  RedundancyLayout layout() const { return layout_; }
-  /// Mirror: replicas per group. Parity: lanes per set (parity included).
+  /// Replicas per mirror group.
   std::uint32_t group_size() const { return group_; }
   std::uint64_t stripe_bytes() const { return stripe_; }
   StorageDevice& member(std::uint32_t i) { return *members_[i]; }
   const StorageDevice& member(std::uint32_t i) const { return *members_[i]; }
   MemberState member_state(std::uint32_t i) const { return state_[i]; }
 
-  /// The member zone holding lane `lane` (mirror: replica index) of
-  /// logical zone `logical`. Zoned volumes only.
+  /// The member zone holding replica `lane` of logical zone `logical`.
+  /// Zoned volumes only.
   MemberZone ToMemberZone(ZoneId logical, std::uint32_t lane) const;
   /// Inverse: the logical zone a member zone belongs to.
   ZoneId ToLogicalZone(const MemberZone& mz) const;
-  /// Parity: the lane holding row k's parity unit (rotates per row).
-  std::uint32_t ParityLane(std::uint64_t row) const {
-    return group_ - 1 - static_cast<std::uint32_t>(row % group_);
-  }
 
  private:
   RedundantVolume(std::vector<std::unique_ptr<StorageDevice>> members,
@@ -213,9 +187,9 @@ class RedundantVolume final : public StorageDevice {
 
   // --- Routing helpers ---
   /// Validate a request and resolve its logical zone / group anchor.
-  Status Resolve(const IoRequest& req, bool write, std::uint64_t* logical,
+  Status Resolve(const IoRequest& req, std::uint64_t* logical,
                  std::uint64_t* in_zone) const;
-  /// First member index of logical zone `logical`'s group/set.
+  /// First member index of logical zone `logical`'s group.
   std::uint32_t GroupBase(std::uint64_t logical) const {
     return static_cast<std::uint32_t>(logical % num_groups_) * group_;
   }
@@ -249,42 +223,24 @@ class RedundantVolume final : public StorageDevice {
   bool Writable(std::uint32_t m, std::uint64_t where) const;
 
   /// Default token the volume materializes when the host writes without
-  /// tokens, so replica comparison and parity XOR are well-defined
-  /// across heterogeneous member types.
+  /// tokens, so replica comparison is well-defined across heterogeneous
+  /// member types.
   std::uint64_t VolumeToken(std::uint64_t logical_page) const {
     return 0x9ED00000ull ^ logical_page;
   }
 
   // --- Data-path bodies ---
-  Result<IoResult> WriteMirror(const IoRequest& req, std::uint64_t logical,
-                               std::uint64_t in_zone);
-  Result<IoResult> WriteParity(const IoRequest& req, std::uint64_t logical,
-                               std::uint64_t in_zone);
-  Result<IoResult> ReadMirror(const IoRequest& req, std::uint64_t logical,
-                              std::uint64_t in_zone);
-  Result<IoResult> ReadParity(const IoRequest& req, std::uint64_t logical,
-                              std::uint64_t in_zone);
-  /// Reconstruct the byte range [unit_off, unit_off + len) of lane
-  /// `lost` in stripe row `row` of logical zone `logical` by XOR of the
-  /// other lanes. Fills `tokens_out` (always gathered) and returns the
-  /// latest peer completion.
-  Result<SimTime> ReconstructParity(std::uint64_t logical, std::uint64_t row,
-                                    std::uint32_t lost, std::uint64_t unit_off,
-                                    std::uint64_t len, SimTime now,
-                                    std::vector<std::uint64_t>* tokens_out);
 
   // --- Background work bodies ---
   Result<SimTime> TickScrub(SimTime now);
   Result<SimTime> TickRebuild(SimTime now);
   /// Scrub one stripe row; sets *content to false when the row is beyond
   /// every member's durable content (zone exhausted).
-  Result<SimTime> ScrubRowMirror(std::uint64_t logical, std::uint64_t row,
-                                 SimTime now, bool* content);
-  Result<SimTime> ScrubRowParity(std::uint64_t logical, std::uint64_t row,
-                                 SimTime now, bool* content);
+  Result<SimTime> ScrubRow(std::uint64_t logical, std::uint64_t row, SimTime now,
+                           bool* content);
   Result<SimTime> ScrubConventional(SimTime now, bool* content);
-  /// Copy/reconstruct one stripe row of the zone under rebuild onto the
-  /// fresh member; sets *content=false at the source's durable end.
+  /// Copy one stripe row of the zone under rebuild onto the fresh
+  /// member; sets *content=false at the source's durable end.
   Result<SimTime> RebuildRow(SimTime now, bool* content);
   Result<SimTime> RebuildConventionalChunk(SimTime now, bool* content);
   /// Completion verify sweep, one zone per call: compare the fresh
@@ -295,9 +251,8 @@ class RedundantVolume final : public StorageDevice {
   /// divergent/stale slots in place (conventional media overwrites).
   Result<SimTime> VerifyConventionalChunk(SimTime now);
   /// Durable content of the rebuild source for member zone row `zr`, in
-  /// slots: mirror = best surviving replica's prefix, parity = the
-  /// shortest prefix across the other lanes (the reconstructable bound).
-  /// Fails if a source member is offline (caller must Recover it).
+  /// slots: the longest prefix among the surviving replicas. Fails if a
+  /// source member is offline (caller must Recover it).
   Status SourceZoneSlots(std::uint32_t zr, SimTime now, std::uint64_t* slots,
                          SimTime* done);
   /// Handle a failed append to the fresh member: offline propagates;
@@ -312,9 +267,8 @@ class RedundantVolume final : public StorageDevice {
   std::vector<std::unique_ptr<StorageDevice>> members_;
   std::vector<MemberState> state_;
   DeviceInfo member_info_;  ///< Common member geometry (name = first member's).
-  RedundancyLayout layout_;
   std::uint64_t stripe_;      ///< Stripe unit bytes.
-  std::uint32_t group_;       ///< Members per group (mirror) / set (parity).
+  std::uint32_t group_;       ///< Replicas per group.
   std::uint32_t num_groups_;  ///< members / group_.
   std::uint32_t rows_;        ///< Member zones consumed per member (zoned).
   std::uint64_t zone_bytes_;  ///< Logical zone size (zoned; 0 otherwise).
@@ -358,7 +312,6 @@ class RedundantVolume final : public StorageDevice {
   // Per-request scratch, reused so the routing path stays allocation-
   // free after warm-up (the volume never re-enters itself).
   std::vector<std::uint64_t> token_scratch_;  ///< Materialized write tokens.
-  std::vector<std::vector<std::uint64_t>> lane_tokens_;
   std::vector<std::uint32_t> target_scratch_;  ///< Members served by this request.
   std::vector<std::uint32_t> failed_scratch_;  ///< IssueLegs: members whose leg failed.
 };

@@ -182,6 +182,17 @@ Result<SimTime> LegacyDevice::WriteImpl(std::uint64_t offset, std::uint64_t len,
 
     const std::uint64_t free = buffers_.FreeSlots(buf);
     const std::uint64_t n = std::min(free, nslots - i);
+    // An older copy of these slots waiting in another buffer goes to
+    // media first: otherwise reads would find it before this one, and a
+    // later flush of it would supersede this write.
+    for (WriteBufferId o = buffers_.OverlappingBuffer(next, n, buf); o.valid();
+         o = buffers_.OverlappingBuffer(next, n, buf)) {
+      t = Later(t, buffer_ready_[static_cast<std::size_t>(o.value())]);
+      auto done = FlushExtent(buffers_.Take(o, /*conflict=*/true), t);
+      if (!done.ok()) return done.status();
+      buffer_ready_[static_cast<std::size_t>(o.value())] = done.value().sram_free;
+      t = done.value().sram_free;
+    }
     std::vector<SlotWrite> chunk;
     chunk.reserve(n);
     for (std::uint64_t k = 0; k < n; ++k) {

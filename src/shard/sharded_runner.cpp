@@ -23,7 +23,7 @@ Result<ShardResult> RunOneShard(const ShardPlan& plan, std::uint32_t shard_id) {
     if (!st.ok()) return st;
   }
 
-  FioRunner fio(dev, plan.backend);
+  FioRunner fio(dev);
   auto run = fio.Run(ShardedRunner::JobsForShard(plan, shard_id), start);
   if (!run.ok()) return run.status();
   ShardResult out;

@@ -25,7 +25,6 @@
 #include "common/status.hpp"
 #include "core/config.hpp"
 #include "core/storage_device.hpp"
-#include "sim/event_queue.hpp"
 #include "workload/fio.hpp"
 
 namespace conzone {
@@ -54,7 +53,6 @@ struct ShardPlan {
   /// Sequentially fill [0, precondition_bytes) on each shard before the
   /// measured jobs (read workloads need written media).
   std::uint64_t precondition_bytes = 0;
-  EventQueue::Backend backend = EventQueue::Backend::kTimingWheel;
 };
 
 /// One shard's outcome, in full — kept per shard (not just merged) so

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 namespace conzone {
 
-EventQueue::EventQueue(Backend backend) : backend_(backend) {}
-
-// --- Heap primitives (used by heap_ and by the wheel's overflow_) ---
+// --- Heap primitives (the wheel's overflow_) ---
 
 void EventQueue::SiftUp(std::vector<HeapEntry>& heap, std::size_t i) {
   while (i > 0) {
@@ -244,11 +240,6 @@ bool EventQueue::WheelAdvance() {
 }
 
 bool EventQueue::PeekNextTime(SimTime* out) {
-  if (backend_ == Backend::kBinaryHeap) {
-    if (heap_.empty()) return false;
-    *out = heap_.front().when;
-    return true;
-  }
   if (batch_pos_ >= batch_.size() && !WheelAdvance()) return false;
   *out = SimTime::FromNanos(batch_when_ns_);
   return true;
@@ -258,38 +249,17 @@ bool EventQueue::PeekNextTime(SimTime* out) {
 
 void EventQueue::Schedule(SimTime t, Callback cb) {
   if (t < now_) {
-    if (past_policy_ == PastPolicy::kAbort) {
-      std::fprintf(stderr,
-                   "EventQueue::Schedule: t=%llu ns is earlier than now=%llu ns\n",
-                   static_cast<unsigned long long>(t.ns()),
-                   static_cast<unsigned long long>(now_.ns()));
-      std::abort();
-    }
     t = now_;
     ++clamped_schedules_;
   }
   const std::uint32_t slot = AcquireCallbackSlot(std::move(cb));
   const std::uint64_t seq = next_seq_++;
   ++pending_;
-  if (backend_ == Backend::kBinaryHeap) {
-    heap_.push_back(HeapEntry{t, seq, slot});
-    SiftUp(heap_, heap_.size() - 1);
-    return;
-  }
   if (t.ns() < wheel_time_ns_) Resync(t.ns());
   InsertEvent(t.ns(), seq, slot);
 }
 
 bool EventQueue::RunNext() {
-  if (backend_ == Backend::kBinaryHeap) {
-    if (heap_.empty()) return false;
-    const HeapEntry top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) SiftDown(heap_, 0);
-    RunCallback(top.slot, top.when);
-    return true;
-  }
   if (batch_pos_ >= batch_.size() && !WheelAdvance()) return false;
   const BatchEntry e = batch_[batch_pos_++];
   RunCallback(e.cb, SimTime::FromNanos(batch_when_ns_));

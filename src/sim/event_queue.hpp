@@ -4,25 +4,19 @@
 // events ("issue next request at time t"). Events at equal timestamps run
 // in FIFO order of scheduling, which keeps runs deterministic.
 //
-// Two interchangeable backends sit behind one API:
+// The queue is a hierarchical timing wheel: kLevels levels of kSlots
+// slots each, level l covering an aligned 2^(kSlotBits*(l+1)) ns window
+// around the wheel cursor, plus an overflow min-heap for events beyond
+// the top level's horizon (~4.3 s). Schedule and pop are O(1) amortized
+// for the near-future horizon where virtually all simulator events live
+// (inter-event gaps are micro- to milliseconds). Execution order is
+// exactly that of a (when, seq) priority queue, FIFO tie-break among
+// equal timestamps included; tests/sim_test.cpp keeps such a queue as
+// the reference and cross-checks the wheel against it over randomized
+// schedules.
 //
-//   kBinaryHeap — a flat-vector binary min-heap over 24-byte
-//   {when, seq, slot} entries. O(log n) schedule/pop. The original
-//   backend, kept as the reference implementation the property tests
-//   cross-check against.
-//
-//   kTimingWheel — a hierarchical timing wheel: kLevels levels of
-//   kSlots slots each, level l covering an aligned 2^(kSlotBits*(l+1)) ns
-//   window around the wheel cursor, plus an overflow min-heap for events
-//   beyond the top level's horizon (~4.3 s). Schedule and pop are O(1)
-//   amortized for the near-future horizon where virtually all simulator
-//   events live (inter-event gaps are micro- to milliseconds). Event
-//   execution order is bit-identical to the heap backend — including the
-//   FIFO tie-break among equal timestamps — which the property tests in
-//   tests/property_test.cpp verify over randomized schedules.
-//
-// Hot-path layout (both backends): callbacks live in a recycling slot
-// pool of small-buffer-optimized `InlineFunction`s; wheel nodes, heap
+// Hot-path layout: callbacks live in a recycling slot pool of
+// small-buffer-optimized `InlineFunction`s; wheel nodes, overflow
 // entries and the expiry batch are recycled flat vectors. On the
 // steady-state path (schedule/run/schedule...) nothing allocates: the
 // containers only grow to the high-water mark of simultaneously pending
@@ -42,23 +36,10 @@ class EventQueue {
  public:
   using Callback = InlineFunction<void(SimTime), 48>;
 
-  enum class Backend : std::uint8_t {
-    kBinaryHeap,   ///< Reference O(log n) implementation.
-    kTimingWheel,  ///< O(1) near-horizon schedule/pop (the default).
-  };
-
-  /// What Schedule does when asked for a time earlier than `now()` —
-  /// which the API forbids (an event cannot run in the simulated past).
-  enum class PastPolicy : std::uint8_t {
-    kClampToNow,  ///< Run the event at now(); count it in clamped_schedules().
-    kAbort,       ///< Treat as a fatal logic error (all build types).
-  };
-
-  explicit EventQueue(Backend backend = Backend::kTimingWheel);
-
-  /// Schedule `cb` to run at simulated time `t`. `t` may not be earlier
-  /// than the current time of the queue; violations are resolved by the
-  /// configured PastPolicy (default: clamp to now()).
+  /// Schedule `cb` to run at simulated time `t`. An event cannot run in
+  /// the simulated past: a `t` earlier than now() is clamped to now() (it
+  /// then runs FIFO after the events already due at now()) and counted
+  /// in clamped_schedules().
   void Schedule(SimTime t, Callback cb);
 
   /// Pop and run the earliest event. Returns false if the queue is empty.
@@ -80,9 +61,6 @@ class EventQueue {
   /// Total events executed so far (wall-clock benchmarking: events/s).
   std::uint64_t executed() const { return executed_; }
 
-  Backend backend() const { return backend_; }
-  void set_past_policy(PastPolicy p) { past_policy_ = p; }
-  PastPolicy past_policy() const { return past_policy_; }
   /// Schedules whose timestamp was clamped forward to now().
   std::uint64_t clamped_schedules() const { return clamped_schedules_; }
 
@@ -94,6 +72,8 @@ class EventQueue {
   static constexpr std::uint64_t kHorizonNs = 1ull << (kSlotBits * kLevels);
   static constexpr std::uint32_t kNil = ~0u;
 
+  /// A pending event outside the wheel lists: an overflow-heap entry, or
+  /// one being re-placed by Resync.
   struct HeapEntry {
     SimTime when;
     std::uint64_t seq;   // tie-break: FIFO among equal timestamps
@@ -158,13 +138,8 @@ class EventQueue {
   std::uint64_t clamped_schedules_ = 0;
   std::size_t pending_ = 0;
   SimTime now_;
-  PastPolicy past_policy_ = PastPolicy::kClampToNow;
-  Backend backend_;
 
-  // --- Binary-heap backend ---
-  std::vector<HeapEntry> heap_;  // binary min-heap over (when, seq)
-
-  // --- Timing-wheel backend ---
+  // --- Timing wheel ---
   std::uint64_t wheel_time_ns_ = 0;  ///< Cursor: <= every pending `when`.
   std::array<std::array<SlotList, kSlots>, kLevels> slots_{};
   std::array<std::array<std::uint64_t, kSlots / 64>, kLevels> occupied_{};

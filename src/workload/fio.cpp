@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/event_queue.hpp"
+
 namespace conzone {
 
 Status FioRunner::ValidateSpec(const JobSpec& spec) const {
@@ -126,52 +128,8 @@ struct FioRunner::RunCtx {
   EventQueue& q;
 };
 
-// Batched submission (see header): a chain that becomes ready at tick
-// `at` joins the job's submission ring. Same-tick arms are consecutive
-// (the event queue drains equal timestamps FIFO), so merging into the
-// ring's back entry catches them in O(1); a rare non-consecutive
-// same-tick arm pushes a second entry for the tick, whose flush event
-// fires after the first has already drained it — a no-op. iodepth 1
-// has exactly one chain — the ring can never batch — so it dispatches
-// directly, keeping the synchronous path at zero batching overhead.
 void FioRunner::ArmChain(RunCtx& ctx, std::size_t idx, SimTime at) {
-  JobState& job = ctx.states[idx];
-  if (job.spec.iodepth == 1) {
-    ctx.q.Schedule(at, [this, &ctx, idx](SimTime when) { IssueLoop(ctx, idx, when); });
-    return;
-  }
-  if (!job.ready.empty() && job.ready.back().tick == at) {
-    ++job.ready.back().chains;  // rides that entry's pending flush event
-    return;
-  }
-  job.ready.push_back({at, 1});
-  ctx.q.Schedule(at,
-                 [this, &ctx, idx](SimTime when) { FlushSubmissions(ctx, idx, when); });
-}
-
-void FioRunner::FlushSubmissions(RunCtx& ctx, std::size_t idx, SimTime when) {
-  JobState& job = ctx.states[idx];
-  // Drain this tick's entries before issuing: a zero-latency chain that
-  // re-arms at the same tick then finds no entry for `when` and
-  // schedules a fresh flush event (FIFO after the current one — exactly
-  // where its per-chain event used to land). Chains share all job
-  // state, so entries are interchangeable: count and drop.
-  std::uint32_t due = 0;
-  if (job.ready.size() == 1 && job.ready[0].tick == when) {
-    due = job.ready[0].chains;  // the common shape: one outstanding tick
-    job.ready.clear();
-  } else {
-    for (std::size_t i = 0; i < job.ready.size();) {
-      if (job.ready[i].tick == when) {
-        due += job.ready[i].chains;
-        job.ready[i] = job.ready.back();
-        job.ready.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  }
-  for (std::uint32_t k = 0; k < due; ++k) IssueLoop(ctx, idx, when);
+  ctx.q.Schedule(at, [this, &ctx, idx](SimTime when) { IssueLoop(ctx, idx, when); });
 }
 
 // Self-scheduling issue loops: each job runs `iodepth` independent
@@ -219,22 +177,7 @@ void FioRunner::IssueLoop(RunCtx& ctx, std::size_t idx, SimTime t) {
   if (comp.value() > job.result.last_completion) {
     job.result.last_completion = comp.value();
   }
-  // Re-arm this chain at its completion. This is ArmChain() by hand:
-  // the tail runs once per simulated IO — the hottest line in the
-  // runner — so the ring merge stays inline rather than paying an
-  // out-of-line call per IO.
-  const SimTime next = comp.value() + job.spec.think_time;
-  if (job.spec.iodepth == 1) {
-    ctx.q.Schedule(next, [this, &ctx, idx](SimTime when) { IssueLoop(ctx, idx, when); });
-    return;
-  }
-  if (!job.ready.empty() && job.ready.back().tick == next) {
-    ++job.ready.back().chains;  // rides that entry's pending flush event
-    return;
-  }
-  job.ready.push_back({next, 1});
-  ctx.q.Schedule(next,
-                 [this, &ctx, idx](SimTime when) { FlushSubmissions(ctx, idx, when); });
+  ArmChain(ctx, idx, comp.value() + job.spec.think_time);
 }
 
 Result<RunResult> FioRunner::Run(const std::vector<JobSpec>& jobs, SimTime start) {
@@ -260,15 +203,11 @@ Result<RunResult> FioRunner::Run(const std::vector<JobSpec>& jobs, SimTime start
     js.result.name = s.name;
     js.result.first_issue = start;
     if (s.runtime != SimDuration()) js.deadline = start + s.runtime;
-    js.ready.reserve(s.iodepth);
     states.push_back(std::move(js));
   }
 
-  EventQueue q(backend_);
+  EventQueue q;
   RunCtx ctx{states, q};
-  // The initial burst rides the submission ring too: all iodepth chains
-  // of a job are ready at `start`, so each job costs one flush event —
-  // not iodepth dispatch events — to get airborne.
   for (std::size_t i = 0; i < states.size(); ++i) {
     for (std::uint32_t d = 0; d < states[i].spec.iodepth; ++d) {
       ArmChain(ctx, i, start);

@@ -10,19 +10,10 @@
 // and the event queue interleaves their submissions in simulated-time
 // order. Concurrency (across chains and across jobs) is resolved by the
 // device's internal resource model, which serializes contended hardware.
-// iodepth=1 reduces exactly to the synchronous behavior.
-//
-// Submission is batched, io_uring-style: a chain whose next issue falls
-// due at simulated tick T does not get its own dispatch event. Instead
-// the job collects up to iodepth ready chains in a submission ring and
-// the event queue carries at most one flush event per (job, tick),
-// which issues every ready chain of that tick back to back in arrival
-// order. iodepth=1 has a single chain — the ring could never batch —
-// and dispatches directly with zero batching overhead; at higher
-// depths same-tick chains collapse into one event per tick. Chains
-// of one job keep their exact relative order; distinct jobs colliding
-// on the same tick coarsen from per-chain to per-job interleaving —
-// still fully deterministic, which is what the contract requires.
+// iodepth=1 reduces exactly to the synchronous behavior. Each chain
+// step is one event: an error-free run of N IOs over jobs of total depth
+// D executes N + D events (every chain ends with one event that issues
+// nothing).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +27,6 @@
 #include "common/status.hpp"
 #include "common/time.hpp"
 #include "core/storage_device.hpp"
-#include "sim/event_queue.hpp"
 
 namespace conzone {
 
@@ -108,15 +98,8 @@ struct RunResult {
 
 class FioRunner {
  public:
-  /// `backend` selects the event-queue implementation driving the run;
-  /// results are bit-identical across backends (the scheduler contract),
-  /// so this only matters for wall-clock speed and for cross-checking.
-  explicit FioRunner(StorageDevice& device,
-                     EventQueue::Backend backend = EventQueue::Backend::kTimingWheel)
-      : device_(device),
-        info_(device.info()),
-        div_zone_(info_.zone_size_bytes),
-        backend_(backend) {}
+  explicit FioRunner(StorageDevice& device)
+      : device_(device), info_(device.info()), div_zone_(info_.zone_size_bytes) {}
 
   /// Run all jobs concurrently starting at simulated time `start`.
   Result<RunResult> Run(const std::vector<JobSpec>& jobs,
@@ -143,30 +126,11 @@ class FioRunner {
     std::uint64_t rand_slots = 0;      // virtual_size / block_size
     std::uint64_t rand_threshold = 0;  // Rng::RejectionThreshold(rand_slots)
     FastDiv div_span_;                 // zone_list span (zone_span_bytes or zone size)
-    // Submission ring: chains awaiting their next issue, run-length
-    // packed as (tick, chains) — chains are interchangeable, so a ring
-    // entry is just its tick and a count. A chain arming at the tick
-    // the ring's back entry holds merges into it in O(1) and rides
-    // that entry's already-scheduled flush event (same-tick arms are
-    // consecutive: the event queue drains equal timestamps FIFO);
-    // otherwise it pushes a new entry and schedules the tick's flush.
-    // Entries never outlive their flush (the flush drains every entry
-    // of its tick), so the merge is always into a pending flush. The
-    // vector stays allocation-free after the reserve in Run() and is
-    // unused at iodepth 1 (a single chain dispatches directly).
-    struct ReadySlot {
-      SimTime tick;
-      std::uint32_t chains;
-    };
-    std::vector<ReadySlot> ready;
   };
 
   struct RunCtx;
-  /// Enqueue a chain's next issue at `at`, scheduling the tick's flush
-  /// event if this is its first ring entry.
+  /// Schedule the next step of one of job `idx`'s chains at `at`.
   void ArmChain(RunCtx& ctx, std::size_t idx, SimTime at);
-  /// Flush event body: issue every ring entry of `job` due at `when`.
-  void FlushSubmissions(RunCtx& ctx, std::size_t idx, SimTime when);
 
   Status ValidateSpec(const JobSpec& spec) const;
   /// Issue one IO for `job` at time `t`; returns completion time or the
@@ -174,9 +138,8 @@ class FioRunner {
   Result<SimTime> IssueOne(JobState& job, SimTime t);
   std::uint64_t PickOffset(JobState& job, std::uint64_t* len);
   /// One step of a job's submission chain: issue the next IO and re-arm
-  /// the chain in the submission ring at its completion. Direct member
-  /// dispatch — runs once per simulated IO, so no std::function
-  /// indirection.
+  /// the chain at its completion. Direct member dispatch — runs once per
+  /// simulated IO, so no std::function indirection.
   void IssueLoop(RunCtx& ctx, std::size_t idx, SimTime t);
 
   StorageDevice& device_;
@@ -184,7 +147,6 @@ class FioRunner {
   /// a std::string) per call, which is too expensive for the issue path.
   DeviceInfo info_;
   FastDiv div_zone_;  ///< info_.zone_size_bytes (hardware div when 0)
-  EventQueue::Backend backend_;
   Status run_error_;
 };
 

@@ -125,6 +125,30 @@ TEST_F(ConventionalZoneTest, ConventionalDataNeverAggregates) {
   EXPECT_EQ(dev_->stats().aggregates_zone, 0u);
 }
 
+// A rewrite of a buffered slot can land in another write buffer than
+// the older copy (the write does not continue that buffer's extent).
+// The older copy must go to media first, so reads see the newer one.
+TEST_F(ConventionalZoneTest, RewriteOfBufferedSlotReadsNewestCopy) {
+  SimTime t;
+  WriteAt(100 * 4096, 4096, t, /*salt=*/1);
+  WriteAt(100 * 4096, 4096, t, /*salt=*/2);
+  VerifyRead(100 * 4096, 4096, t, 2);
+}
+
+// The newer copy of LPN 100 joins the extent 98..99 while the older one
+// sits alone in the other buffer; after a flush the newer copy wins.
+TEST_F(ConventionalZoneTest, FlushKeepsNewestOfTwoBufferedCopies) {
+  SimTime t;
+  WriteAt(98 * 4096, 4096, t, /*salt=*/1);
+  WriteAt(100 * 4096, 4096, t, /*salt=*/1);
+  WriteAt(99 * 4096, 4096, t, /*salt=*/2);
+  WriteAt(100 * 4096, 4096, t, /*salt=*/2);
+  auto f = dev_->Flush(t);
+  ASSERT_TRUE(f.ok());
+  t = f.value();
+  VerifyRead(100 * 4096, 4096, t, 2);
+}
+
 TEST_F(ConventionalZoneTest, GcReclaimsThePoolUnderChurn) {
   SimTime t;
   // Rewrite the two conventional zones' space repeatedly at random: the

@@ -5,7 +5,8 @@
 // deterministic cut sweep over every op boundary of a scripted workload,
 // randomized cut times across seeds, bit-identical same-seed recovery,
 // interaction with NAND fault injection, conventional-zone recovery
-// semantics, and an opt-in many-cut soak (CONZONE_CRASH_SOAK=1).
+// semantics (a pinned cut stream), and opt-in many-cut soaks with and
+// without conventional zones (CONZONE_CRASH_SOAK=1).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -318,6 +319,37 @@ TEST(CrashConventionalTest, ConventionalZonesRecoverDurableOrLaterValues) {
   }
 }
 
+// The cut stream that first exposed lost conventional-zone overwrites: a
+// rewrite landed in the other write buffer than the older copy, and the
+// older copy's later flush superseded it (seed 2 failed at round 238).
+ConZoneConfig ConventionalCrashConfig() {
+  ConZoneConfig cfg = ConZoneConfig::PaperConfig();
+  cfg.geometry.blocks_per_chip = 40;
+  cfg.geometry.slc_blocks_per_chip = 8;
+  cfg.num_conventional_zones = 2;
+  cfg.fault.power_loss = true;
+  cfg.l2p_log.enabled = true;
+  return cfg;
+}
+
+void RunConventionalCutStream(std::uint64_t seed, int rounds) {
+  CrashHarness::Options opt;
+  opt.seed = seed;
+  CrashHarness h(ConventionalCrashConfig(), opt);
+  ASSERT_TRUE(h.Init().ok());
+  Rng pick(seed * 7 + 1);
+  for (int round = 0; round < rounds; ++round) {
+    ASSERT_TRUE(h.RunOps(100).ok()) << "seed " << seed << " round " << round;
+    ASSERT_TRUE(h.Cut(pick.NextDouble()).ok()) << "seed " << seed << " round " << round;
+    Status st = h.RecoverAndVerify();
+    ASSERT_TRUE(st.ok()) << "seed " << seed << " round " << round << ": " << st.message();
+  }
+}
+
+TEST(CrashConventionalTest, PinnedSeed2StreamSurvives240Cuts) {
+  RunConventionalCutStream(/*seed=*/2, /*rounds=*/240);
+}
+
 // ---------------------------------------------------------------------------
 // Undo-journal stamping scope
 // ---------------------------------------------------------------------------
@@ -395,6 +427,18 @@ TEST(CrashSoakTest, ManyRandomCutsSoak) {
   }
   EXPECT_EQ(h.device().recovery_stats().recoveries,
             static_cast<std::uint64_t>(kCuts));
+}
+
+// Conventional zones as a standing crash axis: the pinned stream's
+// config and cut rule over four seeds.
+TEST(ConventionalCrashSoakTest, FourSeedsThousandCutsEach) {
+  if (std::getenv("CONZONE_CRASH_SOAK") == nullptr) {
+    GTEST_SKIP() << "set CONZONE_CRASH_SOAK=1 to run the conventional-zone soak";
+  }
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    RunConventionalCutStream(seed, /*rounds=*/1000);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -218,9 +218,7 @@ std::unique_ptr<StorageDevice> MakeStriped() {
 }
 
 std::unique_ptr<StorageDevice> MakeMirror() {
-  RedundantVolumeOptions opt;
-  opt.layout = RedundancyLayout::kMirror;
-  return std::move(RedundantVolume::Create(TwoFemus(), opt)).value();
+  return std::move(RedundantVolume::Create(TwoFemus(), {})).value();
 }
 
 class WrappingRangeTest : public ::testing::TestWithParam<DeviceCase> {};

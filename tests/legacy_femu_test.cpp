@@ -81,6 +81,27 @@ TEST_F(LegacyDeviceTest, InPlaceUpdateInvalidatesOldCopy) {
   EXPECT_GT(dev_->stats().overwrites, 0u);
 }
 
+// Legacy twins of ConventionalZoneTest's buffered-rewrite tests: at
+// most one buffered copy of an LPN, and the newest one wins.
+TEST_F(LegacyDeviceTest, RewriteOfBufferedSlotReadsNewestCopy) {
+  SimTime t;
+  WriteAt(100 * 4096, 4096, t, /*salt=*/1);
+  WriteAt(100 * 4096, 4096, t, /*salt=*/2);
+  VerifyRead(100 * 4096, 4096, t, 2);
+}
+
+TEST_F(LegacyDeviceTest, FlushKeepsNewestOfTwoBufferedCopies) {
+  SimTime t;
+  WriteAt(98 * 4096, 4096, t, /*salt=*/1);
+  WriteAt(100 * 4096, 4096, t, /*salt=*/1);
+  WriteAt(99 * 4096, 4096, t, /*salt=*/2);
+  WriteAt(100 * 4096, 4096, t, /*salt=*/2);
+  auto f = dev_->Flush(t);
+  ASSERT_TRUE(f.ok());
+  t = f.value();
+  VerifyRead(100 * 4096, 4096, t, 2);
+}
+
 TEST_F(LegacyDeviceTest, RandomSmallWritesLandInSlcAndReadBack) {
   SimTime t;
   // Non-contiguous 4 KiB writes break the aggregation stream; most land

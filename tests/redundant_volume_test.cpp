@@ -1,13 +1,13 @@
 // RedundantVolume tests: the robustness contract over member devices.
 //
-//   * Geometry validation: mixed zonedness, bad replica/width arithmetic
-//     and conventional parity are rejected at Create().
-//   * Data path: mirror and parity layouts round-trip integrity tokens,
-//     with and without host-supplied tokens, at sub-unit granularity.
+//   * Geometry validation: mixed zonedness and bad replica arithmetic
+//     are rejected at Create().
+//   * Data path: mirrors round-trip integrity tokens, with and without
+//     host-supplied tokens, at sub-unit granularity.
 //   * Degraded service: a failed member (MarkFailed, power cut, or a
-//     failed write leg) does not fail foreground reads — mirrors fail
-//     over, parity XOR-reconstructs — and the per-IO and aggregate
-//     counters attribute the work.
+//     failed write leg) does not fail foreground reads — they fail over
+//     to another replica — and the per-IO and aggregate counters
+//     attribute the work.
 //   * Online scrub: a power-cut replica is re-completed from its peers
 //     at the write pointer, divergent conventional replicas are repaired
 //     by overwrite, and a failed member that ends a clean pass is
@@ -71,21 +71,8 @@ Result<std::unique_ptr<RedundantVolume>> MakeFemuMirror(
   std::vector<std::unique_ptr<StorageDevice>> devs;
   for (std::uint32_t i = 0; i < members; ++i) devs.push_back(MakeFemu(i + 1));
   RedundantVolumeOptions opt;
-  opt.layout = RedundancyLayout::kMirror;
   opt.stripe_bytes = stripe;
   opt.replicas = replicas;
-  return RedundantVolume::Create(std::move(devs), opt);
-}
-
-Result<std::unique_ptr<RedundantVolume>> MakeFemuParity(
-    std::uint32_t members, std::uint32_t width = 0,
-    std::uint64_t stripe = 64 * kKiB) {
-  std::vector<std::unique_ptr<StorageDevice>> devs;
-  for (std::uint32_t i = 0; i < members; ++i) devs.push_back(MakeFemu(i + 1));
-  RedundantVolumeOptions opt;
-  opt.layout = RedundancyLayout::kParity;
-  opt.stripe_bytes = stripe;
-  opt.stripe_width = width;
   return RedundantVolume::Create(std::move(devs), opt);
 }
 
@@ -121,20 +108,6 @@ TEST(RedundantVolumeCreateTest, RejectsBadGeometry) {
   // Mirror replicas must divide the member count and be >= 2.
   {
     auto r = MakeFemuMirror(4, /*replicas=*/3);
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
-  // Parity needs at least 3 lanes per set.
-  {
-    auto r = MakeFemuParity(4, /*width=*/2);
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
-  // Parity over conventional members is rejected.
-  {
-    std::vector<std::unique_ptr<StorageDevice>> devs;
-    for (int i = 0; i < 3; ++i) devs.push_back(MakeLegacy(i + 1));
-    RedundantVolumeOptions opt;
-    opt.layout = RedundancyLayout::kParity;
-    auto r = RedundantVolume::Create(std::move(devs), opt);
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
   // Conventional mirrors replicate across all members.
@@ -179,17 +152,6 @@ TEST(RedundantVolumeCreateTest, GeometryAndZoneMapping) {
   EXPECT_EQ(mz.member, 3u);
   EXPECT_EQ(mz.zone.value(), 1u);
   EXPECT_EQ(v.ToLogicalZone(mz).value(), 3u);
-
-  // Parity: a W-lane set exposes (W-1) member zones of data per logical
-  // zone, and the parity lane rotates per row.
-  auto pr = MakeFemuParity(3);
-  ASSERT_TRUE(pr.ok()) << pr.status().ToString();
-  RedundantVolume& p = **pr;
-  EXPECT_EQ(p.info().zone_size_bytes, 2 * mi.zone_size_bytes);
-  EXPECT_EQ(p.ParityLane(0), 2u);
-  EXPECT_EQ(p.ParityLane(1), 1u);
-  EXPECT_EQ(p.ParityLane(2), 0u);
-  EXPECT_EQ(p.ParityLane(3), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -234,51 +196,6 @@ TEST(RedundantVolumeTest, MirrorRoundTripAndReplicaAgreement) {
   EXPECT_EQ(v.Redundancy().degraded_writes, 0u);
 }
 
-TEST(RedundantVolumeTest, ParityRoundTripRequiresWholeRows) {
-  auto volr = MakeFemuParity(3, /*width=*/0, /*stripe=*/16 * kKiB);
-  ASSERT_TRUE(volr.ok()) << volr.status().ToString();
-  RedundantVolume& v = **volr;
-  const std::uint64_t stripe = v.stripe_bytes();
-  const std::uint64_t row = 2 * stripe;  // W-1 data units per row.
-
-  SimTime t;
-  // Sub-row writes are rejected (full-stripe writes only).
-  EXPECT_EQ(v.Write(IoRequest{0, stripe, t, Tokens(0, stripe / 4096)})
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-
-  const auto toks = Tokens(0, 6 * row / 4096);
-  auto w = v.Write(IoRequest{0, 6 * row, t, toks});
-  ASSERT_TRUE(w.ok()) << w.status().ToString();
-
-  // Reads are unconstrained: whole range, one unit, and an unaligned-
-  // to-unit span crossing rows all round-trip.
-  auto r1 = v.Read(IoRequest{0, 6 * row, w.value().done, {}, true});
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  EXPECT_EQ(r1.value().tokens, toks);
-  auto r2 = v.Read(IoRequest{3 * stripe, stripe, r1.value().done, {}, true});
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2.value().tokens, Tokens(3 * stripe / 4096, stripe / 4096));
-  auto r3 = v.Read(IoRequest{stripe + 8192, row, r2.value().done, {}, true});
-  ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(r3.value().tokens, Tokens((stripe + 8192) / 4096, row / 4096));
-
-  // Every row's lanes XOR to zero on the members (rotating parity).
-  for (std::uint64_t k = 0; k < 6; ++k) {
-    for (std::uint64_t j = 0; j < stripe / 4096; ++j) {
-      std::uint64_t acc = 0;
-      for (std::uint32_t m = 0; m < 3; ++m) {
-        auto mr = v.member(m).Read(
-            IoRequest{k * stripe + j * 4096, 4096, r3.value().done, {}, true});
-        ASSERT_TRUE(mr.ok());
-        acc ^= mr.value().tokens[0];
-      }
-      EXPECT_EQ(acc, 0u) << "row " << k << " slot " << j;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Degraded service
 // ---------------------------------------------------------------------------
@@ -318,32 +235,6 @@ TEST(RedundantVolumeTest, MirrorDegradedReadAfterMemberFailure) {
   auto r2 = v.Read(IoRequest{4 * stripe, stripe, w2.value().done, {}, true});
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2.value().tokens, Tokens(4 * stripe / 4096, stripe / 4096));
-}
-
-TEST(RedundantVolumeTest, ParityDegradedReadReconstructsLostLane) {
-  auto volr = MakeFemuParity(3, /*width=*/0, /*stripe=*/16 * kKiB);
-  ASSERT_TRUE(volr.ok());
-  RedundantVolume& v = **volr;
-  const std::uint64_t row = 2 * v.stripe_bytes();
-
-  SimTime t;
-  const auto toks = Tokens(0, 8 * row / 4096);
-  auto w = v.Write(IoRequest{0, 8 * row, t, toks});
-  ASSERT_TRUE(w.ok());
-
-  ASSERT_TRUE(v.MarkFailed(1).ok());
-  auto r = v.Read(IoRequest{0, 8 * row, w.value().done, {}, true});
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().tokens, toks);
-  EXPECT_GT(r.value().reconstructed_units, 0u);
-  EXPECT_GT(v.Redundancy().degraded_reads, 0u);
-  EXPECT_GT(v.Redundancy().reconstructed_units, 0u);
-
-  // A second lane loss exceeds single-parity tolerance: reads fail and
-  // the volume reports itself offline.
-  ASSERT_TRUE(v.MarkFailed(2).ok());
-  EXPECT_FALSE(v.Read(IoRequest{0, row, r.value().done, {}, true}).ok());
-  EXPECT_EQ(v.info().health, DeviceHealth::kOffline);
 }
 
 TEST(RedundantVolumeTest, PowerCutMemberServedDegradedThenLatched) {
@@ -643,29 +534,6 @@ TEST(RedundantVolumeTest, ResetZonePropagatesToFailedOnlineMember) {
   EXPECT_EQ(v.Redundancy().members_readmitted, 1u);
 }
 
-// Regression: a parity write that is already beyond single-fault
-// tolerance must be refused before any leg is issued — the surviving
-// lane's write pointer must not advance within the stripe row.
-TEST(RedundantVolumeTest, ParityWriteBeyondToleranceRefusedUpFront) {
-  auto volr = MakeFemuParity(3, /*width=*/0, /*stripe=*/16 * kKiB);
-  ASSERT_TRUE(volr.ok());
-  RedundantVolume& v = **volr;
-  const std::uint64_t row = 2 * v.stripe_bytes();
-
-  SimTime t;
-  auto w = v.Write(IoRequest{0, 2 * row, t, Tokens(0, 2 * row / 4096)});
-  ASSERT_TRUE(w.ok());
-  SimTime now = w.value().done;
-
-  ASSERT_TRUE(v.MarkFailed(1).ok());
-  ASSERT_TRUE(v.MarkFailed(2).ok());
-  const auto before = MemberZonePrefix(v.member(0), 0, now);
-  auto w2 = v.Write(IoRequest{2 * row, row, now, Tokens(99, row / 4096)});
-  ASSERT_FALSE(w2.ok());
-  EXPECT_EQ(w2.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(MemberZonePrefix(v.member(0), 0, now), before);
-}
-
 // ---------------------------------------------------------------------------
 // Live rebuild
 // ---------------------------------------------------------------------------
@@ -728,38 +596,6 @@ TEST(RedundantVolumeTest, RebuildConvergesUnderForegroundTraffic) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().reconstructed_units, 0u);
   EXPECT_EQ(v.Redundancy().degraded_reads, red_before.degraded_reads);
-}
-
-TEST(RedundantVolumeTest, ParityRebuildReconstructsLostLane) {
-  auto volr = MakeFemuParity(3, /*width=*/0, /*stripe=*/16 * kKiB);
-  ASSERT_TRUE(volr.ok());
-  RedundantVolume& v = **volr;
-  const std::uint64_t row = 2 * v.stripe_bytes();
-
-  SimTime t;
-  const auto toks = Tokens(0, 10 * row / 4096);
-  auto w = v.Write(IoRequest{0, 10 * row, t, toks});
-  ASSERT_TRUE(w.ok());
-  SimTime now = w.value().done;
-
-  const auto lane1 = MemberZonePrefix(v.member(1), 0, now);
-  ASSERT_TRUE(v.MarkFailed(1).ok());
-  ASSERT_TRUE(v.ReplaceMember(1, MakeFemu(77), now).ok());
-  int ticks = 0;
-  for (; ticks < 100000 && v.rebuild_active(); ++ticks) {
-    auto tick = v.Tick(now);
-    ASSERT_TRUE(tick.ok()) << tick.status().ToString();
-    now = tick.value();
-  }
-  ASSERT_FALSE(v.rebuild_active());
-
-  // XOR of the surviving lanes rebuilt exactly the lost lane's content
-  // (data and rotating parity units alike).
-  EXPECT_EQ(MemberZonePrefix(v.member(1), 0, now), lane1);
-  auto r = v.Read(IoRequest{0, 10 * row, now, {}, true});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().tokens, toks);
-  EXPECT_EQ(r.value().reconstructed_units, 0u);
 }
 
 TEST(RedundantVolumeTest, RebuildSurvivesPowerCutOfFreshMember) {

@@ -9,11 +9,6 @@
 //   * 1-shard identity: a 1-shard, 1-thread plan reproduces the plain
 //     single-device FioRunner run bit for bit (ForShard(0)/JobsForShard
 //     are identity derivations).
-//   * Backend invariance at the device level: a full FioRunner run over
-//     a real device — faults enabled and faults disabled — produces
-//     identical results under the binary-heap and timing-wheel event
-//     queues. (The event-order property test lives in sim_test.cpp;
-//     this closes the loop end to end.)
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -60,8 +55,7 @@ std::vector<JobSpec> MixedJobs() {
   return {rd, wr};
 }
 
-ShardPlan MakePlan(bool faults, std::uint32_t shards, std::uint32_t threads,
-                   EventQueue::Backend backend = EventQueue::Backend::kTimingWheel) {
+ShardPlan MakePlan(bool faults, std::uint32_t shards, std::uint32_t threads) {
   ShardPlan plan;
   plan.config = SmallConfig(faults);
   plan.jobs = MixedJobs();
@@ -69,7 +63,6 @@ ShardPlan MakePlan(bool faults, std::uint32_t shards, std::uint32_t threads,
   plan.threads = threads;
   plan.master_seed = 42;
   plan.precondition_bytes = 16 * kMiB;
-  plan.backend = backend;
   return plan;
 }
 
@@ -137,7 +130,7 @@ TEST(ShardedRunnerTest, OneShardMatchesSingleDevicePathBitForBit) {
     ASSERT_TRUE(FioRunner::Precondition(dev, 0, plan.precondition_bytes,
                                         512 * kKiB, &start)
                     .ok());
-    FioRunner fio(dev, plan.backend);
+    FioRunner fio(dev);
     auto direct = fio.Run(plan.jobs, start);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
@@ -209,30 +202,6 @@ TEST(ShardRunnerTest, LowestFailingShardWinsAtAnyThreadCount) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.value(), (std::vector<std::uint32_t>{0, 10, 20, 30}));
   EXPECT_FALSE(RunShards<std::uint32_t>(0, 1, nullptr, body).ok());
-}
-
-// Device-level wheel-vs-heap cross-check (faults on and off): the whole
-// simulated run — timestamps, latency distribution, fault stream,
-// recovery work — must not depend on the event-queue backend.
-TEST(BackendEquivalenceTest, FullDeviceRunIdenticalUnderHeapAndWheel) {
-  for (const bool faults : {false, true}) {
-    std::string fingerprints[2];
-    int i = 0;
-    for (const auto backend : {EventQueue::Backend::kBinaryHeap,
-                               EventQueue::Backend::kTimingWheel}) {
-      auto res = ShardedRunner(MakePlan(faults, /*shards=*/2, /*threads=*/1,
-                                        backend))
-                     .Run();
-      ASSERT_TRUE(res.ok()) << res.status().ToString();
-      // The fault flavor must actually exercise the recovery machinery,
-      // or the cross-check proves less than it claims.
-      if (faults) {
-        EXPECT_GT(res.value().reliability.TotalFaults(), 0u);
-      }
-      fingerprints[i++] = Fingerprint(res.value());
-    }
-    EXPECT_EQ(fingerprints[0], fingerprints[1]) << "faults=" << faults;
-  }
 }
 
 }  // namespace

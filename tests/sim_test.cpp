@@ -1,13 +1,16 @@
 // Unit tests for the discrete-event engine: busy-until resource
-// timelines and the event queue. The EventQueue tests are parameterized
-// over both backends (binary heap and timing wheel): the scheduler
-// contract — time order, FIFO among equal timestamps, clamp semantics —
-// is backend-independent, and the randomized cross-check at the bottom
-// proves the two execute bit-identical event orders.
+// timelines and the event queue. The scheduler contract — time order,
+// FIFO among equal timestamps, clamp semantics — is checked on two
+// queues: EventQueue (the timing wheel) and ReferenceQueue, a plain
+// (when, seq) binary heap kept here as the oracle. The randomized
+// cross-check at the bottom proves the wheel executes bit-identical
+// event orders to the reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,11 +54,103 @@ TEST(ResourceTimelineTest, ResetClearsState) {
   EXPECT_EQ(r.busy_time().ns(), 0u);
 }
 
-class EventQueueBackendTest
-    : public ::testing::TestWithParam<EventQueue::Backend> {};
+// The queue API the contract tests drive, so one test body checks both
+// the wheel and the reference.
+class Scheduler {
+ public:
+  virtual ~Scheduler() = default;
+  virtual void Schedule(SimTime t, EventQueue::Callback cb) = 0;
+  virtual bool RunNext() = 0;
+  virtual void RunUntil(SimTime deadline) = 0;
+  virtual SimTime now() const = 0;
+  virtual std::size_t size() const = 0;
+  virtual std::uint64_t executed() const = 0;
+  virtual std::uint64_t clamped_schedules() const = 0;
+
+  void RunAll() {
+    while (RunNext()) {
+    }
+  }
+  bool empty() const { return size() == 0; }
+};
+
+class WheelQueue final : public Scheduler {
+ public:
+  void Schedule(SimTime t, EventQueue::Callback cb) override {
+    q_.Schedule(t, std::move(cb));
+  }
+  bool RunNext() override { return q_.RunNext(); }
+  void RunUntil(SimTime deadline) override { q_.RunUntil(deadline); }
+  SimTime now() const override { return q_.now(); }
+  std::size_t size() const override { return q_.size(); }
+  std::uint64_t executed() const override { return q_.executed(); }
+  std::uint64_t clamped_schedules() const override { return q_.clamped_schedules(); }
+
+ private:
+  EventQueue q_;
+};
+
+// The reference: a binary min-heap over (when, seq), clamping past
+// requests to now() like EventQueue.
+class ReferenceQueue final : public Scheduler {
+ public:
+  void Schedule(SimTime t, EventQueue::Callback cb) override {
+    if (t < now_) {
+      t = now_;
+      ++clamped_;
+    }
+    heap_.push_back(Entry{t, seq_++, std::move(cb)});
+    std::push_heap(heap_.begin(), heap_.end(), RunsAfter);
+  }
+  bool RunNext() override {
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), RunsAfter);
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
+    now_ = e.when;
+    ++executed_;
+    e.cb(now_);
+    return true;
+  }
+  void RunUntil(SimTime deadline) override {
+    while (!heap_.empty() && heap_.front().when <= deadline) RunNext();
+  }
+  SimTime now() const override { return now_; }
+  std::size_t size() const override { return heap_.size(); }
+  std::uint64_t executed() const override { return executed_; }
+  std::uint64_t clamped_schedules() const override { return clamped_; }
+
+ private:
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq;
+    EventQueue::Callback cb;
+  };
+  static bool RunsAfter(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  }
+
+  std::vector<Entry> heap_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t clamped_ = 0;
+  SimTime now_;
+};
+
+enum class QueueKind : std::uint8_t { kReference, kWheel };
+
+std::unique_ptr<Scheduler> MakeQueue(QueueKind kind) {
+  if (kind == QueueKind::kWheel) return std::make_unique<WheelQueue>();
+  return std::make_unique<ReferenceQueue>();
+}
+
+class EventQueueBackendTest : public ::testing::TestWithParam<QueueKind> {
+ protected:
+  std::unique_ptr<Scheduler> queue_ = MakeQueue(GetParam());
+  Scheduler& q = *queue_;
+};
 
 TEST_P(EventQueueBackendTest, RunsInTimeOrder) {
-  EventQueue q(GetParam());
   std::vector<int> order;
   q.Schedule(SimTime::FromNanos(300), [&](SimTime) { order.push_back(3); });
   q.Schedule(SimTime::FromNanos(100), [&](SimTime) { order.push_back(1); });
@@ -66,7 +161,6 @@ TEST_P(EventQueueBackendTest, RunsInTimeOrder) {
 }
 
 TEST_P(EventQueueBackendTest, EqualTimestampsRunFifo) {
-  EventQueue q(GetParam());
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     q.Schedule(SimTime::FromNanos(10), [&, i](SimTime) { order.push_back(i); });
@@ -76,7 +170,6 @@ TEST_P(EventQueueBackendTest, EqualTimestampsRunFifo) {
 }
 
 TEST_P(EventQueueBackendTest, EventsMayScheduleMoreEvents) {
-  EventQueue q(GetParam());
   int count = 0;
   std::function<void(SimTime)> chain = [&](SimTime t) {
     if (++count < 10) q.Schedule(t + SimDuration::Nanos(5), chain);
@@ -88,7 +181,6 @@ TEST_P(EventQueueBackendTest, EventsMayScheduleMoreEvents) {
 }
 
 TEST_P(EventQueueBackendTest, RunUntilStopsAtDeadline) {
-  EventQueue q(GetParam());
   int ran = 0;
   q.Schedule(SimTime::FromNanos(10), [&](SimTime) { ran++; });
   q.Schedule(SimTime::FromNanos(20), [&](SimTime) { ran++; });
@@ -101,7 +193,6 @@ TEST_P(EventQueueBackendTest, RunUntilStopsAtDeadline) {
 TEST_P(EventQueueBackendTest, RunUntilExactlyAtEventTimestampRunsIt) {
   // Deadline == event time is inclusive: the event at the deadline runs,
   // the next one (1 ns later) does not.
-  EventQueue q(GetParam());
   std::vector<std::uint64_t> ran;
   q.Schedule(SimTime::FromNanos(100), [&](SimTime t) { ran.push_back(t.ns()); });
   q.Schedule(SimTime::FromNanos(100), [&](SimTime t) { ran.push_back(t.ns()); });
@@ -118,10 +209,9 @@ TEST_P(EventQueueBackendTest, RunUntilExactlyAtEventTimestampRunsIt) {
 TEST_P(EventQueueBackendTest, ScheduleAfterRunUntilPeekedPastDeadline) {
   // RunUntil must not "use up" the timeline: after it stops at a deadline
   // short of the next event, scheduling between the deadline and that
-  // event must still run in correct order. (Under the wheel backend this
-  // exercises the cursor-resync path: the peek advanced the wheel to the
-  // far event's timestamp.)
-  EventQueue q(GetParam());
+  // event must still run in correct order. (On the wheel this exercises
+  // the cursor-resync path: the peek advanced the wheel to the far
+  // event's timestamp.)
   std::vector<int> order;
   q.Schedule(SimTime::FromNanos(1000), [&](SimTime) { order.push_back(2); });
   q.RunUntil(SimTime::FromNanos(100));  // peeks 1000, runs nothing
@@ -134,16 +224,12 @@ TEST_P(EventQueueBackendTest, ScheduleAfterRunUntilPeekedPastDeadline) {
 }
 
 TEST_P(EventQueueBackendTest, RunNextOnEmptyReturnsFalse) {
-  EventQueue q(GetParam());
   EXPECT_FALSE(q.RunNext());
 }
 
 TEST_P(EventQueueBackendTest, SchedulingIntoThePastClampsToNow) {
-  // The documented precondition (`t` not earlier than now()) is enforced
-  // by an explicit policy; the default clamps the event forward to now()
-  // and counts the violation.
-  EventQueue q(GetParam());
-  ASSERT_EQ(q.past_policy(), EventQueue::PastPolicy::kClampToNow);
+  // An event cannot run in the simulated past: the queue clamps it
+  // forward to now() and counts the violation.
   std::vector<int> order;
   q.Schedule(SimTime::FromNanos(100), [&](SimTime) {
     order.push_back(1);
@@ -163,7 +249,6 @@ TEST_P(EventQueueBackendTest, SchedulingIntoThePastClampsToNow) {
 }
 
 TEST_P(EventQueueBackendTest, ClampingNeverRewindsNow) {
-  EventQueue q(GetParam());
   q.Schedule(SimTime::FromNanos(50), [&](SimTime) {
     q.Schedule(SimTime::FromNanos(10), [](SimTime) {});
   });
@@ -173,7 +258,6 @@ TEST_P(EventQueueBackendTest, ClampingNeverRewindsNow) {
 }
 
 TEST_P(EventQueueBackendTest, CountsExecutedEvents) {
-  EventQueue q(GetParam());
   for (int i = 0; i < 7; ++i) {
     q.Schedule(SimTime::FromNanos(static_cast<std::uint64_t>(i)), [](SimTime) {});
   }
@@ -184,7 +268,6 @@ TEST_P(EventQueueBackendTest, CountsExecutedEvents) {
 TEST_P(EventQueueBackendTest, SteadyStateChainRecyclesSlots) {
   // A long self-scheduling chain keeps exactly one event pending; the
   // slot pool must not grow with chain length (recycling, not leaking).
-  EventQueue q(GetParam());
   int count = 0;
   std::function<void(SimTime)> chain = [&](SimTime t) {
     if (++count < 10000) q.Schedule(t + SimDuration::Nanos(1), chain);
@@ -198,7 +281,6 @@ TEST_P(EventQueueBackendTest, SteadyStateChainRecyclesSlots) {
 TEST_P(EventQueueBackendTest, OversizedCapturesStillRun) {
   // Callables beyond the inline buffer take the heap fallback but behave
   // identically.
-  EventQueue q(GetParam());
   std::array<std::uint64_t, 16> big{};
   big[15] = 42;
   std::uint64_t got = 0;
@@ -212,7 +294,6 @@ TEST_P(EventQueueBackendTest, FarFutureEventsBeyondWheelHorizon) {
   // in the overflow heap; promotion back into the wheel must preserve
   // time order and equal-timestamp FIFO. Exercised across several
   // horizon windows, interleaved with near events.
-  EventQueue q(GetParam());
   constexpr std::uint64_t kHorizon = 1ull << 32;
   std::vector<std::uint64_t> ran;
   std::vector<std::uint64_t> expect;
@@ -236,25 +317,18 @@ TEST_P(EventQueueBackendTest, FarFutureEventsBeyondWheelHorizon) {
   EXPECT_EQ(q.executed(), 7u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, EventQueueBackendTest,
-    ::testing::Values(EventQueue::Backend::kBinaryHeap,
-                      EventQueue::Backend::kTimingWheel),
-    [](const ::testing::TestParamInfo<EventQueue::Backend>& info) {
-      return info.param == EventQueue::Backend::kBinaryHeap ? "BinaryHeap"
-                                                            : "TimingWheel";
-    });
+INSTANTIATE_TEST_SUITE_P(AllBackends, EventQueueBackendTest,
+                         ::testing::Values(QueueKind::kReference, QueueKind::kWheel),
+                         [](const ::testing::TestParamInfo<QueueKind>& info) {
+                           return info.param == QueueKind::kReference ? "BinaryHeap"
+                                                                      : "TimingWheel";
+                         });
 
-TEST(EventQueueDefaultTest, DefaultBackendIsTimingWheel) {
-  EventQueue q;
-  EXPECT_EQ(q.backend(), EventQueue::Backend::kTimingWheel);
-}
-
-// --- Wheel-vs-heap property test -----------------------------------------
+// --- Wheel-vs-reference property test ------------------------------------
 //
-// Randomized schedules driven through both backends must execute the
-// exact same (timestamp, id) sequence — including FIFO order among equal
-// timestamps. The generator deliberately stresses every structural path
+// Randomized schedules driven through the wheel and the reference must
+// execute the exact same (timestamp, id) sequence — including FIFO order
+// among equal timestamps. The generator deliberately stresses every structural path
 // of the wheel: dense equal-timestamp bursts, nested scheduling from
 // inside callbacks, clamped past requests, overflow-horizon events and
 // RunUntil peeks that force a cursor resync.
@@ -265,9 +339,9 @@ struct TraceEvent {
   bool operator==(const TraceEvent&) const = default;
 };
 
-std::vector<TraceEvent> RunRandomSchedule(EventQueue::Backend backend,
-                                          std::uint64_t seed) {
-  EventQueue q(backend);
+std::vector<TraceEvent> RunRandomSchedule(QueueKind kind, std::uint64_t seed) {
+  const std::unique_ptr<Scheduler> queue = MakeQueue(kind);
+  Scheduler& q = *queue;
   Rng rng(seed);
   std::vector<TraceEvent> trace;
   std::uint64_t next_id = 0;
@@ -326,10 +400,8 @@ std::vector<TraceEvent> RunRandomSchedule(EventQueue::Backend backend,
 
 TEST(EventQueueCrossCheckTest, WheelMatchesHeapOnRandomizedSchedules) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto heap_trace =
-        RunRandomSchedule(EventQueue::Backend::kBinaryHeap, seed);
-    const auto wheel_trace =
-        RunRandomSchedule(EventQueue::Backend::kTimingWheel, seed);
+    const auto heap_trace = RunRandomSchedule(QueueKind::kReference, seed);
+    const auto wheel_trace = RunRandomSchedule(QueueKind::kWheel, seed);
     ASSERT_EQ(heap_trace.size(), wheel_trace.size()) << "seed " << seed;
     for (std::size_t i = 0; i < heap_trace.size(); ++i) {
       ASSERT_EQ(heap_trace[i].when, wheel_trace[i].when)

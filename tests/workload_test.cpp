@@ -153,6 +153,37 @@ TEST_F(FioRunnerTest, MultipleJobsInterleave) {
   EXPECT_LT(r.value().total.elapsed.seconds(), serial);
 }
 
+TEST_F(FioRunnerTest, OneEventPerChainStep) {
+  // Each chain step is one event, and each chain ends with one event that
+  // finds its job done: an error-free run executes ops + sum(iodepth).
+  SimTime t;
+  ASSERT_TRUE(FioRunner::Precondition(*dev_, 0, 16 * kMiB, 512 * kKiB, &t).ok());
+  JobSpec rd;
+  rd.direction = IoDirection::kRead;
+  rd.pattern = IoPattern::kRandom;
+  rd.block_size = 4096;
+  rd.region_size = 16 * kMiB;
+  rd.io_count = 1300;
+  rd.iodepth = 8;
+  rd.seed = 3;
+  JobSpec rd2 = rd;
+  rd2.io_count = 800;
+  rd2.iodepth = 4;
+  rd2.seed = 5;
+  JobSpec wr;
+  wr.direction = IoDirection::kWrite;
+  wr.block_size = 64 * kKiB;
+  wr.region_offset = 32 * kMiB;
+  wr.region_size = 16 * kMiB;
+  wr.io_count = 200;
+  wr.iodepth = 2;
+  auto r = FioRunner(*dev_).Run({rd, rd2, wr}, t);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().io_errors, 0u);
+  EXPECT_EQ(r.value().total.ops, 2300u);
+  EXPECT_EQ(r.value().events, 2300u + 8 + 4 + 2);
+}
+
 TEST_F(FioRunnerTest, ValidationRejectsBadSpecs) {
   FioRunner fio(*dev_);
   JobSpec w;  // empty region
