@@ -126,26 +126,22 @@ void BM_Mixed4K(::benchmark::State& state) {
   ExportWallClock(state, ios, events, sim_kiops);
 }
 
-// Scale-out: N independent device shards on a thread pool, one worker
+// Scale-out: N independent device shards, one worker
 // thread per shard, each running the same preconditioned 4 KiB random-
 // read job with decorrelated seeds. sim_ios_per_s is the AGGREGATE
 // simulated-IO rate across shards per wall-clock second (real time, not
 // CPU time): on a multi-core host it should scale near-linearly in the
 // shard count until cores run out. Device setup + preconditioning happen
 // inside each shard's worker, so they are part of the timed region —
-// identical per shard, which keeps the scaling ratio honest. The
-// executor is constructed once outside the loop and passed via
-// ShardPlan::executor: worker threads are setup, not steady-state work,
-// and reusing one pool across runs is how repeated sharded workloads
-// should call the runner.
+// identical per shard, which keeps the scaling ratio honest. So is
+// thread start-up: each run starts and joins its own workers.
 void BM_ShardedRandRead4K(::benchmark::State& state) {
   const auto shards = static_cast<std::uint32_t>(state.range(0));
-  WorkStealingExecutor exec(shards);  // one lane per shard: scale-out, not queuing
   ShardPlan plan;
   plan.config = ConZoneConfig::PaperConfig();
   plan.jobs = {ReadSpec(20000, 1, 4)};
   plan.shards = shards;
-  plan.executor = &exec;
+  plan.threads = shards;  // one thread per shard: scale-out, not queuing
   plan.master_seed = 1;
   plan.precondition_bytes = kRegion;
   std::uint64_t ios = 0, events = 0;

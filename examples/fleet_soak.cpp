@@ -1,7 +1,7 @@
 // Fleet soak study: crash/recovery at fleet scale on degrading devices.
 //
-// Runs a fleet of independent device shards on the work-stealing
-// executor. Every shard soaks the crash harness's mixed op stream under
+// Runs a fleet of independent device shards on parallel threads.
+// Every shard soaks the crash harness's mixed op stream under
 // ConsumerDefaults() fault rates with a wear ramp (fault probabilities
 // escalate as erase counts pass the rated endurance), a deterministic
 // per-shard random power-cut schedule, and a staggered checkpoint

@@ -2,7 +2,7 @@
 //
 // Runs the same preconditioned 4 KiB random-read workload on N fully
 // independent device shards (own config, own seeded fault stream, own
-// event queue) with one executor lane per shard, and reports the
+// event queue) with one thread per shard, and reports the
 // AGGREGATE simulated IOs per wall-clock second plus the scaling
 // efficiency relative to the 1-shard baseline:
 //
@@ -10,7 +10,7 @@
 //
 // Each row repeats the same-seed run until it has spent at least
 // kMinWallSeconds of wall time, so thread start-up and timer noise do
-// not decide the ratio; one executor per row is reused across repeats.
+// not decide the ratio.
 // Whole shards are the emulator's only parallel path (DESIGN.md §5d).
 // On a host with >= N free cores, efficiency should stay near 1.0 — the
 // shards share nothing on the hot path. On fewer cores the shards
@@ -44,7 +44,7 @@ int main() {
   rd.iodepth = 4;
   rd.seed = 1;
 
-  std::printf("4 KiB random reads, one executor lane per device shard "
+  std::printf("4 KiB random reads, one thread per device shard "
               "(host has %u hardware threads)\n",
               std::thread::hardware_concurrency());
   std::printf("%-8s %-8s %6s %8s %14s %14s %12s\n", "shards", "threads",
@@ -52,12 +52,11 @@ int main() {
 
   double base_ios_per_s = 0.0;
   for (const std::uint32_t shards : kShardCounts) {
-    WorkStealingExecutor exec(shards);
     ShardPlan plan;
     plan.config = ConZoneConfig::PaperConfig();
     plan.jobs = {rd};
     plan.shards = shards;
-    plan.executor = &exec;
+    plan.threads = shards;
     plan.master_seed = 1;
     plan.precondition_bytes = kRegion;
 
@@ -83,7 +82,7 @@ int main() {
     const double efficiency =
         base_ios_per_s > 0 ? ios_per_s / (base_ios_per_s * shards) : 0.0;
     std::printf("%-8u %-8u %6llu %8.2f %14.0f %14.0f %11.2fx\n", shards,
-                exec.threads(), static_cast<unsigned long long>(runs), wall_s,
+                plan.threads, static_cast<unsigned long long>(runs), wall_s,
                 ios_per_s, events_per_s, efficiency);
   }
   return 0;

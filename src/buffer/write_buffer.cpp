@@ -21,11 +21,7 @@ WriteBufferPool::WriteBufferPool(const WriteBufferConfig& config)
 }
 
 WriteBufferId WriteBufferPool::BufferForZone(ZoneId zone) const {
-  switch (cfg_.policy) {
-    case BufferMappingPolicy::kModulo:
-      return WriteBufferId(div_num_buffers_.Mod(zone.value()));
-  }
-  return WriteBufferId(0);
+  return WriteBufferId(div_num_buffers_.Mod(zone.value()));
 }
 
 bool WriteBufferPool::HasConflict(ZoneId zone) const {
@@ -101,6 +97,17 @@ WriteBufferId WriteBufferPool::OverlappingBuffer(Lpn first, std::uint64_t n,
     }
   }
   return WriteBufferId::Invalid();
+}
+
+const std::uint64_t* WriteBufferPool::BufferedToken(Lpn lpn) const {
+  for (const BufferedExtent& b : buffers_) {
+    if (!b.empty() && lpn >= b.first_lpn &&
+        lpn.value() < b.first_lpn.value() + b.slot_count()) {
+      return &b.slots[static_cast<std::size_t>(lpn.value() - b.first_lpn.value())]
+                  .token;
+    }
+  }
+  return nullptr;
 }
 
 BufferedExtent WriteBufferPool::Take(WriteBufferId buffer, bool conflict) {

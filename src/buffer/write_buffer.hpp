@@ -28,15 +28,10 @@
 
 namespace conzone {
 
-enum class BufferMappingPolicy : std::uint8_t {
-  kModulo = 0,  ///< buffer = zone index mod pool size (the paper's rule).
-};
-
 struct WriteBufferConfig {
   std::uint32_t num_buffers = 2;
   std::uint64_t buffer_bytes = 384 * kKiB;  ///< One superpage (§II-A).
   std::uint64_t slot_bytes = 4 * kKiB;
-  BufferMappingPolicy policy = BufferMappingPolicy::kModulo;
 
   Status Validate() const;
 };
@@ -64,6 +59,8 @@ class WriteBufferPool {
 
   const WriteBufferConfig& config() const { return cfg_; }
 
+  /// The buffer a zone writes through: zone index mod pool size (the
+  /// paper's rule).
   WriteBufferId BufferForZone(ZoneId zone) const;
 
   /// Whether appending for `zone` first requires flushing another zone's
@@ -98,6 +95,11 @@ class WriteBufferPool {
   /// and copies reach media in host-write order.
   WriteBufferId OverlappingBuffer(Lpn first, std::uint64_t n,
                                   WriteBufferId except) const;
+
+  /// The buffered token of `lpn`, or null when no buffer holds it. At
+  /// most one buffered copy of an LPN exists (OverlappingBuffer), so
+  /// the search order does not matter.
+  const std::uint64_t* BufferedToken(Lpn lpn) const;
 
   /// Remove and return a buffer's content for flushing. `conflict` marks
   /// a flush forced by another zone's write (statistics).

@@ -871,7 +871,7 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
     if (IsConventional(zone)) {
       // In-place region: no write pointer; validity comes from the
       // mapping itself. Buffered updates are served from RAM.
-      if (const std::uint64_t* tok = BufferedToken(lpn)) {
+      if (const std::uint64_t* tok = buffers_.BufferedToken(lpn)) {
         if (tokens_out) tokens_out->push_back(*tok);
         ++stats_.buffer_ram_reads;
         continue;
@@ -1100,17 +1100,6 @@ Result<SimTime> ConZoneDevice::Flush(SimTime now) {
 // Conventional zones (SIII-E extension): in-place updates for the host's
 // metadata region, backed by a page-mapped dynamic pool with its own GC.
 // ---------------------------------------------------------------------------
-
-const std::uint64_t* ConZoneDevice::BufferedToken(Lpn lpn) const {
-  for (std::uint32_t b = 0; b < cfg_.buffers.num_buffers; ++b) {
-    const BufferedExtent& e = buffers_.Contents(WriteBufferId{b});
-    if (!e.empty() && lpn >= e.first_lpn &&
-        lpn.value() < e.first_lpn.value() + e.slot_count()) {
-      return &e.slots[static_cast<std::size_t>(lpn.value() - e.first_lpn.value())].token;
-    }
-  }
-  return nullptr;
-}
 
 SimTime ConZoneDevice::ChargeNormalBurns(SimTime issue) {
   SimTime done = issue;

@@ -323,8 +323,6 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   /// (conventional data has no fold-back to drain it from SLC).
   Result<SimTime> EvictConventionalFromSlc(std::vector<SlotWrite> slots,
                                            SimTime reads_done);
-  /// Token of `lpn` if it sits in any write buffer (conventional reads).
-  const std::uint64_t* BufferedToken(Lpn lpn) const;
 
   ConZoneConfig cfg_;
   ZoneLayout layout_;

@@ -28,15 +28,6 @@
 
 namespace conzone {
 
-/// How a scheduled power-cut stream spaces its cuts. Consumers (the
-/// sharded runner and the fleet soak) derive the stream deterministically
-/// from the config seed via MixSeeds, so the same plan replays the same
-/// cut times regardless of thread count.
-enum class CutScheduleKind : std::uint8_t {
-  kFixedInterval,   ///< Cuts exactly every interval_ns of simulated time.
-  kRandomInterval,  ///< Exponential gaps with mean interval_ns (FaultModel).
-};
-
 /// Fault probabilities for one cell class. All are per-operation
 /// probabilities in [0, 1].
 struct FaultRates {

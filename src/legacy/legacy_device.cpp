@@ -433,20 +433,9 @@ Result<SimTime> LegacyDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
   SimTime data_done = t0;
 
   read_groups_.Clear();
-  auto buffered_token = [&](Lpn lpn) -> const std::uint64_t* {
-    for (std::uint32_t b = 0; b < cfg_.buffers.num_buffers; ++b) {
-      const BufferedExtent& e = buffers_.Contents(WriteBufferId{b});
-      if (!e.empty() && lpn >= e.first_lpn &&
-          lpn.value() < e.first_lpn.value() + e.slot_count()) {
-        return &e.slots[static_cast<std::size_t>(lpn.value() - e.first_lpn.value())]
-                    .token;
-      }
-    }
-    return nullptr;
-  };
   for (std::uint64_t off = offset; off < offset + len; off += slot) {
     const Lpn lpn = Lpn(off / slot);
-    if (const std::uint64_t* tok = buffered_token(lpn)) {
+    if (const std::uint64_t* tok = buffers_.BufferedToken(lpn)) {
       if (tokens_out) tokens_out->push_back(*tok);
       ++stats_.buffer_ram_reads;
       continue;

@@ -1,22 +1,22 @@
 // The shard runner: the one place the emulator spreads work over host
-// threads (DESIGN.md §5d, §7).
+// threads (DESIGN.md §5d).
 //
 // A shard is a fully independent simulated device: its own config, its
 // own seeded fault and workload streams, its own event queue. One
 // simulated device cannot be sped up by host threads — its concurrency
 // lives in the modelled channels, chips and buffers of one timeline —
 // so the emulator scales out by running whole shards in parallel.
-// RunShards runs a shard body once per shard id on the work-stealing
-// executor (src/exec) and returns the results in shard-id order. Its
-// two callers are ShardedRunner (one FIO job list per shard) and
-// FleetSoakRunner (one crash-harness soak per shard); each keeps only
-// its own seed derivation and merge.
+// RunShards runs a shard body once per shard id on plain threads that
+// claim ids from one atomic counter, and returns the results in
+// shard-id order. Its two callers are ShardedRunner (one FIO job list
+// per shard) and FleetSoakRunner (one crash-harness soak per shard);
+// each keeps only its own seed derivation and merge.
 //
 // Determinism contract:
 //   * A body is a pure function of its shard id and the read-only plan
 //     it captures; shards share no mutable state.
 //   * Each shard's outcome lands in its own preallocated slot, and the
-//     slots are read only after the executor's join barrier, in shard-id
+//     slots are read only after every thread has joined, in shard-id
 //     order.
 //   * Any failing shard fails the run with the lowest failing shard id's
 //     status, never with whichever failed first in wall-clock time.
@@ -25,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <thread>
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "exec/executor.hpp"
 
 namespace conzone {
 
@@ -40,34 +40,34 @@ namespace conzone {
 /// and returns the values in shard-id order, or the status of the
 /// lowest-numbered failing shard.
 ///
-/// Execution: on `executor` when it is non-null (non-owning; `threads`
-/// is then ignored). Otherwise `threads` lanes, where 0 means
-/// min(shards, hardware threads) and more lanes than shards are never
-/// started; one lane runs the shards inline on the calling thread.
+/// `threads` counts the calling thread; 0 means hardware threads, and
+/// more threads than shards are never started. At one thread the bodies
+/// run on the calling thread in shard-id order. Bodies must not throw.
 template <class T, class Body>
 Result<std::vector<T>> RunShards(std::uint32_t shards, std::uint32_t threads,
-                                 Executor* executor, Body&& body) {
+                                 Body&& body) {
   if (shards == 0) {
     return Status::InvalidArgument("shard runner: need at least one shard");
   }
-  std::vector<std::optional<Result<T>>> slots(shards);
-  auto task = [&](std::size_t id) {
-    slots[id].emplace(body(static_cast<std::uint32_t>(id)));
-  };
-  if (executor != nullptr) {
-    executor->Run(shards, task);
-  } else {
-    if (threads == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      threads = hw == 0 ? 1u : static_cast<std::uint32_t>(hw);
-    }
-    threads = std::min(threads, shards);
-    if (threads <= 1) {
-      SerialExecutor().Run(shards, task);
-    } else {
-      WorkStealingExecutor(threads).Run(shards, task);
-    }
+  if (threads == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    threads = hw == 0 ? 1u : static_cast<std::uint32_t>(hw);
   }
+  threads = std::min(threads, shards);
+
+  std::vector<std::optional<Result<T>>> slots(shards);
+  std::atomic<std::uint32_t> next_id{0};
+  auto lane = [&] {
+    for (std::uint32_t id = next_id++; id < shards; id = next_id++) {
+      slots[id].emplace(body(id));
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    for (std::uint32_t i = 1; i < threads; ++i) helpers.emplace_back(lane);
+    lane();
+  }  // join: every slot is written
 
   std::vector<T> results;
   results.reserve(shards);

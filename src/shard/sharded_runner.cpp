@@ -53,7 +53,7 @@ std::vector<JobSpec> ShardedRunner::JobsForShard(const ShardPlan& plan,
 
 Result<ShardedResult> ShardedRunner::Run() {
   auto shards = RunShards<ShardResult>(
-      plan_.shards, plan_.threads, plan_.executor,
+      plan_.shards, plan_.threads,
       [this](std::uint32_t id) { return RunOneShard(plan_, id); });
   if (!shards.ok()) return shards.status();
 

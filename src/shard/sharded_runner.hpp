@@ -1,5 +1,4 @@
-// Sharded FIO runner — the scale-out half of the engine (the timing
-// wheel in src/sim is the scale-up half).
+// Sharded FIO runner: many independent devices, one FIO job list each.
 //
 // Each shard is a bare ConZone device running the plan's FIO job list.
 // Shards share nothing mutable, so the shard runner (shard_runner.hpp)
@@ -29,8 +28,6 @@
 
 namespace conzone {
 
-class Executor;
-
 /// Everything needed to reproduce a sharded run.
 struct ShardPlan {
   /// Template device configuration; shard i runs
@@ -40,15 +37,9 @@ struct ShardPlan {
   /// (shard 0 keeps the template seeds unchanged).
   std::vector<JobSpec> jobs;
   std::uint32_t shards = 1;
-  /// Worker threads; 0 = min(shards, hardware_concurrency). Ignored
-  /// when `executor` is set.
+  /// Threads, the calling one included; 0 = min(shards,
+  /// hardware_concurrency).
   std::uint32_t threads = 0;
-  /// Schedule shard tasks on this shared executor instead of building
-  /// one per run (non-owning; must outlive the run). Null = the runner
-  /// constructs a WorkStealingExecutor with `threads` lanes. Results
-  /// are bit-identical either way — the merge is what's ordered, not
-  /// the execution.
-  Executor* executor = nullptr;
   std::uint64_t master_seed = 1;
   /// Sequentially fill [0, precondition_bytes) on each shard before the
   /// measured jobs (read workloads need written media).

@@ -26,21 +26,13 @@ Result<FleetShardResult> SoakOneShard(const FleetSoakPlan& plan,
   // The cut stream is a pure function of the shard's derived fault seed
   // and draws from FaultModel's private decorrelated stream, so it
   // never shifts a fault draw of an otherwise identical run.
-  FaultModel schedule;
-  if (plan.schedule == CutScheduleKind::kRandomInterval) {
-    FaultConfig sc;
-    sc.seed = cfg.fault.seed;
-    sc.power_cut_mean_interval_ns = plan.cut_interval_ns;
-    schedule = FaultModel(sc);
-  }
-  auto next_cut_after = [&](SimTime t) {
-    return plan.schedule == CutScheduleKind::kRandomInterval
-               ? schedule.NextCutAfter(t)
-               : t + SimDuration::Nanos(plan.cut_interval_ns);
-  };
+  FaultConfig sc;
+  sc.seed = cfg.fault.seed;
+  sc.power_cut_mean_interval_ns = plan.cut_interval_ns;
+  FaultModel schedule(sc);
 
   const std::size_t slice = plan.ops_per_slice == 0 ? 1 : plan.ops_per_slice;
-  SimTime next_cut = next_cut_after(h.now());
+  SimTime next_cut = schedule.NextCutAfter(h.now());
   while (r.cuts < plan.cuts_per_shard) {
     if (Status st = h.RunOps(slice); !st.ok()) {
       // Degraded-shard policy: a device that latched read-only cannot
@@ -61,7 +53,7 @@ Result<FleetShardResult> SoakOneShard(const FleetSoakPlan& plan,
     if (Status st = h.RecoverAndVerify(); !st.ok()) return st;
     ++r.remounts;
     ++r.checker_passes;
-    next_cut = next_cut_after(h.now());
+    next_cut = schedule.NextCutAfter(h.now());
   }
 
   r.read_only = h.device().read_only();
@@ -126,7 +118,7 @@ Result<FleetSoakResult> FleetSoakRunner::Run() {
     return Status::InvalidArgument("fleet soak: cut interval must be > 0");
   }
   auto shards = RunShards<FleetShardResult>(
-      plan_.shards, plan_.threads, plan_.executor,
+      plan_.shards, plan_.threads,
       [this](std::uint32_t id) { return SoakOneShard(plan_, id); });
   if (!shards.ok()) return shards.status();
 

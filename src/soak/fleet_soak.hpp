@@ -37,8 +37,6 @@
 
 namespace conzone {
 
-class Executor;
-
 /// Everything needed to reproduce a fleet soak.
 struct FleetSoakPlan {
   /// Template device configuration; shard i runs
@@ -50,10 +48,9 @@ struct FleetSoakPlan {
   /// running between cuts; a read-only degradation ends the shard's
   /// soak early as a survivor).
   std::uint32_t cuts_per_shard = 100;
-  CutScheduleKind schedule = CutScheduleKind::kRandomInterval;
-  /// Fixed: exact simulated-time gap between a recovery and the next
-  /// cut. Random: mean of the exponential gap, drawn from the shard's
-  /// decorrelated FaultModel cut stream.
+  /// Mean simulated-time gap between a recovery and the next cut. The
+  /// gaps are exponential, drawn from the shard's decorrelated
+  /// FaultModel cut stream.
   std::uint64_t cut_interval_ns = 10'000'000;
   /// Workload ops per scheduling slice: the shard runs this many ops,
   /// then checks whether the cut alarm has fired. Granularity only —
@@ -81,12 +78,9 @@ struct FleetSoakPlan {
   std::uint64_t checkpoint_interval_entries = 1024;
   std::uint32_t checkpoint_stagger_levels = 4;
 
-  /// Worker threads; 0 = min(shards, hardware_concurrency). Ignored
-  /// when `executor` is set.
+  /// Threads, the calling one included; 0 = min(shards,
+  /// hardware_concurrency).
   std::uint32_t threads = 0;
-  /// Run shard tasks on this shared executor (non-owning). Null = the
-  /// runner constructs a WorkStealingExecutor with `threads` lanes.
-  Executor* executor = nullptr;
   std::uint64_t master_seed = 1;
 };
 

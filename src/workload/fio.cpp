@@ -12,6 +12,10 @@ Status FioRunner::ValidateSpec(const JobSpec& spec) const {
   if (spec.iodepth == 0) {
     return Status::InvalidArgument(spec.name + ": iodepth must be >= 1");
   }
+  if (spec.block_size == 0 || spec.block_size % di.io_alignment != 0) {
+    return Status::InvalidArgument(spec.name + ": block size must be a multiple of " +
+                                   std::to_string(di.io_alignment));
+  }
   if (!spec.zone_list.empty()) {
     if (di.zone_size_bytes == 0) {
       return Status::InvalidArgument(spec.name + ": zone_list on a non-zoned device");
@@ -22,25 +26,30 @@ Status FioRunner::ValidateSpec(const JobSpec& spec) const {
                                   " out of range");
       }
     }
-    if (spec.io_count == 0 && spec.runtime == SimDuration()) {
-      return Status::InvalidArgument(spec.name + ": need io_count or runtime");
+    if (spec.zone_span_bytes % di.io_alignment != 0 ||
+        spec.zone_span_bytes > di.zone_size_bytes) {
+      return Status::InvalidArgument(spec.name +
+                                     ": zone span must be aligned and fit in a zone");
     }
-    return Status::Ok();
-  }
-  if (spec.region_size == 0) return Status::InvalidArgument(spec.name + ": empty region");
-  if (spec.block_size == 0 || spec.block_size % di.io_alignment != 0) {
-    return Status::InvalidArgument(spec.name + ": block size must be a multiple of " +
-                                   std::to_string(di.io_alignment));
-  }
-  if (spec.region_offset % di.io_alignment != 0 ||
-      spec.region_size % di.io_alignment != 0) {
-    return Status::InvalidArgument(spec.name + ": region must be aligned");
-  }
-  if (spec.region_offset + spec.region_size > di.capacity_bytes) {
-    return Status::OutOfRange(spec.name + ": region beyond device capacity");
-  }
-  if (spec.block_size > spec.region_size) {
-    return Status::InvalidArgument(spec.name + ": block larger than region");
+    const std::uint64_t span =
+        spec.zone_span_bytes != 0 ? spec.zone_span_bytes : di.zone_size_bytes;
+    if (spec.block_size > span) {
+      return Status::InvalidArgument(spec.name + ": block larger than zone span");
+    }
+  } else {
+    if (spec.region_size == 0) {
+      return Status::InvalidArgument(spec.name + ": empty region");
+    }
+    if (spec.region_offset % di.io_alignment != 0 ||
+        spec.region_size % di.io_alignment != 0) {
+      return Status::InvalidArgument(spec.name + ": region must be aligned");
+    }
+    if (spec.region_offset + spec.region_size > di.capacity_bytes) {
+      return Status::OutOfRange(spec.name + ": region beyond device capacity");
+    }
+    if (spec.block_size > spec.region_size) {
+      return Status::InvalidArgument(spec.name + ": block larger than region");
+    }
   }
   if (spec.io_count == 0 && spec.runtime == SimDuration()) {
     return Status::InvalidArgument(spec.name + ": need io_count or runtime");

@@ -50,7 +50,8 @@ struct JobSpec {
   /// equal or opposite parity.
   std::vector<std::uint64_t> zone_list;
   /// With zone_list: operate only on the first `zone_span_bytes` of each
-  /// listed zone (0 = the whole zone). Lets read jobs target the written
+  /// listed zone (0 = the whole zone; otherwise aligned, at most the zone
+  /// size and at least one block). Lets read jobs target the written
   /// prefix of partially-filled zones.
   std::uint64_t zone_span_bytes = 0;
   /// Stop conditions (at least one must be set; both = whichever first).

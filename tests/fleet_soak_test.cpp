@@ -92,19 +92,6 @@ TEST(FleetSoakTest, MergedStatsIdenticalForAnyThreadCount) {
   }
 }
 
-TEST(FleetSoakTest, RunsOnACallerProvidedExecutor) {
-  FleetSoakPlan plan = SmallPlan(/*shards=*/3, /*cuts=*/3);
-  plan.threads = 1;
-  auto serial = FleetSoakRunner(plan).Run();
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  WorkStealingExecutor exec(3);
-  plan.executor = &exec;
-  auto shared = FleetSoakRunner(plan).Run();
-  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
-  EXPECT_EQ(Fingerprint(shared.value()), Fingerprint(serial.value()));
-}
-
 // Shard 0 is the identity derivation: replaying ConfigForShard(plan, 0)
 // and WorkloadForShard(plan, 0) through a plain single-device harness
 // loop — the examples/crash_study shape — reproduces it bit for bit.

@@ -1,8 +1,12 @@
 // Shard-runner tests: the determinism contract of scale-out.
 //
-//   * Lowest failing shard: RunShards, called directly with a body that
-//     fails on two shards, returns the lower shard's status at every
-//     thread count and on a caller-provided executor.
+//   * RunShards, called directly: every shard runs exactly once and the
+//     values come back in shard-id order at 1-8 threads, for 1 to 1000
+//     shards and with skewed shard costs; one thread runs the bodies on
+//     the caller in id order, and a body may start a shard run of its
+//     own.
+//   * Lowest failing shard: with a body that fails on two shards,
+//     RunShards returns the lower shard's status at every thread count.
 //   * Thread-count invariance: the same plan merged from any number of
 //     worker threads is bit-identical (shard isolation + merge-after-
 //     join, never first-to-finish).
@@ -11,8 +15,11 @@
 //     are identity derivations).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "conzone/conzone.hpp"
 
@@ -175,7 +182,94 @@ TEST(ShardedRunnerTest, ZeroShardsIsAnError) {
   EXPECT_FALSE(res.ok());
 }
 
-// Shards 1 and 3 fail with different statuses. Whichever lane finishes
+// A deterministic busy loop whose cost grows with `spins`.
+std::uint64_t Spin(std::uint64_t seed, int spins) {
+  std::uint64_t acc = seed;
+  for (int s = 0; s < spins; ++s) acc = acc * 6364136223846793005ull + 1;
+  return acc;
+}
+
+TEST(ExecutorTest, EveryTaskRunsExactlyOnce) {
+  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+    for (const std::uint32_t shards : {1u, 3u, 64u, 1000u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " shards=" << shards);
+      std::vector<std::atomic<std::uint32_t>> runs(shards);
+      auto res = RunShards<std::uint32_t>(
+          shards, threads, [&](std::uint32_t id) -> Result<std::uint32_t> {
+            ++runs[id];
+            return id;
+          });
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      ASSERT_EQ(res.value().size(), shards);
+      for (std::uint32_t id = 0; id < shards; ++id) {
+        ASSERT_EQ(runs[id].load(), 1u) << "shard " << id;
+        ASSERT_EQ(res.value()[id], id) << "shard " << id;
+      }
+    }
+  }
+}
+
+// 13 shards with skewed costs (every fourth shard spins 100x longer), so
+// threads finish out of order and the fast ones take the ids a slow one
+// would otherwise get. Each shard must run exactly once and the values
+// must come back in shard-id order.
+TEST(ExecutorTest, StealStressSkewedTaskCosts) {
+  constexpr std::uint32_t kShards = 13;
+  auto spins = [](std::uint32_t id) { return id % 4 == 0 ? 20000 : 200; };
+  std::vector<std::uint64_t> expect;
+  for (std::uint32_t id = 0; id < kShards; ++id) {
+    expect.push_back(Spin(id, spins(id)));
+  }
+
+  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    std::vector<std::atomic<std::uint32_t>> runs(kShards);
+    auto res = RunShards<std::uint64_t>(
+        kShards, threads, [&](std::uint32_t id) -> Result<std::uint64_t> {
+          ++runs[id];
+          return Spin(id, spins(id));
+        });
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    for (std::uint32_t id = 0; id < kShards; ++id) {
+      EXPECT_EQ(runs[id].load(), 1u) << "shard " << id;
+    }
+    EXPECT_EQ(res.value(), expect);
+  }
+}
+
+TEST(ShardRunnerTest, OneThreadRunsOnTheCallerInIdOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::uint32_t> order;
+  auto res = RunShards<std::uint32_t>(
+      6, 1, [&](std::uint32_t id) -> Result<std::uint32_t> {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(id);
+        return id;
+      });
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
+}
+
+// A body that starts a shard run of its own gets its own threads.
+TEST(ShardRunnerTest, NestedRunShardsCompletes) {
+  auto res = RunShards<std::uint32_t>(
+      4, 4, [](std::uint32_t outer) -> Result<std::uint32_t> {
+        auto inner = RunShards<std::uint32_t>(
+            5, 3, [outer](std::uint32_t id) -> Result<std::uint32_t> {
+              return outer * 10 + id;
+            });
+        if (!inner.ok()) return inner.status();
+        std::uint32_t sum = 0;
+        for (const std::uint32_t v : inner.value()) sum += v;
+        return sum;
+      });
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  // Shard o sums o*10 + id over id = 0..4: 50*o + 10.
+  EXPECT_EQ(res.value(), (std::vector<std::uint32_t>{10, 60, 110, 160}));
+}
+
+// Shards 1 and 3 fail with different statuses. Whichever thread finishes
 // first, the run reports shard 1's; on success the values come back in
 // shard-id order.
 TEST(ShardRunnerTest, LowestFailingShardWinsAtAnyThreadCount) {
@@ -184,24 +278,19 @@ TEST(ShardRunnerTest, LowestFailingShardWinsAtAnyThreadCount) {
     if (id == 3) return Status::Internal("shard 3");
     return id * 10;
   };
-  auto check = [&](std::uint32_t threads, Executor* exec) {
-    auto res = RunShards<std::uint32_t>(5, threads, exec, body);
+  for (const std::uint32_t threads : {0u, 1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    auto res = RunShards<std::uint32_t>(5, threads, body);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.status().code(), StatusCode::kMediaError);
     EXPECT_EQ(res.status().message(), "shard 1");
-  };
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE(threads);
-    check(threads, nullptr);
   }
-  WorkStealingExecutor exec(4);
-  check(/*threads=*/0, &exec);
 
   auto ok = RunShards<std::uint32_t>(
-      4, 4, nullptr, [](std::uint32_t id) -> Result<std::uint32_t> { return id * 10; });
+      4, 4, [](std::uint32_t id) -> Result<std::uint32_t> { return id * 10; });
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.value(), (std::vector<std::uint32_t>{0, 10, 20, 30}));
-  EXPECT_FALSE(RunShards<std::uint32_t>(0, 1, nullptr, body).ok());
+  EXPECT_FALSE(RunShards<std::uint32_t>(0, 1, body).ok());
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Unit tests for the discrete-event engine: busy-until resource
 // timelines and the event queue. The scheduler contract — time order,
 // FIFO among equal timestamps, clamp semantics — is checked on two
-// queues: EventQueue (the timing wheel) and ReferenceQueue, a plain
-// (when, seq) binary heap kept here as the oracle. The randomized
-// cross-check at the bottom proves the wheel executes bit-identical
-// event orders to the reference.
+// queues: EventQueue and ReferenceQueue, a separately written
+// (when, seq) heap on std::push_heap kept here as the oracle. The
+// randomized cross-check at the bottom proves EventQueue executes
+// bit-identical event orders to the reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -55,7 +55,7 @@ TEST(ResourceTimelineTest, ResetClearsState) {
 }
 
 // The queue API the contract tests drive, so one test body checks both
-// the wheel and the reference.
+// EventQueue and the reference.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -74,7 +74,7 @@ class Scheduler {
   bool empty() const { return size() == 0; }
 };
 
-class WheelQueue final : public Scheduler {
+class QueueUnderTest final : public Scheduler {
  public:
   void Schedule(SimTime t, EventQueue::Callback cb) override {
     q_.Schedule(t, std::move(cb));
@@ -137,10 +137,10 @@ class ReferenceQueue final : public Scheduler {
   SimTime now_;
 };
 
-enum class QueueKind : std::uint8_t { kReference, kWheel };
+enum class QueueKind : std::uint8_t { kReference, kEventQueue };
 
 std::unique_ptr<Scheduler> MakeQueue(QueueKind kind) {
-  if (kind == QueueKind::kWheel) return std::make_unique<WheelQueue>();
+  if (kind == QueueKind::kEventQueue) return std::make_unique<QueueUnderTest>();
   return std::make_unique<ReferenceQueue>();
 }
 
@@ -209,12 +209,10 @@ TEST_P(EventQueueBackendTest, RunUntilExactlyAtEventTimestampRunsIt) {
 TEST_P(EventQueueBackendTest, ScheduleAfterRunUntilPeekedPastDeadline) {
   // RunUntil must not "use up" the timeline: after it stops at a deadline
   // short of the next event, scheduling between the deadline and that
-  // event must still run in correct order. (On the wheel this exercises
-  // the cursor-resync path: the peek advanced the wheel to the far
-  // event's timestamp.)
+  // event must still run in correct order.
   std::vector<int> order;
   q.Schedule(SimTime::FromNanos(1000), [&](SimTime) { order.push_back(2); });
-  q.RunUntil(SimTime::FromNanos(100));  // peeks 1000, runs nothing
+  q.RunUntil(SimTime::FromNanos(100));  // next event at 1000: runs nothing
   EXPECT_EQ(q.now().ns(), 0u);
   q.Schedule(SimTime::FromNanos(500), [&](SimTime) { order.push_back(1); });
   q.Schedule(SimTime::FromNanos(1000), [&](SimTime) { order.push_back(3); });
@@ -290,10 +288,8 @@ TEST_P(EventQueueBackendTest, OversizedCapturesStillRun) {
 }
 
 TEST_P(EventQueueBackendTest, FarFutureEventsBeyondWheelHorizon) {
-  // Events farther out than the wheel's top-level horizon (2^32 ns) land
-  // in the overflow heap; promotion back into the wheel must preserve
-  // time order and equal-timestamp FIFO. Exercised across several
-  // horizon windows, interleaved with near events.
+  // Events many 2^32 ns windows apart, interleaved with near events,
+  // keep time order and equal-timestamp FIFO.
   constexpr std::uint64_t kHorizon = 1ull << 32;
   std::vector<std::uint64_t> ran;
   std::vector<std::uint64_t> expect;
@@ -317,21 +313,25 @@ TEST_P(EventQueueBackendTest, FarFutureEventsBeyondWheelHorizon) {
   EXPECT_EQ(q.executed(), 7u);
 }
 
+// The instance names date from when EventQueue was a timing wheel; they
+// stay so the test IDs stay stable. BinaryHeap runs ReferenceQueue and
+// TimingWheel runs EventQueue.
 INSTANTIATE_TEST_SUITE_P(AllBackends, EventQueueBackendTest,
-                         ::testing::Values(QueueKind::kReference, QueueKind::kWheel),
+                         ::testing::Values(QueueKind::kReference,
+                                           QueueKind::kEventQueue),
                          [](const ::testing::TestParamInfo<QueueKind>& info) {
                            return info.param == QueueKind::kReference ? "BinaryHeap"
                                                                       : "TimingWheel";
                          });
 
-// --- Wheel-vs-reference property test ------------------------------------
+// --- EventQueue-vs-reference property test -------------------------------
 //
-// Randomized schedules driven through the wheel and the reference must
+// Randomized schedules driven through EventQueue and the reference must
 // execute the exact same (timestamp, id) sequence — including FIFO order
-// among equal timestamps. The generator deliberately stresses every structural path
-// of the wheel: dense equal-timestamp bursts, nested scheduling from
-// inside callbacks, clamped past requests, overflow-horizon events and
-// RunUntil peeks that force a cursor resync.
+// among equal timestamps. The generator mixes dense equal-timestamp
+// bursts, nested scheduling from inside callbacks, clamped past
+// requests, far-future events and RunUntil stops short of the next
+// event.
 
 struct TraceEvent {
   std::uint64_t when;
@@ -359,7 +359,7 @@ std::vector<TraceEvent> RunRandomSchedule(QueueKind kind, std::uint64_t seed) {
         std::uint64_t off;
         switch (rng.NextBelow(6)) {
           case 0: off = 0; break;                        // same timestamp
-          case 1: off = 1 + rng.NextBelow(4); break;     // level-0 near
+          case 1: off = 1 + rng.NextBelow(4); break;     // very near
           case 2: off = 1 + rng.NextBelow(1 << 16); break;
           case 3: off = 1 + rng.NextBelow(1 << 30); break;
           case 4: off = (1ull << 32) + rng.NextBelow(1ull << 33); break;
@@ -388,7 +388,7 @@ std::vector<TraceEvent> RunRandomSchedule(QueueKind kind, std::uint64_t seed) {
       schedule_one(SimTime::FromNanos(base));
     }
   }
-  // Alternate RunUntil (forces peeks / possible resyncs) with more
+  // Alternate RunUntil (stopping short of pending events) with more
   // scheduling, then drain.
   for (int round = 0; round < 4; ++round) {
     q.RunUntil(SimTime::FromNanos((round + 1) * (1ull << 32)));
@@ -400,18 +400,18 @@ std::vector<TraceEvent> RunRandomSchedule(QueueKind kind, std::uint64_t seed) {
 
 TEST(EventQueueCrossCheckTest, WheelMatchesHeapOnRandomizedSchedules) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto heap_trace = RunRandomSchedule(QueueKind::kReference, seed);
-    const auto wheel_trace = RunRandomSchedule(QueueKind::kWheel, seed);
-    ASSERT_EQ(heap_trace.size(), wheel_trace.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < heap_trace.size(); ++i) {
-      ASSERT_EQ(heap_trace[i].when, wheel_trace[i].when)
+    const auto ref_trace = RunRandomSchedule(QueueKind::kReference, seed);
+    const auto trace = RunRandomSchedule(QueueKind::kEventQueue, seed);
+    ASSERT_EQ(ref_trace.size(), trace.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < ref_trace.size(); ++i) {
+      ASSERT_EQ(ref_trace[i].when, trace[i].when)
           << "seed " << seed << " event " << i;
-      ASSERT_EQ(heap_trace[i].id, wheel_trace[i].id)
+      ASSERT_EQ(ref_trace[i].id, trace[i].id)
           << "seed " << seed << " event " << i;
     }
     // Sanity: timestamps monotone (no event ran in the past).
-    for (std::size_t i = 1; i < wheel_trace.size(); ++i) {
-      ASSERT_GE(wheel_trace[i].when, wheel_trace[i - 1].when);
+    for (std::size_t i = 1; i < trace.size(); ++i) {
+      ASSERT_GE(trace[i].when, trace[i - 1].when);
     }
   }
 }

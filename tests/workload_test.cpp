@@ -202,6 +202,38 @@ TEST_F(FioRunnerTest, ValidationRejectsBadSpecs) {
   EXPECT_FALSE(fio.Run({z}).ok());
 }
 
+// Zone-list jobs pass the same block-size checks as region jobs, and
+// their span must be aligned and fit in one zone: a span past the zone
+// end would write the next zone, which is not on the list.
+TEST_F(FioRunnerTest, ValidationRejectsBadZoneListSpecs) {
+  const std::uint64_t zs = dev_->info().zone_size_bytes;
+  FioRunner fio(*dev_);
+  JobSpec w;
+  w.name = "zonewriter";
+  w.direction = IoDirection::kWrite;
+  w.block_size = 512 * kKiB;
+  w.zone_list = {0};
+  w.zone_span_bytes = 2 * zs;
+  w.io_count = 2 * zs / w.block_size;
+  auto too_wide = fio.Run({w});
+  EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dev_->zones().Info(ZoneId{1}).state, ZoneState::kEmpty);
+
+  w.zone_span_bytes = 1000;  // misaligned span
+  EXPECT_EQ(fio.Run({w}).status().code(), StatusCode::kInvalidArgument);
+
+  w.zone_span_bytes = 64 * kKiB;  // smaller than one block
+  EXPECT_EQ(fio.Run({w}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dev_->zones().Info(ZoneId{0}).state, ZoneState::kEmpty);
+
+  w.zone_span_bytes = 0;
+  w.block_size = 1000;  // misaligned block: the runner rejects it, not the device
+  auto misaligned = fio.Run({w});
+  ASSERT_FALSE(misaligned.ok());
+  EXPECT_EQ(misaligned.status().message(),
+            "zonewriter: block size must be a multiple of 4096");
+}
+
 TEST_F(FioRunnerTest, DeviceErrorsAbortTheRun) {
   FioRunner fio(*dev_);
   JobSpec rd;  // reading unwritten space fails inside the device
