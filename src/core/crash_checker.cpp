@@ -404,6 +404,22 @@ Status CrashHarness::RunOps(std::size_t n) {
   return Status::Ok();
 }
 
+Status CrashHarness::WriteAndFlush(std::uint64_t offset, std::uint64_t slots) {
+  std::vector<std::uint64_t> tokens(slots);
+  for (auto& t : tokens) t = next_token_++;
+  last_submit_ = now_;
+  auto done = dev_->Write(IoRequest{offset, slots * cfg_.geometry.slot_size, now_, tokens});
+  if (!done.ok()) return done.status();
+  checker_->OnWrite(offset, tokens, now_, done.value().done);
+  now_ = done.value().done;
+  last_submit_ = now_;
+  auto flushed = dev_->Flush(now_);
+  if (!flushed.ok()) return flushed.status();
+  checker_->OnFlush(now_, flushed.value());
+  now_ = flushed.value();
+  return Status::Ok();
+}
+
 Status CrashHarness::Cut(double frac) {
   const std::uint64_t span = (now_ - last_submit_).ns();
   const std::uint64_t extra = static_cast<std::uint64_t>(

@@ -151,6 +151,11 @@ class CrashHarness {
   /// Generate and execute `n` ops from the current device state.
   Status RunOps(std::size_t n);
 
+  /// Write `slots` fresh tokens at byte `offset`, then Flush, both
+  /// shadowed like stream ops: a fixed set-up in front of the random
+  /// stream (a filled zone outside the active set, say).
+  Status WriteAndFlush(std::uint64_t offset, std::uint64_t slots);
+
   /// Cut power at `frac` of the way through the last op's service window
   /// (0 = its submission instant, 1 = its completion; >1 reaches into
   /// background pulses still in flight past the completion).

@@ -67,6 +67,7 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
                          ? cfg_.zone_size_bytes / cfg_.geometry.slot_size
                          : 0) {
   runtime_.resize(cfg_.num_conventional_zones + layout_.num_zones());
+  zone_images_.resize(runtime_.size());
   buffer_ready_.resize(cfg_.buffers.num_buffers, SimTime::Zero());
   // Erase-count-aware allocation (ROADMAP wear leveling): steer SLC and
   // conventional-pool allocation toward the least-worn superblocks.
@@ -638,38 +639,43 @@ SimTime ConZoneDevice::WriteCheckpoint(SimTime now) {
   CheckpointImage img;
   img.seq = ckpt_.NextSeq();
   img.program_seq = array_.program_seq();
-  // Extent-coded: zoned fills are contiguous in both lpn and ppn space,
-  // so AddMapping collapses the table to O(extents) runs.
-  table_.ForEachMapped([&](Lpn lpn, Ppn ppn) {
-    img.AddMapping(lpn.value(), ppn.value());
-  });
-  // Zone snapshots: the pure reconciliation of the mapping we just
-  // serialized. A zone whose reconcile has no orphans and whose staged
-  // extent reaches the host-visible write pointer (nothing buffered or
-  // in flight) is stamped restorable — an untouched zone restores its
-  // runtime from these fields at mount without re-walking its lpns.
-  {
-    const auto& zinfos = zones_.zones();
-    for (std::uint32_t z = 0; z < zinfos.size(); ++z) {
-      ZoneSnap snap;
-      snap.write_pointer = zinfos[z].write_pointer;
-      if (!IsConventional(ZoneId{z})) {
-        const ZoneReconcile rec = ReconcileZoneMapping(ZoneId{z});
-        snap.durable_normal_end = rec.durable_normal_end;
-        snap.patch_start = rec.patch_start.value();
-        if (rec.degraded) snap.flags |= ZoneSnap::kFlagDegraded;
-        if (rec.patch_contiguous) snap.flags |= ZoneSnap::kFlagPatchContiguous;
-        if (!rec.has_orphans && rec.staged_end == zinfos[z].write_pointer) {
-          snap.flags |= ZoneSnap::kFlagRestorable;
-        }
+  // The first image after a mount completes the seeding: a zone still
+  // unchanged since then is one the mount restored, and its runs are the
+  // replayed image's runs clipped to it. Deferred to here because a cut
+  // may come before any image is written.
+  for (const MapRun& run : mount_runs_) {
+    for (std::uint64_t lpn = run.lpn, end = run.lpn + run.count; lpn < end;) {
+      const std::uint64_t z = div_lpns_per_zone_.Div(lpn);
+      const std::uint64_t n = std::min(end, (z + 1) * lpns_per_zone_) - lpn;
+      if (z < zone_images_.size() && !table_.zone_changed(ZoneId{z})) {
+        AppendRun(zone_images_[z].runs, MapRun{lpn, run.ppn + (lpn - run.lpn), n});
       }
-      img.zones.push_back(snap);
+      lpn += n;
     }
   }
-  for (SuperblockId sb : pool_.FreeSlcList()) img.free_slc.push_back(sb.value());
-  for (SuperblockId sb : pool_.FreeNormalList()) {
-    img.free_normal.push_back(sb.value());
+  mount_runs_.clear();
+  // Incremental: a zone whose mapping changed since the last image is
+  // re-walked into its maximal runs and re-reconciled; every other zone
+  // reuses its cached ones. Extent-coded: zoned fills are contiguous in
+  // both lpn and ppn space, so a zone collapses to O(extents) runs. The
+  // cached runs join with AddMapping's merge rule, because a run can
+  // continue across a zone boundary: the run list, and with it every
+  // image byte, is the one a walk of the whole table builds.
+  for (std::uint32_t z = 0; z < zone_images_.size(); ++z) {
+    const ZoneId zone{z};
+    ZoneImage& zi = zone_images_[z];
+    if (table_.zone_changed(zone)) {
+      zi.runs.clear();
+      table_.ForEachMappedInZone(zone, [&](Lpn lpn, Ppn ppn) {
+        AppendRun(zi.runs, MapRun{lpn.value(), ppn.value(), 1});
+      });
+      if (!IsConventional(zone)) zi.rec = ReconcileZoneMapping(zone);
+      table_.ClearZoneChanged(zone);
+    }
+    for (const MapRun& run : zi.runs) AppendRun(img.mappings, run);
+    img.zones.push_back(SnapZone(zone, zi.rec));
   }
+  AddFreeLists(img);
   std::vector<std::uint8_t> blob = img.Encode();
 
   // Honest media cost on the shared chip timelines: reclaim the target
@@ -698,6 +704,43 @@ SimTime ConZoneDevice::WriteCheckpoint(SimTime now) {
   flushed_entries_since_ckpt_ = 0;
   media_horizon_ = Later(media_horizon_, t);
   return t;
+}
+
+std::vector<std::uint8_t> ConZoneDevice::CheckpointBlobForTest(std::uint64_t seq) const {
+  CheckpointImage img;
+  img.seq = seq;
+  img.program_seq = array_.program_seq();
+  table_.ForEachMapped([&](Lpn lpn, Ppn ppn) { img.AddMapping(lpn.value(), ppn.value()); });
+  for (std::uint32_t z = 0; z < runtime_.size(); ++z) {
+    const ZoneId zone{z};
+    img.zones.push_back(
+        SnapZone(zone, IsConventional(zone) ? ZoneReconcile{} : ReconcileZoneMapping(zone)));
+  }
+  AddFreeLists(img);
+  return img.Encode();
+}
+
+ZoneSnap ConZoneDevice::SnapZone(ZoneId zone, const ZoneReconcile& rec) const {
+  ZoneSnap snap;
+  snap.write_pointer = zones_.Info(zone).write_pointer;
+  if (IsConventional(zone)) return snap;
+  snap.durable_normal_end = rec.durable_normal_end;
+  snap.patch_start = rec.patch_start.value();
+  if (rec.degraded) snap.flags |= ZoneSnap::kFlagDegraded;
+  if (rec.patch_contiguous) snap.flags |= ZoneSnap::kFlagPatchContiguous;
+  // A zone with no orphans whose staged extent reaches the host-visible
+  // write pointer (nothing buffered or in flight) is restorable: left
+  // untouched, it restores its runtime from these fields at mount
+  // without re-walking its lpns.
+  if (!rec.has_orphans && rec.staged_end == snap.write_pointer) {
+    snap.flags |= ZoneSnap::kFlagRestorable;
+  }
+  return snap;
+}
+
+void ConZoneDevice::AddFreeLists(CheckpointImage& img) const {
+  for (SuperblockId sb : pool_.FreeSlcList()) img.free_slc.push_back(sb.value());
+  for (SuperblockId sb : pool_.FreeNormalList()) img.free_normal.push_back(sb.value());
 }
 
 Result<SimTime> ConZoneDevice::CheckpointNow(SimTime now) {
@@ -1544,6 +1587,13 @@ Status ConZoneDevice::PowerCut(SimTime cut_time) {
   // the unflushed (or in-flight) L2P log tail.
   recovery_.buffered_slots_lost += buffers_.DiscardAll();
   recovery_.l2p_log_bytes_lost += l2p_log_.DropVolatile(cut_time);
+  // The image cache is controller RAM as well; the mount re-seeds the
+  // zones it restores from the image it loads (WriteCheckpoint appends
+  // their runs to these emptied entries).
+  for (ZoneImage& zi : zone_images_) {
+    zi.runs.clear();
+    zi.rec = ZoneReconcile{};
+  }
   powered_off_ = true;
   return Status::Ok();
 }
@@ -1575,6 +1625,7 @@ Result<SimTime> ConZoneDevice::RecoverScanMedia(SimTime now) {
   const std::uint32_t num_zones = cfg_.num_conventional_zones + layout_.num_zones();
   zone_dirty_.assign(num_zones, 0);
   mount_have_snaps_ = false;
+  mount_runs_.clear();
   const std::uint64_t lpns_per_zone = LpnsPerZone();
   auto dirty_lpn = [&](std::uint64_t lpn_v) {
     const std::uint64_t z = lpn_v / lpns_per_zone;
@@ -1644,8 +1695,9 @@ Result<SimTime> ConZoneDevice::RecoverScanMedia(SimTime now) {
       run_clean.assign(img->mappings.size(), 0);
       for (std::size_t ri = 0; ri < img->mappings.size(); ++ri) {
         const MapRun& run = img->mappings[ri];
-        bool clean = run.lpn + run.count <= num_lpns &&
-                     run.ppn + run.count <= total_slots;
+        // Overflow-free bounds: a checksum-valid image may hold any run.
+        bool clean = run.count <= num_lpns && run.lpn <= num_lpns - run.count &&
+                     run.count <= total_slots && run.ppn <= total_slots - run.count;
         if (clean) {
           const std::uint64_t b_first = run.ppn / run_spb;
           const std::uint64_t b_last = (run.ppn + run.count - 1) / run_spb;
@@ -1761,9 +1813,8 @@ Result<SimTime> ConZoneDevice::RecoverScanMedia(SimTime now) {
       const std::uint64_t chunk_bytes =
           static_cast<std::uint64_t>(cfg_.lpns_per_chunk) * geo.slot_size;
       for (std::uint32_t z = cfg_.num_conventional_zones; z < num_zones; ++z) {
-        if (zone_dirty_[z] != 0) continue;
+        if (!RestoredFromSnapshot(z)) continue;
         const ZoneSnap& snap = mount_zone_snaps_[z];
-        if ((snap.flags & ZoneSnap::kFlagRestorable) == 0) continue;
         if ((snap.flags & ZoneSnap::kFlagDegraded) != 0) continue;
         // Mirror of UpdateAggregation over the snapshot's runtime: whole
         // chunks inside the durable normal prefix aggregate at chunk
@@ -1849,6 +1900,9 @@ Result<SimTime> ConZoneDevice::RecoverScanMedia(SimTime now) {
     }
     mapped += accepted;
     recovery_.checkpoint_mappings += accepted;
+    // A restored zone's table is exactly these runs clipped to the zone:
+    // keep them for its image-cache entry (WriteCheckpoint).
+    if (mount_have_snaps_) mount_runs_ = std::move(img->mappings);
   }
   recovery_.replayed_mappings += mapped;
   return done;
@@ -1918,16 +1972,21 @@ ConZoneDevice::ZoneReconcile ConZoneDevice::ReconcileZoneMapping(
   return rec;
 }
 
-Status ConZoneDevice::RecoverZone(ZoneId zone) {
-  const FlashGeometry& geo = cfg_.geometry;
-  ZoneRuntime& zr = runtime_[static_cast<std::size_t>(zone.value())];
-  zr = ZoneRuntime{};
-  const ZoneReconcile rec = ReconcileZoneMapping(zone);
+ConZoneDevice::ZoneRuntime ConZoneDevice::RuntimeOf(const ZoneReconcile& rec) {
+  ZoneRuntime zr;
   zr.durable_normal_end = rec.durable_normal_end;
   zr.staged_end = rec.staged_end;
   zr.degraded = rec.degraded;
   zr.patch_start = rec.patch_start;
   zr.patch_contiguous = rec.patch_contiguous;
+  return zr;
+}
+
+Status ConZoneDevice::RecoverZone(ZoneId zone) {
+  const FlashGeometry& geo = cfg_.geometry;
+  ZoneRuntime& zr = runtime_[static_cast<std::size_t>(zone.value())];
+  const ZoneReconcile rec = ReconcileZoneMapping(zone);
+  zr = RuntimeOf(rec);
 
   // Orphans: mapped islands beyond the reconciled write pointer are
   // unreachable under zone semantics. They are always unacknowledged
@@ -2002,16 +2061,22 @@ Result<SimTime> ConZoneDevice::Recover(SimTime now) {
       zones_.RestoreAtMount(zone, 0);
       continue;
     }
-    if (mount_have_snaps_ && zone_dirty_[z] == 0 &&
-        (mount_zone_snaps_[z].flags & ZoneSnap::kFlagRestorable) != 0) {
+    if (RestoredFromSnapshot(z)) {
+      // The snapshot encodes the zone's reconcile: restorable means no
+      // orphans and a staged end equal to the write pointer. It seeds the
+      // image cache, with the runs kept in mount_runs_, so the next image
+      // does not re-walk the zone.
       const ZoneSnap& snap = mount_zone_snaps_[z];
+      ZoneReconcile& rec = zone_images_[z].rec;
+      rec = ZoneReconcile{};
+      rec.durable_normal_end = snap.durable_normal_end;
+      rec.staged_end = snap.write_pointer;
+      rec.degraded = (snap.flags & ZoneSnap::kFlagDegraded) != 0;
+      rec.patch_start = Ppn{snap.patch_start};
+      rec.patch_contiguous = (snap.flags & ZoneSnap::kFlagPatchContiguous) != 0;
+      table_.ClearZoneChanged(zone);
       ZoneRuntime& zr = runtime_[z];
-      zr = ZoneRuntime{};
-      zr.durable_normal_end = snap.durable_normal_end;
-      zr.staged_end = snap.write_pointer;  // restorable ⇒ wp == staged end
-      zr.degraded = (snap.flags & ZoneSnap::kFlagDegraded) != 0;
-      zr.patch_start = Ppn{snap.patch_start};
-      zr.patch_contiguous = (snap.flags & ZoneSnap::kFlagPatchContiguous) != 0;
+      zr = RuntimeOf(rec);
       // Map bits were already written by the scan's bulk install;
       // regenerate only counters and resolver pins.
       UpdateAggregation(zone, zr, /*table_prestamped=*/true);

@@ -130,6 +130,11 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   const CheckpointStore& checkpoint_store() const { return ckpt_; }
   /// Test hook (round-trip/corruption suites mutate slots directly).
   CheckpointStore& mutable_checkpoint_store() { return ckpt_; }
+  /// The image the device would commit now under sequence number `seq`,
+  /// built from scratch: one ForEachMapped walk of the whole table and
+  /// one reconcile per zone. The incremental builder in WriteCheckpoint
+  /// must match it byte for byte; tests hold it to that.
+  std::vector<std::uint8_t> CheckpointBlobForTest(std::uint64_t seq) const;
 
   // --- Introspection (tests, benches, examples) ---
   const ConZoneConfig& config() const { return cfg_; }
@@ -266,7 +271,11 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   /// Serialize mapping + zone WPs + free lists into a checkpoint image,
   /// charge its media cost (slot erase + chunked programs), and commit it
   /// to the ping-pong store. Returns the image's media completion time.
+  /// Only zones the table marks changed are re-walked and re-reconciled;
+  /// the rest come from zone_images_.
   SimTime WriteCheckpoint(SimTime now);
+  /// Append the free-list snapshots every image ends with.
+  void AddFreeLists(CheckpointImage& img) const;
 
   /// Host-op prologue: refuse ops while powered off, advance the
   /// last-submission watermark, and prune journal/log state that a
@@ -295,6 +304,17 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
     bool has_orphans = false;
   };
   ZoneReconcile ReconcileZoneMapping(ZoneId zone) const;
+  /// The runtime a reconcile restores (aggregation state starts clear).
+  static ZoneRuntime RuntimeOf(const ZoneReconcile& rec);
+  /// Zone `zone`'s image record: its reconcile (sequential zones only)
+  /// against the live write pointer.
+  ZoneSnap SnapZone(ZoneId zone, const ZoneReconcile& rec) const;
+  /// Sequential zone `z` is restored by the current mount from its
+  /// snapshot: restorable there and untouched since (zone_dirty_ final).
+  bool RestoredFromSnapshot(std::uint32_t z) const {
+    return mount_have_snaps_ && !IsConventional(ZoneId{z}) && zone_dirty_[z] == 0 &&
+           (mount_zone_snaps_[z].flags & ZoneSnap::kFlagRestorable) != 0;
+  }
   /// Reconcile one zone: write pointer, staging extents, aggregation,
   /// orphan slots. `zone` is a sequential zone id.
   Status RecoverZone(ZoneId zone);
@@ -343,6 +363,18 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   NormalAllocator conv_alloc_;      ///< Conventional-pool write pointer.
   CheckpointStore ckpt_;            ///< Ping-pong checkpoint slots (§12).
   std::uint32_t ckpt_chip_ = 0;     ///< Round-robin checkpoint program target.
+  /// Per-zone image cache (§12): the zone's maximal (lpn, ppn) runs and
+  /// its reconcile as of the last image that walked it, or as seeded by
+  /// the mount that restored it. Valid while the table leaves the zone
+  /// unchanged.
+  struct ZoneImage {
+    std::vector<MapRun> runs;
+    ZoneReconcile rec;
+  };
+  std::vector<ZoneImage> zone_images_;
+  /// Runs of the image the last mount replayed, until the next image
+  /// takes the restored zones' runs from them.
+  std::vector<MapRun> mount_runs_;
   /// L2P-log entries flushed since the last checkpoint image — the
   /// interval policy counter. Survives cuts on purpose: the un-imaged
   /// tail is still un-imaged after a remount.

@@ -1,5 +1,6 @@
 #include "flash/array.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -195,20 +196,22 @@ Status FlashArray::EraseBlock(BlockId block) {
   }
   const std::uint64_t slots_per_block =
       static_cast<std::uint64_t>(geo_.pages_per_block) * geo_.SlotsPerPage();
-  const std::uint64_t base = block.value() * slots_per_block;
+  // Slots at or past the program cursor are always erased (programs write
+  // only below it; burns, scrubs and undo never move it back), so only
+  // the programmed prefix is journaled and cleared.
+  const auto first =
+      slots_.begin() + static_cast<std::ptrdiff_t>(block.value() * slots_per_block);
+  const auto cursor = first + static_cast<std::ptrdiff_t>(meta.next_slot);
   if (JournalActive()) {
     JournalEntry e;
     e.kind = JournalEntry::Kind::kErase;
     e.seq = journal_seq_++;
     e.block = block;
     e.prior_meta = meta;
-    e.image.assign(slots_.begin() + static_cast<std::ptrdiff_t>(base),
-                   slots_.begin() + static_cast<std::ptrdiff_t>(base + slots_per_block));
+    e.image.assign(first, cursor);
     journal_.push_back(std::move(e));
   }
-  for (std::uint64_t i = 0; i < slots_per_block; ++i) {
-    slots_[static_cast<std::size_t>(base + i)] = Slot{};
-  }
+  std::fill(first, cursor, Slot{});
   meta.next_slot = 0;
   meta.valid_slots = 0;
   meta.last_program_seq = 0;
@@ -365,11 +368,16 @@ void FlashArray::UndoErase(JournalEntry& e, SimTime cut, PowerCutReport& report)
   }
   const std::uint64_t slots_per_block =
       static_cast<std::uint64_t>(geo_.pages_per_block) * geo_.SlotsPerPage();
-  const std::uint64_t base = e.block.value() * slots_per_block;
-  for (std::uint64_t i = 0; i < slots_per_block; ++i) {
-    slots_[static_cast<std::size_t>(base + i)] = e.image[static_cast<std::size_t>(i)];
-  }
+  const auto first =
+      slots_.begin() + static_cast<std::ptrdiff_t>(e.block.value() * slots_per_block);
   BlockMeta& meta = blocks_[static_cast<std::size_t>(e.block.value())];
+  // The pre-image is the programmed prefix. Programs into the block after
+  // the erase were undone already (newest first) and left invalidated
+  // slots below the current cursor: erase those back to the free suffix.
+  const std::size_t erased_to = std::max<std::size_t>(e.image.size(), meta.next_slot);
+  std::copy(e.image.begin(), e.image.end(), first);
+  std::fill(first + static_cast<std::ptrdiff_t>(e.image.size()),
+            first + static_cast<std::ptrdiff_t>(erased_to), Slot{});
   // Keep the change stamp monotone across the undo: the pre-image block
   // must look dirty to a checkpoint older than the undone erase.
   const std::uint64_t change = std::max(meta.last_change_seq, e.prior_meta.last_change_seq);

@@ -153,10 +153,13 @@ class FlashArray {
   //     batch is not durable, the invalidated slot is resurrected
   //     (kValid again, OOB intact) so the old copy remains the one the
   //     recovery scan finds.
-  //   - An erase that never started (start > t) is undone from a full
+  //   - An erase that never started (start > t) is undone from its
   //     pre-image; an erase in flight at the cut leaves the block's
   //     content untrusted — it stays erased here and is reported for a
-  //     real re-erase during recovery.
+  //     real re-erase during recovery. The pre-image holds only the
+  //     slots below the block's program cursor: every slot at or past
+  //     the cursor is erased at all times (programs write only below it,
+  //     and burns, scrubs and undo never move it back).
   //
   // Entries are processed newest-first so chains (write A, supersede
   // with B, supersede with C, cut) resolve to exactly one surviving
@@ -285,7 +288,7 @@ class FlashArray {
     std::uint32_t first_slot = 0;  // program: offset within block
     std::uint32_t count = 0;       // program: slots written
     Ppn ppn;                       // invalidate
-    std::vector<Slot> image;       // erase: full pre-image of the block
+    std::vector<Slot> image;       // erase: pre-image of [0, next_slot)
     BlockMeta prior_meta;          // erase: meta before the erase
   };
 

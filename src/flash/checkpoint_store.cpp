@@ -16,8 +16,8 @@ constexpr std::uint64_t kVersion = 1;
 // Header: magic, version, seq, program_seq, then the four payload counts.
 constexpr std::size_t kHeaderWords = 8;
 
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void PutU64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 std::uint64_t GetU64(const std::uint8_t* p) {
@@ -97,19 +97,26 @@ std::vector<std::uint8_t> CheckpointImage::Encode() const {
   // Two folding levels: runs -> groups (chip interleave), then identical
   // adjacent groups -> supers (interleave repeated down the superblock).
   const std::vector<FoldGroup> groups = FoldRuns(mappings);
-  std::vector<std::uint8_t> out;
-  out.reserve((kHeaderWords + 8 * groups.size() + 4 * zones.size() +
-               free_slc.size() + free_normal.size() + 1) * 8);
-  PutU64(out, kMagic);
-  PutU64(out, kVersion);
-  PutU64(out, seq);
-  PutU64(out, program_seq);
+  // Sized once for the longest encoding (a record of at most 6 words per
+  // group: a super record spends 8 on two or more) and trimmed at the
+  // end; every word is stored in place.
+  std::vector<std::uint8_t> out((kHeaderWords + 6 * groups.size() + 4 * zones.size() +
+                                 free_slc.size() + free_normal.size() + 1) * 8);
+  std::uint8_t* w = out.data();
+  auto put = [&w](std::uint64_t v) {
+    PutU64(w, v);
+    w += 8;
+  };
+  put(kMagic);
+  put(kVersion);
+  put(seq);
+  put(program_seq);
+  std::uint8_t* const count_at = w;
+  put(0);  // record count, patched below
+  put(zones.size());
+  put(free_slc.size());
+  put(free_normal.size());
   std::uint64_t n_rec = 0;
-  const std::size_t count_at = out.size();
-  PutU64(out, 0);  // record count, patched below
-  PutU64(out, zones.size());
-  PutU64(out, free_slc.size());
-  PutU64(out, free_normal.size());
   for (std::size_t j = 0; j < groups.size();) {
     const FoldGroup& g = groups[j];
     std::uint64_t reps = 1;
@@ -131,42 +138,31 @@ std::vector<std::uint8_t> CheckpointImage::Encode() const {
     }
     j += static_cast<std::size_t>(reps);
     ++n_rec;
+    put(reps > 1 ? kTagSuper : g.ways > 1 ? kTagGroup : kTagRun);
+    put(g.lpn);
+    put(g.ppn);
+    put(g.count);
+    if (reps > 1 || g.ways > 1) {
+      put(g.ways);
+      put(g.stride);
+    }
     if (reps > 1) {
-      PutU64(out, kTagSuper);
-      PutU64(out, g.lpn);
-      PutU64(out, g.ppn);
-      PutU64(out, g.count);
-      PutU64(out, g.ways);
-      PutU64(out, g.stride);
-      PutU64(out, reps);
-      PutU64(out, stride2);
-    } else if (g.ways > 1) {
-      PutU64(out, kTagGroup);
-      PutU64(out, g.lpn);
-      PutU64(out, g.ppn);
-      PutU64(out, g.count);
-      PutU64(out, g.ways);
-      PutU64(out, g.stride);
-    } else {
-      PutU64(out, kTagRun);
-      PutU64(out, g.lpn);
-      PutU64(out, g.ppn);
-      PutU64(out, g.count);
+      put(reps);
+      put(stride2);
     }
   }
-  for (int i = 0; i < 8; ++i) {
-    out[count_at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(n_rec >> (8 * i));
-  }
+  PutU64(count_at, n_rec);
   for (const ZoneSnap& z : zones) {
-    PutU64(out, z.write_pointer);
-    PutU64(out, z.durable_normal_end);
-    PutU64(out, z.patch_start);
-    PutU64(out, z.flags);
+    put(z.write_pointer);
+    put(z.durable_normal_end);
+    put(z.patch_start);
+    put(z.flags);
   }
-  for (std::uint64_t sb : free_slc) PutU64(out, sb);
-  for (std::uint64_t sb : free_normal) PutU64(out, sb);
-  PutU64(out, Fnv1a(out.data(), out.size()));
+  for (std::uint64_t sb : free_slc) put(sb);
+  for (std::uint64_t sb : free_normal) put(sb);
+  const auto body = static_cast<std::size_t>(w - out.data());
+  put(Fnv1a(out.data(), body));
+  out.resize(body + 8);
   return out;
 }
 
@@ -233,12 +229,20 @@ std::optional<CheckpointImage> CheckpointImage::Decode(
     const std::uint64_t stride = tag == kTagRun ? 0 : GetU64(p + off + 40);
     const std::uint64_t reps = tag == kTagSuper ? GetU64(p + off + 48) : 1;
     const std::uint64_t stride2 = tag == kTagSuper ? GetU64(p + off + 56) : 0;
+    // A run whose last lpn or ppn would wrap past 2^64 - 1 rejects the
+    // image: no device has such a range, and the mount's bounds tests
+    // must not see one. Flagged without a branch: this loop is on the
+    // mount path once per run.
+    bool wraps = false;
     for (std::uint64_t rep = 0; rep < reps; ++rep) {
       for (std::uint64_t w = 0; w < ways; ++w) {
-        img.mappings.push_back(MapRun{lpn + (rep * ways + w) * count,
-                                      ppn + rep * stride2 + w * stride, count});
+        const MapRun run{lpn + (rep * ways + w) * count, ppn + rep * stride2 + w * stride,
+                         count};
+        wraps |= (count - 1 > ~run.lpn) | (count - 1 > ~run.ppn);
+        img.mappings.push_back(run);
       }
     }
+    if (wraps) return std::nullopt;
     off += words * 8;
   }
   img.zones.reserve(static_cast<std::size_t>(n_zone));

@@ -65,6 +65,20 @@ struct MapRun {
   bool operator==(const MapRun&) const = default;
 };
 
+/// Append `run` to `runs`, extending the tail run when `run` continues it
+/// in both lpn and ppn space — the one merge rule every image's run list
+/// is built with, whether entry by entry or from cached per-zone runs.
+inline void AppendRun(std::vector<MapRun>& runs, const MapRun& run) {
+  if (!runs.empty()) {
+    MapRun& tail = runs.back();
+    if (run.lpn == tail.lpn + tail.count && run.ppn == tail.ppn + tail.count) {
+      tail.count += run.count;
+      return;
+    }
+  }
+  runs.push_back(run);
+}
+
 /// Per-zone reconciliation snapshot. `write_pointer` doubles as the
 /// staged-end byte offset. When kFlagRestorable is set, the snapshot was
 /// computed from the mapping by the same pure reconciliation the mount
@@ -92,14 +106,7 @@ struct CheckpointImage {
   std::vector<MapRun> mappings;
   /// Append (lpn, ppn), extending the tail run when contiguous.
   void AddMapping(std::uint64_t lpn, std::uint64_t ppn) {
-    if (!mappings.empty()) {
-      MapRun& tail = mappings.back();
-      if (lpn == tail.lpn + tail.count && ppn == tail.ppn + tail.count) {
-        ++tail.count;
-        return;
-      }
-    }
-    mappings.push_back(MapRun{lpn, ppn, 1});
+    AppendRun(mappings, MapRun{lpn, ppn, 1});
   }
   /// Per-zone snapshots, one per device zone (conventional + sequential).
   std::vector<ZoneSnap> zones;
@@ -108,7 +115,8 @@ struct CheckpointImage {
   std::vector<std::uint64_t> free_normal;
 
   std::vector<std::uint8_t> Encode() const;
-  /// Validates magic, version, structural sizes and the FNV-1a trailer;
+  /// Validates magic, version, structural sizes and the FNV-1a trailer,
+  /// and that no unfolded run's lpn or ppn range wraps past 2^64;
   /// nullopt on any mismatch (a torn or corrupt image must lose quietly).
   static std::optional<CheckpointImage> Decode(
       const std::vector<std::uint8_t>& blob);

@@ -15,6 +15,7 @@ MappingTable::MappingTable(const MappingGeometry& geometry)
          "a zone must be a whole number of chunks");
   entries_.resize(static_cast<std::size_t>(geo_.num_lpns));
   zone_mapped_.resize(static_cast<std::size_t>(CeilDiv(geo_.num_lpns, geo_.lpns_per_zone)));
+  zone_changed_.assign(zone_mapped_.size(), 1);
 }
 
 void MappingTable::CountRun(std::uint64_t lpn, std::uint64_t count) {
@@ -23,6 +24,7 @@ void MappingTable::CountRun(std::uint64_t lpn, std::uint64_t count) {
     const std::uint64_t z = div_lpns_per_zone_.Div(lpn);
     const std::uint64_t n = std::min(end, (z + 1) * geo_.lpns_per_zone) - lpn;
     zone_mapped_[static_cast<std::size_t>(z)] += static_cast<std::uint32_t>(n);
+    zone_changed_[static_cast<std::size_t>(z)] = 1;
     lpn += n;
   }
 }
@@ -30,10 +32,12 @@ void MappingTable::CountRun(std::uint64_t lpn, std::uint64_t count) {
 void MappingTable::Set(Lpn lpn, Ppn ppn) {
   assert(lpn.value() < geo_.num_lpns);
   MapEntry& e = entries_[static_cast<std::size_t>(lpn.value())];
+  const auto z = static_cast<std::size_t>(div_lpns_per_zone_.Div(lpn.value()));
   if (!e.mapped()) {
     ++mapped_;
-    ++zone_mapped_[static_cast<std::size_t>(div_lpns_per_zone_.Div(lpn.value()))];
+    ++zone_mapped_[z];
   }
+  zone_changed_[z] = 1;
   e.ppn = ppn;
   e.gran = MapGranularity::kPage;
 }
@@ -79,14 +83,17 @@ void MappingTable::ClearForMountExcept(
   clear_gap(pos, geo_.num_lpns);
   mapped_ = 0;
   std::fill(zone_mapped_.begin(), zone_mapped_.end(), 0u);
+  std::fill(zone_changed_.begin(), zone_changed_.end(), 1);
 }
 
 void MappingTable::Unmap(Lpn lpn) {
   assert(lpn.value() < geo_.num_lpns);
   MapEntry& e = entries_[static_cast<std::size_t>(lpn.value())];
   if (e.mapped()) {
+    const auto z = static_cast<std::size_t>(div_lpns_per_zone_.Div(lpn.value()));
     --mapped_;
-    --zone_mapped_[static_cast<std::size_t>(div_lpns_per_zone_.Div(lpn.value()))];
+    --zone_mapped_[z];
+    zone_changed_[z] = 1;
   }
   e = MapEntry{};
 }
@@ -120,6 +127,7 @@ void MappingTable::ClearAllForMount() {
   for (MapEntry& e : entries_) e = MapEntry{};
   mapped_ = 0;
   std::fill(zone_mapped_.begin(), zone_mapped_.end(), 0u);
+  std::fill(zone_changed_.begin(), zone_changed_.end(), 1);
 }
 
 }  // namespace conzone

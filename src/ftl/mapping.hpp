@@ -121,23 +121,40 @@ class MappingTable {
   /// Zones the table spans (the last one may be partial).
   std::uint64_t num_zones() const { return zone_mapped_.size(); }
 
+  /// True when zone `z`'s mapped (lpn, ppn) pairs may differ from what
+  /// they were at its last ClearZoneChanged. Every call that keeps the
+  /// per-zone counts sets it (Set, also on a remap; Unmap; the mount
+  /// install and both mount clears); map bits do not. All zones start
+  /// changed. Checkpoint serialisation re-walks only changed zones.
+  bool zone_changed(ZoneId z) const {
+    return zone_changed_[static_cast<std::size_t>(z.value())] != 0;
+  }
+  void ClearZoneChanged(ZoneId z) { zone_changed_[static_cast<std::size_t>(z.value())] = 0; }
+
   /// Power-loss remount: drop every entry (and all aggregation) so the
   /// recovery scan can rebuild the table from media OOB state.
   void ClearAllForMount();
 
-  /// Visit every mapped entry in lpn order as fn(Lpn, Ppn) — checkpoint
-  /// serialization walks the table without exposing the entry vector.
-  /// Zones with no mapped entry are skipped by their count.
+  /// Visit every mapped entry of zone `z` in lpn order as fn(Lpn, Ppn).
+  /// The walk stops once it has visited the zone's mapped count, so a
+  /// zone that maps a prefix costs its mapped lpns, not its size.
+  template <typename Fn>
+  void ForEachMappedInZone(ZoneId z, Fn&& fn) const {
+    const std::size_t zi = static_cast<std::size_t>(z.value());
+    const std::size_t end = std::min(entries_.size(), (zi + 1) * geo_.lpns_per_zone);
+    std::uint32_t left = zone_mapped_[zi];
+    for (std::size_t i = zi * geo_.lpns_per_zone; left > 0 && i < end; ++i) {
+      if (!entries_[i].mapped()) continue;
+      fn(Lpn(i), entries_[i].ppn);
+      --left;
+    }
+  }
+
+  /// Visit every mapped entry in lpn order as fn(Lpn, Ppn), zone by zone
+  /// as ForEachMappedInZone.
   template <typename Fn>
   void ForEachMapped(Fn&& fn) const {
-    const std::size_t per_zone = geo_.lpns_per_zone;
-    for (std::size_t z = 0; z < zone_mapped_.size(); ++z) {
-      if (zone_mapped_[z] == 0) continue;
-      const std::size_t end = std::min(entries_.size(), (z + 1) * per_zone);
-      for (std::size_t i = z * per_zone; i < end; ++i) {
-        if (entries_[i].mapped()) fn(Lpn(i), entries_[i].ppn);
-      }
-    }
+    for (std::uint64_t z = 0; z < zone_mapped_.size(); ++z) ForEachMappedInZone(ZoneId(z), fn);
   }
 
  private:
@@ -150,6 +167,7 @@ class MappingTable {
   std::vector<MapEntry> entries_;
   std::uint64_t mapped_ = 0;
   std::vector<std::uint32_t> zone_mapped_;
+  std::vector<std::uint8_t> zone_changed_;
 };
 
 }  // namespace conzone

@@ -1,18 +1,21 @@
 // Durable L2P checkpoints (DESIGN.md §12).
 //
-// Covers: image wire-format round-trip and rejection of corrupt,
-// truncated and malformed blobs; ping-pong slot election including
-// sequence ties, serial-number wraparound and torn-slot fallback; the
-// device-level policy hooks (interval, host flush, CheckpointNow);
-// checkpoint-bounded tail scans at remount; reset- and rebuild-epoch
-// regressions (a stale image must never resurrect dead mappings); the
-// full crash sweep and random-cut matrix with checkpointing enabled;
-// bit-identical recovery against a checkpoint-off twin; and an opt-in
-// random-interval soak (CONZONE_CRASH_SOAK=1).
+// Covers: image wire-format round-trip, the pinned encoding, and
+// rejection of corrupt, truncated, malformed and wrapping blobs;
+// ping-pong slot election including sequence ties, serial-number
+// wraparound and torn-slot fallback; the device-level policy hooks
+// (interval, host flush, CheckpointNow); checkpoint-bounded tail scans
+// at remount; reset- and rebuild-epoch regressions (a stale image must
+// never resurrect dead mappings); the full crash sweep and random-cut
+// matrix with checkpointing enabled; bit-identical recovery against a
+// checkpoint-off twin; incremental images held byte for byte to the
+// from-scratch builder; and an opt-in random-interval soak
+// (CONZONE_CRASH_SOAK=1).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -65,6 +68,43 @@ CheckpointImage SampleImage(std::uint64_t seq = 3) {
   return img;
 }
 
+/// A chip-striped zone: equal-length lpn-contiguous runs whose ppns
+/// advance by a constant stride, that whole interleave repeating with a
+/// second-level stride — the shape Encode folds to one super record —
+/// then a descending progression and an irregular per-run tail.
+CheckpointImage StridedImage() {
+  CheckpointImage img;
+  img.seq = 9;
+  std::uint64_t lpn = 0;
+  for (std::uint64_t rep = 0; rep < 16; ++rep) {
+    for (std::uint64_t w = 0; w < 4; ++w) {
+      img.mappings.push_back(MapRun{lpn, 1000 + rep * 24 + w * 40320, 24});
+      lpn += 24;
+    }
+  }
+  // A descending progression (the stride wraps as an unsigned delta).
+  lpn += 13;
+  for (std::uint64_t w = 0; w < 3; ++w) {
+    img.mappings.push_back(MapRun{lpn, 500000 - w * 1000, 8});
+    lpn += 8;
+  }
+  // And an irregular tail that must stay per-run.
+  img.mappings.push_back(MapRun{lpn + 5, 9, 1});
+  img.mappings.push_back(MapRun{lpn + 9, 777, 2});
+  return img;
+}
+
+/// A blob as its little-endian u64 words.
+std::vector<std::uint64_t> Words(const std::vector<std::uint8_t>& blob) {
+  std::vector<std::uint64_t> out(blob.size() / 8);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      out[i] |= static_cast<std::uint64_t>(blob[8 * i + b]) << (8 * b);
+    }
+  }
+  return out;
+}
+
 std::vector<std::uint64_t> Tokens(std::uint64_t first, std::uint64_t n,
                                   std::uint64_t salt = 0) {
   std::vector<std::uint64_t> t(n);
@@ -100,33 +140,52 @@ TEST(CheckpointImageTest, EmptyImageRoundTrips) {
 }
 
 TEST(CheckpointImageTest, StridedRunFoldingRoundTripsLosslessly) {
-  CheckpointImage img;
-  img.seq = 9;
-  // A chip-striped zone: equal-length lpn-contiguous runs whose ppns
-  // advance by a constant stride, that whole interleave repeating with a
-  // second-level stride — the shape Encode folds to one super record.
-  std::uint64_t lpn = 0;
-  for (std::uint64_t rep = 0; rep < 16; ++rep) {
-    for (std::uint64_t w = 0; w < 4; ++w) {
-      img.mappings.push_back(MapRun{lpn, 1000 + rep * 24 + w * 40320, 24});
-      lpn += 24;
-    }
-  }
-  // A descending progression (the stride wraps as an unsigned delta).
-  lpn += 13;
-  for (std::uint64_t w = 0; w < 3; ++w) {
-    img.mappings.push_back(MapRun{lpn, 500000 - w * 1000, 8});
-    lpn += 8;
-  }
-  // And an irregular tail that must stay per-run.
-  img.mappings.push_back(MapRun{lpn + 5, 9, 1});
-  img.mappings.push_back(MapRun{lpn + 9, 777, 2});
+  const CheckpointImage img = StridedImage();
   const auto blob = img.Encode();
   // Folded: far below one record per run.
   EXPECT_LT(blob.size(), (8 + 3 * img.mappings.size() + 1) * 8);
   const auto back = CheckpointImage::Decode(blob);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->mappings, img.mappings);
+}
+
+TEST(CheckpointImageTest, EncodingIsPinned) {
+  // Round trips cannot see a format change Encode and Decode make
+  // together, so the exact words of two images are pinned: the sample
+  // (every payload section) and the strided one (all three record tags).
+  EXPECT_EQ(Words(SampleImage().Encode()),
+            (std::vector<std::uint64_t>{
+                0x434f4e5a43504b54, 1, 3, 977, 3, 4, 2, 3,         // header
+                1, 0, 41, 2, 1, 7, 4096, 3, 1, 4095, 9, 1,         // runs
+                0, 0, ~0ull, 4, 65536, 65536, 7, 2,                // zones
+                4096, 0, ~0ull, 0, 0, 0, ~0ull, 1,
+                2, 3, 11, 12, 13,                                  // free lists
+                0xbd7ba7074433c4c5}));                             // checksum
+  EXPECT_EQ(Words(StridedImage().Encode()),
+            (std::vector<std::uint64_t>{
+                0x434f4e5a43504b54, 1, 9, 0, 4, 0, 0, 0,
+                3, 0, 1000, 24, 4, 40320, 16, 24,                  // super
+                2, 1549, 500000, 8, 3, ~0ull - 999,                // group
+                1, 1578, 9, 1, 1, 1582, 777, 2,                    // runs
+                0x1030cfb7712c9497}));
+}
+
+TEST(CheckpointImageTest, DecodeRejectsRunsThatWrap) {
+  // A checksum-valid image may carry any words. A run whose last lpn or
+  // last ppn would pass 2^64 - 1 must not decode: the mount's bounds
+  // tests would wrap on it.
+  for (const MapRun& run : {MapRun{~0ull, 0, 2}, MapRun{0, ~0ull, 2}}) {
+    CheckpointImage img = SampleImage();
+    img.mappings = {run};
+    EXPECT_FALSE(CheckpointImage::Decode(img.Encode()).has_value())
+        << "lpn " << run.lpn << " ppn " << run.ppn;
+  }
+  // Runs ending exactly at 2^64 - 1 still decode.
+  CheckpointImage edge = SampleImage();
+  edge.mappings = {MapRun{~0ull - 1, ~0ull - 1, 2}};
+  const auto back = CheckpointImage::Decode(edge.Encode());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->mappings, edge.mappings);
 }
 
 TEST(CheckpointImageTest, EverySingleByteCorruptionIsRejected) {
@@ -293,6 +352,26 @@ TEST(CheckpointDeviceTest, HostFlushPolicyHonorsMinimumEntryFloor) {
   auto f2 = d.Flush(w2.value());
   ASSERT_TRUE(f2.ok());
   EXPECT_EQ(d.recovery_stats().checkpoints_written, 1u);
+}
+
+TEST(CheckpointDeviceTest, WrappingImageRunFallsBackToFullScan) {
+  // A checksum-valid image whose only run wraps past 2^64, with a
+  // watermark no block exceeds: the mount must not trust it. It falls
+  // back to the full scan and recovers the empty table.
+  auto dev = ConZoneDevice::Create(CkptCrashConfig());
+  ASSERT_TRUE(dev.ok());
+  ConZoneDevice& d = **dev;
+  CheckpointImage img;
+  img.seq = 1;
+  img.program_seq = ~0ull;
+  img.mappings = {MapRun{~0ull, 0, 2}};
+  d.mutable_checkpoint_store().Commit(0, img.Encode(), img.seq, SimTime::Zero());
+  ASSERT_TRUE(d.PowerCut(SimTime::Zero()).ok());
+  auto r = d.Recover(SimTime::Zero());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(d.recovery_stats().checkpoint_loaded, 0u);
+  EXPECT_EQ(d.mapping().mapped_count(), 0u);
+  EXPECT_TRUE(TestWrite(d, 0, 4096, r.value()).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -512,6 +591,143 @@ TEST(CheckpointCrashTest, FastPathRecoversBitIdenticalToFullScan) {
   // image route at least once.
   EXPECT_GT(fast.device().recovery_stats().checkpoint_loaded, 0u);
   EXPECT_EQ(full.device().recovery_stats().checkpoint_loaded, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental images against the from-scratch builder
+// ---------------------------------------------------------------------------
+
+/// What the image-equivalence sweep reached, so it can assert its reach.
+struct ImageSweep {
+  std::uint64_t images = 0;
+  /// Images holding a run that crosses a zone boundary: only they can
+  /// tell a join of the cached runs without the tail merge apart.
+  std::uint64_t cross_zone_images = 0;
+  std::uint64_t zones_restored = 0;
+  std::uint64_t checkpoints_torn = 0;
+  std::uint64_t zone_resets = 0;
+  std::uint64_t gc_runs = 0;
+
+  void Add(const ConZoneDevice& d) {
+    zones_restored += d.recovery_stats().zones_restored;
+    checkpoints_torn += d.recovery_stats().checkpoints_torn;
+    zone_resets += d.stats().zone_resets;
+    gc_runs += d.gc().stats().runs;
+  }
+};
+
+/// Checkpoint now and hold the committed image to the from-scratch
+/// reference byte for byte. Returns when the image is durable.
+Result<SimTime> CheckpointAndCompare(CrashHarness& h, ImageSweep& sweep) {
+  ConZoneDevice& d = h.device();
+  auto ck = d.CheckpointNow(h.now());
+  if (!ck.ok()) return ck.status();
+  const CheckpointStore::Slot* slot = d.checkpoint_store().NewestValid();
+  if (slot == nullptr) return Status::Internal("no valid image after CheckpointNow");
+  if (slot->blob != d.CheckpointBlobForTest(slot->seq)) {
+    return Status::Internal("image differs from the from-scratch reference");
+  }
+  ++sweep.images;
+  const std::uint64_t lpns_per_zone =
+      d.config().zone_size_bytes / d.config().geometry.slot_size;
+  const std::optional<CheckpointImage> img = CheckpointImage::Decode(slot->blob);
+  for (const MapRun& run : img->mappings) {
+    if (run.lpn / lpns_per_zone != (run.lpn + run.count - 1) / lpns_per_zone) {
+      ++sweep.cross_zone_images;
+      break;
+    }
+  }
+  return ck.value();
+}
+
+TEST(CheckpointCrashTest, IncrementalImagesMatchFromScratchBuilder) {
+  // WriteCheckpoint re-walks only the zones whose mapping changed and
+  // reuses cached runs and reconciles for the rest; a mount seeds the
+  // cache of every zone it restores from the image. A checkpoint at every
+  // op boundary and after every remount must commit exactly the bytes
+  // the from-scratch builder produces.
+  struct Leg {
+    const char* name;
+    ConZoneConfig cfg;
+    std::uint64_t seeds;
+    int rounds;
+    std::uint64_t min_ops, max_ops;
+  };
+  // Tight intervals, so images are written mid-op and cuts tear them;
+  // two conventional zones, whose fixed set-up below maps one run across
+  // the boundary between them.
+  ConZoneConfig tight = CkptCrashConfig(/*interval=*/8, /*min_flush=*/4);
+  tight.num_conventional_zones = 2;
+  // The crash_remount workload's device: default image policy, one
+  // filled zone past the four active ones.
+  ConZoneConfig remount = ConZoneConfig::PaperConfig();
+  remount.geometry.blocks_per_chip = 40;
+  remount.geometry.slc_blocks_per_chip = 8;
+  remount.fault.power_loss = true;
+  remount.l2p_log.enabled = true;
+  remount.checkpoint.enabled = true;
+  const Leg legs[] = {{"tight", tight, 3, 40, 3, 20}, {"remount", remount, 2, 12, 100, 100}};
+
+  ImageSweep sweep;
+  for (const Leg& leg : legs) {
+    const FlashGeometry& geo = leg.cfg.geometry;
+    const std::uint64_t zone_bytes = leg.cfg.zone_size_bytes;
+    const std::uint64_t unit = geo.program_unit / geo.slot_size;
+    for (std::uint64_t seed = 1; seed <= leg.seeds; ++seed) {
+      CrashHarness::Options opt;
+      opt.seed = seed;
+      CrashHarness h(leg.cfg, opt);
+      ASSERT_TRUE(h.Init().ok());
+      if (leg.cfg.num_conventional_zones > 0) {
+        // Conventional units round-robin over the chips: zone 0's last
+        // unit, one unit on every other chip, then zone 1's first unit,
+        // which lands right behind zone 0's in the same pool block.
+        ASSERT_TRUE(h.WriteAndFlush(zone_bytes - unit * geo.slot_size, unit).ok());
+        ASSERT_TRUE(h.WriteAndFlush(zone_bytes + unit * geo.slot_size,
+                                    unit * (geo.NumChips() - 1))
+                        .ok());
+        ASSERT_TRUE(h.WriteAndFlush(zone_bytes, unit).ok());
+      } else {
+        const ZoneId filled{4};
+        ASSERT_TRUE(h.WriteAndFlush(filled.value() * zone_bytes,
+                                    h.device().zones().config().zone_capacity_bytes /
+                                        geo.slot_size)
+                        .ok());
+      }
+      Rng pick(seed);
+      for (int round = 0; round < leg.rounds; ++round) {
+        const std::uint64_t ops = leg.min_ops + pick.NextBelow(leg.max_ops - leg.min_ops + 1);
+        SimTime image_done;
+        for (std::uint64_t op = 0; op < ops; ++op) {
+          ASSERT_TRUE(h.RunOps(1).ok());
+          auto ck = CheckpointAndCompare(h, sweep);
+          ASSERT_TRUE(ck.ok()) << leg.name << " seed " << seed << " round " << round
+                               << " op " << op << ": " << ck.status().ToString();
+          image_done = ck.value();
+        }
+        // Cut inside the last image's write (tearing it, so the mount
+        // falls back to the image before) or after it.
+        const std::uint64_t window = (image_done - h.now()).ns();
+        ASSERT_TRUE(h.CutAt(h.now() + SimDuration::Nanos(static_cast<std::uint64_t>(
+                                          pick.NextDouble() * 1.5 *
+                                          static_cast<double>(window))))
+                        .ok());
+        Status st = h.RecoverAndVerify();
+        ASSERT_TRUE(st.ok()) << leg.name << " seed " << seed << " round " << round << ": "
+                             << st.message();
+        auto ck = CheckpointAndCompare(h, sweep);
+        ASSERT_TRUE(ck.ok()) << leg.name << " seed " << seed << " round " << round
+                             << " after the remount: " << ck.status().ToString();
+      }
+      sweep.Add(h.device());
+    }
+  }
+  // The sweep reached every case the cache must get right.
+  EXPECT_GT(sweep.cross_zone_images, 0u);
+  EXPECT_GT(sweep.zones_restored, 0u) << "no mount seeded the cache";
+  EXPECT_GT(sweep.checkpoints_torn, 0u) << "no cut tore an image";
+  EXPECT_GT(sweep.zone_resets, 0u);
+  EXPECT_GT(sweep.gc_runs, 0u);
 }
 
 // ---------------------------------------------------------------------------

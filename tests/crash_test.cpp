@@ -405,6 +405,55 @@ TEST(CrashJournalTest, NestedBatchStampCannotCaptureCallersPendingEntries) {
   EXPECT_EQ(a.StateOfSlot(geo.SlotAt(geo.PageAt(other, 0), 0)), SlotState::kValid);
 }
 
+// An erase journals only the block's programmed prefix. Undoing it must
+// restore that prefix and erase what the programs undone after it left
+// behind, so the block reads exactly as it did before the erase.
+TEST(CrashJournalTest, UndoneEraseRestoresPrefixAndErasesTheRest) {
+  FlashArray a(SmallConfig().geometry);
+  a.EnableJournal(true);
+  const FlashGeometry& geo = a.geometry();
+  const BlockId blk = geo.BlockAt(ChipId{0}, 0);  // SLC: slot-granular programs
+  const Ppn first = geo.SlotAt(geo.PageAt(blk, 0), 0);
+  constexpr std::uint32_t kDurable = 5;
+  constexpr std::uint32_t kAfter = 12;
+
+  // k durable slots, then an erase in [100, 200) and m > k slots
+  // programmed after it in [200, 300).
+  std::vector<SlotWrite> before;
+  for (std::uint32_t i = 0; i < kDurable; ++i) before.push_back({Lpn{100 + i}, 1000 + i});
+  std::uint64_t mark = a.MarkJournal();
+  ASSERT_TRUE(a.ProgramSlots(blk, before).ok());
+  a.StampJournal(mark, SimTime::FromNanos(0), SimTime::FromNanos(10));
+  a.PruneJournal(SimTime::FromNanos(10));
+  mark = a.MarkJournal();
+  ASSERT_TRUE(a.EraseBlock(blk).ok());
+  a.StampJournal(mark, SimTime::FromNanos(100), SimTime::FromNanos(200));
+  std::vector<SlotWrite> after;
+  for (std::uint32_t i = 0; i < kAfter; ++i) after.push_back({Lpn{500 + i}, 5000 + i});
+  mark = a.MarkJournal();
+  ASSERT_TRUE(a.ProgramSlots(blk, after).ok());
+  a.StampJournal(mark, SimTime::FromNanos(200), SimTime::FromNanos(300));
+
+  // Cut before the erase window: neither the erase nor the programs ran.
+  const FlashArray::PowerCutReport rep = a.ApplyPowerCut(SimTime::FromNanos(50));
+  EXPECT_EQ(rep.restored_erases, 1u);
+  EXPECT_EQ(rep.unissued_program_slots, kAfter);
+  for (std::uint32_t i = 0; i < kAfter; ++i) {
+    const SlotRead r = a.PeekSlot(Ppn{first.value() + i});
+    if (i < kDurable) {
+      EXPECT_EQ(r.state, SlotState::kValid) << "slot " << i;
+      EXPECT_EQ(r.lpn, Lpn{100 + i}) << "slot " << i;
+      EXPECT_EQ(r.token, 1000u + i) << "slot " << i;
+    } else {
+      EXPECT_EQ(r.state, SlotState::kFree) << "slot " << i;
+      EXPECT_FALSE(r.lpn.valid()) << "slot " << i;
+      EXPECT_EQ(r.token, 0u) << "slot " << i;
+    }
+  }
+  EXPECT_EQ(a.NextProgramSlot(blk), kDurable);
+  EXPECT_EQ(a.ValidSlots(blk), kDurable);
+}
+
 // ---------------------------------------------------------------------------
 // Opt-in soak (CI crash-matrix label / CONZONE_CRASH_SOAK=1)
 // ---------------------------------------------------------------------------

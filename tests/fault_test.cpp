@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/device.hpp"
 #include "fault/fault_model.hpp"
 #include "flash/array.hpp"
@@ -194,6 +195,91 @@ TEST(ArrayFaultTest, HealthySlcBlocksTracksRetirement) {
   array.RetireBlock(BlockId{0});  // idempotent
   EXPECT_EQ(array.HealthySlcBlocks(), total - 1);
   EXPECT_EQ(array.reliability().retired_blocks_slc, 1u);
+}
+
+TEST(ArrayFaultTest, SlotsPastTheProgramCursorStayErased) {
+  // Seeded program, burn, invalidate, scrub, erase and cut sequences:
+  // after every step, every slot at or past a block's program cursor
+  // reads erased. An erase journals and clears only the slots below the
+  // cursor on the strength of this invariant.
+  FaultConfig fc;
+  fc.slc.program_fail = fc.normal.program_fail = 0.01;
+  fc.slc.erase_fail = fc.normal.erase_fail = 0.01;
+  std::uint64_t burns = 0, erase_failures = 0, restored = 0, reerased = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    fc.seed = seed;
+    FaultModel fault(fc);
+    FlashArray a(FaultGeo());
+    a.AttachFaultModel(&fault);
+    a.EnableJournal(true);
+    const FlashGeometry& geo = a.geometry();
+    const std::uint64_t per_block = std::uint64_t{geo.pages_per_block} * geo.SlotsPerPage();
+    const auto unit = static_cast<std::uint32_t>(geo.program_unit / geo.slot_size);
+    Rng rng(seed);
+    std::uint64_t now = 1000;
+    std::uint64_t token = 1;
+    for (int step = 0; step < 1500; ++step) {
+      const BlockId b{rng.NextBelow(geo.TotalBlocks())};
+      const std::uint32_t cursor = a.NextProgramSlot(b);
+      const std::uint64_t mark = a.MarkJournal();
+      switch (rng.NextBelow(6)) {
+        case 0:
+        case 1: {  // a program fault burns the slots and retires the block
+          const std::uint32_t n =
+              geo.IsSlcBlock(b) ? 1 + static_cast<std::uint32_t>(rng.NextBelow(4)) : unit;
+          if (a.IsRetired(b) || cursor + n > a.UsableSlots(b)) break;
+          std::vector<SlotWrite> w(n);
+          for (SlotWrite& sw : w) {
+            sw = SlotWrite{Lpn{token}, token};
+            ++token;
+          }
+          (void)a.ProgramSlots(b, w);
+          break;
+        }
+        case 2:
+          if (cursor > 0) {
+            const Ppn p{b.value() * per_block + rng.NextBelow(cursor)};
+            if (a.StateOfSlot(p) == SlotState::kValid) ASSERT_TRUE(a.InvalidateSlot(p).ok());
+          }
+          break;
+        case 3:
+          if (a.IsRetired(b)) a.ScrubBlock(b);
+          break;
+        case 4:  // a failed erase retires the block and leaves its slots
+          if (!a.IsRetired(b)) (void)a.EraseBlock(b);
+          break;
+        default: {  // cut into recent windows, then re-erase what it tore
+          const auto rep = a.ApplyPowerCut(SimTime::FromNanos(now - rng.NextBelow(400)));
+          restored += rep.restored_erases;
+          a.PauseJournal(true);
+          for (const BlockId r : rep.reerase) {
+            ++reerased;
+            if (!a.IsRetired(r) && !a.EraseBlock(r).ok()) a.ScrubBlock(r);
+          }
+          a.PauseJournal(false);
+          break;
+        }
+      }
+      a.StampJournal(mark, SimTime::FromNanos(now),
+                     SimTime::FromNanos(now + 50 + rng.NextBelow(200)));
+      now += 1 + rng.NextBelow(100);
+      for (std::uint64_t blk = 0; blk < geo.TotalBlocks(); ++blk) {
+        for (std::uint64_t s = a.NextProgramSlot(BlockId{blk}); s < per_block; ++s) {
+          const SlotRead r = a.PeekSlot(Ppn{blk * per_block + s});
+          ASSERT_TRUE(r.state == SlotState::kFree && !r.lpn.valid() && r.token == 0)
+              << "seed " << seed << " step " << step << " block " << blk << " slot " << s;
+        }
+      }
+    }
+    burns += a.reliability().program_failures_slc + a.reliability().program_failures_normal;
+    erase_failures +=
+        a.reliability().erase_failures_slc + a.reliability().erase_failures_normal;
+  }
+  // The sequences reached every path that touches the cursor or the slots.
+  EXPECT_GT(burns, 0u);
+  EXPECT_GT(erase_failures, 0u);
+  EXPECT_GT(restored, 0u);
+  EXPECT_GT(reerased, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -71,11 +71,13 @@ TEST(MappingTableTest, AggregateAndDowngradeRanges) {
 TEST(MappingTableTest, PerZoneCountsMatchBruteForce) {
   // Random Set / Unmap / InstallRunAtMount / both mount clears; after
   // every step the per-zone counts must equal a brute-force count, sum
-  // to mapped_count(), and ForEachMapped (which skips zones by their
+  // to mapped_count(), and ForEachMapped (which stops each zone at its
   // count) must visit exactly the mapped entries. ClearForMountExcept,
   // which skips zones by their count too, must leave every entry outside
-  // its keep ranges at MapEntry{}. The last zone is partial, as on a
-  // Legacy device.
+  // its keep ranges at MapEntry{}. A zone whose (lpn, ppn) pairs differ
+  // from those at its last ClearZoneChanged must read changed:
+  // checkpoint images skip re-walking the others. The last zone is
+  // partial, as on a Legacy device.
   MappingGeometry geo = SmallMapGeo();
   geo.num_lpns += 1000;
   MappingTable t(geo);
@@ -90,6 +92,9 @@ TEST(MappingTableTest, PerZoneCountsMatchBruteForce) {
     t.InstallRunAtMount(Lpn{lpn}, Ppn{rng.NextBelow(1u << 20)}, count,
                         MapGranularity::kPage);
   };
+  using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  std::vector<Pairs> at_clear(t.num_zones());
+  Rng clear_rng(0xC1EA);  // its own stream: the op sequence stays as it was
   for (int step = 0; step < 300; ++step) {
     const std::uint64_t op = rng.NextBelow(20);
     if (op < 9) {
@@ -131,12 +136,14 @@ TEST(MappingTableTest, PerZoneCountsMatchBruteForce) {
     }
 
     std::vector<std::uint64_t> brute(t.num_zones(), 0);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> mapped;
+    Pairs mapped;
+    std::vector<Pairs> zone_pairs(t.num_zones());
     for (std::uint64_t l = 0; l < n; ++l) {
       const MapEntry e = t.Get(Lpn{l});
       if (!e.mapped()) continue;
       ++brute[l / per_zone];
       mapped.emplace_back(l, e.ppn.value());
+      zone_pairs[l / per_zone].emplace_back(l, e.ppn.value());
     }
     std::uint64_t sum = 0;
     for (std::uint64_t z = 0; z < t.num_zones(); ++z) {
@@ -144,9 +151,18 @@ TEST(MappingTableTest, PerZoneCountsMatchBruteForce) {
       sum += t.zone_mapped_count(ZoneId{z});
     }
     ASSERT_EQ(sum, t.mapped_count()) << "step " << step;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> visited;
+    Pairs visited;
     t.ForEachMapped([&](Lpn l, Ppn p) { visited.emplace_back(l.value(), p.value()); });
     ASSERT_EQ(visited, mapped) << "step " << step;
+    for (std::uint64_t z = 0; z < t.num_zones(); ++z) {
+      if (zone_pairs[z] != at_clear[z]) {
+        ASSERT_TRUE(t.zone_changed(ZoneId{z})) << "step " << step << " zone " << z;
+      }
+      if (clear_rng.NextBelow(4) == 0) {
+        t.ClearZoneChanged(ZoneId{z});
+        at_clear[z] = zone_pairs[z];
+      }
+    }
   }
 }
 
