@@ -254,17 +254,17 @@ void BM_StripedSeqWrite512K(::benchmark::State& state) {
 }
 
 // Degraded mirror reads: 4 KiB random reads through a 2-way
-// RedundantVolume with one member latched failed, so half the reads
-// (those whose rotating primary is the dead member) fail over to the
-// survivor. Arg 0/1 toggles the failure: the healthy row is the
-// baseline, the degraded row prices the reconstruction path — the
-// extra status classification, fail-over read, and RedundancyStats
-// accounting per IO. Legacy members give random 4 KiB reads an
-// in-place address space, as in BM_StripedRandWrite4K.
+// RedundantVolume of paper-config ConZone members with one member
+// latched failed, so half the reads (those whose rotating primary is
+// the dead member) fail over to the survivor. Arg 0/1 toggles the
+// failure: the healthy row is the baseline, the degraded row prices the
+// fail-over path (skipping the failed primary, RedundancyStats
+// accounting per IO) and, in sim_kiops, the loss of the failed member's
+// read bandwidth.
 void BM_DegradedRandRead4K(::benchmark::State& state) {
   const bool degraded = state.range(0) != 0;
   std::vector<std::unique_ptr<StorageDevice>> devs;
-  for (int i = 0; i < 2; ++i) devs.push_back(MakeLegacy());
+  for (int i = 0; i < 2; ++i) devs.push_back(MakeConZone());
   auto volr = RedundantVolume::Create(std::move(devs), {});
   if (!volr.ok()) {
     std::fprintf(stderr, "volume create failed: %s\n",

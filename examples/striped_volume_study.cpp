@@ -126,10 +126,10 @@ int main() {
   auto volr = MakeVolume(4);
   if (volr.ok()) {
     StripedVolume& vol = **volr;
-    std::printf("\nzone map (4 members, stripe width %u):\n", vol.stripe_width());
+    std::printf("\nzone map (4 members, stripe width %u):\n", vol.num_members());
     for (std::uint64_t l = 0; l < 4; ++l) {
       std::printf("  logical zone %llu ->", static_cast<unsigned long long>(l));
-      for (std::uint32_t lane = 0; lane < vol.stripe_width(); ++lane) {
+      for (std::uint32_t lane = 0; lane < vol.num_members(); ++lane) {
         const MemberZone mz = vol.ToMemberZone(ZoneId{l}, lane);
         std::printf(" m%u/z%llu", mz.member,
                     static_cast<unsigned long long>(mz.zone.value()));

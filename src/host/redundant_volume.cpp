@@ -14,39 +14,25 @@ Result<std::unique_ptr<RedundantVolume>> RedundantVolume::Create(
   for (const auto& m : members) {
     if (m == nullptr) return Status::InvalidArgument("null member device");
   }
-  const std::uint32_t n = static_cast<std::uint32_t>(members.size());
 
   const DeviceInfo first = members[0]->info();
+  std::uint32_t rows = first.num_zones;
   for (const auto& m : members) {
     const DeviceInfo di = m->info();
+    if (!di.zoned()) {
+      return Status::InvalidArgument("mirror members must be zoned");
+    }
     if (di.io_alignment != first.io_alignment) {
       return Status::InvalidArgument("members disagree on I/O alignment");
     }
-    if (di.zoned() != first.zoned()) {
+    if (di.zone_size_bytes != first.zone_size_bytes) {
+      return Status::InvalidArgument("members disagree on zone size");
+    }
+    if (di.num_conventional_zones != 0) {
       return Status::InvalidArgument(
-          "cannot mix zoned and conventional members in one volume");
+          "members with conventional zones are not supported");
     }
-    if (di.zoned()) {
-      if (di.zone_size_bytes != first.zone_size_bytes) {
-        return Status::InvalidArgument("members disagree on zone size");
-      }
-      if (di.num_conventional_zones != 0) {
-        return Status::InvalidArgument(
-            "members with conventional zones are not supported");
-      }
-    }
-  }
-
-  const std::uint32_t group = options.replicas == 0 ? n : options.replicas;
-  if (group < 2 || n % group != 0) {
-    return Status::InvalidArgument(
-        "mirror replicas must be >= 2 and divide the member count");
-  }
-  if (!first.zoned() && group != n) {
-    // Without zones there is no row to interleave groups over; a
-    // conventional mirror replicates across all members.
-    return Status::InvalidArgument(
-        "conventional mirrors replicate across all members");
+    rows = std::min(rows, di.num_zones);
   }
 
   if (options.stripe_bytes == 0 ||
@@ -57,23 +43,10 @@ Result<std::unique_ptr<RedundantVolume>> RedundantVolume::Create(
   if (options.rows_per_tick == 0) {
     return Status::InvalidArgument("rows_per_tick must be non-zero");
   }
-
-  std::uint32_t rows = 0;
-  if (first.zoned()) {
-    if (first.zone_size_bytes % options.stripe_bytes != 0) {
-      return Status::InvalidArgument("stripe unit must divide the zone size");
-    }
-    rows = members[0]->info().num_zones;
-    for (const auto& m : members) rows = std::min(rows, m->info().num_zones);
-    if (rows == 0) return Status::InvalidArgument("members have no zones");
-  } else {
-    std::uint64_t span = members[0]->info().capacity_bytes;
-    for (const auto& m : members) span = std::min(span, m->info().capacity_bytes);
-    span -= span % options.stripe_bytes;
-    if (span == 0) {
-      return Status::InvalidArgument("members smaller than one stripe unit");
-    }
+  if (first.zone_size_bytes % options.stripe_bytes != 0) {
+    return Status::InvalidArgument("stripe unit must divide the zone size");
   }
+  if (rows == 0) return Status::InvalidArgument("members have no zones");
 
   return std::unique_ptr<RedundantVolume>(
       new RedundantVolume(std::move(members), options, first, rows));
@@ -87,78 +60,44 @@ RedundantVolume::RedundantVolume(std::vector<std::unique_ptr<StorageDevice>> mem
       member_info_(std::move(member_info)),
       stripe_(options.stripe_bytes),
       rows_(rows),
+      zone_bytes_(member_info_.zone_size_bytes),
       align_(member_info_.io_alignment),
       rows_per_tick_(options.rows_per_tick) {
-  const std::uint32_t n = static_cast<std::uint32_t>(members_.size());
-  group_ = options.replicas == 0 ? n : options.replicas;
-  num_groups_ = n / group_;
-  if (member_info_.zoned()) {
-    zone_bytes_ = member_info_.zone_size_bytes;
-    member_span_ = member_info_.zone_size_bytes * rows_;
-  } else {
-    zone_bytes_ = 0;
-    std::uint64_t span = members_[0]->info().capacity_bytes;
-    for (const auto& m : members_) span = std::min(span, m->info().capacity_bytes);
-    member_span_ = span - span % stripe_;
-  }
-  target_scratch_.reserve(n);
-  failed_scratch_.reserve(n);
-  scrub_clean_.assign(n, 1);
+  target_scratch_.reserve(members_.size());
+  failed_scratch_.reserve(members_.size());
+  scrub_clean_.assign(members_.size(), 1);
 }
 
 DeviceInfo RedundantVolume::info() const {
   DeviceInfo di;
   di.name = "mirror-" + std::to_string(members_.size()) + "x" +
-            std::to_string(group_) + "-" + member_info_.name;
+            std::to_string(members_.size()) + "-" + member_info_.name;
   di.io_alignment = align_;
-  if (member_info_.zoned()) {
-    di.zone_size_bytes = zone_bytes_;
-    di.num_zones = rows_ * num_groups_;
-    di.capacity_bytes = zone_bytes_ * di.num_zones;
-    // Opening a logical zone opens one member zone on each replica of
-    // its group, so the guaranteed volume-wide limit is the weakest
-    // member's (0 = unlimited; any limited member caps the volume).
-    std::uint32_t open = 0, active = 0;
-    for (const auto& m : members_) {
-      const DeviceInfo mi = m->info();
-      if (mi.max_open_zones != 0) {
-        open = open == 0 ? mi.max_open_zones : std::min(open, mi.max_open_zones);
-      }
-      if (mi.max_active_zones != 0) {
-        active =
-            active == 0 ? mi.max_active_zones : std::min(active, mi.max_active_zones);
-      }
+  di.zone_size_bytes = zone_bytes_;
+  di.num_zones = rows_;
+  di.capacity_bytes = zone_bytes_ * di.num_zones;
+  // Opening a logical zone opens that zone on every member, so the
+  // guaranteed volume-wide limit is the weakest member's (0 = unlimited;
+  // any limited member caps the volume).
+  std::uint32_t open = 0, active = 0;
+  for (const auto& m : members_) {
+    const DeviceInfo mi = m->info();
+    if (mi.max_open_zones != 0) {
+      open = open == 0 ? mi.max_open_zones : std::min(open, mi.max_open_zones);
     }
-    di.max_open_zones = open;
-    di.max_active_zones = active;
-  } else {
-    di.capacity_bytes = member_span_;
+    if (mi.max_active_zones != 0) {
+      active =
+          active == 0 ? mi.max_active_zones : std::min(active, mi.max_active_zones);
+    }
   }
+  di.max_open_zones = open;
+  di.max_active_zones = active;
   for (const auto& m : members_) di.slc_bytes += m->info().slc_bytes;
-  // The volume serves while every group keeps an active replica; one
-  // lost group takes the whole address space with it.
-  di.health = DeviceHealth::kHealthy;
-  for (std::uint32_t g = 0; g < num_groups_; ++g) {
-    std::uint32_t live = 0;
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      if (state_[g * group_ + lane] == MemberState::kActive) ++live;
-    }
-    if (live == 0) {
-      di.health = DeviceHealth::kOffline;
-      break;
-    }
-  }
+  // The volume serves while any member is active.
+  const bool live = std::find(state_.begin(), state_.end(), MemberState::kActive) !=
+                    state_.end();
+  di.health = live ? DeviceHealth::kHealthy : DeviceHealth::kOffline;
   return di;
-}
-
-MemberZone RedundantVolume::ToMemberZone(ZoneId logical, std::uint32_t lane) const {
-  return MemberZone{GroupBase(logical.value()) + lane,
-                    ZoneId{MemberRow(logical.value())}};
-}
-
-ZoneId RedundantVolume::ToLogicalZone(const MemberZone& mz) const {
-  const std::uint64_t g = mz.member / group_;
-  return ZoneId{mz.zone.value() * num_groups_ + g};
 }
 
 Status RedundantVolume::Resolve(const IoRequest& req, std::uint64_t* logical,
@@ -166,24 +105,16 @@ Status RedundantVolume::Resolve(const IoRequest& req, std::uint64_t* logical,
   if (req.len == 0 || req.offset % align_ != 0 || req.len % align_ != 0) {
     return Status::InvalidArgument("request must be aligned and non-empty");
   }
-  if (zone_bytes_ != 0) {
-    const std::uint64_t l = req.offset / zone_bytes_;
-    if (l >= static_cast<std::uint64_t>(rows_) * num_groups_) {
-      return Status::OutOfRange("request beyond volume capacity");
-    }
-    const std::uint64_t in = req.offset - l * zone_bytes_;
-    if (req.len > zone_bytes_ || in > zone_bytes_ - req.len) {
-      return Status::InvalidArgument("request crosses a zone boundary");
-    }
-    *logical = l;
-    *in_zone = in;
-  } else {
-    if (req.len > member_span_ || req.offset > member_span_ - req.len) {
-      return Status::OutOfRange("request beyond volume capacity");
-    }
-    *logical = 0;
-    *in_zone = req.offset;
+  const std::uint64_t l = req.offset / zone_bytes_;
+  if (l >= rows_) {
+    return Status::OutOfRange("request beyond volume capacity");
   }
+  const std::uint64_t in = req.offset - l * zone_bytes_;
+  if (req.len > zone_bytes_ || in > zone_bytes_ - req.len) {
+    return Status::InvalidArgument("request crosses a zone boundary");
+  }
+  *logical = l;
+  *in_zone = in;
   return Status::Ok();
 }
 
@@ -228,7 +159,7 @@ RedundantVolume::Legs RedundantVolume::IssueLegs(SimTime now, Leg&& leg) {
   return out;
 }
 
-bool RedundantVolume::Writable(std::uint32_t m, std::uint64_t where) const {
+bool RedundantVolume::Writable(std::uint32_t m, std::uint64_t zone) const {
   switch (state_[m]) {
     case MemberState::kActive:
       return true;
@@ -237,12 +168,9 @@ bool RedundantVolume::Writable(std::uint32_t m, std::uint64_t where) const {
     case MemberState::kRebuilding:
       break;
   }
-  if (zone_bytes_ != 0) {
-    if (rebuild_phase_ == 2) return where != rebuild_verify_zone_;
-    if (rebuild_phase_ == 1) return true;
-    return where < rebuild_zone_;
-  }
-  return rebuild_phase_ >= 1 || where < rebuild_off_;
+  if (rebuild_phase_ == 2) return zone != rebuild_verify_zone_;
+  if (rebuild_phase_ == 1) return true;
+  return zone < rebuild_zone_;
 }
 
 Result<IoResult> RedundantVolume::Write(const IoRequest& req) {
@@ -253,13 +181,9 @@ Result<IoResult> RedundantVolume::Write(const IoRequest& req) {
   if (!req.tokens.empty() && req.tokens.size() != req.len / align_) {
     return Status::InvalidArgument("token count != written pages");
   }
-  if (scrub_active_) {
-    // Writing at or behind the scrub cursor invalidates "this pass saw
-    // the whole volume in sync" — readmission must not use it.
-    const bool behind = zone_bytes_ != 0 ? logical <= scrub_zone_
-                                         : req.offset <= scrub_off_;
-    if (behind) scrub_dirty_ = true;
-  }
+  // Writing at or behind the scrub cursor invalidates "this pass saw the
+  // whole volume in sync" — readmission must not use it.
+  if (scrub_active_ && logical <= scrub_zone_) scrub_dirty_ = true;
 
   const std::uint64_t pages = req.len / align_;
   // Materialize explicit tokens so every replica stores identical
@@ -274,28 +198,23 @@ Result<IoResult> RedundantVolume::Write(const IoRequest& req) {
     toks = token_scratch_;
   }
 
-  const std::uint32_t base = GroupBase(logical);
-  const std::uint64_t zr = MemberRow(logical);
-  const std::uint64_t moff =
-      zone_bytes_ != 0 ? zr * member_info_.zone_size_bytes + in_zone : req.offset;
-
   target_scratch_.clear();
   bool degraded = false;
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    const std::uint32_t m = base + lane;
-    if (!Writable(m, zone_bytes_ != 0 ? zr : req.offset)) {
+  for (std::uint32_t m = 0; m < members_.size(); ++m) {
+    if (!Writable(m, logical)) {
       degraded = true;
       continue;
     }
     target_scratch_.push_back(m);
   }
   if (target_scratch_.empty()) {
-    return Status::FailedPrecondition("no writable replica in mirror group");
+    return Status::FailedPrecondition("no writable replica in mirror");
   }
 
+  // Logical zone z is member zone z, so member offsets equal logical ones.
   const Legs legs = IssueLegs(req.now, [&](std::uint32_t m) -> Result<SimTime> {
     auto res = members_[m]->Write(
-        IoRequest{moff, req.len, req.now, toks, /*want_tokens=*/false,
+        IoRequest{req.offset, req.len, req.now, toks, /*want_tokens=*/false,
                   req.io_class});
     if (!res.ok()) return res.status();
     return res.value().done;
@@ -310,25 +229,21 @@ Result<IoResult> RedundantVolume::Read(const IoRequest& req) {
   if (Status st = Resolve(req, &logical, &in_zone); !st.ok()) {
     return st;
   }
-  const std::uint32_t base = GroupBase(logical);
-  const std::uint64_t zr = MemberRow(logical);
-  const std::uint64_t moff =
-      zone_bytes_ != 0 ? zr * member_info_.zone_size_bytes + in_zone : req.offset;
+  const std::uint32_t n = num_members();
   const std::uint64_t units =
       (in_zone + req.len - 1) / stripe_ - in_zone / stripe_ + 1;
-  // Primary replica rotates with the zone row and the first stripe unit
-  // so independent streams spread across the group; fallback order is a
+  // Primary replica rotates with the zone and the first stripe unit so
+  // independent streams spread across the members; fallback order is a
   // fixed function of the request — deterministic at any thread count.
   const std::uint32_t primary =
-      static_cast<std::uint32_t>((zr + in_zone / stripe_) % group_);
+      static_cast<std::uint32_t>((logical + in_zone / stripe_) % n);
 
   Status first_err;
-  for (std::uint32_t t = 0; t < group_; ++t) {
-    const std::uint32_t lane = (primary + t) % group_;
-    const std::uint32_t m = base + lane;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    const std::uint32_t m = (primary + t) % n;
     if (!Readable(m)) continue;
     auto res = members_[m]->Read(
-        IoRequest{moff, req.len, req.now, {}, req.want_tokens, req.io_class});
+        IoRequest{req.offset, req.len, req.now, {}, req.want_tokens, req.io_class});
     if (res.ok()) {
       IoResult out = std::move(res).value();
       if (t != 0) {
@@ -342,25 +257,19 @@ Result<IoResult> RedundantVolume::Read(const IoRequest& req) {
     if (first_err.ok()) first_err = res.status();
   }
   if (!first_err.ok()) return first_err;
-  return Status::FailedPrecondition("no readable replica in mirror group");
+  return Status::FailedPrecondition("no readable replica in mirror");
 }
 
 Result<SimTime> RedundantVolume::ResetZone(ZoneId zone, SimTime now) {
-  if (zone_bytes_ == 0) {
-    return Status::Unimplemented("volume has no zones");
-  }
-  if (!zone.valid() ||
-      zone.value() >= static_cast<std::uint64_t>(rows_) * num_groups_) {
+  if (!zone.valid() || zone.value() >= rows_) {
     return Status::OutOfRange("reset of invalid zone");
   }
-  if (scrub_active_ && zone.value() <= scrub_zone_) scrub_dirty_ = true;
+  const std::uint64_t zr = zone.value();
+  if (scrub_active_ && zr <= scrub_zone_) scrub_dirty_ = true;
 
-  const std::uint32_t base = GroupBase(zone.value());
-  const std::uint64_t zr = MemberRow(zone.value());
   target_scratch_.clear();
   bool restart_copy = false;
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    const std::uint32_t m = base + lane;
+  for (std::uint32_t m = 0; m < members_.size(); ++m) {
     if (state_[m] == MemberState::kFailed) continue;
     if (state_[m] == MemberState::kRebuilding) {
       // Zones ahead of the copy cursor are still empty on the fresh
@@ -378,7 +287,7 @@ Result<SimTime> RedundantVolume::ResetZone(ZoneId zone, SimTime now) {
   }
 
   const Legs legs = IssueLegs(now, [&](std::uint32_t m) {
-    return members_[m]->ResetZone(ZoneId{zr}, now);
+    return members_[m]->ResetZone(zone, now);
   });
   if (legs.failed == target_scratch_.size()) return legs.first_err;
   SimTime done = legs.done;
@@ -390,11 +299,10 @@ Result<SimTime> RedundantVolume::ResetZone(ZoneId zone, SimTime now) {
   // online, so a later scrub never sees pre-reset content on them (and
   // readmission starts from an in-sync, empty zone). Errors here neither
   // fail the reset nor re-latch — the member is already failed.
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    const std::uint32_t m = base + lane;
+  for (std::uint32_t m = 0; m < members_.size(); ++m) {
     if (state_[m] != MemberState::kFailed) continue;
     if (members_[m]->info().health == DeviceHealth::kOffline) continue;
-    auto r = members_[m]->ResetZone(ZoneId{zr}, now);
+    auto r = members_[m]->ResetZone(zone, now);
     if (r.ok()) done = Later(done, r.value());
   }
   return done;
@@ -432,27 +340,6 @@ RecoveryStats RedundantVolume::Recovery() const {
   return s;
 }
 
-std::vector<StatsSnapshot> RedundantVolume::PerMemberStats() const {
-  std::vector<StatsSnapshot> out;
-  out.reserve(members_.size());
-  for (const auto& m : members_) out.push_back(m->Stats());
-  return out;
-}
-
-std::vector<ReliabilityStats> RedundantVolume::PerMemberReliability() const {
-  std::vector<ReliabilityStats> out;
-  out.reserve(members_.size());
-  for (const auto& m : members_) out.push_back(m->Reliability());
-  return out;
-}
-
-std::vector<RecoveryStats> RedundantVolume::PerMemberRecovery() const {
-  std::vector<RecoveryStats> out;
-  out.reserve(members_.size());
-  for (const auto& m : members_) out.push_back(m->Recovery());
-  return out;
-}
-
 Status RedundantVolume::MarkFailed(std::uint32_t i) {
   if (i >= members_.size()) return Status::InvalidArgument("no such member");
   LatchFailed(i);
@@ -468,26 +355,31 @@ Status RedundantVolume::ReplaceMember(std::uint32_t i,
   if (rebuild_member_ >= 0) {
     return Status::FailedPrecondition("a rebuild is already active");
   }
+  // The rebuild copies from the other active members: evicting the last
+  // active one would destroy the only good copy.
+  bool source = false;
+  for (std::uint32_t m = 0; m < members_.size(); ++m) {
+    if (m != i && state_[m] == MemberState::kActive) source = true;
+  }
+  if (!source) {
+    return Status::FailedPrecondition("no other active member to rebuild from");
+  }
   const DeviceInfo fi = fresh->info();
+  if (!fi.zoned()) {
+    return Status::InvalidArgument("mirror members must be zoned");
+  }
   if (fi.io_alignment != align_) {
     return Status::InvalidArgument("replacement disagrees on I/O alignment");
   }
-  if (fi.zoned() != member_info_.zoned()) {
-    return Status::InvalidArgument("replacement zonedness mismatch");
+  if (fi.zone_size_bytes != zone_bytes_) {
+    return Status::InvalidArgument("replacement disagrees on zone size");
   }
-  if (member_info_.zoned()) {
-    if (fi.zone_size_bytes != member_info_.zone_size_bytes) {
-      return Status::InvalidArgument("replacement disagrees on zone size");
-    }
-    if (fi.num_zones < rows_) {
-      return Status::InvalidArgument("replacement has too few zones");
-    }
-    if (fi.num_conventional_zones != 0) {
-      return Status::InvalidArgument(
-          "members with conventional zones are not supported");
-    }
-  } else if (fi.capacity_bytes < member_span_) {
-    return Status::InvalidArgument("replacement smaller than the mirrored span");
+  if (fi.num_zones < rows_) {
+    return Status::InvalidArgument("replacement has too few zones");
+  }
+  if (fi.num_conventional_zones != 0) {
+    return Status::InvalidArgument(
+        "members with conventional zones are not supported");
   }
   if (fi.health != DeviceHealth::kHealthy) {
     return Status::FailedPrecondition("replacement device is not healthy");
@@ -515,7 +407,6 @@ Status RedundantVolume::StartScrub(SimTime now) {
   scrub_active_ = true;
   scrub_zone_ = 0;
   scrub_row_ = 0;
-  scrub_off_ = 0;
   scrub_clean_.assign(members_.size(), 1);
   scrub_dirty_ = false;
   return Status::Ok();
@@ -561,48 +452,28 @@ void RedundantVolume::RecordMismatch(std::uint64_t logical, std::uint64_t row,
 Result<SimTime> RedundantVolume::TickScrub(SimTime now) {
   SimTime done = now;
   bool finished = false;
-  const std::uint64_t zone_rows =
-      zone_bytes_ != 0 ? member_info_.zone_size_bytes / stripe_ : 0;
-  const std::uint64_t total_zones =
-      zone_bytes_ != 0 ? static_cast<std::uint64_t>(rows_) * num_groups_ : 0;
+  const std::uint64_t zone_rows = zone_bytes_ / stripe_;
 
   for (std::uint32_t budget = rows_per_tick_; budget > 0; --budget) {
-    if (zone_bytes_ != 0) {
-      if (scrub_zone_ >= total_zones) {
-        finished = true;
-        break;
-      }
-      bool content = true;
-      auto r = ScrubRow(scrub_zone_, scrub_row_, now, &content);
-      if (!r.ok()) return r;
-      done = Later(done, r.value());
-      if (content) {
-        red_.scrub_rows++;
-        scrub_row_++;
-      }
-      if (!content || scrub_row_ >= zone_rows) {
-        scrub_zone_++;
-        scrub_row_ = 0;
-      }
-      if (scrub_zone_ >= total_zones) {
-        finished = true;
-        break;
-      }
-    } else {
-      if (scrub_off_ >= member_span_) {
-        finished = true;
-        break;
-      }
-      bool content = true;
-      auto r = ScrubConventional(now, &content);
-      if (!r.ok()) return r;
-      done = Later(done, r.value());
+    if (scrub_zone_ >= rows_) {
+      finished = true;
+      break;
+    }
+    bool content = true;
+    auto r = ScrubRow(scrub_zone_, scrub_row_, now, &content);
+    if (!r.ok()) return r;
+    done = Later(done, r.value());
+    if (content) {
       red_.scrub_rows++;
-      scrub_off_ += stripe_;
-      if (scrub_off_ >= member_span_) {
-        finished = true;
-        break;
-      }
+      scrub_row_++;
+    }
+    if (!content || scrub_row_ >= zone_rows) {
+      scrub_zone_++;
+      scrub_row_ = 0;
+    }
+    if (scrub_zone_ >= rows_) {
+      finished = true;
+      break;
     }
   }
 
@@ -634,43 +505,40 @@ Result<SimTime> RedundantVolume::TickScrub(SimTime now) {
 
 Result<SimTime> RedundantVolume::ScrubRow(std::uint64_t logical, std::uint64_t row,
                                           SimTime now, bool* content) {
-  const std::uint32_t base = GroupBase(logical);
-  const std::uint64_t zr = MemberRow(logical);
-  const std::uint64_t row_off =
-      zr * member_info_.zone_size_bytes + row * stripe_;
+  const std::uint32_t n = num_members();
+  const std::uint64_t row_off = logical * zone_bytes_ + row * stripe_;
   const std::uint64_t slots = stripe_ / align_;
   SimTime done = now;
 
-  std::vector<std::uint64_t> prefix(group_, 0);
-  std::vector<std::vector<std::uint64_t>> toks(group_);
-  std::vector<std::uint8_t> part(group_, 0);
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    const std::uint32_t m = base + lane;
+  std::vector<std::uint64_t> prefix(n, 0);
+  std::vector<std::vector<std::uint64_t>> toks(n);
+  std::vector<std::uint8_t> part(n, 0);
+  for (std::uint32_t m = 0; m < n; ++m) {
     if (members_[m]->info().health == DeviceHealth::kOffline) {
       scrub_clean_[m] = 0;  // Unverifiable this pass.
       continue;
     }
-    part[lane] = 1;
+    part[m] = 1;
     auto res = members_[m]->Read(
         IoRequest{row_off, stripe_, now, {}, /*want_tokens=*/true,
                   IoClass::kMaintenance});
     if (res.ok()) {
-      prefix[lane] = slots;
-      toks[lane] = std::move(res.value().tokens);
+      prefix[m] = slots;
+      toks[m] = std::move(res.value().tokens);
       done = Later(done, res.value().done);
       continue;
     }
     if (!Reconstructable(res.status().code())) return res.status();
-    prefix[lane] = ProbePrefix(m, row_off, stripe_, now, &done);
-    if (prefix[lane] > 0) {
-      auto rr = members_[m]->Read(IoRequest{row_off, prefix[lane] * align_, now,
+    prefix[m] = ProbePrefix(m, row_off, stripe_, now, &done);
+    if (prefix[m] > 0) {
+      auto rr = members_[m]->Read(IoRequest{row_off, prefix[m] * align_, now,
                                             {}, /*want_tokens=*/true,
                   IoClass::kMaintenance});
       if (rr.ok()) {
-        toks[lane] = std::move(rr.value().tokens);
+        toks[m] = std::move(rr.value().tokens);
         done = Later(done, rr.value().done);
       } else {
-        prefix[lane] = 0;
+        prefix[m] = 0;
         scrub_clean_[m] = 0;
       }
     }
@@ -684,31 +552,29 @@ Result<SimTime> RedundantVolume::ScrubRow(std::uint64_t logical, std::uint64_t r
   std::uint64_t max_p = 0;
   std::uint32_t src = 0;
   bool have_active = false;
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    if (part[lane] == 0 || state_[base + lane] != MemberState::kActive) continue;
+  for (std::uint32_t m = 0; m < n; ++m) {
+    if (part[m] == 0 || state_[m] != MemberState::kActive) continue;
     have_active = true;
-    if (prefix[lane] > max_p) {
-      max_p = prefix[lane];
-      src = lane;
+    if (prefix[m] > max_p) {
+      max_p = prefix[m];
+      src = m;
     }
   }
   if (!have_active) {
     // No active replica participated: nothing is authoritative, so this
-    // pass cannot vouch for any non-active lane it read here.
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      if (part[lane] != 0) scrub_clean_[base + lane] = 0;
+    // pass cannot vouch for any non-active member it read here.
+    for (std::uint32_t m = 0; m < n; ++m) {
+      if (part[m] != 0) scrub_clean_[m] = 0;
     }
     *content = false;
     return done;
   }
   if (max_p == 0) {
-    // Active content ends before this row. A non-active lane with
+    // Active content ends before this row. A non-active member with
     // content here holds a stale tail (a reset or rewrite it missed) —
     // flag it so it is neither readmitted nor ever used as a source.
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      const std::uint32_t m = base + lane;
-      if (part[lane] != 0 && state_[m] != MemberState::kActive &&
-          prefix[lane] > 0) {
+    for (std::uint32_t m = 0; m < n; ++m) {
+      if (part[m] != 0 && state_[m] != MemberState::kActive && prefix[m] > 0) {
         RecordMismatch(logical, row, m);
         scrub_clean_[m] = 0;
       }
@@ -718,13 +584,12 @@ Result<SimTime> RedundantVolume::ScrubRow(std::uint64_t logical, std::uint64_t r
   }
   *content = true;
 
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    if (part[lane] == 0 || lane == src) continue;
-    const std::uint32_t m = base + lane;
+  for (std::uint32_t m = 0; m < n; ++m) {
+    if (part[m] == 0 || m == src) continue;
     bool diverged = false;
-    const std::uint64_t common = std::min(prefix[lane], max_p);
+    const std::uint64_t common = std::min(prefix[m], max_p);
     for (std::uint64_t j = 0; j < common; ++j) {
-      if (toks[lane][j] != toks[src][j]) {
+      if (toks[m][j] != toks[src][j]) {
         // Readable-but-different content on append-only media cannot be
         // rewritten in place; count and log it instead.
         RecordMismatch(logical, row, m);
@@ -733,26 +598,26 @@ Result<SimTime> RedundantVolume::ScrubRow(std::uint64_t logical, std::uint64_t r
         break;
       }
     }
-    if (!diverged && prefix[lane] > max_p) {
+    if (!diverged && prefix[m] > max_p) {
       // Content beyond the longest active replica: only a non-active
-      // lane can get here (src is the active maximum), and the excess is
-      // stale by definition.
+      // member can get here (src is the active maximum), and the excess
+      // is stale by definition.
       RecordMismatch(logical, row, m);
       scrub_clean_[m] = 0;
       diverged = true;
     }
-    if (diverged || prefix[lane] >= max_p || scrub_clean_[m] == 0) continue;
+    if (diverged || prefix[m] >= max_p || scrub_clean_[m] == 0) continue;
     // The replica's durable content ends inside this row — the
     // signature of a survived power cut. Append the missing slots at
     // its write pointer from the longest replica.
     auto w = members_[m]->Write(IoRequest{
-        row_off + prefix[lane] * align_, (max_p - prefix[lane]) * align_, now,
-        std::span<const std::uint64_t>(toks[src].data() + prefix[lane],
-                                       max_p - prefix[lane]),
+        row_off + prefix[m] * align_, (max_p - prefix[m]) * align_, now,
+        std::span<const std::uint64_t>(toks[src].data() + prefix[m],
+                                       max_p - prefix[m]),
         /*want_tokens=*/false,
                   IoClass::kMaintenance});
     if (w.ok()) {
-      red_.scrub_repaired_slots += max_p - prefix[lane];
+      red_.scrub_repaired_slots += max_p - prefix[m];
       done = Later(done, w.value().done);
     } else {
       RecordMismatch(logical, row, m);
@@ -762,198 +627,61 @@ Result<SimTime> RedundantVolume::ScrubRow(std::uint64_t logical, std::uint64_t r
   return done;
 }
 
-Result<SimTime> RedundantVolume::ScrubConventional(SimTime now, bool* content) {
-  *content = true;  // Conventional scans the whole span; no content end.
-  const std::uint64_t off = scrub_off_;
-  const std::uint64_t chunk = std::min(stripe_, member_span_ - off);
-  const std::uint64_t slots = chunk / align_;
-  const std::uint32_t n = static_cast<std::uint32_t>(members_.size());
-  SimTime done = now;
-
-  // Conventional space has no prefix property — any slot can be mapped
-  // or unmapped independently — so classification is per slot.
-  std::vector<std::vector<std::uint64_t>> toks(n);
-  std::vector<std::vector<std::uint8_t>> have(n);
-  std::vector<std::uint8_t> part(n, 0);
-  for (std::uint32_t m = 0; m < n; ++m) {
-    if (members_[m]->info().health == DeviceHealth::kOffline) {
-      scrub_clean_[m] = 0;
-      continue;
-    }
-    part[m] = 1;
-    toks[m].assign(slots, 0);
-    have[m].assign(slots, 0);
-    auto res =
-        members_[m]->Read(IoRequest{off, chunk, now, {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-    if (res.ok()) {
-      for (std::uint64_t j = 0; j < slots; ++j) {
-        toks[m][j] = res.value().tokens[j];
-        have[m][j] = 1;
-      }
-      done = Later(done, res.value().done);
-      continue;
-    }
-    if (!Reconstructable(res.status().code())) return res.status();
-    for (std::uint64_t j = 0; j < slots; ++j) {
-      auto sr = members_[m]->Read(IoRequest{off + j * align_, align_, now, {},
-                                            /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-      if (sr.ok()) {
-        toks[m][j] = sr.value().tokens[0];
-        have[m][j] = 1;
-        done = Later(done, sr.value().done);
-      } else if (!Reconstructable(sr.status().code())) {
-        return sr.status();
-      }
-    }
-  }
-
-  const std::uint64_t chunk_idx = off / stripe_;
-  for (std::uint64_t j = 0; j < slots; ++j) {
-    // The slot authority is the first ACTIVE member holding it: a failed
-    // member's content may predate degraded-mode writes, and must never
-    // overwrite what an active replica acknowledged. A non-active
-    // member's content only fills slots no active member has.
-    std::int32_t src = -1;
-    for (std::uint32_t m = 0; m < n; ++m) {
-      if (part[m] != 0 && have[m][j] != 0 &&
-          state_[m] == MemberState::kActive) {
-        src = static_cast<std::int32_t>(m);
-        break;
-      }
-    }
-    const bool src_active = src >= 0;
-    if (src < 0) {
-      for (std::uint32_t m = 0; m < n; ++m) {
-        if (part[m] != 0 && have[m][j] != 0) {
-          src = static_cast<std::int32_t>(m);
-          break;
-        }
-      }
-    }
-    if (src < 0) continue;  // Legitimately unmapped on every replica.
-    for (std::uint32_t m = 0; m < n; ++m) {
-      if (part[m] == 0 || static_cast<std::int32_t>(m) == src) continue;
-      const bool stale =
-          have[m][j] != 0 &&
-          toks[m][j] != toks[static_cast<std::uint32_t>(src)][j];
-      if (have[m][j] != 0 && !stale) continue;
-      if (stale) {
-        RecordMismatch(0, chunk_idx, m);
-        if (!src_active) {
-          // Two non-active replicas disagree and no active replica has
-          // the slot: there is no authority to repair from either way.
-          scrub_clean_[m] = 0;
-          scrub_clean_[static_cast<std::uint32_t>(src)] = 0;
-          continue;
-        }
-      }
-      // Conventional media overwrites in place, so both a missing and a
-      // divergent slot are repairable.
-      auto w = members_[m]->Write(IoRequest{
-          off + j * align_, align_, now,
-          std::span<const std::uint64_t>(
-              &toks[static_cast<std::uint32_t>(src)][j], 1),
-          /*want_tokens=*/false,
-                  IoClass::kMaintenance});
-      if (w.ok()) {
-        red_.scrub_repaired_slots++;
-        done = Later(done, w.value().done);
-      } else {
-        if (!stale) RecordMismatch(0, chunk_idx, m);
-        scrub_clean_[m] = 0;
-      }
-    }
-  }
-  return done;
-}
-
 Result<SimTime> RedundantVolume::TickRebuild(SimTime now) {
   SimTime done = now;
-  const std::uint64_t mzs = member_info_.zone_size_bytes;
 
   for (std::uint32_t budget = rows_per_tick_; budget > 0; --budget) {
     if (rebuild_member_ < 0) break;  // A leg failure latched the fresh member.
     const std::uint32_t m = static_cast<std::uint32_t>(rebuild_member_);
-    if (zone_bytes_ != 0) {
-      if (rebuild_phase_ == 0) {
-        if (rebuild_zone_ >= rows_) {
-          rebuild_phase_ = 1;
-          rebuild_verify_zone_ = 0;
-          continue;
-        }
-        bool content = true;
-        auto r = RebuildRow(now, &content);
-        if (!r.ok()) return r;
-        done = Later(done, r.value());
-        if (!content || rebuild_off_ >= mzs) {
-          // Zone complete: flush before moving on so a later cut can
-          // only tear the zone under copy, never a finished one.
-          auto f = members_[m]->Flush(now);
-          if (f.ok()) done = Later(done, f.value());
-          rebuild_zone_++;
-          rebuild_off_ = 0;
-          rebuild_fail_streak_ = 0;
-        }
-      } else if (rebuild_phase_ == 1) {
-        if (rebuild_verify_zone_ >= rows_) {
-          auto f = members_[m]->Flush(now);
-          if (!f.ok()) return f.status();
-          done = Later(done, f.value());
-          state_[m] = MemberState::kActive;
-          rebuild_member_ = -1;
-          red_.rebuilds_completed++;
-          return done;
-        }
-        bool hole = false;
-        auto r = VerifyRebuildZone(now, &hole);
-        if (!r.ok()) return r;
-        done = Later(done, r.value());
-        if (hole) {
-          rebuild_phase_ = 2;  // Re-copy from the shortfall.
-        } else {
-          rebuild_verify_zone_++;
-        }
-      } else {  // Phase 2: re-copy the torn zone, then resume the sweep.
-        bool content = true;
-        auto r = RebuildRow(now, &content);
-        if (!r.ok()) return r;
-        done = Later(done, r.value());
-        if (!content || rebuild_off_ >= mzs) {
-          auto f = members_[m]->Flush(now);
-          if (f.ok()) done = Later(done, f.value());
-          rebuild_phase_ = 1;  // Re-check the same zone, then continue.
-          rebuild_off_ = 0;
-          rebuild_fail_streak_ = 0;
-        }
+    if (rebuild_phase_ == 0) {
+      if (rebuild_zone_ >= rows_) {
+        rebuild_phase_ = 1;
+        rebuild_verify_zone_ = 0;
+        continue;
       }
-    } else {
-      if (rebuild_phase_ == 0) {
-        if (rebuild_off_ >= member_span_) {
-          rebuild_phase_ = 1;
-          rebuild_off_ = 0;
-          continue;
-        }
-        bool content = true;
-        auto r = RebuildConventionalChunk(now, &content);
-        if (!r.ok()) return r;
-        done = Later(done, r.value());
-        rebuild_off_ += stripe_;
+      bool content = true;
+      auto r = RebuildRow(now, &content);
+      if (!r.ok()) return r;
+      done = Later(done, r.value());
+      if (!content || rebuild_off_ >= zone_bytes_) {
+        // Zone complete: flush before moving on so a later cut can
+        // only tear the zone under copy, never a finished one.
+        auto f = members_[m]->Flush(now);
+        if (f.ok()) done = Later(done, f.value());
+        rebuild_zone_++;
+        rebuild_off_ = 0;
+        rebuild_fail_streak_ = 0;
+      }
+    } else if (rebuild_phase_ == 1) {
+      if (rebuild_verify_zone_ >= rows_) {
+        auto f = members_[m]->Flush(now);
+        if (!f.ok()) return f.status();
+        done = Later(done, f.value());
+        state_[m] = MemberState::kActive;
+        rebuild_member_ = -1;
+        red_.rebuilds_completed++;
+        return done;
+      }
+      bool hole = false;
+      auto r = VerifyRebuildZone(now, &hole);
+      if (!r.ok()) return r;
+      done = Later(done, r.value());
+      if (hole) {
+        rebuild_phase_ = 2;  // Re-copy from the shortfall.
       } else {
-        if (rebuild_off_ >= member_span_) {
-          auto f = members_[m]->Flush(now);
-          if (!f.ok()) return f.status();
-          done = Later(done, f.value());
-          state_[m] = MemberState::kActive;
-          rebuild_member_ = -1;
-          red_.rebuilds_completed++;
-          return done;
-        }
-        auto r = VerifyConventionalChunk(now);
-        if (!r.ok()) return r;
-        done = Later(done, r.value());
-        rebuild_off_ += stripe_;
+        rebuild_verify_zone_++;
+      }
+    } else {  // Phase 2: re-copy the torn zone, then resume the sweep.
+      bool content = true;
+      auto r = RebuildRow(now, &content);
+      if (!r.ok()) return r;
+      done = Later(done, r.value());
+      if (!content || rebuild_off_ >= zone_bytes_) {
+        auto f = members_[m]->Flush(now);
+        if (f.ok()) done = Later(done, f.value());
+        rebuild_phase_ = 1;  // Re-check the same zone, then continue.
+        rebuild_off_ = 0;
+        rebuild_fail_streak_ = 0;
       }
     }
   }
@@ -971,19 +699,16 @@ Result<SimTime> RedundantVolume::TickRebuild(SimTime now) {
 Status RedundantVolume::SourceZoneSlots(std::uint32_t zr, SimTime now,
                                         std::uint64_t* slots, SimTime* done) {
   const std::uint32_t m = static_cast<std::uint32_t>(rebuild_member_);
-  const std::uint32_t base = (m / group_) * group_;
-  const std::uint64_t mzs = member_info_.zone_size_bytes;
-  const std::uint64_t zbase = static_cast<std::uint64_t>(zr) * mzs;
+  const std::uint64_t zbase = static_cast<std::uint64_t>(zr) * zone_bytes_;
   std::uint64_t best = 0;
   bool any = false;
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    const std::uint32_t pm = base + lane;
+  for (std::uint32_t pm = 0; pm < members_.size(); ++pm) {
     if (pm == m || state_[pm] != MemberState::kActive) continue;
     if (members_[pm]->info().health == DeviceHealth::kOffline) {
       return Status::FailedPrecondition("rebuild source is powered off");
     }
     any = true;
-    best = std::max(best, ProbePrefix(pm, zbase, mzs, now, done));
+    best = std::max(best, ProbePrefix(pm, zbase, zone_bytes_, now, done));
   }
   if (!any) return Status::FailedPrecondition("no surviving source for rebuild");
   *slots = best;
@@ -997,14 +722,13 @@ Status RedundantVolume::FreshWriteFailed(Status leg, SimTime now, SimTime* done)
   }
   const std::uint32_t zr =
       rebuild_phase_ == 2 ? rebuild_verify_zone_ : rebuild_zone_;
-  const std::uint64_t mzs = member_info_.zone_size_bytes;
   rebuild_fail_streak_++;
   if (rebuild_fail_streak_ == 1) {
     // A survived power cut regressed the zone below the cursor: resync
     // to the durable prefix and continue from there — never a torn row.
-    rebuild_off_ =
-        ProbePrefix(m, static_cast<std::uint64_t>(zr) * mzs, mzs, now, done) *
-        align_;
+    rebuild_off_ = ProbePrefix(m, static_cast<std::uint64_t>(zr) * zone_bytes_,
+                               zone_bytes_, now, done) *
+                   align_;
     red_.rebuild_zone_restarts++;
     return Status::Ok();
   }
@@ -1024,18 +748,15 @@ Result<SimTime> RedundantVolume::RebuildRow(SimTime now, bool* content) {
   const std::uint32_t m = static_cast<std::uint32_t>(rebuild_member_);
   const std::uint32_t zr =
       rebuild_phase_ == 2 ? rebuild_verify_zone_ : rebuild_zone_;
-  const std::uint32_t base = (m / group_) * group_;
-  const std::uint64_t mzs = member_info_.zone_size_bytes;
   const std::uint64_t off = rebuild_off_;
-  const std::uint64_t span = std::min(stripe_ - off % stripe_, mzs - off);
-  const std::uint64_t moff = static_cast<std::uint64_t>(zr) * mzs + off;
+  const std::uint64_t span = std::min(stripe_ - off % stripe_, zone_bytes_ - off);
+  const std::uint64_t moff = static_cast<std::uint64_t>(zr) * zone_bytes_ + off;
   SimTime done = now;
   *content = true;
 
   std::vector<std::uint64_t> data;
   std::int32_t peer0 = -1;
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    const std::uint32_t pm = base + lane;
+  for (std::uint32_t pm = 0; pm < members_.size(); ++pm) {
     if (pm == m || state_[pm] != MemberState::kActive) continue;
     if (members_[pm]->info().health == DeviceHealth::kOffline) {
       return Status::FailedPrecondition("rebuild source is powered off");
@@ -1058,8 +779,7 @@ Result<SimTime> RedundantVolume::RebuildRow(SimTime now, bool* content) {
     // from whichever surviving replica holds the most of it.
     std::uint64_t best = 0;
     std::int32_t bm = -1;
-    for (std::uint32_t lane = 0; lane < group_; ++lane) {
-      const std::uint32_t pm = base + lane;
+    for (std::uint32_t pm = 0; pm < members_.size(); ++pm) {
       if (pm == m || state_[pm] != MemberState::kActive) continue;
       const std::uint64_t p = ProbePrefix(pm, moff, span, now, &done);
       if (p > best) {
@@ -1101,14 +821,13 @@ Result<SimTime> RedundantVolume::RebuildRow(SimTime now, bool* content) {
 Result<SimTime> RedundantVolume::VerifyRebuildZone(SimTime now, bool* hole) {
   const std::uint32_t m = static_cast<std::uint32_t>(rebuild_member_);
   const std::uint32_t zr = rebuild_verify_zone_;
-  const std::uint64_t mzs = member_info_.zone_size_bytes;
   SimTime done = now;
   std::uint64_t src_slots = 0;
   if (Status st = SourceZoneSlots(zr, now, &src_slots, &done); !st.ok()) {
     return st;
   }
-  const std::uint64_t fresh_slots =
-      ProbePrefix(m, static_cast<std::uint64_t>(zr) * mzs, mzs, now, &done);
+  const std::uint64_t fresh_slots = ProbePrefix(
+      m, static_cast<std::uint64_t>(zr) * zone_bytes_, zone_bytes_, now, &done);
   if (fresh_slots < src_slots) {
     // A power cut tore rebuilt ground behind the cursor (programs from
     // one tick complete out of submission order across dies, so even a
@@ -1120,127 +839,6 @@ Result<SimTime> RedundantVolume::VerifyRebuildZone(SimTime now, bool* hole) {
     red_.rebuild_zone_restarts++;
   } else {
     *hole = false;
-  }
-  return done;
-}
-
-Result<SimTime> RedundantVolume::RebuildConventionalChunk(SimTime now,
-                                                          bool* content) {
-  *content = true;
-  const std::uint32_t m = static_cast<std::uint32_t>(rebuild_member_);
-  const std::uint64_t off = rebuild_off_;
-  const std::uint64_t chunk = std::min(stripe_, member_span_ - off);
-  const std::uint64_t slots = chunk / align_;
-  SimTime done = now;
-
-  target_scratch_.clear();
-  for (std::uint32_t pm = 0; pm < members_.size(); ++pm) {
-    if (pm == m || state_[pm] != MemberState::kActive) continue;
-    if (members_[pm]->info().health == DeviceHealth::kOffline) {
-      return Status::FailedPrecondition("rebuild source is powered off");
-    }
-    target_scratch_.push_back(pm);
-  }
-  if (target_scratch_.empty()) {
-    return Status::FailedPrecondition("no surviving source for rebuild");
-  }
-
-  auto res = members_[target_scratch_[0]]->Read(
-      IoRequest{off, chunk, now, {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-  if (res.ok()) {
-    auto w = members_[m]->Write(
-        IoRequest{off, chunk, now,
-                  std::span<const std::uint64_t>(res.value().tokens),
-                  /*want_tokens=*/false,
-                  IoClass::kMaintenance});
-    if (!w.ok()) return w.status();
-    done = Later(done, res.value().done);
-    done = Later(done, w.value().done);
-    red_.rebuild_slots_copied += slots;
-    return done;
-  }
-  if (!Reconstructable(res.status().code())) return res.status();
-
-  // Sparse ground: copy slot by slot, first replica that has it wins;
-  // slots unmapped everywhere stay unmapped on the fresh member too.
-  for (std::uint64_t j = 0; j < slots; ++j) {
-    for (std::uint32_t pm : target_scratch_) {
-      auto sr = members_[pm]->Read(
-          IoRequest{off + j * align_, align_, now, {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-      if (sr.ok()) {
-        auto w = members_[m]->Write(IoRequest{
-            off + j * align_, align_, now,
-            std::span<const std::uint64_t>(&sr.value().tokens[0], 1),
-            /*want_tokens=*/false,
-                  IoClass::kMaintenance});
-        if (!w.ok()) return w.status();
-        done = Later(done, sr.value().done);
-        done = Later(done, w.value().done);
-        red_.rebuild_slots_copied++;
-        break;
-      }
-      if (!Reconstructable(sr.status().code())) return sr.status();
-    }
-  }
-  return done;
-}
-
-Result<SimTime> RedundantVolume::VerifyConventionalChunk(SimTime now) {
-  const std::uint32_t m = static_cast<std::uint32_t>(rebuild_member_);
-  const std::uint64_t off = rebuild_off_;
-  const std::uint64_t chunk = std::min(stripe_, member_span_ - off);
-  const std::uint64_t slots = chunk / align_;
-  SimTime done = now;
-
-  target_scratch_.clear();
-  for (std::uint32_t pm = 0; pm < members_.size(); ++pm) {
-    if (pm == m || state_[pm] != MemberState::kActive) continue;
-    if (members_[pm]->info().health == DeviceHealth::kOffline) {
-      return Status::FailedPrecondition("rebuild source is powered off");
-    }
-    target_scratch_.push_back(pm);
-  }
-  if (target_scratch_.empty()) {
-    return Status::FailedPrecondition("no surviving source for rebuild");
-  }
-
-  for (std::uint64_t j = 0; j < slots; ++j) {
-    std::uint64_t want = 0;
-    bool mapped = false;
-    for (std::uint32_t pm : target_scratch_) {
-      auto sr = members_[pm]->Read(
-          IoRequest{off + j * align_, align_, now, {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-      if (sr.ok()) {
-        want = sr.value().tokens[0];
-        mapped = true;
-        done = Later(done, sr.value().done);
-        break;
-      }
-      if (!Reconstructable(sr.status().code())) return sr.status();
-    }
-    if (!mapped) continue;
-    auto fr = members_[m]->Read(
-        IoRequest{off + j * align_, align_, now, {}, /*want_tokens=*/true,
-                  IoClass::kMaintenance});
-    bool repair = true;
-    if (fr.ok()) {
-      repair = fr.value().tokens[0] != want;
-      done = Later(done, fr.value().done);
-    } else if (!Reconstructable(fr.status().code())) {
-      return fr.status();
-    }
-    if (!repair) continue;
-    auto w = members_[m]->Write(
-        IoRequest{off + j * align_, align_, now,
-                  std::span<const std::uint64_t>(&want, 1),
-                  /*want_tokens=*/false,
-                  IoClass::kMaintenance});
-    if (!w.ok()) return w.status();
-    done = Later(done, w.value().done);
-    red_.rebuild_slots_copied++;
   }
   return done;
 }

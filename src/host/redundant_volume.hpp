@@ -1,25 +1,27 @@
-// Host-side redundant volume: an R-way mirror over N member devices,
-// with degraded reads, an online scrub, and live member rebuild
+// Host-side redundant volume: a zoned N-way mirror over N member
+// devices, with degraded reads, an online scrub, and live member rebuild
 // (DESIGN.md §8).
 //
 // StripedVolume (§6) scales capacity and bandwidth but dies with its
 // weakest member: one failed or power-cut device makes the whole logical
 // address space unreadable. RedundantVolume is the robustness
-// counterpart — the btrfs scrub/replace story over the same typed
-// MemberZone machinery. Members form groups of R replicas; every write
-// goes to all R members of its group at identical member offsets.
-// Logical zones interleave round-robin across the N/R groups, so a
-// logical zone is exactly one member zone, R times. The stripe unit is
-// the granularity of scrub, rebuild and degraded-read accounting.
+// counterpart — the btrfs scrub/replace story. Every member holds every
+// logical zone: logical zone z is member zone z on each member, and
+// every write goes to all members at the logical offset. Members must be
+// zoned (no conventional zones): scrub and rebuild compare and copy
+// write-pointer prefixes, which only append-only zones guarantee. The
+// stripe unit is the granularity of scrub, rebuild and degraded-read
+// accounting.
 //
 // Degraded reads. A member is excluded from service once it is latched
 // failed — explicitly (MarkFailed), by a failed write leg, or because a
 // replacement is rebuilding it. Reads that hit a failed/lagging member
 // (media error, powered-off FailedPrecondition, write-pointer-regressed
-// OutOfRange) fail over to the next replica in the group. The request
-// still succeeds, the per-IO IoResult::reconstructed_units signals it,
-// and RedundancyStats aggregates it. kInvalidArgument/kInternal/kUnimplemented
-// are volume bugs and propagate.
+// OutOfRange) fail over to the next replica. The request still
+// succeeds, the per-IO IoResult::reconstructed_units signals it, and
+// RedundancyStats aggregates it. kInvalidArgument/kInternal/kUnimplemented
+// are volume bugs and propagate. The volume is offline once no member is
+// active.
 //
 // Online scrub. StartScrub + Tick walk the volume stripe row by stripe
 // row at a configured rows-per-tick pace, interleaved with foreground
@@ -33,22 +35,22 @@
 // active replica's — content found only on non-active members is logged
 // as a mismatch and blocks that member's readmission (ResetZone also
 // best-effort-propagates to failed-but-online members so their zones do
-// not go stale in the first place). Readable-but-divergent content on
-// zoned members cannot be rewritten in place (append-only media); it is
-// counted and logged deterministically in scrub_log() instead.
-// Conventional mirrors repair by overwrite.
+// not go stale in the first place). Readable-but-divergent content
+// cannot be rewritten in place (append-only media); it is counted and
+// logged deterministically in scrub_log() instead.
 //
 // Live rebuild. ReplaceMember(i, fresh) swaps in a fresh device and
 // rebuilds member i's content zone by zone, stripe row by stripe row,
 // from its surviving replicas, while the volume keeps serving foreground
 // traffic: writes land on the fresh member for zones already rebuilt
 // and are recopied later for zones ahead of the cursor; reads treat the
-// rebuilding member as absent. Each Tick ends with a Flush of the fresh
-// member, so a power cut at a tick boundary recovers to exactly the
-// rebuilt prefix; a cut mid-tick regresses the fresh member to a durable
-// row prefix and the next Tick resynchronizes by probing the readable
-// prefix and continuing from there — never a torn row (the crash
-// checker's prefix rule, lifted to the volume).
+// rebuilding member as absent. ReplaceMember refuses to evict the last
+// active member — that would destroy the only good copy. Each Tick ends
+// with a Flush of the fresh member, so a power cut at a tick boundary
+// recovers to exactly the rebuilt prefix; a cut mid-tick regresses the
+// fresh member to a durable row prefix and the next Tick resynchronizes
+// by probing the readable prefix and continuing from there — never a
+// torn row (the crash checker's prefix rule, lifted to the volume).
 //
 // Determinism. Member legs are issued one after another on the calling
 // thread, in member order; replica selection and reconstruction orders
@@ -67,7 +69,6 @@
 #include "common/status.hpp"
 #include "common/time.hpp"
 #include "core/storage_device.hpp"
-#include "host/striped_volume.hpp"  // MemberZone
 
 namespace conzone {
 
@@ -82,9 +83,6 @@ struct RedundantVolumeOptions {
   /// of this many bytes. Must divide the member zone size and be a
   /// multiple of the members' I/O alignment.
   std::uint64_t stripe_bytes = 64 * 1024;
-  /// Replicas per mirror group (0 = all members in one group). Must
-  /// divide the member count and be >= 2.
-  std::uint32_t replicas = 0;
   /// Background quantum: stripe rows verified (scrub) or copied
   /// (rebuild) per Tick().
   std::uint32_t rows_per_tick = 8;
@@ -102,8 +100,8 @@ struct ScrubMismatch {
 
 class RedundantVolume final : public StorageDevice {
  public:
-  /// Validates member geometry (uniform zonedness, zone size, alignment;
-  /// group arithmetic) and takes ownership.
+  /// Validates member geometry (zoned, no conventional zones, uniform
+  /// zone size and alignment) and takes ownership.
   static Result<std::unique_ptr<RedundantVolume>> Create(
       std::vector<std::unique_ptr<StorageDevice>> members,
       const RedundantVolumeOptions& options = {});
@@ -121,13 +119,6 @@ class RedundantVolume final : public StorageDevice {
   /// rebuild). Member-level fault accounting stays in Reliability().
   const RedundancyStats& Redundancy() const { return red_; }
 
-  /// Per-member breakdowns, member order — the merged Stats()/
-  /// Reliability() flatten which member failed (same satellite accessor
-  /// as StripedVolume).
-  std::vector<StatsSnapshot> PerMemberStats() const;
-  std::vector<ReliabilityStats> PerMemberReliability() const;
-  std::vector<RecoveryStats> PerMemberRecovery() const;
-
   // --- Member failure & replacement ---
 
   /// Latch member `i` failed: it receives no further I/O and reads are
@@ -135,8 +126,9 @@ class RedundantVolume final : public StorageDevice {
   Status MarkFailed(std::uint32_t i);
 
   /// Swap in a fresh device for member `i` (failed or not) and start a
-  /// live rebuild. The fresh device must match the member geometry and
-  /// be empty; one rebuild at a time; an active scrub is cancelled. The
+  /// live rebuild. Some other member must be active (it is the rebuild
+  /// source); the fresh device must match the member geometry and be
+  /// empty; one rebuild at a time; an active scrub is cancelled. The
   /// old device is destroyed. Rebuild work advances via Tick().
   Status ReplaceMember(std::uint32_t i, std::unique_ptr<StorageDevice> fresh,
                        SimTime now);
@@ -158,7 +150,7 @@ class RedundantVolume final : public StorageDevice {
   bool rebuild_active() const { return rebuild_member_ >= 0; }
   /// Member under rebuild (-1 when none).
   std::int32_t rebuild_member() const { return rebuild_member_; }
-  /// Member zones fully rebuilt so far (== member zone rows when done).
+  /// Member zones fully rebuilt so far (== zones when done).
   std::uint32_t rebuild_zones_done() const { return rebuild_zone_; }
 
   /// Unrepairable divergences found by scrub, in deterministic walk
@@ -167,18 +159,10 @@ class RedundantVolume final : public StorageDevice {
 
   // --- Introspection (tests, tools) ---
   std::uint32_t num_members() const { return static_cast<std::uint32_t>(members_.size()); }
-  /// Replicas per mirror group.
-  std::uint32_t group_size() const { return group_; }
   std::uint64_t stripe_bytes() const { return stripe_; }
   StorageDevice& member(std::uint32_t i) { return *members_[i]; }
   const StorageDevice& member(std::uint32_t i) const { return *members_[i]; }
   MemberState member_state(std::uint32_t i) const { return state_[i]; }
-
-  /// The member zone holding replica `lane` of logical zone `logical`.
-  /// Zoned volumes only.
-  MemberZone ToMemberZone(ZoneId logical, std::uint32_t lane) const;
-  /// Inverse: the logical zone a member zone belongs to.
-  ZoneId ToLogicalZone(const MemberZone& mz) const;
 
  private:
   RedundantVolume(std::vector<std::unique_ptr<StorageDevice>> members,
@@ -186,17 +170,9 @@ class RedundantVolume final : public StorageDevice {
                   std::uint32_t rows);
 
   // --- Routing helpers ---
-  /// Validate a request and resolve its logical zone / group anchor.
+  /// Validate a request and resolve its logical zone.
   Status Resolve(const IoRequest& req, std::uint64_t* logical,
                  std::uint64_t* in_zone) const;
-  /// First member index of logical zone `logical`'s group.
-  std::uint32_t GroupBase(std::uint64_t logical) const {
-    return static_cast<std::uint32_t>(logical % num_groups_) * group_;
-  }
-  /// Member zone row of logical zone `logical`.
-  std::uint64_t MemberRow(std::uint64_t logical) const {
-    return logical / num_groups_;
-  }
   /// True when `code` signals a failed/lagging member whose data the
   /// volume may reconstruct (vs a caller/volume bug that must propagate).
   static bool Reconstructable(StatusCode code);
@@ -217,10 +193,9 @@ class RedundantVolume final : public StorageDevice {
   /// may hold holes until its completion verify sweep passes, so it never
   /// serves foreground reads.
   bool Readable(std::uint32_t m) const { return state_[m] == MemberState::kActive; }
-  /// Writes include a rebuilding member once the target is behind the
-  /// copy cursor (`where` = member zone row when zoned, byte offset when
-  /// conventional), so rebuilt ground stays in sync with the peers.
-  bool Writable(std::uint32_t m, std::uint64_t where) const;
+  /// Writes include a rebuilding member once zone `zone` is behind the
+  /// copy cursor, so rebuilt ground stays in sync with the peers.
+  bool Writable(std::uint32_t m, std::uint64_t zone) const;
 
   /// Default token the volume materializes when the host writes without
   /// tokens, so replica comparison is well-defined across heterogeneous
@@ -229,8 +204,6 @@ class RedundantVolume final : public StorageDevice {
     return 0x9ED00000ull ^ logical_page;
   }
 
-  // --- Data-path bodies ---
-
   // --- Background work bodies ---
   Result<SimTime> TickScrub(SimTime now);
   Result<SimTime> TickRebuild(SimTime now);
@@ -238,21 +211,16 @@ class RedundantVolume final : public StorageDevice {
   /// every member's durable content (zone exhausted).
   Result<SimTime> ScrubRow(std::uint64_t logical, std::uint64_t row, SimTime now,
                            bool* content);
-  Result<SimTime> ScrubConventional(SimTime now, bool* content);
   /// Copy one stripe row of the zone under rebuild onto the fresh
   /// member; sets *content=false at the source's durable end.
   Result<SimTime> RebuildRow(SimTime now, bool* content);
-  Result<SimTime> RebuildConventionalChunk(SimTime now, bool* content);
   /// Completion verify sweep, one zone per call: compare the fresh
   /// member's durable prefix against the source's; on a shortfall (a
   /// power cut tore rebuilt ground) re-enter the copy phase at the hole.
   Result<SimTime> VerifyRebuildZone(SimTime now, bool* hole);
-  /// Conventional verify: re-compare one chunk slot by slot, repairing
-  /// divergent/stale slots in place (conventional media overwrites).
-  Result<SimTime> VerifyConventionalChunk(SimTime now);
-  /// Durable content of the rebuild source for member zone row `zr`, in
-  /// slots: the longest prefix among the surviving replicas. Fails if a
-  /// source member is offline (caller must Recover it).
+  /// Durable content of the rebuild source for zone `zr`, in slots: the
+  /// longest prefix among the surviving replicas. Fails if a source
+  /// member is offline (caller must Recover it).
   Status SourceZoneSlots(std::uint32_t zr, SimTime now, std::uint64_t* slots,
                          SimTime* done);
   /// Handle a failed append to the fresh member: offline propagates;
@@ -268,11 +236,8 @@ class RedundantVolume final : public StorageDevice {
   std::vector<MemberState> state_;
   DeviceInfo member_info_;  ///< Common member geometry (name = first member's).
   std::uint64_t stripe_;      ///< Stripe unit bytes.
-  std::uint32_t group_;       ///< Replicas per group.
-  std::uint32_t num_groups_;  ///< members / group_.
-  std::uint32_t rows_;        ///< Member zones consumed per member (zoned).
-  std::uint64_t zone_bytes_;  ///< Logical zone size (zoned; 0 otherwise).
-  std::uint64_t member_span_; ///< Mirrored bytes per member (conventional).
+  std::uint32_t rows_;        ///< Zones per member = logical zones.
+  std::uint64_t zone_bytes_;  ///< Zone size (logical = member).
   std::uint64_t align_;       ///< I/O alignment = token granularity.
   std::uint32_t rows_per_tick_;  ///< Background quantum (stripe rows / Tick).
 
@@ -284,7 +249,6 @@ class RedundantVolume final : public StorageDevice {
   bool scrub_active_ = false;
   std::uint64_t scrub_zone_ = 0;
   std::uint64_t scrub_row_ = 0;
-  std::uint64_t scrub_off_ = 0;  ///< Conventional: byte cursor.
   /// Per-member per-pass verdict: 1 while every row of this pass agreed
   /// with (or was repaired onto) the member. A failed member that ends a
   /// pass clean — and no foreground write dirtied scrubbed ground — is
@@ -294,11 +258,11 @@ class RedundantVolume final : public StorageDevice {
   /// "pass was clean" no longer implies "member is in sync".
   bool scrub_dirty_ = false;
 
-  // Rebuild cursor — valid while rebuild_member_ >= 0. Zoned: member
-  // zone index + byte offset inside it; conventional: byte offset.
-  // Phases: 0 = copy (cursor rebuild_zone_/rebuild_off_), 1 = verify
-  // sweep (cursor rebuild_verify_zone_), 2 = re-copying a hole the
-  // verify found (zone rebuild_verify_zone_, offset rebuild_off_).
+  // Rebuild cursor — valid while rebuild_member_ >= 0: member zone index
+  // + byte offset inside it. Phases: 0 = copy (cursor rebuild_zone_/
+  // rebuild_off_), 1 = verify sweep (cursor rebuild_verify_zone_), 2 =
+  // re-copying a hole the verify found (zone rebuild_verify_zone_,
+  // offset rebuild_off_).
   std::int32_t rebuild_member_ = -1;
   std::uint8_t rebuild_phase_ = 0;
   std::uint32_t rebuild_zone_ = 0;

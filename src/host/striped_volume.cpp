@@ -14,12 +14,6 @@ Result<std::unique_ptr<StripedVolume>> StripedVolume::Create(
   for (const auto& m : members) {
     if (m == nullptr) return Status::InvalidArgument("null member device");
   }
-  const std::uint32_t n = static_cast<std::uint32_t>(members.size());
-  const std::uint32_t width = options.stripe_width == 0 ? n : options.stripe_width;
-  if (width == 0 || n % width != 0) {
-    return Status::InvalidArgument("stripe width must divide the member count");
-  }
-
   const DeviceInfo first = members[0]->info();
   for (const auto& m : members) {
     const DeviceInfo di = m->info();
@@ -56,12 +50,6 @@ Result<std::unique_ptr<StripedVolume>> StripedVolume::Create(
     for (const auto& m : members) rows = std::min(rows, m->info().num_zones);
     if (rows == 0) return Status::InvalidArgument("members have no zones");
   } else {
-    if (options.stripe_width != 0 && options.stripe_width != n) {
-      // Without zones there is no row to interleave sets over; a
-      // conventional volume always stripes across all members.
-      return Status::InvalidArgument(
-          "conventional volumes stripe across all members");
-    }
     std::uint64_t span = members[0]->info().capacity_bytes;
     for (const auto& m : members) span = std::min(span, m->info().capacity_bytes);
     span -= span % options.stripe_bytes;
@@ -80,19 +68,13 @@ StripedVolume::StripedVolume(std::vector<std::unique_ptr<StorageDevice>> members
     : members_(std::move(members)),
       member_info_(std::move(member_info)),
       stripe_(options.stripe_bytes),
-      width_(options.stripe_width == 0
-                 ? static_cast<std::uint32_t>(members_.size())
-                 : options.stripe_width),
+      width_(static_cast<std::uint32_t>(members_.size())),
       rows_(rows),
       align_(member_info_.io_alignment) {
   if (member_info_.zoned()) {
-    num_sets_ = static_cast<std::uint32_t>(members_.size()) / width_;
     zone_bytes_ = member_info_.zone_size_bytes * width_;
     member_span_ = member_info_.zone_size_bytes * rows_;
   } else {
-    // Conventional volumes stripe across all members as a single set.
-    width_ = static_cast<std::uint32_t>(members_.size());
-    num_sets_ = 1;
     zone_bytes_ = 0;
     std::uint64_t span = members_[0]->info().capacity_bytes;
     for (const auto& m : members_) span = std::min(span, m->info().capacity_bytes);
@@ -108,11 +90,11 @@ DeviceInfo StripedVolume::info() const {
   di.io_alignment = align_;
   if (member_info_.zoned()) {
     di.zone_size_bytes = zone_bytes_;
-    di.num_zones = rows_ * num_sets_;
+    di.num_zones = rows_;
     di.capacity_bytes = zone_bytes_ * di.num_zones;
-    // Opening a logical zone opens one member zone on each of its set's
-    // members, so the guaranteed volume-wide limit is the weakest
-    // member's (0 = unlimited; any limited member caps the volume).
+    // Opening a logical zone opens one member zone on every member, so
+    // the guaranteed volume-wide limit is the weakest member's
+    // (0 = unlimited; any limited member caps the volume).
     std::uint32_t open = 0, active = 0;
     for (const auto& m : members_) {
       const DeviceInfo mi = m->info();
@@ -134,25 +116,19 @@ DeviceInfo StripedVolume::info() const {
 }
 
 MemberZone StripedVolume::ToMemberZone(ZoneId logical, std::uint32_t lane) const {
-  const std::uint64_t set = logical.value() % num_sets_;
-  const std::uint64_t row = logical.value() / num_sets_;
-  return MemberZone{static_cast<std::uint32_t>(set * width_ + lane), ZoneId{row}};
+  return MemberZone{lane, logical};
 }
 
-ZoneId StripedVolume::ToLogicalZone(const MemberZone& mz) const {
-  const std::uint64_t set = mz.member / width_;
-  return ZoneId{mz.zone.value() * num_sets_ + set};
-}
+ZoneId StripedVolume::ToLogicalZone(const MemberZone& mz) const { return mz.zone; }
 
-Status StripedVolume::Resolve(const IoRequest& req, std::uint32_t* first_member,
-                              std::uint64_t* member_base,
+Status StripedVolume::Resolve(const IoRequest& req, std::uint64_t* member_base,
                               std::uint64_t* rel) const {
   if (req.len == 0 || req.offset % align_ != 0 || req.len % align_ != 0) {
     return Status::InvalidArgument("request must be aligned and non-empty");
   }
   if (zone_bytes_ != 0) {
     const std::uint64_t logical = req.offset / zone_bytes_;
-    if (logical >= static_cast<std::uint64_t>(rows_) * num_sets_) {
+    if (logical >= rows_) {
       return Status::OutOfRange("request beyond volume capacity");
     }
     const std::uint64_t in_zone = req.offset - logical * zone_bytes_;
@@ -160,16 +136,13 @@ Status StripedVolume::Resolve(const IoRequest& req, std::uint32_t* first_member,
       // Mirrors the members' own rule; a zoned host never issues these.
       return Status::InvalidArgument("request crosses a zone boundary");
     }
-    const MemberZone anchor = ToMemberZone(ZoneId{logical}, 0);
-    *first_member = anchor.member;
-    *member_base = anchor.zone.value() * member_info_.zone_size_bytes;
+    *member_base = logical * member_info_.zone_size_bytes;
     *rel = in_zone;
   } else {
     const std::uint64_t capacity = member_span_ * members_.size();
     if (req.len > capacity || req.offset > capacity - req.len) {
       return Status::OutOfRange("request beyond volume capacity");
     }
-    *first_member = 0;
     *member_base = 0;
     *rel = req.offset;
   }
@@ -177,7 +150,7 @@ Status StripedVolume::Resolve(const IoRequest& req, std::uint32_t* first_member,
 }
 
 void StripedVolume::Split(std::uint64_t rel, std::uint64_t len,
-                          std::uint32_t first_member, std::uint64_t member_base) {
+                          std::uint64_t member_base) {
   runs_.clear();
   const std::uint64_t u0 = rel / stripe_;
   const std::uint64_t u1 = (rel + len - 1) / stripe_;
@@ -193,20 +166,19 @@ void StripedVolume::Split(std::uint64_t rel, std::uint64_t len,
     const std::uint64_t start = (first / width_) * stripe_ + (first == u0 ? frag0 : 0);
     const std::uint64_t end =
         (last / width_) * stripe_ + (last == u1 ? frag1 : stripe_);
-    runs_.push_back(Run{first_member + lane, member_base + start, end - start});
+    runs_.push_back(Run{lane, member_base + start, end - start});
   }
 }
 
 Result<IoResult> StripedVolume::Write(const IoRequest& req) {
-  std::uint32_t first_member = 0;
   std::uint64_t member_base = 0, rel = 0;
-  if (Status st = Resolve(req, &first_member, &member_base, &rel); !st.ok()) {
+  if (Status st = Resolve(req, &member_base, &rel); !st.ok()) {
     return st;
   }
   if (!req.tokens.empty() && req.tokens.size() != req.len / align_) {
     return Status::InvalidArgument("token count != written pages");
   }
-  Split(rel, req.len, first_member, member_base);
+  Split(rel, req.len, member_base);
 
   // Single-run fast path (whole request on one member — always the case
   // for len <= the distance to the next stripe boundary, and for a
@@ -242,9 +214,8 @@ Result<IoResult> StripedVolume::Write(const IoRequest& req) {
   SimTime done = req.now;
   Status first_err;
   for (const Run& r : runs_) {
-    const std::size_t lane = r.member - first_member;
     IoRequest sub{r.offset, r.len, req.now,
-                  tokens ? std::span<const std::uint64_t>(lane_tokens_[lane])
+                  tokens ? std::span<const std::uint64_t>(lane_tokens_[r.member])
                          : std::span<const std::uint64_t>{},
                   /*want_tokens=*/false, req.io_class};
     auto res = members_[r.member]->Write(sub);
@@ -259,12 +230,11 @@ Result<IoResult> StripedVolume::Write(const IoRequest& req) {
 }
 
 Result<IoResult> StripedVolume::Read(const IoRequest& req) {
-  std::uint32_t first_member = 0;
   std::uint64_t member_base = 0, rel = 0;
-  if (Status st = Resolve(req, &first_member, &member_base, &rel); !st.ok()) {
+  if (Status st = Resolve(req, &member_base, &rel); !st.ok()) {
     return st;
   }
-  Split(rel, req.len, first_member, member_base);
+  Split(rel, req.len, member_base);
 
   if (runs_.size() == 1) {
     const Run& r = runs_[0];
@@ -287,8 +257,7 @@ Result<IoResult> StripedVolume::Read(const IoRequest& req) {
     }
     out.done = Later(out.done, res.value().done);
     if (req.want_tokens) {
-      lane_tokens_[static_cast<std::size_t>(r.member - first_member)] =
-          std::move(res.value().tokens);
+      lane_tokens_[r.member] = std::move(res.value().tokens);
     }
   }
   if (!first_err.ok()) return first_err;
@@ -319,7 +288,7 @@ Result<SimTime> StripedVolume::ResetZone(ZoneId zone, SimTime now) {
     // members are never consulted.
     return Status::Unimplemented("volume has no zones");
   }
-  if (!zone.valid() || zone.value() >= static_cast<std::uint64_t>(rows_) * num_sets_) {
+  if (!zone.valid() || zone.value() >= rows_) {
     return Status::OutOfRange("reset of invalid zone");
   }
   SimTime done = now;
@@ -368,27 +337,6 @@ RecoveryStats StripedVolume::Recovery() const {
   RecoveryStats s;
   for (const auto& m : members_) s.Merge(m->Recovery());
   return s;
-}
-
-std::vector<StatsSnapshot> StripedVolume::PerMemberStats() const {
-  std::vector<StatsSnapshot> out;
-  out.reserve(members_.size());
-  for (const auto& m : members_) out.push_back(m->Stats());
-  return out;
-}
-
-std::vector<ReliabilityStats> StripedVolume::PerMemberReliability() const {
-  std::vector<ReliabilityStats> out;
-  out.reserve(members_.size());
-  for (const auto& m : members_) out.push_back(m->Reliability());
-  return out;
-}
-
-std::vector<RecoveryStats> StripedVolume::PerMemberRecovery() const {
-  std::vector<RecoveryStats> out;
-  out.reserve(members_.size());
-  for (const auto& m : members_) out.push_back(m->Recovery());
-  return out;
 }
 
 }  // namespace conzone

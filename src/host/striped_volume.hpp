@@ -6,24 +6,20 @@
 // a StripedVolume is itself a StorageDevice, so FioRunner, ZoneCache,
 // benches and examples drive it unchanged.
 //
-// Geometry. Members are grouped into `sets` of `stripe_width` devices
-// (width divides the member count; default width = all members).
-// Logical zones are interleaved round-robin across the sets:
+// Geometry. Every logical zone is striped, `stripe_bytes` at a time,
+// round-robin across all N members, and lives at the same zone index
+// on each of them:
 //
-//   logical zone L  ->  set  s = L % num_sets
-//                       row  r = L / num_sets     (zone index on members)
+//   logical zone L  ->  member zone L on members 0 .. N-1
 //
-// and each logical zone is striped, `stripe_bytes` at a time,
-// round-robin across its set's members — so one logical zone spans
-// `stripe_width` member zones, all at member-zone row r. A logical
-// zone is `stripe_width * member_zone_size` bytes.
+// so a logical zone is `N * member_zone_size` bytes.
 //
 // Routing. Writes and reads are split at stripe-unit boundaries and
 // coalesced into at most one contiguous run per member, all submitted
 // at the same simulated time: the members' internal resource timelines
 // advance independently, which is exactly what makes them overlap.
-// ResetZone fans out to every member that owns a stripe of the logical
-// zone, Flush to every member; both complete at the max across members.
+// ResetZone and Flush fan out to every member; both complete at the
+// max across members.
 //
 // Execution. The volume issues a request's member sub-requests one after
 // another on the calling thread, in run order. Their overlap is modelled
@@ -69,18 +65,15 @@ struct MemberZone {
 
 struct StripedVolumeOptions {
   /// Stripe unit: consecutive runs of this many bytes go to consecutive
-  /// members of the zone's set. Must divide the member zone size and be
-  /// a multiple of the members' I/O alignment.
+  /// members. Must divide the member zone size and be a multiple of the
+  /// members' I/O alignment.
   std::uint64_t stripe_bytes = 64 * 1024;
-  /// Members per stripe set (a logical zone spans this many members).
-  /// 0 = all members. Must divide the member count.
-  std::uint32_t stripe_width = 0;
 };
 
 class StripedVolume final : public StorageDevice {
  public:
   /// Validates member geometry (uniform zonedness, zone size and
-  /// alignment; width divides the count) and takes ownership.
+  /// alignment) and takes ownership.
   static Result<std::unique_ptr<StripedVolume>> Create(
       std::vector<std::unique_ptr<StorageDevice>> members,
       const StripedVolumeOptions& options = {});
@@ -94,22 +87,15 @@ class StripedVolume final : public StorageDevice {
   ReliabilityStats Reliability() const override;
   RecoveryStats Recovery() const override;
 
-  /// Per-member breakdowns, member order. The merged Stats()/Reliability()
-  /// flatten which member degraded; degraded-mode tests and the examples/
-  /// studies use these to attribute failures to a member.
-  std::vector<StatsSnapshot> PerMemberStats() const;
-  std::vector<ReliabilityStats> PerMemberReliability() const;
-  std::vector<RecoveryStats> PerMemberRecovery() const;
-
   // --- Introspection (tests, tools) ---
   std::uint32_t num_members() const { return static_cast<std::uint32_t>(members_.size()); }
-  std::uint32_t stripe_width() const { return width_; }
   std::uint64_t stripe_bytes() const { return stripe_; }
   StorageDevice& member(std::uint32_t i) { return *members_[i]; }
   const StorageDevice& member(std::uint32_t i) const { return *members_[i]; }
 
-  /// The member zone that holds stripe lane `lane` (in [0, stripe_width))
-  /// of logical zone `logical`. Zoned volumes only.
+  /// The member zone that holds stripe lane `lane` (in [0, num_members()))
+  /// of logical zone `logical`: member `lane`, zone `logical`. Zoned
+  /// volumes only.
   MemberZone ToMemberZone(ZoneId logical, std::uint32_t lane) const;
   /// Inverse: the logical zone a member zone belongs to.
   ZoneId ToLogicalZone(const MemberZone& mz) const;
@@ -130,21 +116,18 @@ class StripedVolume final : public StorageDevice {
 
   /// Split `len` bytes at `rel` (zone-relative for zoned volumes,
   /// absolute for conventional) into per-member runs, ascending member
-  /// order. `first_member`/`member_base` anchor the zone's set and row.
-  void Split(std::uint64_t rel, std::uint64_t len, std::uint32_t first_member,
-             std::uint64_t member_base);
+  /// order. `member_base` is the zone's start on every member.
+  void Split(std::uint64_t rel, std::uint64_t len, std::uint64_t member_base);
 
-  /// Resolve a request's set anchor; validates bounds and (zoned) the
-  /// zone-crossing rule. On success fills first_member/member_base and
-  /// the set-relative offset.
-  Status Resolve(const IoRequest& req, std::uint32_t* first_member,
-                 std::uint64_t* member_base, std::uint64_t* rel) const;
+  /// Validates bounds and (zoned) the zone-crossing rule. On success
+  /// fills the member-space zone start and the zone-relative offset.
+  Status Resolve(const IoRequest& req, std::uint64_t* member_base,
+                 std::uint64_t* rel) const;
 
   std::vector<std::unique_ptr<StorageDevice>> members_;
   DeviceInfo member_info_;   ///< Common member geometry (name = first member's).
   std::uint64_t stripe_;     ///< Stripe unit bytes.
-  std::uint32_t width_;      ///< Members per set.
-  std::uint32_t num_sets_;   ///< members / width (1 for conventional).
+  std::uint32_t width_;      ///< Members = stripe lanes.
   std::uint32_t rows_;       ///< Member zones consumed per member (zoned).
   std::uint64_t zone_bytes_; ///< Logical zone size (zoned; 0 otherwise).
   std::uint64_t member_span_;///< Striped bytes used per member (conventional).

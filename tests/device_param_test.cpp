@@ -127,6 +127,8 @@ struct DeterminismCase {
   std::uint64_t block;
 };
 
+void PrintTo(const DeterminismCase& c, std::ostream* os) { *os << c.name; }
+
 class DeterminismTest : public ::testing::TestWithParam<DeterminismCase> {};
 
 TEST_P(DeterminismTest, IdenticalRunsProduceIdenticalTimelines) {

@@ -76,6 +76,10 @@ struct BadGeometryCase {
   void (*mutate)(FlashGeometry&);
 };
 
+// Without this, gtest prints a case as its raw bytes (two pointers), and
+// the test names ctest discovers change from build to build.
+void PrintTo(const BadGeometryCase& c, std::ostream* os) { *os << c.name; }
+
 class GeometryValidationTest : public ::testing::TestWithParam<BadGeometryCase> {};
 
 TEST_P(GeometryValidationTest, RejectsInvalidConfig) {

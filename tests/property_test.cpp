@@ -40,6 +40,16 @@ struct PropertyCase {
   L2pSearchStrategy strategy;
 };
 
+std::string CaseName(const PropertyCase& c) {
+  return std::string(L2pSearchStrategyName(c.strategy)) + "_seed" +
+         std::to_string(c.seed);
+}
+
+// Without this, gtest prints a case as its raw bytes, including the
+// uninitialised padding after `strategy`, and the test names ctest
+// discovers change from build to build.
+void PrintTo(const PropertyCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class DevicePropertyTest : public ::testing::TestWithParam<PropertyCase> {};
 
 TEST_P(DevicePropertyTest, RandomOpSequenceKeepsAllInvariants) {
@@ -144,10 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{6, L2pSearchStrategy::kPinned},
                       PropertyCase{7, L2pSearchStrategy::kBitmap},
                       PropertyCase{8, L2pSearchStrategy::kMultiple}),
-    [](const auto& info) {
-      return std::string(L2pSearchStrategyName(info.param.strategy)) + "_seed" +
-             std::to_string(info.param.seed);
-    });
+    [](const auto& info) { return CaseName(info.param); });
 
 /// P3 in isolation: stamped aggregates must resolve through the layout.
 TEST(AggregationPropertyTest, AggregatedEntriesResolveToTablePpns) {

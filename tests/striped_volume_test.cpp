@@ -1,10 +1,9 @@
 // StripedVolume tests: the host-layer composition contract.
 //
-//   * Geometry validation: mixed zonedness, bad widths, bad stripe units
-//     are rejected at Create() — never discovered mid-I/O.
+//   * Geometry validation: mixed zonedness and bad stripe units are
+//     rejected at Create() — never discovered mid-I/O.
 //   * Typed zone routing: ToMemberZone/ToLogicalZone are inverse
-//     bijections, and stripe-set routing keeps logical zones of
-//     different sets on disjoint members.
+//     bijections; logical zone L is zone L on every member.
 //   * Data path: integrity tokens survive the split/gather/scatter round
 //     trip in logical page order, across stripe-unit fragments.
 //   * Every leg is issued: a multi-run write whose legs fail on two
@@ -74,13 +73,11 @@ std::unique_ptr<StorageDevice> MakeConZone(const ConZoneConfig& cfg) {
 }
 
 Result<std::unique_ptr<StripedVolume>> MakeFemuVolume(std::uint32_t members,
-                                                      std::uint32_t width = 0,
                                                       std::uint64_t stripe = 64 * kKiB) {
   std::vector<std::unique_ptr<StorageDevice>> devs;
   for (std::uint32_t i = 0; i < members; ++i) devs.push_back(MakeFemu(i + 1));
   StripedVolumeOptions opt;
   opt.stripe_bytes = stripe;
-  opt.stripe_width = width;
   return StripedVolume::Create(std::move(devs), opt);
 }
 
@@ -97,31 +94,14 @@ TEST(StripedVolumeCreateTest, RejectsBadGeometry) {
     auto r = StripedVolume::Create(std::move(devs), {});
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
-  // Width must divide the member count.
-  {
-    auto r = MakeFemuVolume(4, /*width=*/3);
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
   // Stripe unit must divide the member zone size.
   {
-    auto r = MakeFemuVolume(2, /*width=*/0, /*stripe=*/40 * kKiB);
+    auto r = MakeFemuVolume(2, /*stripe=*/40 * kKiB);
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
   // Stripe unit must respect the I/O alignment.
   {
-    auto r = MakeFemuVolume(2, /*width=*/0, /*stripe=*/6 * kKiB);
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
-  // Conventional volumes always stripe across all members.
-  {
-    std::vector<std::unique_ptr<StorageDevice>> devs;
-    devs.push_back(MakeLegacy(1));
-    devs.push_back(MakeLegacy(2));
-    devs.push_back(MakeLegacy(3));
-    devs.push_back(MakeLegacy(4));
-    StripedVolumeOptions opt;
-    opt.stripe_width = 2;
-    auto r = StripedVolume::Create(std::move(devs), opt);
+    auto r = MakeFemuVolume(2, /*stripe=*/6 * kKiB);
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
   {
@@ -136,25 +116,20 @@ TEST(StripedVolumeCreateTest, RejectsBadGeometry) {
 // ---------------------------------------------------------------------------
 
 TEST(StripedVolumeTest, TypedZoneIdsRoundTripAcrossStripeSets) {
-  auto vol = MakeFemuVolume(6, /*width=*/2);
+  auto vol = MakeFemuVolume(3);
   ASSERT_TRUE(vol.ok()) << vol.status().ToString();
   StripedVolume& v = **vol;
   const DeviceInfo di = v.info();
-  ASSERT_EQ(v.stripe_width(), 2u);
-  ASSERT_EQ(di.num_zones % 3, 0u);  // 3 stripe sets interleave the zones
-
-  const std::uint64_t member_zone = v.member(0).info().zone_size_bytes;
-  EXPECT_EQ(di.zone_size_bytes, 2 * member_zone);
+  const DeviceInfo mi = v.member(0).info();
+  EXPECT_EQ(di.num_zones, mi.num_zones);
+  EXPECT_EQ(di.zone_size_bytes, 3 * mi.zone_size_bytes);
 
   for (std::uint64_t l = 0; l < di.num_zones; ++l) {
-    for (std::uint32_t lane = 0; lane < v.stripe_width(); ++lane) {
+    for (std::uint32_t lane = 0; lane < v.num_members(); ++lane) {
+      // Lane `lane` of logical zone l is zone l on member `lane`...
       const MemberZone mz = v.ToMemberZone(ZoneId{l}, lane);
-      EXPECT_LT(mz.member, v.num_members());
-      // A logical zone's set is l % num_sets; its members are exactly
-      // that set's lanes.
-      EXPECT_EQ(mz.member, (l % 3) * 2 + lane);
-      EXPECT_EQ(mz.zone.value(), l / 3);
-      // Round trip: member zone -> the same logical zone.
+      EXPECT_EQ(mz, (MemberZone{lane, ZoneId{l}}));
+      // ...and that member zone maps back to the same logical zone.
       EXPECT_EQ(v.ToLogicalZone(mz), ZoneId{l});
     }
   }
@@ -165,7 +140,7 @@ TEST(StripedVolumeTest, TypedZoneIdsRoundTripAcrossStripeSets) {
 // ---------------------------------------------------------------------------
 
 TEST(StripedVolumeTest, TokensRoundTripInLogicalPageOrder) {
-  auto vol = MakeFemuVolume(3, /*width=*/0, /*stripe=*/16 * kKiB);
+  auto vol = MakeFemuVolume(3, /*stripe=*/16 * kKiB);
   ASSERT_TRUE(vol.ok()) << vol.status().ToString();
   StripedVolume& v = **vol;
 
@@ -204,12 +179,13 @@ TEST(StripedVolumeTest, TokensRoundTripInLogicalPageOrder) {
 // ---------------------------------------------------------------------------
 
 TEST(StripedVolumeTest, ResetFansOutToOwningSetOnly) {
-  auto vol = MakeFemuVolume(4, /*width=*/2, /*stripe=*/16 * kKiB);
+  auto vol = MakeFemuVolume(4, /*stripe=*/16 * kKiB);
   ASSERT_TRUE(vol.ok()) << vol.status().ToString();
   StripedVolume& v = **vol;
   const std::uint64_t zb = v.info().zone_size_bytes;
 
-  // Zone 0 lives on set 0 (members 0,1), zone 1 on set 1 (members 2,3).
+  // Zone 0 is member zone 0 on every member, zone 1 is member zone 1:
+  // a reset of zone 0 must reset only member zone 0.
   SimTime t;
   auto w0 = v.Write(IoRequest{0, 64 * kKiB, t, Tokens(0, 16)});
   ASSERT_TRUE(w0.ok());
@@ -223,7 +199,7 @@ TEST(StripedVolumeTest, ResetFansOutToOwningSetOnly) {
 
   // Zone 0's content is gone (read past the reset write pointer fails)...
   EXPECT_FALSE(v.Read(IoRequest{0, 4 * kKiB, t}).ok());
-  // ...zone 1, on the other set's members, is untouched.
+  // ...zone 1, in the next member zone, is untouched.
   auto r1 = v.Read(IoRequest{zb, 64 * kKiB, t, {}, /*want_tokens=*/true});
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_EQ(r1.value().tokens, Tokens(1000, 16));
