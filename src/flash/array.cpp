@@ -23,6 +23,7 @@ MediaCounters MediaCounters::Since(const MediaCounters& base) const {
 
 FlashArray::FlashArray(const FlashGeometry& geometry) : geo_(geometry) {
   assert(geo_.Validate().ok());
+  // Zero pages: a slot becomes resident host memory once it is written.
   slots_.resize(static_cast<std::size_t>(geo_.TotalSlots()));
   blocks_.resize(static_cast<std::size_t>(geo_.TotalBlocks()));
 }
@@ -80,7 +81,7 @@ Status FlashArray::ProgramSlots(BlockId block, std::span<const SlotWrite> writes
     // counts as programmed) and retire the block; the FTL re-drives the
     // payload elsewhere.
     for (std::size_t i = 0; i < writes.size(); ++i) {
-      slots_[static_cast<std::size_t>(base + i)].state = SlotState::kInvalid;
+      SetState(slots_[static_cast<std::size_t>(base + i)], SlotState::kInvalid);
     }
     meta.next_slot += static_cast<std::uint32_t>(writes.size());
     if (slc) {
@@ -105,10 +106,9 @@ Status FlashArray::ProgramSlots(BlockId block, std::span<const SlotWrite> writes
   }
   for (std::size_t i = 0; i < writes.size(); ++i) {
     Slot& s = slots_[static_cast<std::size_t>(base + i)];
-    assert(s.state == SlotState::kFree && "sequential cursor points at non-free slot");
-    s.state = SlotState::kValid;
-    s.lpn = writes[i].lpn;
+    assert(StateOf(s) == SlotState::kFree && "sequential cursor points at non-free slot");
     s.token = writes[i].token;
+    s.oob = PackOob(SlotState::kValid, writes[i].lpn);
   }
   meta.next_slot += static_cast<std::uint32_t>(writes.size());
   meta.valid_slots += static_cast<std::uint32_t>(writes.size());
@@ -124,12 +124,12 @@ Status FlashArray::ProgramSlots(BlockId block, std::span<const SlotWrite> writes
 
 SlotRead FlashArray::ReadSlot(Ppn ppn) const {
   SlotRead out;
-  if (ppn.value() >= geo_.TotalSlots()) return out;
+  if (ppn.value() >= slots_.size()) return out;
   const Slot& s = slots_[SlotIndex(ppn)];
-  out.state = s.state;
-  out.lpn = s.lpn;
+  out.state = StateOf(s);
+  out.lpn = LpnOf(s);
   out.token = s.token;
-  if (fault_ != nullptr && fault_->enabled() && s.state == SlotState::kValid) {
+  if (fault_ != nullptr && fault_->enabled() && out.state == SlotState::kValid) {
     const BlockId block = geo_.BlockOfSlot(ppn);
     const BlockMeta& meta = blocks_[static_cast<std::size_t>(block.value())];
     out.retry_level = fault_->ReadRetryLevel(geo_.IsSlcBlock(block), meta.erase_count);
@@ -142,11 +142,11 @@ SlotRead FlashArray::ReadSlot(Ppn ppn) const {
 }
 
 Status FlashArray::InvalidateSlot(Ppn ppn) {
-  if (ppn.value() >= geo_.TotalSlots()) {
+  if (ppn.value() >= slots_.size()) {
     return Status::OutOfRange("invalidate: bad ppn " + std::to_string(ppn.value()));
   }
   Slot& s = slots_[SlotIndex(ppn)];
-  if (s.state != SlotState::kValid) {
+  if (StateOf(s) != SlotState::kValid) {
     return Status::FailedPrecondition("invalidate: slot " + std::to_string(ppn.value()) +
                                       " is not valid");
   }
@@ -157,7 +157,7 @@ Status FlashArray::InvalidateSlot(Ppn ppn) {
     e.ppn = ppn;
     journal_.push_back(std::move(e));
   }
-  s.state = SlotState::kInvalid;
+  SetState(s, SlotState::kInvalid);
   BlockMeta& meta = blocks_[static_cast<std::size_t>(geo_.BlockOfSlot(ppn).value())];
   assert(meta.valid_slots > 0);
   meta.valid_slots--;
@@ -260,15 +260,15 @@ void FlashArray::ScrubBlock(BlockId block) {
   const std::uint64_t base = block.value() * slots_per_block;
   for (std::uint64_t i = 0; i < slots_per_block; ++i) {
     Slot& s = slots_[static_cast<std::size_t>(base + i)];
-    if (s.state != SlotState::kFree) s.state = SlotState::kInvalid;
+    if (StateOf(s) != SlotState::kFree) SetState(s, SlotState::kInvalid);
   }
   meta.valid_slots = 0;
   meta.last_change_seq = ++program_seq_;
 }
 
 SlotState FlashArray::StateOfSlot(Ppn ppn) const {
-  if (ppn.value() >= geo_.TotalSlots()) return SlotState::kFree;
-  return slots_[SlotIndex(ppn)].state;
+  if (ppn.value() >= slots_.size()) return SlotState::kFree;
+  return StateOf(slots_[SlotIndex(ppn)]);
 }
 
 std::uint32_t FlashArray::NextProgramSlot(BlockId block) const {
@@ -289,10 +289,10 @@ std::uint32_t FlashArray::EraseCount(BlockId block) const {
 
 SlotRead FlashArray::PeekSlot(Ppn ppn) const {
   SlotRead out;
-  if (ppn.value() >= geo_.TotalSlots()) return out;
+  if (ppn.value() >= slots_.size()) return out;
   const Slot& s = slots_[SlotIndex(ppn)];
-  out.state = s.state;
-  out.lpn = s.lpn;
+  out.state = StateOf(s);
+  out.lpn = LpnOf(s);
   out.token = s.token;
   return out;
 }
@@ -327,8 +327,8 @@ void FlashArray::UndoProgram(const JournalEntry& e, SimTime cut,
   BlockMeta& meta = blocks_[static_cast<std::size_t>(e.block.value())];
   for (std::uint32_t i = 0; i < e.count; ++i) {
     Slot& s = slots_[static_cast<std::size_t>(base + i)];
-    if (s.state == SlotState::kValid) {
-      s.state = SlotState::kInvalid;
+    if (StateOf(s) == SlotState::kValid) {
+      SetState(s, SlotState::kInvalid);
       assert(meta.valid_slots > 0);
       meta.valid_slots--;
     }
@@ -347,8 +347,8 @@ void FlashArray::UndoInvalidate(const JournalEntry& e, SimTime cut,
   // The slot may no longer be kInvalid: a durable erase of its block
   // implies the superseding batch was durable too, so we never get here
   // with a freed slot; a restored erase pre-image puts it back kInvalid.
-  if (s.state != SlotState::kInvalid) return;
-  s.state = SlotState::kValid;
+  if (StateOf(s) != SlotState::kInvalid) return;
+  SetState(s, SlotState::kValid);
   const BlockId block = geo_.BlockOfSlot(e.ppn);
   blocks_[static_cast<std::size_t>(block.value())].valid_slots++;
   report.resurrected_slots++;

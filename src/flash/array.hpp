@@ -18,6 +18,7 @@
 // is the job of FlashTimingEngine.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -27,6 +28,7 @@
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "common/time.hpp"
+#include "common/zeroed_alloc.hpp"
 #include "fault/fault_model.hpp"
 #include "flash/geometry.hpp"
 
@@ -269,11 +271,31 @@ class FlashArray {
     BlockHealth health = BlockHealth::kGood;
   };
 
+  /// 16 bytes per slot. `oob` holds the SlotState in its top two bits
+  /// and lpn + 1 below them, 0 meaning "no lpn" (alignment padding), so
+  /// an all-zero slot is a free slot with no lpn — the value the
+  /// lazily zeroed `slots_` storage starts every slot at. An invalid id
+  /// is all ones, so lpn + 1 wraps it to 0 and 0 - 1 wraps back.
   struct Slot {
-    SlotState state = SlotState::kFree;
-    Lpn lpn;
     std::uint64_t token = 0;
+    std::uint64_t oob = 0;
   };
+  static_assert(sizeof(Slot) == 16);
+  static_assert(Lpn::kInvalidValue + 1 == 0);
+  static constexpr int kStateShift = 62;
+  static constexpr std::uint64_t kLpnMask = (std::uint64_t{1} << kStateShift) - 1;
+
+  static std::uint64_t PackOob(SlotState state, Lpn lpn) {
+    assert(!lpn.valid() || lpn.value() < kLpnMask);
+    return (static_cast<std::uint64_t>(state) << kStateShift) | (lpn.value() + 1);
+  }
+  static SlotState StateOf(const Slot& s) {
+    return static_cast<SlotState>(s.oob >> kStateShift);
+  }
+  static Lpn LpnOf(const Slot& s) { return Lpn((s.oob & kLpnMask) - 1); }
+  static void SetState(Slot& s, SlotState state) {
+    s.oob = (s.oob & kLpnMask) | (static_cast<std::uint64_t>(state) << kStateShift);
+  }
 
   std::size_t SlotIndex(Ppn ppn) const { return static_cast<std::size_t>(ppn.value()); }
 
@@ -298,7 +320,7 @@ class FlashArray {
   void UndoErase(JournalEntry& e, SimTime cut, PowerCutReport& report);
 
   FlashGeometry geo_;
-  std::vector<Slot> slots_;
+  ZeroedVector<Slot> slots_;
   std::vector<BlockMeta> blocks_;
   MediaCounters counters_;
   MediaCounters lifetime_;

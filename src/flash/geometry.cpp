@@ -18,6 +18,19 @@ Status FlashGeometry::Validate() const {
   if (page_size == 0 || slot_size == 0 || page_size % slot_size != 0) {
     return Status::InvalidArgument("geometry: page_size must be a multiple of slot_size");
   }
+  // NumChips() multiplies in 32 bits and TotalSlots() in 64: a product
+  // that wraps would size the device to a fraction of its geometry.
+  std::uint32_t chips = 0;
+  std::uint64_t blocks = 0;
+  std::uint64_t pages = 0;
+  std::uint64_t slots = 0;
+  if (__builtin_mul_overflow(channels, chips_per_channel, &chips) ||
+      __builtin_mul_overflow(static_cast<std::uint64_t>(chips), blocks_per_chip, &blocks) ||
+      __builtin_mul_overflow(blocks, pages_per_block, &pages) ||
+      __builtin_mul_overflow(pages, page_size / slot_size, &slots) ||
+      slots >= kMaxSlots) {
+    return Status::InvalidArgument("geometry: chip, block or slot count too large");
+  }
   if (normal_cell == CellType::kSlc) {
     return Status::InvalidArgument("geometry: normal region cannot be SLC");
   }

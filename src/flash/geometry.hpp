@@ -27,6 +27,10 @@
 namespace conzone {
 
 struct FlashGeometry {
+  /// Validate() rejects a slot count at or above this. FlashArray and
+  /// MappingTable store a ppn or lpn + 1 in the low 62 bits of a word.
+  static constexpr std::uint64_t kMaxSlots = (std::uint64_t{1} << 62) - 1;
+
   std::uint32_t channels = 2;
   std::uint32_t chips_per_channel = 2;
   std::uint32_t blocks_per_chip = 108;

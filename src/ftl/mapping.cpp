@@ -13,6 +13,7 @@ MappingTable::MappingTable(const MappingGeometry& geometry)
   assert(geo_.lpns_per_chunk > 0 && geo_.lpns_per_zone > 0);
   assert(geo_.lpns_per_zone % geo_.lpns_per_chunk == 0 &&
          "a zone must be a whole number of chunks");
+  // Zero pages: an entry becomes resident host memory once it is written.
   entries_.resize(static_cast<std::size_t>(geo_.num_lpns));
   zone_mapped_.resize(static_cast<std::size_t>(CeilDiv(geo_.num_lpns, geo_.lpns_per_zone)));
   zone_changed_.assign(zone_mapped_.size(), 1);
@@ -31,27 +32,24 @@ void MappingTable::CountRun(std::uint64_t lpn, std::uint64_t count) {
 
 void MappingTable::Set(Lpn lpn, Ppn ppn) {
   assert(lpn.value() < geo_.num_lpns);
-  MapEntry& e = entries_[static_cast<std::size_t>(lpn.value())];
+  std::uint64_t& e = entries_[static_cast<std::size_t>(lpn.value())];
   const auto z = static_cast<std::size_t>(div_lpns_per_zone_.Div(lpn.value()));
-  if (!e.mapped()) {
+  if ((e & kPpnMask) == 0) {
     ++mapped_;
     ++zone_mapped_[z];
   }
   zone_changed_[z] = 1;
-  e.ppn = ppn;
-  e.gran = MapGranularity::kPage;
+  e = Pack(ppn, MapGranularity::kPage);
 }
 
 void MappingTable::InstallRunAtMount(Lpn lpn, Ppn ppn, std::uint64_t count,
                                      MapGranularity gran) {
   assert(lpn.value() + count <= geo_.num_lpns);
-  MapEntry* e = &entries_[static_cast<std::size_t>(lpn.value())];
-  MapEntry v;
-  v.gran = gran;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    v.ppn = Ppn{ppn.value() + i};
-    e[i] = v;  // whole-struct store: full-width writes, no read-modify-write
-  }
+  assert(count == 0 || ppn.value() + count <= kPpnMask);
+  std::uint64_t* e = &entries_[static_cast<std::size_t>(lpn.value())];
+  // ppn + 1 + i stays below the map bits (assert above), so each entry
+  // is the run's first word plus i: one plain store per entry.
+  for (std::uint64_t i = 0; i < count; ++i) e[i] = Pack(ppn, gran) + i;
   CountRun(lpn.value(), count);
 }
 
@@ -66,7 +64,7 @@ void MappingTable::ClearForMountExcept(
       const std::uint64_t zone_end = std::min(hi, (z + 1) * geo_.lpns_per_zone);
       if (zone_mapped_[static_cast<std::size_t>(z)] != 0) {
         std::fill(entries_.begin() + static_cast<std::ptrdiff_t>(lo),
-                  entries_.begin() + static_cast<std::ptrdiff_t>(zone_end), MapEntry{});
+                  entries_.begin() + static_cast<std::ptrdiff_t>(zone_end), std::uint64_t{0});
       }
       lo = zone_end;
     }
@@ -88,34 +86,39 @@ void MappingTable::ClearForMountExcept(
 
 void MappingTable::Unmap(Lpn lpn) {
   assert(lpn.value() < geo_.num_lpns);
-  MapEntry& e = entries_[static_cast<std::size_t>(lpn.value())];
-  if (e.mapped()) {
+  std::uint64_t& e = entries_[static_cast<std::size_t>(lpn.value())];
+  if ((e & kPpnMask) != 0) {
     const auto z = static_cast<std::size_t>(div_lpns_per_zone_.Div(lpn.value()));
     --mapped_;
     --zone_mapped_[z];
     zone_changed_[z] = 1;
   }
-  e = MapEntry{};
+  e = 0;
 }
 
 MapEntry MappingTable::Get(Lpn lpn) const {
   assert(lpn.value() < geo_.num_lpns);
-  return entries_[static_cast<std::size_t>(lpn.value())];
+  const std::uint64_t w = entries_[static_cast<std::size_t>(lpn.value())];
+  MapEntry e;
+  e.ppn = Ppn((w & kPpnMask) - 1);  // 0 - 1 wraps to Ppn::Invalid()
+  e.gran = static_cast<MapGranularity>(w >> kGranShift);
+  return e;
 }
 
 void MappingTable::SetAggregated(Lpn start, std::uint64_t count, MapGranularity gran) {
   assert(start.value() + count <= geo_.num_lpns);
+  const std::uint64_t bits = static_cast<std::uint64_t>(gran) << kGranShift;
   for (std::uint64_t i = 0; i < count; ++i) {
-    MapEntry& e = entries_[static_cast<std::size_t>(start.value() + i)];
-    assert(e.mapped() && "cannot aggregate unmapped entries");
-    e.gran = gran;
+    std::uint64_t& e = entries_[static_cast<std::size_t>(start.value() + i)];
+    assert((e & kPpnMask) != 0 && "cannot aggregate unmapped entries");
+    e = (e & kPpnMask) | bits;
   }
 }
 
 void MappingTable::DowngradeToPage(Lpn start, std::uint64_t count) {
   assert(start.value() + count <= geo_.num_lpns);
   for (std::uint64_t i = 0; i < count; ++i) {
-    entries_[static_cast<std::size_t>(start.value() + i)].gran = MapGranularity::kPage;
+    entries_[static_cast<std::size_t>(start.value() + i)] &= kPpnMask;
   }
 }
 
@@ -124,7 +127,7 @@ std::uint64_t MappingTable::NumMapPages() const {
 }
 
 void MappingTable::ClearAllForMount() {
-  for (MapEntry& e : entries_) e = MapEntry{};
+  std::fill(entries_.begin(), entries_.end(), std::uint64_t{0});
   mapped_ = 0;
   std::fill(zone_mapped_.begin(), zone_mapped_.end(), 0u);
   std::fill(zone_changed_.begin(), zone_changed_.end(), 1);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "common/fastdiv.hpp"
 #include "common/ids.hpp"
 #include "common/status.hpp"
+#include "common/zeroed_alloc.hpp"
 
 namespace conzone {
 
@@ -144,8 +146,9 @@ class MappingTable {
     const std::size_t end = std::min(entries_.size(), (zi + 1) * geo_.lpns_per_zone);
     std::uint32_t left = zone_mapped_[zi];
     for (std::size_t i = zi * geo_.lpns_per_zone; left > 0 && i < end; ++i) {
-      if (!entries_[i].mapped()) continue;
-      fn(Lpn(i), entries_[i].ppn);
+      const std::uint64_t ppn1 = entries_[i] & kPpnMask;
+      if (ppn1 == 0) continue;
+      fn(Lpn(i), Ppn(ppn1 - 1));
       --left;
     }
   }
@@ -161,10 +164,22 @@ class MappingTable {
   /// Count the run [lpn, lpn + count) as mapped, in total and per zone.
   void CountRun(std::uint64_t lpn, std::uint64_t count);
 
+  // One 8-byte word per lpn: the map bits in the top two bits and
+  // ppn + 1 below them, so 0 is MapEntry{} — the value the lazily zeroed
+  // `entries_` storage starts every entry at. An invalid id is all ones,
+  // so the ppn + 1 field of 0 decodes, by wrapping, to Ppn::Invalid().
+  static_assert(Ppn::kInvalidValue + 1 == 0);
+  static constexpr int kGranShift = 62;
+  static constexpr std::uint64_t kPpnMask = (std::uint64_t{1} << kGranShift) - 1;
+  static std::uint64_t Pack(Ppn ppn, MapGranularity gran) {
+    assert(ppn.valid() && ppn.value() < kPpnMask);
+    return (static_cast<std::uint64_t>(gran) << kGranShift) | (ppn.value() + 1);
+  }
+
   MappingGeometry geo_;
   /// Zone of an lpn: Set/Unmap run once per written slot, so no divide.
   FastDiv div_lpns_per_zone_;
-  std::vector<MapEntry> entries_;
+  ZeroedVector<std::uint64_t> entries_;
   std::uint64_t mapped_ = 0;
   std::vector<std::uint32_t> zone_mapped_;
   std::vector<std::uint8_t> zone_changed_;

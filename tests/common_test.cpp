@@ -1,9 +1,12 @@
 // Unit tests for the common substrate: simulated time, units, RNG,
 // statistics, and status handling.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/fastdiv.hpp"
 #include "common/ids.hpp"
@@ -12,6 +15,7 @@
 #include "common/status.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
+#include "common/zeroed_alloc.hpp"
 
 namespace conzone {
 namespace {
@@ -275,6 +279,37 @@ TEST(ResultTest, MoveOnlyValue) {
   auto p = std::move(r).value();
   EXPECT_EQ(*p, 7);
 }
+
+// --- zeroed storage ---
+
+#if defined(__linux__)
+// Resident pages of [p, p + bytes), by mincore.
+std::size_t ResidentPages(const void* p, std::size_t bytes) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto lo = reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
+  const auto hi = reinterpret_cast<std::uintptr_t>(p) + bytes;
+  std::vector<unsigned char> resident((hi - lo + page - 1) / page);
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(lo), hi - lo, resident.data()), 0);
+  return static_cast<std::size_t>(
+      std::count_if(resident.begin(), resident.end(), [](unsigned char c) { return c & 1; }));
+}
+
+TEST(ZeroedVectorTest, PagesBecomeResidentOnlyWhenWritten) {
+  constexpr std::size_t kBytes = 64 * kMiB;
+  constexpr std::size_t kStride = 8 * kMiB / sizeof(std::uint64_t);
+  ZeroedVector<std::uint64_t> v(kBytes / sizeof(std::uint64_t));
+  EXPECT_EQ(ResidentPages(v.data(), kBytes), 0u);
+  for (std::size_t i = 0; i < 8; ++i) v[i * kStride] = i + 1;
+  const std::size_t resident = ResidentPages(v.data(), kBytes);
+  EXPECT_GE(resident, 8u);
+  // A transparent huge page may bring in up to 2 MiB per write.
+  EXPECT_LE(resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)), 8 * 2 * kMiB);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(v[i * kStride], i + 1);
+    EXPECT_EQ(v[i * kStride + 1], 0u);  // value-initialised
+  }
+}
+#endif
 
 // --- ids ---
 

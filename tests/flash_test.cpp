@@ -103,7 +103,23 @@ INSTANTIATE_TEST_SUITE_P(
         BadGeometryCase{"unit_not_page_multiple",
                         [](FlashGeometry& g) { g.program_unit = 20 * kKiB; }},
         BadGeometryCase{"block_not_unit_multiple",
-                        [](FlashGeometry& g) { g.pages_per_block = 10; }}),
+                        [](FlashGeometry& g) { g.pages_per_block = 10; }},
+        // 2^16 x 2^16 chips wrap NumChips() to 0.
+        BadGeometryCase{"chip_count_wraps",
+                        [](FlashGeometry& g) { g.channels = g.chips_per_channel = 65536; }},
+        // 4 chips x 2^31 blocks x 6 * (2^28 + 1) pages: the page count
+        // fits in 64 bits, but its 4 slots per page (about 2^65.6) wrap.
+        BadGeometryCase{"slot_count_wraps",
+                        [](FlashGeometry& g) {
+                          g.blocks_per_chip = 1u << 31;
+                          g.pages_per_block = (6u << 28) + 6;
+                        }},
+        // 3 * 2^62 slots fit in 64 bits but not in a packed 62-bit ppn.
+        BadGeometryCase{"slot_count_past_packed_width",
+                        [](FlashGeometry& g) {
+                          g.blocks_per_chip = 1u << 31;
+                          g.pages_per_block = 6u << 26;
+                        }}),
     [](const auto& info) { return info.param.name; });
 
 // --- array ---
@@ -177,6 +193,101 @@ TEST(FlashArrayTest, CountersTrackMedia) {
   ASSERT_TRUE(a.EraseBlock(normal).ok());
   EXPECT_EQ(a.counters().erases_slc, 1u);
   EXPECT_EQ(a.counters().erases_normal, 1u);
+}
+
+// The largest lpn a slot's OOB word holds (lpn + 1 fills its 62 bits).
+constexpr Lpn kLargestLpn{FlashGeometry::kMaxSlots - 1};
+
+void ExpectSlot(const SlotRead& r, SlotState state, Lpn lpn, std::uint64_t token,
+                const char* what) {
+  EXPECT_EQ(r.state, state) << what;
+  EXPECT_EQ(r.lpn, lpn) << what;
+  EXPECT_EQ(r.token, token) << what;
+}
+
+TEST(FlashArrayTest, FreshArrayReadsFreeEverywhere) {
+  const FlashArray a(SmallGeo());
+  const std::uint64_t total = a.geometry().TotalSlots();
+  for (std::uint64_t s = 0; s < total; ++s) {
+    for (const SlotRead& r : {a.ReadSlot(Ppn{s}), a.PeekSlot(Ppn{s})}) {
+      ASSERT_EQ(r.state, SlotState::kFree) << "slot " << s;
+      ASSERT_FALSE(r.lpn.valid()) << "slot " << s;
+      ASSERT_EQ(r.token, 0u) << "slot " << s;
+    }
+    ASSERT_EQ(a.StateOfSlot(Ppn{s}), SlotState::kFree) << "slot " << s;
+  }
+  // Out of range reads the same default.
+  ExpectSlot(a.ReadSlot(Ppn{total}), SlotState::kFree, Lpn::Invalid(), 0, "past end");
+  ExpectSlot(a.PeekSlot(Ppn::Invalid()), SlotState::kFree, Lpn::Invalid(), 0, "invalid");
+}
+
+TEST(FlashArrayTest, SlotEncodingRoundTripsExtremes) {
+  FlashArray a(SmallGeo());
+  const FlashGeometry& g = a.geometry();
+  const BlockId slc = g.BlockAt(ChipId{0}, 0);
+  const SlotWrite w[] = {{Lpn{0}, 0},
+                         {kLargestLpn, UINT64_MAX},
+                         {Lpn::Invalid(), UINT64_MAX},  // alignment padding
+                         {Lpn{1}, 1}};
+  ASSERT_TRUE(a.ProgramSlots(slc, w).ok());
+  const Ppn first = g.SlotAt(g.PageAt(slc, 0), 0);
+  auto at = [&](std::uint64_t i) { return Ppn{first.value() + i}; };
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    ExpectSlot(a.ReadSlot(at(i)), SlotState::kValid, w[i].lpn, w[i].token, "read");
+    ExpectSlot(a.PeekSlot(at(i)), SlotState::kValid, w[i].lpn, w[i].token, "peek");
+  }
+  // A state change keeps the OOB lpn and the token.
+  ASSERT_TRUE(a.InvalidateSlot(at(1)).ok());
+  ASSERT_TRUE(a.InvalidateSlot(at(2)).ok());
+  ExpectSlot(a.ReadSlot(at(1)), SlotState::kInvalid, kLargestLpn, UINT64_MAX, "invalidated");
+  ExpectSlot(a.PeekSlot(at(2)), SlotState::kInvalid, Lpn::Invalid(), UINT64_MAX,
+             "invalidated padding");
+  ExpectSlot(a.ReadSlot(at(4)), SlotState::kFree, Lpn::Invalid(), 0, "past cursor");
+
+  // The last slot of the array, in a normal block programmed unit by unit.
+  const BlockId last{g.TotalBlocks() - 1};
+  const std::size_t unit = g.program_unit / g.slot_size;
+  std::vector<SlotWrite> fill(unit, SlotWrite{Lpn{5}, 5});
+  for (std::uint32_t u = 0; u < g.UnitsPerBlock(); ++u) {
+    if (u + 1 == g.UnitsPerBlock()) fill.back() = SlotWrite{kLargestLpn, UINT64_MAX - 1};
+    ASSERT_TRUE(a.ProgramSlots(last, fill).ok());
+  }
+  ExpectSlot(a.ReadSlot(Ppn{g.TotalSlots() - 1}), SlotState::kValid, kLargestLpn,
+             UINT64_MAX - 1, "last slot");
+
+  ASSERT_TRUE(a.EraseBlock(slc).ok());
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    ExpectSlot(a.ReadSlot(at(i)), SlotState::kFree, Lpn::Invalid(), 0, "erased");
+  }
+}
+
+TEST(FlashArrayTest, UndoneEraseRestoresPackedPreImage) {
+  FlashArray a(SmallGeo());
+  a.EnableJournal(true);
+  const FlashGeometry& g = a.geometry();
+  const BlockId slc = g.BlockAt(ChipId{1}, 0);
+  const Ppn first = g.SlotAt(g.PageAt(slc, 0), 0);
+  auto at = [&](std::uint64_t i) { return Ppn{first.value() + i}; };
+  auto stamped = [&](std::uint64_t start_ns, auto&& op) {
+    const std::uint64_t mark = a.MarkJournal();
+    ASSERT_TRUE(op().ok());
+    a.StampJournal(mark, SimTime::FromNanos(start_ns), SimTime::FromNanos(start_ns + 10));
+  };
+  const SlotWrite w[] = {{Lpn{0}, UINT64_MAX}, {Lpn::Invalid(), 0}, {kLargestLpn, 7}};
+  stamped(0, [&] { return a.ProgramSlots(slc, w); });
+  stamped(20, [&] { return a.InvalidateSlot(at(0)); });
+  // The erase never starts before the cut at 50: its pre-image returns.
+  stamped(100, [&] { return a.EraseBlock(slc); });
+  ExpectSlot(a.PeekSlot(at(2)), SlotState::kFree, Lpn::Invalid(), 0, "erased");
+
+  const FlashArray::PowerCutReport rep = a.ApplyPowerCut(SimTime::FromNanos(50));
+  EXPECT_EQ(rep.restored_erases, 1u);
+  ExpectSlot(a.PeekSlot(at(0)), SlotState::kInvalid, Lpn{0}, UINT64_MAX, "restored 0");
+  ExpectSlot(a.PeekSlot(at(1)), SlotState::kValid, Lpn::Invalid(), 0, "restored padding");
+  ExpectSlot(a.PeekSlot(at(2)), SlotState::kValid, kLargestLpn, 7, "restored 2");
+  ExpectSlot(a.PeekSlot(at(3)), SlotState::kFree, Lpn::Invalid(), 0, "past cursor");
+  EXPECT_EQ(a.NextProgramSlot(slc), 3u);
+  EXPECT_EQ(a.ValidSlots(slc), 2u);
 }
 
 // --- timing engine ---

@@ -166,6 +166,69 @@ TEST(MappingTableTest, PerZoneCountsMatchBruteForce) {
   }
 }
 
+TEST(MappingTableTest, FreshTableIsDefaultEverywhere) {
+  const MappingTable t(SmallMapGeo());
+  for (std::uint64_t l = 0; l < t.geometry().num_lpns; ++l) {
+    const MapEntry e = t.Get(Lpn{l});
+    ASSERT_FALSE(e.mapped()) << "lpn " << l;
+    ASSERT_EQ(e.ppn, Ppn::Invalid()) << "lpn " << l;
+    ASSERT_EQ(e.gran, MapGranularity::kPage) << "lpn " << l;
+  }
+  EXPECT_EQ(t.mapped_count(), 0u);
+  std::uint64_t visited = 0;
+  t.ForEachMapped([&](Lpn, Ppn) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+}
+
+TEST(MappingTableTest, EntryEncodingRoundTripsExtremes) {
+  // The largest ppn an entry holds (ppn + 1 fills its 62 low bits).
+  constexpr std::uint64_t kLargestPpn = (std::uint64_t{1} << 62) - 2;
+  MappingTable t(SmallMapGeo());
+  const Lpn last{t.geometry().num_lpns - 1};
+  auto expect = [&](Lpn l, Ppn ppn, MapGranularity gran, const char* what) {
+    const MapEntry e = t.Get(l);
+    EXPECT_TRUE(e.mapped()) << what;
+    EXPECT_EQ(e.ppn, ppn) << what;
+    EXPECT_EQ(e.gran, gran) << what;
+  };
+  t.Set(Lpn{0}, Ppn{0});
+  t.Set(last, Ppn{kLargestPpn});
+  expect(Lpn{0}, Ppn{0}, MapGranularity::kPage, "ppn 0");
+  expect(last, Ppn{kLargestPpn}, MapGranularity::kPage, "largest ppn");
+  for (const MapGranularity gran :
+       {MapGranularity::kPage, MapGranularity::kChunk, MapGranularity::kZone}) {
+    t.SetAggregated(Lpn{0}, 1, gran);
+    t.SetAggregated(last, 1, gran);
+    expect(Lpn{0}, Ppn{0}, gran, MapGranularityName(gran));
+    expect(last, Ppn{kLargestPpn}, gran, MapGranularityName(gran));
+    t.DowngradeToPage(Lpn{0}, 1);
+    t.DowngradeToPage(last, 1);
+    expect(Lpn{0}, Ppn{0}, MapGranularity::kPage, "downgraded");
+    expect(last, Ppn{kLargestPpn}, MapGranularity::kPage, "downgraded");
+  }
+  // A mount run ending at the largest ppn, with zone map bits.
+  t.InstallRunAtMount(Lpn{8}, Ppn{kLargestPpn - 3}, 4, MapGranularity::kZone);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    expect(Lpn{8 + i}, Ppn{kLargestPpn - 3 + i}, MapGranularity::kZone, "installed");
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> visited;
+  t.ForEachMapped([&](Lpn l, Ppn p) { visited.emplace_back(l.value(), p.value()); });
+  ASSERT_EQ(visited.size(), 6u);
+  EXPECT_EQ(visited.front(), std::make_pair(std::uint64_t{0}, std::uint64_t{0}));
+  EXPECT_EQ(visited.back(), std::make_pair(last.value(), kLargestPpn));
+  EXPECT_EQ(t.mapped_count(), 6u);
+  // Unmap returns each entry to MapEntry{}, whatever its map bits were.
+  t.SetAggregated(Lpn{0}, 1, MapGranularity::kZone);
+  for (const Lpn l : {Lpn{0}, Lpn{8}, last}) {
+    t.Unmap(l);
+    const MapEntry e = t.Get(l);
+    EXPECT_FALSE(e.mapped());
+    EXPECT_EQ(e.ppn, Ppn::Invalid());
+    EXPECT_EQ(e.gran, MapGranularity::kPage);
+  }
+  EXPECT_EQ(t.mapped_count(), 3u);
+}
+
 TEST(MappingTableTest, AddressHelpers) {
   MappingTable t(SmallMapGeo());
   EXPECT_EQ(t.ChunkOf(Lpn{1025}).value(), 1u);
