@@ -10,6 +10,11 @@ every remaining field of each row (its counters) with
 bench/golden/<bench>.json. bench_table1_feature_matrix prints a text
 table instead, which is compared line by line.
 
+The examples whose stdout is simulated only (the same bytes on every
+run, at any thread count) are compared line by line with
+bench/golden/examples/<example>.txt. sharded_scale prints wall-clock
+rates and is left out.
+
 Usage:
   bench/check_figures.py [--build-dir build] [--update]
 
@@ -34,6 +39,19 @@ JSON_BENCHES = (
     "bench_ablation_write_path",
 )
 TEXT_BENCHES = ("bench_table1_feature_matrix",)
+EXAMPLES = (
+    "cache_study",
+    "crash_study",
+    "f2fs_metadata_study",
+    "fault_study",
+    "fleet_soak",
+    "gc_pressure_study",
+    "quickstart",
+    "read_range_study",
+    "rebuild_study",
+    "striped_volume_study",
+    "zone_switch_study",
+)
 # Wall-clock fields, then fields the benchmark library fills in itself;
 # neither is a simulated result.
 LIBRARY_FIELDS = ("real_time", "cpu_time", "iterations", "family_index",
@@ -42,10 +60,10 @@ LIBRARY_FIELDS = ("real_time", "cpu_time", "iterations", "family_index",
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
-def run(build_dir, name, args):
-    exe = os.path.join(build_dir, "bench", name)
+def run(build_dir, name, args, subdir="bench"):
+    exe = os.path.join(build_dir, subdir, name)
     if not os.path.isfile(exe):
-        sys.exit(f"check_figures: {exe} not found (build the benches first)")
+        sys.exit(f"check_figures: {exe} not found (build the {subdir} first)")
     proc = subprocess.run([exe, *args], capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -108,6 +126,20 @@ def main():
         with open(path, encoding="utf-8") as f:
             golden = json.load(f)
         diff = differences(name, golden, got)
+        failures += diff
+        print(f"{'FAIL' if diff else 'ok  '} {name}")
+    for name in EXAMPLES:
+        got = run(args.build_dir, name, [], subdir="examples")
+        path = os.path.join(GOLDEN_DIR, "examples", f"{name}.txt")
+        if args.update:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(got)
+            print(f"recorded {path}")
+            continue
+        with open(path, encoding="utf-8") as f:
+            golden = f.read()
+        diff = differences(name, {"text": golden.splitlines()}, {"text": got.splitlines()})
         failures += diff
         print(f"{'FAIL' if diff else 'ok  '} {name}")
     for line in failures:

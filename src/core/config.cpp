@@ -1,17 +1,20 @@
 #include "core/config.hpp"
 
+#include <cstdint>
+
 #include "common/rng.hpp"
 #include "core/zone_layout.hpp"
 
 namespace conzone {
 
-std::uint32_t ConZoneConfig::EffectiveConventionalSuperblocks() const {
+std::uint64_t ConZoneConfig::ConventionalSuperblocks() const {
   if (num_conventional_zones == 0) return 0;
-  if (conventional_superblocks != 0) return conventional_superblocks;
-  const std::uint64_t needed = CeilDiv(
-      static_cast<std::uint64_t>(num_conventional_zones) * zone_size_bytes,
-      geometry.NormalSuperblockBytes());
-  return static_cast<std::uint32_t>(needed) + 2;  // GC headroom
+  // 128-bit: the zone bytes of a 32-bit zone count can pass 2^64.
+  const unsigned __int128 bytes =
+      static_cast<unsigned __int128>(num_conventional_zones) * zone_size_bytes;
+  const std::uint64_t sb_bytes = geometry.NormalSuperblockBytes();
+  const unsigned __int128 needed = (bytes + sb_bytes - 1) / sb_bytes + 2;  // GC headroom
+  return needed > UINT64_MAX ? UINT64_MAX : static_cast<std::uint64_t>(needed);
 }
 
 Status ConZoneConfig::Validate() const {
@@ -29,18 +32,14 @@ Status ConZoneConfig::Validate() const {
   if (buffers.slot_bytes != geometry.slot_size) {
     return Status::InvalidArgument("config: buffer slot size != geometry slot size");
   }
-  const std::uint32_t conv_sbs = EffectiveConventionalSuperblocks();
-  if (num_conventional_zones > 0) {
-    const std::uint64_t capacity =
-        static_cast<std::uint64_t>(conv_sbs) * geometry.NormalSuperblockBytes();
-    const std::uint64_t logical =
-        static_cast<std::uint64_t>(num_conventional_zones) * zone_size_bytes;
-    if (capacity < logical + 2 * geometry.NormalSuperblockBytes()) {
-      return Status::InvalidArgument(
-          "config: conventional pool too small for its zones plus GC headroom");
-    }
+  const std::uint64_t conv_sbs = ConventionalSuperblocks();
+  if (conv_sbs > geometry.NumNormalSuperblocks() ||
+      geometry.NumNormalSuperblocks() - conv_sbs < superblocks_per_zone) {
+    return Status::InvalidArgument(
+        "config: conventional pool leaves no room for a sequential zone");
   }
-  ZoneLayout layout(geometry, zone_size_bytes, superblocks_per_zone, conv_sbs);
+  ZoneLayout layout(geometry, zone_size_bytes, superblocks_per_zone,
+                    static_cast<std::uint32_t>(conv_sbs));
   if (Status st = layout.Validate(); !st.ok()) return st;
   if (layout.patch_bytes() % geometry.slot_size != 0) {
     return Status::InvalidArgument("config: patch region must be slot-aligned");

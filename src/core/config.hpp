@@ -60,12 +60,10 @@ struct ConZoneConfig {
   /// lets them share the write buffers and the SLC secondary buffer with
   /// the sequential zones.
   std::uint32_t num_conventional_zones = 0;
-  /// Physical superblocks backing the conventional zones (0 = auto:
-  /// capacity rounded up plus two superblocks of GC headroom).
-  std::uint32_t conventional_superblocks = 0;
 
-  /// Backing pool size after auto-sizing.
-  std::uint32_t EffectiveConventionalSuperblocks() const;
+  /// Physical superblocks backing the conventional zones: their capacity
+  /// rounded up, plus two superblocks of GC headroom (0 without them).
+  std::uint64_t ConventionalSuperblocks() const;
 
   // --- Erase path ---
   GcConfig gc;

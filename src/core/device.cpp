@@ -9,7 +9,8 @@ namespace conzone {
 
 namespace {
 /// Default integrity token when the host does not supply payloads.
-std::uint64_t DefaultToken(Lpn lpn) { return 0xC0DE0000u ^ lpn.value(); }
+constexpr std::uint64_t kTokenSalt = 0xC0DE0000u;
+std::uint64_t DefaultToken(Lpn lpn) { return kTokenSalt ^ lpn.value(); }
 
 Status StaleSlot(Lpn lpn, Ppn ppn) {
   return Status::Internal("mapping points at stale slot (lpn " +
@@ -35,11 +36,11 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
         return c;
       }()),
       layout_(cfg_.geometry, cfg_.zone_size_bytes, cfg_.superblocks_per_zone,
-              cfg_.EffectiveConventionalSuperblocks()),
+              static_cast<std::uint32_t>(cfg_.ConventionalSuperblocks())),
       fault_(cfg_.fault),
       array_(cfg_.geometry),
       engine_(cfg_.geometry, cfg_.timing),
-      pool_(cfg_.geometry, cfg_.EffectiveConventionalSuperblocks()),
+      pool_(cfg_.geometry, static_cast<std::uint32_t>(cfg_.ConventionalSuperblocks())),
       slc_alloc_(array_, pool_),
       buffers_(cfg_.buffers),
       zones_(ZoneLimitsConfig{cfg_.zone_size_bytes, cfg_.zone_size_bytes,
@@ -55,7 +56,8 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
       translator_(table_, cache_, *this, cfg_.translator),
       gc_(array_, engine_, pool_, slc_alloc_, cfg_.gc),
       l2p_log_(cfg_.l2p_log),
-      conv_alloc_(array_, pool_),
+      conv_log_(array_, engine_, pool_, slc_alloc_, buffers_, buffer_ready_, table_, cache_,
+                translator_, &l2p_log_, cfg_.map_media, cfg_.gc, kTokenSalt),
       div_slot_(cfg_.geometry.slot_size),
       div_zone_(cfg_.zone_size_bytes),
       div_slots_per_page_(cfg_.geometry.slot_size ? cfg_.geometry.SlotsPerPage() : 0),
@@ -133,13 +135,26 @@ StatsSnapshot ConZoneDevice::Stats() const {
   s.reads = stats_.reads;
   s.zone_resets = stats_.zone_resets;
   s.host_flushes = stats_.host_flushes;
-  s.buffer_flushes = stats_.flushes;
-  s.premature_flushes = stats_.premature_flushes;
-  s.overwrites = stats_.conventional_overwrites;
-  s.gc_runs = gc_.stats().runs + stats_.conventional_gc_runs;
-  s.gc_slots_migrated = gc_.stats().slots_migrated + stats_.conventional_gc_migrated;
+  const PageLogStats& conv = conv_log_.stats();
+  s.buffer_flushes = stats_.flushes + conv.flushes;
+  s.premature_flushes = stats_.premature_flushes + conv.premature_flushes;
+  s.overwrites = conv.overwrites;
+  s.gc_runs = gc_.stats().runs + conv.gc_runs;
+  s.gc_slots_migrated = gc_.stats().slots_migrated + conv.gc_slots_migrated;
   s.class_reads = class_reads_;
   s.class_writes = class_writes_;
+  return s;
+}
+
+ConZoneStats ConZoneDevice::stats() const {
+  ConZoneStats s = stats_;
+  const PageLogStats& conv = conv_log_.stats();
+  s.flushes += conv.flushes;
+  s.premature_flushes += conv.premature_flushes;
+  s.buffer_ram_reads += conv.buffer_ram_reads;
+  s.conventional_overwrites = conv.overwrites;
+  s.conventional_gc_runs = conv.gc_runs;
+  s.conventional_gc_migrated = conv.gc_slots_migrated;
   return s;
 }
 
@@ -161,6 +176,7 @@ Lpn ConZoneDevice::ZoneBaseLpn(ZoneId zone) const {
 
 void ConZoneDevice::ResetStats() {
   stats_ = ConZoneStats{};
+  conv_log_.ResetStats();
   class_reads_ = {};
   class_writes_ = {};
   translator_.ResetStats();
@@ -212,10 +228,10 @@ Result<SimTime> ConZoneDevice::WriteImpl(std::uint64_t offset, std::uint64_t len
     return Status::ResourceExhausted(
         "device is read-only: healthy SLC spare below floor after media faults");
   }
-  if (IsConventional(zone)) {
-    return WriteConventional(zone, offset, len, now, tokens);
+  const bool conventional = IsConventional(zone);
+  if (!conventional) {
+    if (Status st = zones_.BeginWrite(zone, off_in_zone, len); !st.ok()) return st;
   }
-  if (Status st = zones_.BeginWrite(zone, off_in_zone, len); !st.ok()) return st;
 
   ++stats_.writes;
   stats_.host_bytes_written += len;
@@ -225,6 +241,7 @@ Result<SimTime> ConZoneDevice::WriteImpl(std::uint64_t offset, std::uint64_t len
   t = host_link_.Reserve(t, HostTransferTime(len)).end;
 
   const Lpn first_lpn = Lpn(div_slot_.Div(offset));
+  if (conventional) return WriteInPlace(zone, first_lpn, nslots, tokens, t);
   const WriteBufferId buf = buffers_.BufferForZone(zone);
 
   std::uint64_t i = 0;
@@ -286,8 +303,51 @@ bool ConZoneDevice::InReadOnly() {
 Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushAny(BufferedExtent extent,
                                                            SimTime now) {
   if (extent.empty()) return FlushResult{now, now};
-  return IsConventional(extent.owner) ? FlushConventionalExtent(std::move(extent), now)
+  return IsConventional(extent.owner) ? FlushConventional(extent, now)
                                       : FlushExtent(std::move(extent), now);
+}
+
+Result<SimTime> ConZoneDevice::WriteInPlace(ZoneId zone, Lpn first, std::uint64_t nslots,
+                                            std::span<const std::uint64_t> tokens,
+                                            SimTime t) {
+  ++stats_.conventional_writes;
+  // In-place streams share the write buffers with the sequential zones,
+  // so an evicted buffer may hold a sequential zone's data: FlushAny
+  // dispatches on the owner.
+  return conv_log_.Write(zone, first, nslots, tokens, t,
+                         [this](BufferedExtent&& extent, SimTime at, bool conflict) {
+                           if (conflict) ++stats_.conflict_flushes;
+                           return FlushAny(std::move(extent), at);
+                         });
+}
+
+Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushConventional(
+    const BufferedExtent& extent, SimTime now) {
+  auto placed = conv_log_.FlushExtent(extent, now);
+  if (!placed.ok()) return placed.status();
+  FlushResult done = placed.value();
+  if (pool_.FreeNormalCount() < cfg_.gc.low_watermark) {
+    auto gc_done = conv_log_.Collect(PageLog::Region::kLog, done.media_done);
+    if (!gc_done.ok()) return gc_done.status();
+    done.media_done = Later(done.media_done, gc_done.value());
+    done.sram_free = Later(done.sram_free, gc_done.value());
+  }
+  return FinishFlush(done);
+}
+
+Result<ConZoneDevice::FlushResult> ConZoneDevice::FinishFlush(FlushResult done) {
+  if (gc_.NeedsGc()) {
+    auto gc_done = gc_.Run(done.media_done);
+    if (!gc_done.ok()) return gc_done.status();
+    done.media_done = Later(done.media_done, gc_done.value());
+    done.sram_free = Later(done.sram_free, gc_done.value());
+  }
+  // §III-E extension: a full L2P log blocks the flush until persisted.
+  const SimTime logged = MaybeFlushL2pLog(done.sram_free);
+  done.sram_free = Later(done.sram_free, logged);
+  done.media_done = Later(done.media_done, logged);
+  media_horizon_ = Later(media_horizon_, done.media_done);
+  return done;
 }
 
 Result<SimTime> ConZoneDevice::ReadBackStaged(ZoneId zone, std::uint64_t begin,
@@ -589,21 +649,7 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushExtent(BufferedExtent ext
   if (staged_anything) ++stats_.premature_flushes;
 
   UpdateAggregation(zone, zr);
-
-  // Keep the SLC region ahead of demand. GC is foreground: while it
-  // runs, host requests (including further appends) are held.
-  if (gc_.NeedsGc()) {
-    auto gc_done = gc_.Run(done.media_done);
-    if (!gc_done.ok()) return gc_done.status();
-    done.media_done = Later(done.media_done, gc_done.value());
-    done.sram_free = Later(done.sram_free, gc_done.value());
-  }
-  // §III-E extension: a full L2P log blocks the flush until persisted.
-  const SimTime logged = MaybeFlushL2pLog(done.sram_free);
-  done.sram_free = Later(done.sram_free, logged);
-  done.media_done = Later(done.media_done, logged);
-  media_horizon_ = Later(media_horizon_, done.media_done);
-  return done;
+  return FinishFlush(done);
 }
 
 SimTime ConZoneDevice::MaybeFlushL2pLog(SimTime now, bool force) {
@@ -913,28 +959,10 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
     const std::uint64_t off_in_zone = off - zone.value() * cfg_.zone_size_bytes;
     if (IsConventional(zone)) {
       // In-place region: no write pointer; validity comes from the
-      // mapping itself. Buffered updates are served from RAM.
-      if (const std::uint64_t* tok = buffers_.BufferedToken(lpn)) {
-        if (tokens_out) tokens_out->push_back(*tok);
-        ++stats_.buffer_ram_reads;
-        continue;
+      // mapping itself.
+      if (Status st = conv_log_.ReadSlot(lpn, t0, read_groups_, tokens_out); !st.ok()) {
+        return st;
       }
-      auto tr = translator_.Translate(lpn);
-      if (!tr.ok()) return tr.status();
-      SimTime dep = t0;
-      for (std::uint64_t map_page : tr.value().map_pages_fetched) {
-        const ChipId chip{map_page % geo.NumChips()};
-        array_.CountPageRead();
-        dep = engine_.ReadPage(chip, cfg_.map_media, geo.page_size, dep);
-      }
-      const SlotRead r = array_.ReadSlot(tr.value().ppn);
-      if (r.state != SlotState::kValid || r.lpn != lpn) {
-        return Status::Internal("conventional mapping stale (lpn " +
-                                std::to_string(lpn.value()) + ")");
-      }
-      if (tokens_out) tokens_out->push_back(r.token);
-      read_groups_.Add(FlashPageId(div_slots_per_page_.Div(tr.value().ppn.value())), dep,
-                       r.retry_level);
       continue;
     }
     if (Status st = zones_.CheckRead(zone, off_in_zone, slot); !st.ok()) return st;
@@ -1141,370 +1169,32 @@ Result<SimTime> ConZoneDevice::Flush(SimTime now) {
 
 // ---------------------------------------------------------------------------
 // Conventional zones (SIII-E extension): in-place updates for the host's
-// metadata region, backed by a page-mapped dynamic pool with its own GC.
+// metadata region. Their FTL is conv_log_, the page log over a dynamic
+// pool of normal superblocks (gc/page_log.hpp).
 // ---------------------------------------------------------------------------
-
-SimTime ConZoneDevice::ChargeNormalBurns(SimTime issue) {
-  SimTime done = issue;
-  const FlashGeometry& geo = cfg_.geometry;
-  ReliabilityStats& rel = array_.mutable_reliability();
-  for (const ChipId chip : conv_alloc_.last_failed_chips()) {
-    done = Later(done,
-                 engine_.Program(chip, geo.normal_cell, geo.program_unit, issue).data_in);
-    rel.recovery_time += engine_.timing().For(geo.normal_cell).program_latency;
-    rel.redrive_hist.Record(engine_.timing().For(geo.normal_cell).program_latency);
-    rel.rewrite_slots += geo.program_unit / geo.slot_size;
-  }
-  return done;
-}
-
-Status ConZoneDevice::SetMappingInPlace(Lpn lpn, Ppn ppn) {
-  const MapEntry old = table_.Get(lpn);
-  if (old.mapped() && array_.StateOfSlot(old.ppn) == SlotState::kValid) {
-    if (Status st = array_.InvalidateSlot(old.ppn); !st.ok()) return st;
-    ++stats_.conventional_overwrites;
-  }
-  table_.Set(lpn, ppn);
-  cache_.Erase(L2pKey{MapGranularity::kPage, lpn.value()});
-  l2p_log_.Append(1);
-  return Status::Ok();
-}
-
-Result<SimTime> ConZoneDevice::WriteConventional(ZoneId zone, std::uint64_t offset,
-                                                 std::uint64_t len, SimTime now,
-                                                 std::span<const std::uint64_t> tokens) {
-  ++stats_.writes;
-  ++stats_.conventional_writes;
-  stats_.host_bytes_written += len;
-
-  SimTime t = now + cfg_.request_overhead;
-  t = host_link_.Reserve(t, HostTransferTime(len)).end;
-
-  const std::uint64_t nslots = div_slot_.Div(len);
-  const Lpn first_lpn = Lpn(div_slot_.Div(offset));
-
-  std::uint64_t i = 0;
-  while (i < nslots) {
-    const Lpn next = Lpn(first_lpn.value() + i);
-    // The controller tracks in-place streams the way Legacy does:
-    // continue a matching extent, else take an empty buffer, else evict
-    // the coldest one (which may belong to a sequential zone - FlushAny
-    // dispatches correctly).
-    const WriteBufferId buf = buffers_.PickBufferForStream(next);
-    t = Later(t, buffer_ready_[static_cast<std::size_t>(buf.value())]);
-
-    const BufferedExtent& cur = buffers_.Contents(buf);
-    const bool contiguous =
-        cur.empty() || (cur.owner == zone &&
-                        Lpn(cur.first_lpn.value() + cur.slot_count()) == next);
-    const bool overlaps =
-        !cur.empty() && next.value() < cur.first_lpn.value() + cur.slot_count() &&
-        next.value() + (nslots - i) > cur.first_lpn.value();
-    if (!contiguous || overlaps) {
-      ++stats_.conflict_flushes;
-      auto done = FlushAny(buffers_.Take(buf, /*conflict=*/true), t);
-      if (!done.ok()) return done.status();
-      buffer_ready_[static_cast<std::size_t>(buf.value())] = done.value().sram_free;
-      t = done.value().sram_free;
-    }
-
-    const std::uint64_t free = buffers_.FreeSlots(buf);
-    const std::uint64_t n = std::min(free, nslots - i);
-    // An older copy of these slots waiting in another buffer goes to
-    // media first: otherwise reads would find it before this one, and a
-    // later flush of it would supersede this write.
-    for (WriteBufferId o = buffers_.OverlappingBuffer(next, n, buf); o.valid();
-         o = buffers_.OverlappingBuffer(next, n, buf)) {
-      ++stats_.conflict_flushes;
-      t = Later(t, buffer_ready_[static_cast<std::size_t>(o.value())]);
-      auto done = FlushAny(buffers_.Take(o, /*conflict=*/true), t);
-      if (!done.ok()) return done.status();
-      buffer_ready_[static_cast<std::size_t>(o.value())] = done.value().sram_free;
-      t = done.value().sram_free;
-    }
-    std::vector<SlotWrite>& chunk = chunk_scratch_;
-    chunk.clear();
-    for (std::uint64_t k = 0; k < n; ++k) {
-      const Lpn lpn = Lpn(first_lpn.value() + i + k);
-      chunk.push_back(
-          SlotWrite{lpn, tokens.empty() ? DefaultToken(lpn) : tokens[i + k]});
-    }
-    if (Status st = buffers_.AppendTo(buf, zone, next, chunk); !st.ok()) return st;
-    i += n;
-
-    if (buffers_.FreeSlots(buf) == 0) {
-      auto done = FlushAny(buffers_.Take(buf, /*conflict=*/false), t);
-      if (!done.ok()) return done.status();
-      buffer_ready_[static_cast<std::size_t>(buf.value())] = done.value().sram_free;
-    }
-  }
-  return t;
-}
-
-Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushConventionalExtent(
-    BufferedExtent extent, SimTime now) {
-  if (extent.empty()) return FlushResult{now, now};
-  ++stats_.flushes;
-  const FlashGeometry& geo = cfg_.geometry;
-  const std::uint64_t unit_slots = geo.program_unit / geo.slot_size;
-  FlushResult done{now, now};
-
-  std::size_t i = 0;
-  // Whole one-shot units into the conventional pool's log.
-  while (extent.slot_count() - i >= unit_slots) {
-    const std::uint64_t mark = array_.MarkJournal();
-    auto unit = conv_alloc_.ProgramUnit(
-        std::span<const SlotWrite>(extent.slots).subspan(i, unit_slots));
-    if (!unit.ok()) return unit.status();
-    if (!conv_alloc_.last_failed_chips().empty()) {
-      done.sram_free = Later(done.sram_free, ChargeNormalBurns(now));
-    }
-    const auto prog =
-        engine_.Program(unit.value().chip, geo.normal_cell, geo.program_unit, now);
-    done.sram_free = Later(done.sram_free, prog.data_in);
-    done.media_done = Later(done.media_done, prog.end);
-    for (std::size_t k = 0; k < unit_slots; ++k) {
-      if (Status st = SetMappingInPlace(extent.slots[i + k].lpn, unit.value().ppns[k]);
-          !st.ok()) {
-        return st;
-      }
-    }
-    // The unit's program and the overwrites it superseded share one
-    // durability window.
-    array_.StampJournal(mark, now, prog.end);
-    i += unit_slots;
-  }
-  // Sub-unit remainder: through the shared SLC secondary buffer. Under
-  // page mapping it simply lives there until GC migrates it.
-  if (i < extent.slot_count()) {
-    ++stats_.premature_flushes;
-    const std::uint64_t mark = array_.MarkJournal();
-    std::vector<SlotWrite> rest(extent.slots.begin() + static_cast<std::ptrdiff_t>(i),
-                                extent.slots.end());
-    auto ppns = slc_alloc_.Program(rest);
-    if (!ppns.ok()) return ppns.status();
-    if (!slc_alloc_.last_failed().empty()) {
-      ChargeSlcRewrites(engine_, geo, slc_alloc_.last_failed(), now,
-                        &array_.mutable_reliability());
-    }
-    const auto prog = ProgramSlcSlots(engine_, geo, ppns.value(), now);
-    done.sram_free = Later(done.sram_free, prog.data_in);
-    done.media_done = Later(done.media_done, prog.end);
-    for (std::size_t k = 0; k < rest.size(); ++k) {
-      if (Status st = SetMappingInPlace(rest[k].lpn, ppns.value()[k]); !st.ok()) {
-        return st;
-      }
-    }
-    array_.StampJournal(mark, now, prog.end);
-  }
-
-  if (pool_.FreeNormalCount() < cfg_.gc.low_watermark) {
-    auto gc_done = CollectConventional(done.media_done);
-    if (!gc_done.ok()) return gc_done.status();
-    done.media_done = Later(done.media_done, gc_done.value());
-    done.sram_free = Later(done.sram_free, gc_done.value());
-  }
-  if (gc_.NeedsGc()) {
-    auto gc_done = gc_.Run(done.media_done);
-    if (!gc_done.ok()) return gc_done.status();
-    done.media_done = Later(done.media_done, gc_done.value());
-    done.sram_free = Later(done.sram_free, gc_done.value());
-  }
-  const SimTime logged = MaybeFlushL2pLog(done.sram_free);
-  done.sram_free = Later(done.sram_free, logged);
-  done.media_done = Later(done.media_done, logged);
-  media_horizon_ = Later(media_horizon_, done.media_done);
-  return done;
-}
-
-Result<SimTime> ConZoneDevice::CollectConventional(SimTime now) {
-  const FlashGeometry& geo = cfg_.geometry;
-  ++stats_.conventional_gc_runs;
-  SimTime t = now;
-  const std::uint32_t pool_begin = geo.NumSlcSuperblocks();
-  const std::uint32_t pool_end =
-      pool_begin + cfg_.EffectiveConventionalSuperblocks();
-  std::size_t last_free = pool_.FreeNormalCount();
-  int stalled = 0;
-  while (pool_.FreeNormalCount() < cfg_.gc.reclaim_target) {
-    // Greedy victim within the conventional pool.
-    SuperblockId victim;
-    std::uint64_t best_valid = ~0ull;
-    for (std::uint32_t sb = pool_begin; sb < pool_end; ++sb) {
-      const SuperblockId cand{sb};
-      if (cand == conv_alloc_.current_superblock()) continue;
-      if (pool_.IsFreeNormal(cand)) continue;
-      std::uint64_t valid = 0, used = 0;
-      std::uint32_t healthy = 0;
-      for (std::uint32_t c = 0; c < geo.NumChips(); ++c) {
-        const BlockId b = geo.BlockOfSuperblock(cand, ChipId{c});
-        valid += array_.ValidSlots(b);
-        used += array_.NextProgramSlot(b);
-        if (!array_.IsRetired(b)) ++healthy;
-      }
-      if (used == 0) continue;
-      if (healthy == 0) continue;  // fully retired: nothing reclaimable
-      if (valid < best_valid) {
-        best_valid = valid;
-        victim = cand;
-      }
-    }
-    if (!victim.valid()) {
-      if (pool_.FreeNormalCount() == 0) {
-        return Status::ResourceExhausted("conventional pool exhausted, no victim");
-      }
-      break;
-    }
-    if (pool_.FreeNormalCount() <= last_free && ++stalled > 1) break;
-    last_free = pool_.FreeNormalCount();
-
-    // Read live slots (grouped per page), re-log them, erase, release.
-    const std::uint64_t migrate_mark = array_.MarkJournal();
-    const SimTime migrate_start = t;
-    std::vector<SlotWrite> live;
-    std::vector<Ppn> old_ppns;
-    SimTime reads_done = t;
-    for (std::uint32_t c = 0; c < geo.NumChips(); ++c) {
-      const BlockId b = geo.BlockOfSuperblock(victim, ChipId{c});
-      const std::uint32_t used = array_.NextProgramSlot(b);
-      std::uint32_t page_live = 0;
-      std::uint32_t page_retry = 0;
-      std::uint32_t current_page = ~0u;
-      auto flush_page = [&] {
-        if (page_live == 0) return;
-        array_.CountPageRead();
-        reads_done = Later(reads_done,
-                           engine_.ReadPage(ChipId{c}, geo.normal_cell,
-                                            page_live * geo.slot_size, t, page_retry));
-        page_live = 0;
-        page_retry = 0;
-      };
-      for (std::uint32_t sidx = 0; sidx < used; ++sidx) {
-        const std::uint32_t page = sidx / geo.SlotsPerPage();
-        const Ppn ppn = geo.SlotAt(geo.PageAt(b, page), sidx % geo.SlotsPerPage());
-        if (array_.StateOfSlot(ppn) != SlotState::kValid) continue;
-        if (page != current_page) {
-          flush_page();
-          current_page = page;
-        }
-        ++page_live;
-        const SlotRead r = array_.ReadSlot(ppn);
-        if (r.retry_level > page_retry) page_retry = r.retry_level;
-        live.push_back(SlotWrite{r.lpn, r.token});
-        old_ppns.push_back(ppn);
-      }
-      flush_page();
-    }
-    // Invalidate the old copies first so SetMappingInPlace's invariant
-    // (mapping points at a valid slot) holds while re-logging.
-    for (const Ppn old : old_ppns) {
-      if (Status st = array_.InvalidateSlot(old); !st.ok()) return st;
-    }
-    std::size_t i = 0;
-    while (i < live.size()) {
-      std::vector<SlotWrite> unit(
-          live.begin() + static_cast<std::ptrdiff_t>(i),
-          live.begin() + static_cast<std::ptrdiff_t>(
-                             std::min(i + geo.program_unit / geo.slot_size, live.size())));
-      const std::size_t data_count = unit.size();
-      unit.resize(geo.program_unit / geo.slot_size, SlotWrite{Lpn::Invalid(), 0});
-      auto res = conv_alloc_.ProgramUnit(unit);
-      if (!res.ok()) return res.status();
-      if (!conv_alloc_.last_failed_chips().empty()) {
-        t = Later(t, ChargeNormalBurns(reads_done));
-      }
-      t = Later(t, engine_.Program(res.value().chip, geo.normal_cell, geo.program_unit,
-                                   reads_done)
-                       .end);
-      for (std::size_t k = 0; k < unit.size(); ++k) {
-        const Ppn ppn = res.value().ppns[k];
-        if (k < data_count) {
-          table_.Set(unit[k].lpn, ppn);
-          cache_.Erase(L2pKey{MapGranularity::kPage, unit[k].lpn.value()});
-          l2p_log_.Append(1);
-        } else {
-          if (Status st = array_.InvalidateSlot(ppn); !st.ok()) return st;
-        }
-      }
-      i += data_count;
-      stats_.conventional_gc_migrated += data_count;
-    }
-    // Two-phase stamping (GC is not atomic under power loss): the
-    // migration — source invalidates plus re-log programs — closes when
-    // the last program pulse ends; the erases are stamped separately
-    // below with their true issue time, or a mid-GC cut would mislabel
-    // never-issued erases as torn and destroy restorable source data.
-    array_.StampJournal(migrate_mark, migrate_start, t);
-    const std::uint64_t erase_mark = array_.MarkJournal();
-    SimTime erases = t;
-    std::uint32_t healthy_erased = 0;
-    for (std::uint32_t c = 0; c < geo.NumChips(); ++c) {
-      const BlockId b = geo.BlockOfSuperblock(victim, ChipId{c});
-      if (array_.IsRetired(b)) {
-        array_.ScrubBlock(b);
-        continue;
-      }
-      Status st = array_.EraseBlock(b);
-      erases = Later(erases, engine_.Erase(ChipId{c}, geo.normal_cell, t));
-      if (st.ok()) {
-        ++healthy_erased;
-        continue;
-      }
-      if (st.code() != StatusCode::kMediaError) return st;
-      array_.ScrubBlock(b);
-      array_.mutable_reliability().recovery_time +=
-          engine_.timing().For(geo.normal_cell).erase_latency;
-    }
-    array_.StampJournal(erase_mark, t, erases);
-    t = erases;
-    if (healthy_erased > 0) {
-      if (Status st = pool_.ReleaseNormal(victim); !st.ok()) return st;
-    }
-  }
-  return t;
-}
 
 Result<SimTime> ConZoneDevice::EvictConventionalFromSlc(std::vector<SlotWrite> slots,
                                                         SimTime reads_done) {
-  const FlashGeometry& geo = cfg_.geometry;
   // Make room in the pool first if needed; this never re-enters SLC GC.
   SimTime t = reads_done;
   if (pool_.FreeNormalCount() == 0) {
-    auto gc_done = CollectConventional(t);
+    auto gc_done = conv_log_.Collect(PageLog::Region::kLog, t);
     if (!gc_done.ok()) return gc_done.status();
     t = gc_done.value();
   }
-  const std::uint64_t unit_slots = geo.program_unit / geo.slot_size;
-  std::size_t i = 0;
-  while (i < slots.size()) {
-    std::vector<SlotWrite> unit(
-        slots.begin() + static_cast<std::ptrdiff_t>(i),
-        slots.begin() +
-            static_cast<std::ptrdiff_t>(std::min(i + unit_slots, slots.size())));
-    const std::size_t data_count = unit.size();
-    unit.resize(unit_slots, SlotWrite{Lpn::Invalid(), 0});
+  // Each unit issues when the previous one ends, after any pulses it
+  // burned, and is its own journal window. The SLC GC invalidates the
+  // old copies afterwards, so the log only repoints.
+  const std::span<const SlotWrite> all(slots);
+  for (std::size_t i = 0; i < all.size(); i += conv_log_.unit_slots()) {
     const std::uint64_t mark = array_.MarkJournal();
     const SimTime issue = t;
-    auto res = conv_alloc_.ProgramUnit(unit);
-    if (!res.ok()) return res.status();
-    if (!conv_alloc_.last_failed_chips().empty()) {
-      t = Later(t, ChargeNormalBurns(t));
-    }
-    t = Later(t, engine_.Program(res.value().chip, geo.normal_cell, geo.program_unit, t)
-                     .end);
-    for (std::size_t k = 0; k < unit.size(); ++k) {
-      const Ppn ppn = res.value().ppns[k];
-      if (k < data_count) {
-        // The caller (SLC GC) invalidates the old copies; just repoint.
-        table_.Set(unit[k].lpn, ppn);
-        cache_.Erase(L2pKey{MapGranularity::kPage, unit[k].lpn.value()});
-        l2p_log_.Append(1);
-      } else {
-        if (Status st = array_.InvalidateSlot(ppn); !st.ok()) return st;
-      }
-    }
+    auto unit = conv_log_.ProgramUnit(
+        all.subspan(i, std::min<std::size_t>(conv_log_.unit_slots(), all.size() - i)), t,
+        PageLog::Remap::kRepoint, /*after_burns=*/true);
+    if (!unit.ok()) return unit.status();
+    t = Later(t, Later(unit.value().sram_free, unit.value().media_done));
     array_.StampJournal(mark, issue, t);
-    i += data_count;
   }
   return t;
 }
@@ -2091,7 +1781,7 @@ Result<SimTime> ConZoneDevice::Recover(SimTime now) {
   // 5. Allocators and free lists from the surviving media state.
   pool_.RebuildFreeLists(array_);
   slc_alloc_.Remount();
-  conv_alloc_.Remount();
+  conv_log_.Remount();
   read_only_ = array_.HealthySlcBlocks() < cfg_.fault.read_only_spare_floor_blocks;
 
   // 6. Counters must reconcile: every mapped LPN points at exactly one

@@ -37,7 +37,6 @@
 #include "core/zone_layout.hpp"
 #include "fault/fault_model.hpp"
 #include "flash/array.hpp"
-#include "flash/normal_allocator.hpp"
 #include "flash/page_groups.hpp"
 #include "flash/slc_allocator.hpp"
 #include "flash/superblock.hpp"
@@ -46,6 +45,7 @@
 #include "ftl/l2p_log.hpp"
 #include "ftl/mapping.hpp"
 #include "ftl/translator.hpp"
+#include "gc/page_log.hpp"
 #include "gc/slc_gc.hpp"
 #include "sim/resource.hpp"
 #include "zns/zone.hpp"
@@ -60,7 +60,7 @@ struct ConZoneStats {
   std::uint64_t reads = 0;
   std::uint64_t zone_resets = 0;
   std::uint64_t host_flushes = 0;  ///< Explicit host Flush/FUA commands.
-  std::uint64_t flushes = 0;
+  std::uint64_t flushes = 0;            ///< Write-buffer extents flushed.
   std::uint64_t premature_flushes = 0;  ///< Flushes that staged data to SLC.
   std::uint64_t conflict_flushes = 0;   ///< Forced by zone-buffer conflicts.
   std::uint64_t folds = 0;              ///< SLC read-back + normal program events.
@@ -71,6 +71,7 @@ struct ConZoneStats {
   std::uint64_t aggregates_zone = 0;
   std::uint64_t aggregation_breaks = 0;  ///< Aggregates undone by GC moves.
   std::uint64_t conventional_writes = 0;   ///< In-place writes (§III-E ext.).
+  // The conventional zones' page log counts these (PageLogStats).
   std::uint64_t conventional_overwrites = 0;
   std::uint64_t conventional_gc_runs = 0;
   std::uint64_t conventional_gc_migrated = 0;
@@ -149,7 +150,8 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   std::uint32_t num_conventional_zones() const { return cfg_.num_conventional_zones; }
   const FlashArray& array() const { return array_; }
   const FlashTimingEngine& engine() const { return engine_; }
-  const ConZoneStats& stats() const { return stats_; }
+  /// Device counters, the conventional zones' page log folded in.
+  ConZoneStats stats() const;
   const MediaCounters& media_counters() const { return array_.counters(); }
   const FaultModel& fault_model() const { return fault_; }
   /// True once the device has latched read-only mode (healthy SLC spare
@@ -209,16 +211,14 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   Lpn ZoneBaseLpn(ZoneId zone) const;
   std::uint64_t LpnsPerZone() const { return lpns_per_zone_; }
 
-  /// Two completion horizons of a flush: the write-buffer SRAM is free to
-  /// accept new data once the flash transfers drain (`sram_free`); the
-  /// data is durable once every program pulse finishes (`media_done`).
-  struct FlushResult {
-    SimTime sram_free;
-    SimTime media_done;
-  };
+  using FlushResult = FlushTimes;
 
   /// Flush one buffer extent through the §III-B decision tree.
   Result<FlushResult> FlushExtent(BufferedExtent extent, SimTime now);
+  /// Every flush ends here: keep the SLC region ahead of demand (GC is
+  /// foreground: host requests wait for it), block on a full L2P log,
+  /// and advance the media horizon.
+  Result<FlushResult> FinishFlush(FlushResult done);
 
   /// Program the zone tail [normal_bytes, zone_bytes) as one contiguous
   /// SLC run, folding in any staged pieces. `extent` supplies the slots
@@ -242,11 +242,6 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   /// Lazily latch read-only mode when the healthy SLC spare drops below
   /// the configured floor. Called at the top of every write.
   bool InReadOnly();
-
-  /// Charge the die time of one-shot pulses the conventional allocator
-  /// burned on failed programs (last_failed_chips) and book the recovery
-  /// work. Returns when the burned transfers drain.
-  SimTime ChargeNormalBurns(SimTime issue);
 
   /// Read staged SLC slots for zone-relative range [begin, end); groups
   /// by flash page, invalidates them, appends their data to `out`.
@@ -328,16 +323,15 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   ZoneId SeqZone(ZoneId zone) const {
     return ZoneId{zone.value() - cfg_.num_conventional_zones};
   }
+  /// Buffer a conventional zone's write through the page log; out of
+  /// line, so the sequential write path stays compact.
+  Result<SimTime> WriteInPlace(ZoneId zone, Lpn first, std::uint64_t nslots,
+                               std::span<const std::uint64_t> tokens, SimTime t);
   /// Dispatch a flush by the owning zone's type.
   Result<FlushResult> FlushAny(BufferedExtent extent, SimTime now);
-  Result<SimTime> WriteConventional(ZoneId zone, std::uint64_t offset,
-                                    std::uint64_t len, SimTime now,
-                                    std::span<const std::uint64_t> tokens);
-  Result<FlushResult> FlushConventionalExtent(BufferedExtent extent, SimTime now);
-  /// In-place mapping update: invalidates the previous copy.
-  Status SetMappingInPlace(Lpn lpn, Ppn ppn);
-  /// Device-side GC over the conventional pool (greedy, like Legacy's).
-  Result<SimTime> CollectConventional(SimTime now);
+  /// Flush a conventional zone's extent into the page log, then collect
+  /// the pool when its free list runs low.
+  Result<FlushResult> FlushConventional(const BufferedExtent& extent, SimTime now);
   Result<SimTime> ResetConventionalZone(ZoneId zone, SimTime now);
   /// SLC-GC eviction target: relocate conventional slots to the pool
   /// (conventional data has no fold-back to drain it from SLC).
@@ -360,7 +354,6 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   ResourceTimeline host_link_;
   L2pLog l2p_log_;
   std::uint32_t l2p_log_chip_ = 0;  ///< Round-robin metadata program target.
-  NormalAllocator conv_alloc_;      ///< Conventional-pool write pointer.
   CheckpointStore ckpt_;            ///< Ping-pong checkpoint slots (§12).
   std::uint32_t ckpt_chip_ = 0;     ///< Round-robin checkpoint program target.
   /// Per-zone image cache (§12): the zone's maximal (lpn, ppn) runs and
@@ -382,6 +375,9 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
 
   std::vector<ZoneRuntime> runtime_;
   std::vector<SimTime> buffer_ready_;  ///< Per-buffer flush completion.
+  /// The conventional zones' FTL: page-mapped in-place log over the pool.
+  PageLog conv_log_;
+  /// Device-level counters; stats() folds in conv_log_'s.
   ConZoneStats stats_;
   /// Successful reads/writes bucketed by IoRequest::io_class.
   std::array<std::uint64_t, kNumIoClasses> class_reads_{};
@@ -423,7 +419,7 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   // themselves, so reusing these keeps the per-IO paths allocation-free
   // after warm-up (capacity is retained across requests).
   PageGrouper read_groups_;              ///< Read()
-  std::vector<SlotWrite> chunk_scratch_; ///< Write()/WriteConventional()
+  std::vector<SlotWrite> chunk_scratch_; ///< Write()
 
   // Reciprocals of the configuration constants the per-IO paths divide
   // by (the hardware divider is a measurable fraction of an emulated IO).

@@ -78,6 +78,8 @@ StatsSnapshot FemuModelDevice::Stats() const {
   s.flash_bytes_written = stats_.superpage_programs * cfg_.geometry.SuperpageBytes();
   s.writes = stats_.writes;
   s.reads = stats_.reads;
+  s.zone_resets = stats_.zone_resets;
+  s.host_flushes = stats_.host_flushes;
   s.class_reads = class_reads_;
   s.class_writes = class_writes_;
   return s;
@@ -192,6 +194,7 @@ Result<SimTime> FemuModelDevice::ResetZone(ZoneId zone, SimTime now) {
     return Status::OutOfRange("reset of invalid zone");
   }
   if (Status st = zones_.Reset(zone); !st.ok()) return st;
+  ++stats_.zone_resets;
   buffered_[static_cast<std::size_t>(zone.value())] = 0;
   SimTime done = now + cfg_.request_overhead + Jitter();
   for (std::uint32_t c = 0; c < cfg_.geometry.NumChips(); ++c) {
@@ -202,6 +205,7 @@ Result<SimTime> FemuModelDevice::ResetZone(ZoneId zone, SimTime now) {
 }
 
 Result<SimTime> FemuModelDevice::Flush(SimTime now) {
+  ++stats_.host_flushes;
   // Partial buffers program a (padded) superpage.
   SimTime done = now;
   for (std::uint32_t z = 0; z < num_zones_; ++z) {

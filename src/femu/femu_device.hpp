@@ -52,6 +52,8 @@ struct FemuStats {
   std::uint64_t host_bytes_read = 0;
   std::uint64_t writes = 0;
   std::uint64_t reads = 0;
+  std::uint64_t zone_resets = 0;
+  std::uint64_t host_flushes = 0;  ///< Explicit host Flush/FUA commands.
   std::uint64_t superpage_programs = 0;
 };
 

@@ -50,16 +50,14 @@ Result<NormalAllocator::UnitResult> NormalAllocator::ProgramUnit(
       }
       return st;
     }
-    UnitResult out;
-    out.chip = chip;
-    out.ppns.reserve(writes.size());
+    ppns_.clear();
     for (std::uint64_t k = 0; k < unit_slots; ++k) {
       const std::uint32_t page =
           first_page + static_cast<std::uint32_t>(k / geo_.SlotsPerPage());
       const std::uint32_t slot = static_cast<std::uint32_t>(k % geo_.SlotsPerPage());
-      out.ppns.push_back(geo_.SlotAt(geo_.PageAt(block, page), slot));
+      ppns_.push_back(geo_.SlotAt(geo_.PageAt(block, page), slot));
     }
-    return out;
+    return UnitResult{ppns_, chip};
   }
 }
 

@@ -1,12 +1,13 @@
-// Log-structured normal-region allocator (Legacy baseline and the
-// conventional-zone pool of ConZone).
+// Log-structured normal-region allocator: the write pointer of the page
+// log (gc/page_log.hpp) behind the Legacy baseline and ConZone's
+// conventional zones.
 //
 // Traditional consumer flash storage (§II-A, the "Legacy" device of
 // §IV-A) has no zones: the controller appends wherever its write pointer
 // says, and a page-mapping table tracks every 4 KiB slot. This allocator
 // is that write pointer: it binds to a free normal superblock and hands
 // out one-shot program units striped across the chips; exhausted
-// superblocks are replaced from the pool, and the Legacy GC erases
+// superblocks are replaced from the pool, and the log's GC erases
 // victims back onto it.
 #pragma once
 
@@ -35,7 +36,7 @@ class NormalAllocator {
   /// successful return means the unit landed. The chips whose pulses
   /// burned are reported via last_failed_chips() for timing charges.
   struct UnitResult {
-    std::vector<Ppn> ppns;
+    std::span<const Ppn> ppns;  ///< Valid until the next ProgramUnit call.
     ChipId chip;
   };
   Result<UnitResult> ProgramUnit(std::span<const SlotWrite> writes);
@@ -66,6 +67,7 @@ class NormalAllocator {
   std::uint32_t row_ = 0;       // unit row within the superblock
   std::uint32_t chip_off_ = 0;  // next chip within the row
   std::vector<ChipId> failed_chips_;  // burned pulses of the last call
+  std::vector<Ppn> ppns_;             // slots of the last unit
 };
 
 }  // namespace conzone

@@ -58,6 +58,8 @@ class SuperblockPool {
   Status ReleaseNormal(SuperblockId sb);
   std::size_t FreeNormalCount() const { return free_normal_.size(); }
   std::uint32_t TotalNormalCount() const { return geo_.NumNormalSuperblocks(); }
+  /// Normal superblocks the free list cycles: the first this many.
+  std::uint32_t NormalPoolCount() const { return normal_pool_count_; }
   bool IsFreeNormal(SuperblockId sb) const;
 
   /// Free-list snapshots in list order, for checkpoint serialization.

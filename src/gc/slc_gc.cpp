@@ -3,6 +3,8 @@
 #include <limits>
 #include <vector>
 
+#include "gc/page_log.hpp"
+
 namespace conzone {
 
 Status GcConfig::Validate() const {
@@ -62,61 +64,21 @@ Result<SimTime> SlcGarbageCollector::CollectOne(SuperblockId victim, SimTime now
   const std::uint64_t migrate_mark = array_.MarkJournal();
   ++stats_.victims;
 
-  // Gather valid slots, grouped per flash page so each page costs one
-  // sense + one transfer of its live 4 KiB slots.
-  struct Live {
-    Ppn old_ppn;
-    SlotWrite data;
-  };
-  std::vector<Live> live;
-  SimTime reads_done = now;
-  for (std::uint32_t c = 0; c < geo.NumChips(); ++c) {
-    // Retired blocks are read too: their live slots must drain before the
-    // superblock can retire for good.
-    const BlockId b = geo.BlockOfSuperblock(victim, ChipId{c});
-    const std::uint32_t used = array_.NextProgramSlot(b);
-    std::uint32_t page_live = 0;
-    std::uint32_t page_retry = 0;
-    std::uint32_t current_page = std::numeric_limits<std::uint32_t>::max();
-    auto flush_page_read = [&](std::uint32_t page) {
-      if (page_live == 0) return;
-      array_.CountPageRead();
-      const SimTime end = engine_.ReadPage(ChipId{c}, CellType::kSlc,
-                                           page_live * geo.slot_size, now, page_retry);
-      reads_done = Later(reads_done, end);
-      page_live = 0;
-      page_retry = 0;
-      (void)page;
-    };
-    for (std::uint32_t i = 0; i < used; ++i) {
-      const std::uint32_t page_in_block = i / geo.SlotsPerPage();
-      const std::uint32_t slot_in_page = i % geo.SlotsPerPage();
-      const Ppn ppn = geo.SlotAt(geo.PageAt(b, page_in_block), slot_in_page);
-      if (array_.StateOfSlot(ppn) != SlotState::kValid) continue;
-      if (page_in_block != current_page) {
-        flush_page_read(current_page);
-        current_page = page_in_block;
-      }
-      ++page_live;
-      const SlotRead r = array_.ReadSlot(ppn);
-      if (r.retry_level > page_retry) page_retry = r.retry_level;
-      live.push_back(Live{ppn, SlotWrite{r.lpn, r.token}});
-    }
-    flush_page_read(current_page);
-  }
+  // Gather valid slots, one sense + one transfer per page of live slots.
+  std::vector<Ppn> old_ppns;
+  std::vector<SlotWrite> live;
+  const SimTime reads_done = ReadLiveSlots(array_, engine_, victim, now, old_ppns, live);
 
   // Partition: slots the owner wants out of SLC entirely (no fold-back
   // will ever drain them) versus slots re-staged within the region.
-  std::vector<Live> keep;
+  std::vector<SlotWrite> keep;
+  std::vector<Ppn> keep_old;
   std::vector<SlotWrite> evict_data;
   std::vector<Ppn> evict_old;
-  for (const Live& l : live) {
-    if (evict_filter_ && evict_ && evict_filter_(l.data.lpn)) {
-      evict_data.push_back(l.data);
-      evict_old.push_back(l.old_ppn);
-    } else {
-      keep.push_back(l);
-    }
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const bool evict = evict_filter_ && evict_ && evict_filter_(live[i].lpn);
+    (evict ? evict_data : keep).push_back(live[i]);
+    (evict ? evict_old : keep_old).push_back(old_ppns[i]);
   }
 
   SimTime progs_done = reads_done;
@@ -132,10 +94,7 @@ Result<SimTime> SlcGarbageCollector::CollectOne(SuperblockId victim, SimTime now
 
   // Migrate the rest within the SLC region through the write pointer.
   if (!keep.empty()) {
-    std::vector<SlotWrite> writes;
-    writes.reserve(keep.size());
-    for (const Live& l : keep) writes.push_back(l.data);
-    auto ppns = alloc_.Program(writes);
+    auto ppns = alloc_.Program(keep);
     if (!ppns.ok()) return ppns.status();
     if (!alloc_.last_failed().empty()) {
       // Pulses the migration burned on the way to healthy blocks.
@@ -148,8 +107,8 @@ Result<SimTime> SlcGarbageCollector::CollectOne(SuperblockId victim, SimTime now
                        ProgramSlcSlots(engine_, geo, ppns.value(), reads_done).end);
     for (std::size_t i = 0; i < keep.size(); ++i) {
       const Ppn new_ppn = ppns.value()[i];
-      if (remap_) remap_(keep[i].data.lpn, keep[i].old_ppn, new_ppn);
-      if (Status st = array_.InvalidateSlot(keep[i].old_ppn); !st.ok()) return st;
+      if (remap_) remap_(keep[i].lpn, keep_old[i], new_ppn);
+      if (Status st = array_.InvalidateSlot(keep_old[i]); !st.ok()) return st;
       ++stats_.slots_migrated;
     }
   }
@@ -161,39 +120,10 @@ Result<SimTime> SlcGarbageCollector::CollectOne(SuperblockId victim, SimTime now
   // Mark-scoped so a caller's pending batch (a fold mid-flush) is never
   // captured under the migration window.
   array_.StampJournal(migrate_mark, now, progs_done);
-  const std::uint64_t erase_mark = array_.MarkJournal();
-
-  // Erase the victim's blocks (all chips in parallel) and free it.
-  // Retired blocks are scrubbed, not erased; an erase failure retires the
-  // block on the spot (the pulse still occupied the die). The superblock
-  // returns to the free list as long as one healthy block survives — a
-  // fully retired superblock is permanently lost capacity.
-  SimTime erases_done = progs_done;
-  std::uint32_t healthy_erased = 0;
-  for (std::uint32_t c = 0; c < geo.NumChips(); ++c) {
-    const BlockId b = geo.BlockOfSuperblock(victim, ChipId{c});
-    if (array_.IsRetired(b)) {
-      array_.ScrubBlock(b);
-      continue;
-    }
-    Status st = array_.EraseBlock(b);
-    const SimTime end = engine_.Erase(ChipId{c}, CellType::kSlc, progs_done);
-    erases_done = Later(erases_done, end);
-    if (st.ok()) {
-      ++healthy_erased;
-      continue;
-    }
-    if (st.code() != StatusCode::kMediaError) return st;
-    array_.ScrubBlock(b);
-    array_.mutable_reliability().recovery_time +=
-        engine_.timing().For(CellType::kSlc).erase_latency;
-  }
-  array_.StampJournal(erase_mark, progs_done, erases_done);
-  if (healthy_erased > 0) {
-    ++stats_.superblocks_erased;
-    if (Status st = pool_.ReleaseSlc(victim); !st.ok()) return st;
-  }
-  return erases_done;
+  auto erased = EraseVictim(array_, engine_, pool_, victim, progs_done);
+  if (!erased.ok()) return erased.status();
+  if (erased.value().released) ++stats_.superblocks_erased;
+  return erased.value().done;
 }
 
 Result<SimTime> SlcGarbageCollector::Run(SimTime now) {

@@ -17,7 +17,9 @@
 //     the rest is GC headroom.
 //
 // The write buffer, SLC secondary buffer, media, and timing model are
-// identical to ConZone's, as in the paper's comparison.
+// identical to ConZone's, as in the paper's comparison; the FTL is the
+// page log ConZone's conventional zones use (gc/page_log.hpp), here over
+// the whole normal region.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,7 @@
 #include "ftl/l2p_cache.hpp"
 #include "ftl/mapping.hpp"
 #include "ftl/translator.hpp"
-#include "flash/normal_allocator.hpp"
+#include "gc/page_log.hpp"
 #include "sim/resource.hpp"
 
 namespace conzone {
@@ -52,8 +54,9 @@ struct LegacyConfig {
   /// §IV-C: prefetch window of 1023 entries (one chunk per miss).
   std::uint32_t prefetch_window = 1023;
   CellType map_media = CellType::kTlc;
-  std::uint32_t gc_low_watermark = 2;
-  std::uint32_t gc_reclaim_target = 3;
+  /// Collect a region when its free superblocks drop below the low
+  /// watermark, up to the reclaim target.
+  GcConfig gc;
   std::uint64_t host_link_bandwidth_bps = 4200 * kMiB;
   SimDuration request_overhead = SimDuration::Micros(15);
 
@@ -65,6 +68,8 @@ struct LegacyStats {
   std::uint64_t host_bytes_read = 0;
   std::uint64_t writes = 0;
   std::uint64_t reads = 0;
+  std::uint64_t host_flushes = 0;  ///< Explicit host Flush/FUA commands.
+  // The page log counts the rest (PageLogStats).
   std::uint64_t flushes = 0;
   std::uint64_t premature_flushes = 0;
   std::uint64_t buffer_ram_reads = 0;
@@ -85,7 +90,8 @@ class LegacyDevice final : public StorageDevice {
   ReliabilityStats Reliability() const override { return array_.reliability(); }
 
   const LegacyConfig& config() const { return cfg_; }
-  const LegacyStats& stats() const { return stats_; }
+  /// Device counters, the page log's folded in.
+  LegacyStats stats() const;
   const MediaCounters& media_counters() const { return array_.counters(); }
   const Translator& translator() const { return translator_; }
   const L2PCache& l2p_cache() const { return cache_; }
@@ -101,26 +107,8 @@ class LegacyDevice final : public StorageDevice {
   Result<SimTime> ReadImpl(std::uint64_t offset, std::uint64_t len, SimTime now,
                            std::vector<std::uint64_t>* tokens_out);
 
-  /// Point `lpn` at `ppn`, invalidating any previous copy (in-place
-  /// update semantics).
-  Status SetMapping(Lpn lpn, Ppn ppn);
-
-  /// Returns {sram_free, media_done}: the buffer accepts new data once
-  /// transfers drain; durability waits for the program pulses.
-  struct FlushResult {
-    SimTime sram_free;
-    SimTime media_done;
-  };
-  Result<FlushResult> FlushExtent(BufferedExtent extent, SimTime now);
-
-  /// Greedy full GC over one region; returns completion time.
-  Result<SimTime> CollectRegion(bool slc_region, SimTime now);
-  Result<SimTime> MaybeRunGc(SimTime now);
-  SuperblockId SelectVictim(bool slc_region) const;
-
-  /// Migrate a batch of live slots into the normal write stream (units
-  /// padded at the tail).
-  Result<SimTime> MigrateToNormal(std::vector<SlotWrite> live, SimTime reads_done);
+  /// Place a buffer extent into the log, then run GC where it is due.
+  Result<FlushTimes> FlushExtent(const BufferedExtent& extent, SimTime now);
 
   /// No aggregated entries exist under page mapping.
   class NullResolver : public PhysicalResolver {
@@ -137,7 +125,6 @@ class LegacyDevice final : public StorageDevice {
   FlashTimingEngine engine_;
   SuperblockPool pool_;
   SlcAllocator slc_alloc_;
-  NormalAllocator normal_alloc_;
   WriteBufferPool buffers_;
   MappingTable table_;
   L2PCache cache_;
@@ -145,8 +132,9 @@ class LegacyDevice final : public StorageDevice {
   Translator translator_;
   ResourceTimeline host_link_;
   std::vector<SimTime> buffer_ready_;
+  PageLog log_;  ///< The page-mapped FTL over the normal region.
   PageGrouper read_groups_;  ///< Read() scratch, reused across requests
-  LegacyStats stats_;
+  LegacyStats stats_;  ///< Device-level counters; stats() adds log_'s.
   /// Successful reads/writes bucketed by IoRequest::io_class.
   std::array<std::uint64_t, kNumIoClasses> class_reads_{};
   std::array<std::uint64_t, kNumIoClasses> class_writes_{};

@@ -182,9 +182,27 @@ TEST_F(ConventionalZoneTest, FinishRejectedOnConventional) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(ConventionalZoneConfigTest, UndersizedPoolRejected) {
-  ConZoneConfig cfg = ConvConfig(2);
-  cfg.conventional_superblocks = 2;  // < capacity + headroom
+// The pool is derived from the zone count and must leave room for one
+// sequential zone.
+TEST(ConventionalZoneConfigTest, RejectsConventionalPoolThatDoesNotFit) {
+  ConZoneConfig cfg = ConZoneConfig::PaperConfig();
+  // 2^32 - 2^26 zones of 16 MiB need exactly 2^32 superblocks, a count
+  // that wraps to 0 in 32 bits.
+  cfg.num_conventional_zones = 4227858432u;
+  EXPECT_FALSE(ConZoneDevice::Create(cfg).ok());
+
+  // The largest zone count that fits leaves at least one sequential
+  // zone; one conventional zone more does not fit.
+  std::uint32_t fits = 0;
+  for (cfg.num_conventional_zones = 1; cfg.Validate().ok(); ++cfg.num_conventional_zones) {
+    fits = cfg.num_conventional_zones;
+  }
+  ASSERT_GT(fits, 0u);
+  cfg.num_conventional_zones = fits;
+  auto dev = ConZoneDevice::Create(cfg);
+  ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+  EXPECT_GE((*dev)->layout().num_zones(), 1u);
+  cfg.num_conventional_zones = fits + 1;
   EXPECT_FALSE(ConZoneDevice::Create(cfg).ok());
 }
 

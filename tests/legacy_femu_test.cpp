@@ -138,6 +138,18 @@ TEST_F(LegacyDeviceTest, GcMigratesLiveDataUnderRandomOverwrites) {
   for (const auto& [off, salt] : last_salt) VerifyRead(off, block, t, salt);
 }
 
+TEST_F(LegacyDeviceTest, CountsHostFlushes) {
+  SimTime t;
+  WriteAt(0, 64 * kKiB, t);
+  for (int i = 0; i < 3; ++i) {
+    auto f = dev_->Flush(t);
+    ASSERT_TRUE(f.ok());
+    t = f.value();
+  }
+  EXPECT_EQ(dev_->Stats().host_flushes, 3u);
+  EXPECT_EQ(dev_->Stats().buffer_flushes, 1u);  // only the first had data
+}
+
 TEST_F(LegacyDeviceTest, ReadOfUnwrittenFails) {
   SimTime t;
   auto r = TestRead(*dev_, 0, 4096, t);
@@ -200,6 +212,19 @@ TEST_F(FemuDeviceTest, ZoneSemanticsEnforced) {
   ASSERT_TRUE(dev_->ResetZone(ZoneId{0}, t).ok());
   EXPECT_FALSE(TestRead(*dev_, 0, 4096, t).ok());              // reset zone
   EXPECT_TRUE(TestWrite(*dev_, 0, 4096, t).ok());              // wp rewound
+}
+
+TEST_F(FemuDeviceTest, CountsHostFlushesAndZoneResets) {
+  SimTime t;
+  t = TestWrite(*dev_, 0, 64 * kKiB, t).value();
+  t = dev_->Flush(t).value();
+  t = dev_->Flush(t).value();
+  ASSERT_TRUE(dev_->ResetZone(ZoneId{0}, t).ok());
+  ASSERT_TRUE(dev_->ResetZone(ZoneId{1}, t).ok());
+  EXPECT_FALSE(dev_->ResetZone(ZoneId{1000}, t).ok());  // not counted
+  const StatsSnapshot s = dev_->Stats();
+  EXPECT_EQ(s.host_flushes, 2u);
+  EXPECT_EQ(s.zone_resets, 2u);
 }
 
 TEST_F(FemuDeviceTest, KvmJitterDominatesSmallReads) {
