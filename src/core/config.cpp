@@ -1,5 +1,6 @@
 #include "core/config.hpp"
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/rng.hpp"
@@ -33,13 +34,14 @@ Status ConZoneConfig::Validate() const {
     return Status::InvalidArgument("config: buffer slot size != geometry slot size");
   }
   const std::uint64_t conv_sbs = ConventionalSuperblocks();
+  ZoneLayout layout(geometry, zone_size_bytes,
+                    static_cast<std::uint32_t>(
+                        std::min<std::uint64_t>(conv_sbs, geometry.NumNormalSuperblocks())));
   if (conv_sbs > geometry.NumNormalSuperblocks() ||
-      geometry.NumNormalSuperblocks() - conv_sbs < superblocks_per_zone) {
+      geometry.NumNormalSuperblocks() - conv_sbs < layout.superblocks_per_zone()) {
     return Status::InvalidArgument(
         "config: conventional pool leaves no room for a sequential zone");
   }
-  ZoneLayout layout(geometry, zone_size_bytes, superblocks_per_zone,
-                    static_cast<std::uint32_t>(conv_sbs));
   if (Status st = layout.Validate(); !st.ok()) return st;
   if (layout.patch_bytes() % geometry.slot_size != 0) {
     return Status::InvalidArgument("config: patch region must be slot-aligned");

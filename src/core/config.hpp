@@ -22,12 +22,12 @@ struct ConZoneConfig {
   TimingConfig timing;
 
   // --- Zones ---
-  /// Host-visible zone size. When larger than the data capacity of the
-  /// zone's reserved superblocks, the tail ("patched data", §III-E) is
-  /// written to SLC pages — the paper's workaround for TLC's
-  /// non-power-of-two natural zone sizes.
+  /// Host-visible zone size. Each zone reserves as many normal
+  /// superblocks as fit in it; when it is larger than their data
+  /// capacity, the tail ("patched data", §III-E) is written to SLC pages
+  /// — the paper's workaround for TLC's non-power-of-two natural zone
+  /// sizes.
   std::uint64_t zone_size_bytes = 16 * kMiB;
-  std::uint32_t superblocks_per_zone = 1;
   std::uint32_t max_open_zones = 6;
   std::uint32_t max_active_zones = 12;
 

@@ -12,10 +12,35 @@ namespace {
 constexpr std::uint64_t kTokenSalt = 0xC0DE0000u;
 std::uint64_t DefaultToken(Lpn lpn) { return kTokenSalt ^ lpn.value(); }
 
+Status PoweredOff() {
+  return Status::FailedPrecondition("device is powered off: call Recover() first");
+}
+
 Status StaleSlot(Lpn lpn, Ppn ppn) {
   return Status::Internal("mapping points at stale slot (lpn " +
                           std::to_string(lpn.value()) + " ppn " +
                           std::to_string(ppn.value()) + ")");
+}
+
+/// Move `bytes` of metadata in page-sized chunks striped round-robin over
+/// `num_chips` chips from `chip`, which ends past the last chunk. Each
+/// chunk goes through `transfer(chip, chunk_bytes, at)`, which returns
+/// its completion. Chunks on one chip chain from `issue`; chips run in
+/// parallel, so the transfer ends at the latest chain.
+template <class Transfer>
+SimTime StripeOverChips(std::uint64_t bytes, std::uint64_t page_size,
+                        std::uint32_t num_chips, std::uint32_t& chip, SimTime issue,
+                        Transfer&& transfer) {
+  std::vector<SimTime> chip_done(num_chips, issue);
+  for (std::uint64_t left = bytes; left > 0;) {
+    const std::uint64_t chunk = std::min(left, page_size);
+    chip_done[chip] = transfer(ChipId{chip}, chunk, chip_done[chip]);
+    chip = (chip + 1) % num_chips;
+    left -= chunk;
+  }
+  SimTime done = issue;
+  for (SimTime d : chip_done) done = Later(done, d);
+  return done;
 }
 }  // namespace
 
@@ -35,7 +60,7 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
         c.buffers.slot_bytes = c.geometry.slot_size;
         return c;
       }()),
-      layout_(cfg_.geometry, cfg_.zone_size_bytes, cfg_.superblocks_per_zone,
+      layout_(cfg_.geometry, cfg_.zone_size_bytes,
               static_cast<std::uint32_t>(cfg_.ConventionalSuperblocks())),
       fault_(cfg_.fault),
       array_(cfg_.geometry),
@@ -189,9 +214,7 @@ void ConZoneDevice::ResetStats() {
 // ---------------------------------------------------------------------------
 
 Status ConZoneDevice::BeginHostOp(SimTime now) {
-  if (powered_off_) {
-    return Status::FailedPrecondition("device is powered off: call Recover() first");
-  }
+  if (powered_off_) return PoweredOff();
   if (last_submit_ < now) last_submit_ = now;
   if (array_.JournalEnabled()) {
     // A future cut can never precede this submission, so journal entries
@@ -391,68 +414,14 @@ Result<SimTime> ConZoneDevice::ReadBackStaged(ZoneId zone, std::uint64_t begin,
   return done;
 }
 
-Result<ConZoneDevice::FlushResult> ConZoneDevice::StageSlots(
-    ZoneId zone, ZoneRuntime& zr, const BufferedExtent& extent, std::uint64_t from_byte,
-    SimTime now) {
-  const FlashGeometry& geo = cfg_.geometry;
-  const std::uint64_t ext_start =
-      (extent.first_lpn.value() - ZoneBaseLpn(zone).value()) * geo.slot_size;
-  const std::uint64_t ext_end = ext_start + extent.slot_count() * geo.slot_size;
-  if (from_byte >= ext_end) return FlushResult{now, now};
-  const std::uint64_t first = (std::max(from_byte, ext_start) - ext_start) / geo.slot_size;
-
-  std::vector<SlotWrite> writes(extent.slots.begin() +
-                                    static_cast<std::ptrdiff_t>(first),
-                                extent.slots.end());
-  const std::uint64_t mark = array_.MarkJournal();
-  auto ppns = slc_alloc_.Program(writes);
-  if (!ppns.ok()) return ppns.status();
-  if (!slc_alloc_.last_failed().empty()) {
-    ChargeSlcRewrites(engine_, geo, slc_alloc_.last_failed(), now,
-                      &array_.mutable_reliability());
-  }
-  const auto prog = ProgramSlcSlots(engine_, geo, ppns.value(), now);
-  FlushResult done{prog.data_in, prog.end};
-  for (std::size_t k = 0; k < writes.size(); ++k) {
-    table_.Set(writes[k].lpn, ppns.value()[k]);
-    cache_.Erase(L2pKey{MapGranularity::kPage, writes[k].lpn.value()});
-  }
-  l2p_log_.Append(writes.size());
-  array_.StampJournal(mark, now, prog.end);
-  zr.staged_end = ext_end;
-  return done;
-}
-
-Result<ConZoneDevice::FlushResult> ConZoneDevice::RedriveUnitToSlc(
-    ZoneRuntime& zr, std::uint64_t mark, std::span<const SlotWrite> data,
-    SimTime now) {
-  const FlashGeometry& geo = cfg_.geometry;
-  // No GC here: the fold already invalidated the unit's staged source
-  // copies, so reclaiming now could durably erase the only surviving
-  // copies before the re-drive program completes. The caller reclaims
-  // headroom before the unit's read-back instead.
-  std::vector<SlotWrite> writes(data.begin(), data.end());
-  auto ppns = slc_alloc_.Program(writes);
-  if (!ppns.ok()) return ppns.status();
-  if (!slc_alloc_.last_failed().empty()) {
-    ChargeSlcRewrites(engine_, geo, slc_alloc_.last_failed(), now,
-                      &array_.mutable_reliability());
-  }
-  const auto prog = ProgramSlcSlots(engine_, geo, ppns.value(), now);
-  for (std::size_t k = 0; k < writes.size(); ++k) {
-    table_.Set(writes[k].lpn, ppns.value()[k]);
-    cache_.Erase(L2pKey{MapGranularity::kPage, writes[k].lpn.value()});
-  }
-  l2p_log_.Append(writes.size());
-  // Covers the re-driven SLC program plus the invalidates from the fold
-  // read-back that fed it — the caller's mark reaches back to them (a
-  // burned one-shot pulse leaves no journal entry of its own).
-  array_.StampJournal(mark, now, prog.end);
-  // Part of the zone's nominally-normal range now lives in SLC: freeze
-  // aggregation from here on (already-stamped chunks predate the failure
-  // and are fully layout-resident, so they stay correct).
-  zr.degraded = true;
-  return FlushResult{prog.data_in, prog.end};
+Result<SlcAllocator::Timed> ConZoneDevice::StageInSlc(std::span<const SlotWrite> data,
+                                                      std::uint64_t mark,
+                                                      SimTime stamp_from, SimTime issue) {
+  auto prog = slc_alloc_.ProgramTimed(data, engine_, issue);
+  if (!prog.ok()) return prog.status();
+  for (std::size_t k = 0; k < data.size(); ++k) RemapPage(data[k].lpn, prog.value().ppns[k]);
+  array_.StampJournal(mark, stamp_from, prog.value().end);
+  return prog;
 }
 
 Result<ConZoneDevice::FlushResult> ConZoneDevice::ProgramPatchRun(
@@ -485,32 +454,22 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::ProgramPatchRun(
                             std::to_string(zone.value()));
   }
 
-  auto ppns = slc_alloc_.Program(data);
-  if (!ppns.ok()) return ppns.status();
-  if (!slc_alloc_.last_failed().empty()) {
-    ChargeSlcRewrites(engine_, geo, slc_alloc_.last_failed(), reads_done,
-                      &array_.mutable_reliability());
-  }
-  const auto prog = ProgramSlcSlots(engine_, geo, ppns.value(), reads_done);
-  FlushResult done{prog.data_in, prog.end};
+  // Issued once the staged pieces are read back; the window opens at the
+  // flush so it covers their invalidates.
+  auto prog = StageInSlc(data, mark, now, reads_done);
+  if (!prog.ok()) return prog.status();
+  const std::span<const Ppn> ppns = prog.value().ppns;
   bool contiguous = true;
-  for (std::size_t k = 0; k < data.size(); ++k) {
-    const Ppn ppn = ppns.value()[k];
-    table_.Set(data[k].lpn, ppn);
-    cache_.Erase(L2pKey{MapGranularity::kPage, data[k].lpn.value()});
-    if (k > 0) {
-      auto expect = layout_.StripeAdvance(ppns.value()[0], k);
-      if (!expect || *expect != ppn) contiguous = false;
-    }
+  for (std::size_t k = 1; k < ppns.size() && contiguous; ++k) {
+    auto expect = layout_.StripeAdvance(ppns[0], k);
+    contiguous = expect && *expect == ppns[k];
   }
-  l2p_log_.Append(data.size());
-  array_.StampJournal(mark, now, prog.end);
-  zr.patch_start = ppns.value()[0];
+  zr.patch_start = ppns[0];
   zr.patch_contiguous = contiguous;
   zr.durable_normal_end = begin;
   zr.staged_end = end;
   ++stats_.patch_runs;
-  return done;
+  return FlushResult{prog.value().data_in, prog.value().end};
 }
 
 Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushExtent(BufferedExtent extent,
@@ -584,41 +543,45 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushExtent(BufferedExtent ext
       redrive = true;
     } else {
       Status st = array_.ProgramSlots(loc.block, data);
+      if (!st.ok() && st.code() != StatusCode::kMediaError) return st;
+      // A failed program still ran (and burned) the one-shot pulse.
+      const auto prog = engine_.ProgramFold(loc.chip, geo.normal_cell, unit,
+                                            unit - staged_bytes, now, reads_done);
+      done.sram_free = Later(done.sram_free, prog.data_in);
       if (st.ok()) {
-        const auto prog = engine_.ProgramFold(loc.chip, geo.normal_cell, unit,
-                                              unit - staged_bytes, now, reads_done);
-        done.sram_free = Later(done.sram_free, prog.data_in);
         done.media_done = Later(done.media_done, prog.end);
         for (std::size_t k = 0; k < data.size(); ++k) {
-          const Ppn ppn = layout_.NormalSlot(SeqZone(zone), cur + k * geo.slot_size);
-          table_.Set(data[k].lpn, ppn);
-          cache_.Erase(L2pKey{MapGranularity::kPage, data[k].lpn.value()});
+          RemapPage(data[k].lpn, layout_.NormalSlot(SeqZone(zone), cur + k * geo.slot_size));
         }
-        l2p_log_.Append(data.size());
         // One window for the fold's read-back invalidates and its
         // program: both become durable when the one-shot pulse ends.
         array_.StampJournal(mark, now, prog.end);
-      } else if (st.code() == StatusCode::kMediaError) {
-        // The die still ran (and burned) the one-shot pulse; the layout is
-        // fixed, so the unit cannot relocate within the zone's reserved
-        // blocks — re-drive it into SLC under page mapping.
-        const auto burned = engine_.ProgramFold(loc.chip, geo.normal_cell, unit,
-                                                unit - staged_bytes, now, reads_done);
-        done.sram_free = Later(done.sram_free, burned.data_in);
+      } else {
+        // The layout is fixed, so the unit cannot relocate within the
+        // zone's reserved blocks: re-drive it into SLC.
         ReliabilityStats& rel = array_.mutable_reliability();
         rel.recovery_time += engine_.timing().For(geo.normal_cell).program_latency;
         rel.redrive_hist.Record(engine_.timing().For(geo.normal_cell).program_latency);
         rel.rewrite_slots += data.size();
         redrive = true;
-      } else {
-        return st;
       }
     }
     if (redrive) {
-      auto rd = RedriveUnitToSlc(zr, mark, data, reads_done);
+      // Re-drive the unit into SLC under page mapping. No GC here: the
+      // fold already invalidated the unit's staged source copies, so
+      // reclaiming now could durably erase the only surviving copies
+      // before the re-drive program completes (GC ran before the
+      // read-back instead). The window reaches back to the fold's mark,
+      // so it also covers the source invalidates the re-drive supersedes
+      // (a burned one-shot pulse leaves no journal entry of its own).
+      auto rd = StageInSlc(data, mark, reads_done, reads_done);
       if (!rd.ok()) return rd.status();
-      done.sram_free = Later(done.sram_free, rd.value().sram_free);
-      done.media_done = Later(done.media_done, rd.value().media_done);
+      done.sram_free = Later(done.sram_free, rd.value().data_in);
+      done.media_done = Later(done.media_done, rd.value().end);
+      // Part of the zone's nominally-normal range now lives in SLC: freeze
+      // aggregation from here on (already-stamped chunks predate the
+      // failure and are fully layout-resident, so they stay correct).
+      zr.degraded = true;
       staged_anything = true;
     }
     // The zone-relative range is durable either way; degraded zones simply
@@ -640,10 +603,14 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushExtent(BufferedExtent ext
   } else if (ext_end > std::max(cur, zr.staged_end)) {
     // (2): sub-unit remainder — partial-program into the SLC secondary
     // write buffer (premature flush).
-    auto st = StageSlots(zone, zr, extent, std::max(cur, zr.staged_end), now);
+    const std::uint64_t first = (std::max(cur, zr.staged_end) - ext_start) / geo.slot_size;
+    const std::uint64_t mark = array_.MarkJournal();
+    auto st = StageInSlc(std::span<const SlotWrite>(extent.slots).subspan(first), mark, now,
+                         now);
     if (!st.ok()) return st.status();
-    done.sram_free = Later(done.sram_free, st.value().sram_free);
-    done.media_done = Later(done.media_done, st.value().media_done);
+    done.sram_free = Later(done.sram_free, st.value().data_in);
+    done.media_done = Later(done.media_done, st.value().end);
+    zr.staged_end = ext_end;
     staged_anything = true;
   }
   if (staged_anything) ++stats_.premature_flushes;
@@ -725,23 +692,16 @@ SimTime ConZoneDevice::WriteCheckpoint(SimTime now) {
   std::vector<std::uint8_t> blob = img.Encode();
 
   // Honest media cost on the shared chip timelines: reclaim the target
-  // slot's block, then program the image page-sized chunks striped across
-  // the chips. Chunks on the same chip chain sequentially; chips run in
-  // parallel, so the image lands in max-over-chips time, not the sum.
+  // slot's block, then program the image striped across the chips, so it
+  // lands in max-over-chips time, not the sum.
   const int slot = ckpt_.NextSlot();
-  SimTime t = engine_.Erase(ChipId{ckpt_chip_}, cfg_.map_media, now);
-  const std::uint32_t num_chips = cfg_.geometry.NumChips();
-  std::vector<SimTime> chip_done(num_chips, t);
-  std::uint64_t left = blob.size();
-  while (left > 0) {
-    const std::uint64_t chunk = std::min<std::uint64_t>(left, cfg_.geometry.page_size);
-    const std::uint32_t chip = ckpt_chip_;
-    ckpt_chip_ = (ckpt_chip_ + 1) % num_chips;
-    chip_done[chip] =
-        engine_.Program(ChipId{chip}, cfg_.map_media, chunk, chip_done[chip]).end;
-    left -= chunk;
-  }
-  for (SimTime done : chip_done) t = Later(t, done);
+  const SimTime erased = engine_.Erase(ChipId{ckpt_chip_}, cfg_.map_media, now);
+  const SimTime t = StripeOverChips(blob.size(), cfg_.geometry.page_size,
+                                    cfg_.geometry.NumChips(), ckpt_chip_, erased,
+                                    [&](ChipId chip, std::uint64_t chunk, SimTime at) {
+                                      return engine_.Program(chip, cfg_.map_media, chunk,
+                                                             at).end;
+                                    });
   ++recovery_.checkpoints_written;
   recovery_.checkpoint_bytes += blob.size();
   // Commit carries the media window's end: a cut before `t` tears this
@@ -784,6 +744,16 @@ ZoneSnap ConZoneDevice::SnapZone(ZoneId zone, const ZoneReconcile& rec) const {
   return snap;
 }
 
+ConZoneDevice::ZoneFacts ConZoneDevice::FactsOfSnap(const ZoneSnap& snap) {
+  ZoneFacts facts;
+  facts.durable_normal_end = snap.durable_normal_end;
+  facts.staged_end = snap.write_pointer;
+  facts.patch_start = Ppn{snap.patch_start};
+  facts.degraded = (snap.flags & ZoneSnap::kFlagDegraded) != 0;
+  facts.patch_contiguous = (snap.flags & ZoneSnap::kFlagPatchContiguous) != 0;
+  return facts;
+}
+
 void ConZoneDevice::AddFreeLists(CheckpointImage& img) const {
   for (SuperblockId sb : pool_.FreeSlcList()) img.free_slc.push_back(sb.value());
   for (SuperblockId sb : pool_.FreeNormalList()) img.free_normal.push_back(sb.value());
@@ -802,61 +772,66 @@ Result<SimTime> ConZoneDevice::CheckpointNow(SimTime now) {
 // Aggregation maintenance
 // ---------------------------------------------------------------------------
 
-void ConZoneDevice::UpdateAggregation(ZoneId zone, ZoneRuntime& zr,
-                                      bool table_prestamped) {
+ConZoneDevice::Aggregation ConZoneDevice::AggregationOf(const ZoneFacts& facts) const {
   // Degraded zones keep part of their "normal" range in SLC under page
   // mapping — aggregated entries would resolve those LPNs to the layout
-  // and read stale media. Stamp nothing further.
-  if (zr.degraded) return;
-  const std::uint64_t chunk_bytes =
-      static_cast<std::uint64_t>(cfg_.lpns_per_chunk) * cfg_.geometry.slot_size;
-  const Lpn zbase = ZoneBaseLpn(zone);
-  const std::uint64_t total_chunks = cfg_.zone_size_bytes / chunk_bytes;
-
-  auto stamp_chunk = [&](std::uint32_t idx) {
-    const Lpn cbase = Lpn(zbase.value() + static_cast<std::uint64_t>(idx) *
-                                              cfg_.lpns_per_chunk);
-    if (!table_prestamped) {
-      table_.SetAggregated(cbase, cfg_.lpns_per_chunk, MapGranularity::kChunk);
-    }
-    auto base_ppn = ResolveAggregated(MapGranularity::kChunk,
-                                      cbase.value() / cfg_.lpns_per_chunk, cbase);
-    if (base_ppn) {
-      translator_.OnAggregateGenerated(MapGranularity::kChunk,
-                                       cbase.value() / cfg_.lpns_per_chunk, *base_ppn);
-    }
-    ++stats_.aggregates_chunk;
-  };
-
+  // and read stale media.
+  if (facts.degraded) return Aggregation{};
+  const bool complete = facts.staged_end == cfg_.zone_size_bytes &&
+                        facts.durable_normal_end == layout_.normal_bytes();
+  const bool patch_ok = layout_.patch_bytes() == 0 || facts.patch_contiguous;
+  if (complete && patch_ok) {
+    return Aggregation{LpnsPerZone(), cfg_.max_aggregation == MapGranularity::kZone
+                                          ? MapGranularity::kZone
+                                          : MapGranularity::kChunk};
+  }
   // Chunks wholly inside the durable normal prefix (§III-C ②: compare the
   // physical address against the chunk boundary — with the reserved
   // layout that is exactly the durable prefix test).
-  while (static_cast<std::uint64_t>(zr.chunks_aggregated + 1) * chunk_bytes <=
-         zr.durable_normal_end) {
-    stamp_chunk(zr.chunks_aggregated);
-    ++zr.chunks_aggregated;
-  }
+  const std::uint64_t chunk_bytes =
+      static_cast<std::uint64_t>(cfg_.lpns_per_chunk) * cfg_.geometry.slot_size;
+  return Aggregation{facts.durable_normal_end / chunk_bytes * cfg_.lpns_per_chunk,
+                     MapGranularity::kChunk};
+}
 
-  // Zone completion: the patch (if any) must have landed contiguously.
-  const bool complete = zr.staged_end == cfg_.zone_size_bytes &&
-                        zr.durable_normal_end == layout_.normal_bytes();
-  const bool patch_ok = layout_.patch_bytes() == 0 || zr.patch_contiguous;
-  if (complete && patch_ok && !zr.zone_aggregated) {
-    while (zr.chunks_aggregated < total_chunks) {
-      stamp_chunk(zr.chunks_aggregated);
-      ++zr.chunks_aggregated;
+void ConZoneDevice::PinChunks(ZoneId zone, std::uint32_t from, std::uint32_t to) {
+  const std::uint64_t first_chunk = ZoneBaseLpn(zone).value() / cfg_.lpns_per_chunk;
+  for (std::uint64_t c = first_chunk + from; c < first_chunk + to; ++c) {
+    const Lpn cbase = Lpn(c * cfg_.lpns_per_chunk);
+    if (auto base_ppn = ResolveAggregated(MapGranularity::kChunk, c, cbase)) {
+      translator_.OnAggregateGenerated(MapGranularity::kChunk, c, *base_ppn);
     }
-    if (cfg_.max_aggregation == MapGranularity::kZone) {
-      if (!table_prestamped) {
-        table_.SetAggregated(zbase, LpnsPerZone(), MapGranularity::kZone);
-      }
-      auto base_ppn = ResolveAggregated(MapGranularity::kZone, zone.value(), zbase);
-      if (base_ppn) {
-        translator_.OnAggregateGenerated(MapGranularity::kZone, zone.value(), *base_ppn);
-      }
-      zr.zone_aggregated = true;
-      ++stats_.aggregates_zone;
+  }
+}
+
+void ConZoneDevice::UpdateAggregation(ZoneId zone, ZoneRuntime& zr,
+                                      bool table_prestamped) {
+  // Stamping only moves forward: chunks stamped before a zone degraded
+  // stay valid.
+  const Aggregation agg = AggregationOf(zr);
+  const Lpn zbase = ZoneBaseLpn(zone);
+  const std::uint64_t lpc = cfg_.lpns_per_chunk;
+  const std::uint32_t from = zr.chunks_aggregated;
+  const auto to = static_cast<std::uint32_t>(agg.lpns / lpc);
+  if (to > from) {
+    if (!table_prestamped) {
+      table_.SetAggregated(Lpn(zbase.value() + from * lpc), (to - from) * lpc,
+                           MapGranularity::kChunk);
     }
+    PinChunks(zone, from, to);
+    stats_.aggregates_chunk += to - from;
+    zr.chunks_aggregated = to;
+  }
+  if (agg.gran == MapGranularity::kZone && !zr.zone_aggregated) {
+    if (!table_prestamped) {
+      table_.SetAggregated(zbase, LpnsPerZone(), MapGranularity::kZone);
+    }
+    auto base_ppn = ResolveAggregated(MapGranularity::kZone, zone.value(), zbase);
+    if (base_ppn) {
+      translator_.OnAggregateGenerated(MapGranularity::kZone, zone.value(), *base_ppn);
+    }
+    zr.zone_aggregated = true;
+    ++stats_.aggregates_zone;
   }
 }
 
@@ -881,45 +856,30 @@ std::optional<Ppn> ConZoneDevice::ResolveAggregated(MapGranularity gran,
 
 void ConZoneDevice::OnGcRemap(Lpn lpn, Ppn old_ppn, Ppn new_ppn) {
   (void)old_ppn;
-  const MapEntry e = table_.Get(lpn);
-  if (e.gran != MapGranularity::kPage) {
+  if (table_.Get(lpn).gran != MapGranularity::kPage) {
     // Only patch slots can be both SLC-resident and aggregated; moving
-    // one breaks the zone (and patch-chunk) aggregation.
+    // one breaks the patch run, and with it the zone (and patch-chunk)
+    // aggregation. The zone re-aggregates as a complete zone whose patch
+    // is no longer contiguous; the restamp is not a new aggregate.
     const ZoneId zone{lpn.value() / LpnsPerZone()};
     ZoneRuntime& zr = runtime_[static_cast<std::size_t>(zone.value())];
     const Lpn zbase = ZoneBaseLpn(zone);
-    const std::uint64_t chunk_bytes =
-        static_cast<std::uint64_t>(cfg_.lpns_per_chunk) * cfg_.geometry.slot_size;
-    const std::uint32_t full_chunks =
-        static_cast<std::uint32_t>(layout_.normal_bytes() / chunk_bytes);
-
     table_.DowngradeToPage(zbase, LpnsPerZone());
     cache_.Erase(L2pKey{MapGranularity::kZone, zone.value()});
     const std::uint64_t first_chunk = zbase.value() / cfg_.lpns_per_chunk;
-    const std::uint64_t total_chunks = cfg_.zone_size_bytes / chunk_bytes;
-    for (std::uint64_t c = 0; c < total_chunks; ++c) {
+    for (std::uint64_t c = 0; c < LpnsPerZone() / cfg_.lpns_per_chunk; ++c) {
       cache_.Erase(L2pKey{MapGranularity::kChunk, first_chunk + c});
     }
-    // Chunks wholly in the normal region stay aggregatable at chunk level.
-    for (std::uint32_t c = 0; c < full_chunks; ++c) {
-      const Lpn cbase = Lpn(zbase.value() + static_cast<std::uint64_t>(c) *
-                                                cfg_.lpns_per_chunk);
-      table_.SetAggregated(cbase, cfg_.lpns_per_chunk, MapGranularity::kChunk);
-      auto base_ppn = ResolveAggregated(MapGranularity::kChunk,
-                                        cbase.value() / cfg_.lpns_per_chunk, cbase);
-      if (base_ppn) {
-        translator_.OnAggregateGenerated(MapGranularity::kChunk,
-                                         cbase.value() / cfg_.lpns_per_chunk, *base_ppn);
-      }
-    }
-    zr.zone_aggregated = false;
     zr.patch_contiguous = false;
-    zr.chunks_aggregated = full_chunks;
+    const Aggregation agg = AggregationOf(zr);
+    const auto chunks = static_cast<std::uint32_t>(agg.lpns / cfg_.lpns_per_chunk);
+    table_.SetAggregated(zbase, agg.lpns, MapGranularity::kChunk);
+    PinChunks(zone, 0, chunks);
+    zr.zone_aggregated = false;
+    zr.chunks_aggregated = chunks;
     ++stats_.aggregation_breaks;
   }
-  table_.Set(lpn, new_ppn);
-  cache_.Erase(L2pKey{MapGranularity::kPage, lpn.value()});
-  l2p_log_.Append(1);
+  RemapPage(lpn, new_ppn);
 }
 
 // ---------------------------------------------------------------------------
@@ -1104,7 +1064,7 @@ Result<SimTime> ConZoneDevice::ResetZone(ZoneId zone, SimTime now) {
   // Directly erase the reserved normal blocks that hold data.
   const SimTime t0 = now + cfg_.request_overhead;
   SimTime done = t0;
-  for (std::uint32_t k = 0; k < cfg_.superblocks_per_zone; ++k) {
+  for (std::uint64_t k = 0; k < layout_.superblocks_per_zone(); ++k) {
     const SuperblockId sb = layout_.SuperblockOfZone(SeqZone(zone), k);
     for (std::uint32_t c = 0; c < geo.NumChips(); ++c) {
       const BlockId b = geo.BlockOfSuperblock(sb, ChipId{c});
@@ -1115,14 +1075,9 @@ Result<SimTime> ConZoneDevice::ResetZone(ZoneId zone, SimTime now) {
         continue;
       }
       if (array_.NextProgramSlot(b) == 0) continue;
-      Status st = array_.EraseBlock(b);
-      done = Later(done, engine_.Erase(ChipId{c}, geo.normal_cell, t0));
-      if (!st.ok()) {
-        if (st.code() != StatusCode::kMediaError) return st;
-        array_.ScrubBlock(b);
-        array_.mutable_reliability().recovery_time +=
-            engine_.timing().For(geo.normal_cell).erase_latency;
-      }
+      auto erased = EraseOrRetire(array_, engine_, b, t0);
+      if (!erased.ok()) return erased.status();
+      done = Later(done, erased.value());
     }
   }
   runtime_[static_cast<std::size_t>(zone.value())] = ZoneRuntime{};
@@ -1221,15 +1176,32 @@ Result<SimTime> ConZoneDevice::ResetConventionalZone(ZoneId zone, SimTime now) {
   return now + cfg_.request_overhead;
 }
 
-Result<SimTime> ConZoneDevice::FinishZone(ZoneId zone, SimTime now) {
-  if (Status st = BeginHostOp(now); !st.ok()) return st;
+Status ConZoneDevice::CheckSequentialZone(ZoneId zone, const char* op) const {
   if (!zone.valid() ||
       zone.value() >= cfg_.num_conventional_zones + layout_.num_zones()) {
-    return Status::OutOfRange("finish of invalid zone");
+    return Status::OutOfRange(std::string(op) + " of invalid zone");
   }
   if (IsConventional(zone)) {
-    return Status::FailedPrecondition("conventional zones have no FINISH");
+    return Status::FailedPrecondition(std::string("conventional zones have no ") + op);
   }
+  return Status::Ok();
+}
+
+Status ConZoneDevice::OpenZone(ZoneId zone) {
+  if (powered_off_) return PoweredOff();
+  if (Status st = CheckSequentialZone(zone, "open"); !st.ok()) return st;
+  return zones_.ExplicitOpen(zone);
+}
+
+Status ConZoneDevice::CloseZone(ZoneId zone) {
+  if (powered_off_) return PoweredOff();
+  if (Status st = CheckSequentialZone(zone, "close"); !st.ok()) return st;
+  return zones_.Close(zone);
+}
+
+Result<SimTime> ConZoneDevice::FinishZone(ZoneId zone, SimTime now) {
+  if (Status st = BeginHostOp(now); !st.ok()) return st;
+  if (Status st = CheckSequentialZone(zone, "finish"); !st.ok()) return st;
   // Flush the zone's buffered tail so written data stays readable.
   SimTime done = now;
   const WriteBufferId buf = buffers_.BufferForZone(zone);
@@ -1290,19 +1262,12 @@ Status ConZoneDevice::PowerCut(SimTime cut_time) {
 
 Result<SimTime> ConZoneDevice::RecoverReeraseTorn(std::span<const BlockId> blocks,
                                                   SimTime now) {
-  const FlashGeometry& geo = cfg_.geometry;
   SimTime done = now;
   for (const BlockId b : blocks) {
     if (array_.IsRetired(b)) continue;
-    const CellType cell = geo.CellOfBlock(b);
-    Status st = array_.EraseBlock(b);
-    done = Later(done, engine_.Erase(geo.ChipOfBlock(b), cell, now));
-    if (!st.ok()) {
-      if (st.code() != StatusCode::kMediaError) return st;
-      array_.ScrubBlock(b);
-      array_.mutable_reliability().recovery_time +=
-          engine_.timing().For(cell).erase_latency;
-    }
+    auto erased = EraseOrRetire(array_, engine_, b, now);
+    if (!erased.ok()) return erased.status();
+    done = Later(done, erased.value());
     ++recovery_.reerased_blocks;
   }
   return done;
@@ -1338,21 +1303,14 @@ Result<SimTime> ConZoneDevice::RecoverScanMedia(SimTime now) {
     // here; the has_value() check keeps the fallback honest anyway.
     if (slot != nullptr) img = CheckpointImage::Decode(slot->blob);
       if (img.has_value()) {
-      // Charge the image load like the write: page-sized chunk reads
-      // striped over the chips. Same-chip chunks chain sequentially,
-      // chips overlap, so the load costs max-over-chips time.
-      std::vector<SimTime> chip_done(geo.NumChips(), done);
-      std::uint64_t left = slot->blob.size();
+      // Charge the image load like the write: page reads striped over
+      // the chips from chip 0.
       std::uint32_t chip = 0;
-      while (left > 0) {
-        const std::uint64_t chunk = std::min<std::uint64_t>(left, geo.page_size);
-        array_.CountPageRead();
-        chip_done[chip] =
-            engine_.ReadPage(ChipId{chip}, cfg_.map_media, chunk, chip_done[chip]);
-        chip = (chip + 1) % geo.NumChips();
-        left -= chunk;
-      }
-      for (SimTime cd : chip_done) done = Later(done, cd);
+      done = StripeOverChips(slot->blob.size(), geo.page_size, geo.NumChips(), chip, done,
+                             [&](ChipId c, std::uint64_t chunk, SimTime at) {
+                               array_.CountPageRead();
+                               return engine_.ReadPage(c, cfg_.map_media, chunk, at);
+                             });
       watermark = img->program_seq;
       have_ckpt = true;
       ++recovery_.checkpoint_loaded;
@@ -1500,31 +1458,11 @@ Result<SimTime> ConZoneDevice::RecoverScanMedia(SimTime now) {
     std::vector<std::uint64_t> agg_end(num_zones, 0);
     std::vector<MapGranularity> agg_gran(num_zones, MapGranularity::kPage);
     if (mount_have_snaps_) {
-      const std::uint64_t chunk_bytes =
-          static_cast<std::uint64_t>(cfg_.lpns_per_chunk) * geo.slot_size;
       for (std::uint32_t z = cfg_.num_conventional_zones; z < num_zones; ++z) {
         if (!RestoredFromSnapshot(z)) continue;
-        const ZoneSnap& snap = mount_zone_snaps_[z];
-        if ((snap.flags & ZoneSnap::kFlagDegraded) != 0) continue;
-        // Mirror of UpdateAggregation over the snapshot's runtime: whole
-        // chunks inside the durable normal prefix aggregate at chunk
-        // granularity; a complete zone with a contiguous patch lifts to
-        // the configured maximum.
-        const std::uint64_t zbase = static_cast<std::uint64_t>(z) * lpns_per_zone;
-        const bool complete = snap.write_pointer == cfg_.zone_size_bytes &&
-                              snap.durable_normal_end == layout_.normal_bytes();
-        const bool patch_ok = layout_.patch_bytes() == 0 ||
-                              (snap.flags & ZoneSnap::kFlagPatchContiguous) != 0;
-        if (complete && patch_ok) {
-          agg_end[z] = zbase + lpns_per_zone;
-          agg_gran[z] = cfg_.max_aggregation == MapGranularity::kZone
-                            ? MapGranularity::kZone
-                            : MapGranularity::kChunk;
-        } else {
-          agg_end[z] = zbase + (snap.durable_normal_end / chunk_bytes) *
-                                   cfg_.lpns_per_chunk;
-          agg_gran[z] = MapGranularity::kChunk;
-        }
+        const Aggregation agg = AggregationOf(FactsOfSnap(mount_zone_snaps_[z]));
+        agg_end[z] = static_cast<std::uint64_t>(z) * lpns_per_zone + agg.lpns;
+        agg_gran[z] = agg.gran;
       }
     }
     std::uint64_t accepted = 0;
@@ -1662,21 +1600,11 @@ ConZoneDevice::ZoneReconcile ConZoneDevice::ReconcileZoneMapping(
   return rec;
 }
 
-ConZoneDevice::ZoneRuntime ConZoneDevice::RuntimeOf(const ZoneReconcile& rec) {
-  ZoneRuntime zr;
-  zr.durable_normal_end = rec.durable_normal_end;
-  zr.staged_end = rec.staged_end;
-  zr.degraded = rec.degraded;
-  zr.patch_start = rec.patch_start;
-  zr.patch_contiguous = rec.patch_contiguous;
-  return zr;
-}
-
 Status ConZoneDevice::RecoverZone(ZoneId zone) {
   const FlashGeometry& geo = cfg_.geometry;
   ZoneRuntime& zr = runtime_[static_cast<std::size_t>(zone.value())];
   const ZoneReconcile rec = ReconcileZoneMapping(zone);
-  zr = RuntimeOf(rec);
+  zr = ZoneRuntime{rec};  // aggregation state starts clear
 
   // Orphans: mapped islands beyond the reconciled write pointer are
   // unreachable under zone semantics. They are always unacknowledged
@@ -1756,17 +1684,11 @@ Result<SimTime> ConZoneDevice::Recover(SimTime now) {
       // orphans and a staged end equal to the write pointer. It seeds the
       // image cache, with the runs kept in mount_runs_, so the next image
       // does not re-walk the zone.
-      const ZoneSnap& snap = mount_zone_snaps_[z];
-      ZoneReconcile& rec = zone_images_[z].rec;
-      rec = ZoneReconcile{};
-      rec.durable_normal_end = snap.durable_normal_end;
-      rec.staged_end = snap.write_pointer;
-      rec.degraded = (snap.flags & ZoneSnap::kFlagDegraded) != 0;
-      rec.patch_start = Ppn{snap.patch_start};
-      rec.patch_contiguous = (snap.flags & ZoneSnap::kFlagPatchContiguous) != 0;
+      const ZoneFacts facts = FactsOfSnap(mount_zone_snaps_[z]);
+      zone_images_[z].rec = ZoneReconcile{facts};
       table_.ClearZoneChanged(zone);
       ZoneRuntime& zr = runtime_[z];
-      zr = RuntimeOf(rec);
+      zr = ZoneRuntime{facts};
       // Map bits were already written by the scan's bulk install;
       // regenerate only counters and resolver pins.
       UpdateAggregation(zone, zr, /*table_prestamped=*/true);

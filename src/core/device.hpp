@@ -91,9 +91,11 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   ReliabilityStats Reliability() const override { return array_.reliability(); }
   RecoveryStats Recovery() const override { return recovery_; }
 
+  /// Zone management of sequential zones. All three refuse while powered
+  /// off and on conventional zones, which have no zone state.
   Result<SimTime> FinishZone(ZoneId zone, SimTime now);
-  Status OpenZone(ZoneId zone) { return zones_.ExplicitOpen(zone); }
-  Status CloseZone(ZoneId zone) { return zones_.Close(zone); }
+  Status OpenZone(ZoneId zone);
+  Status CloseZone(ZoneId zone);
 
   // --- Power loss (requires fault.power_loss / a cut schedule) ---
 
@@ -181,26 +183,46 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
                                           MapGranularity gran, SimTime t0,
                                           std::vector<std::uint64_t>* tokens_out);
 
-  /// Per-zone write-path runtime (§III-B bookkeeping).
-  struct ZoneRuntime {
+  /// Where a sequential zone's durable data lives (§III-B, §III-E): what
+  /// the write path keeps, a reconcile derives from the mapping and a
+  /// checkpoint snapshot records.
+  struct ZoneFacts {
     /// Zone-relative bytes durably placed in the reserved normal blocks
     /// (always a prefix, always unit-aligned below the patch boundary).
     std::uint64_t durable_normal_end = 0;
     /// Zone-relative bytes durable anywhere (normal + SLC staging). The
     /// half-open range [durable_normal_end, staged_end) lives in SLC.
     std::uint64_t staged_end = 0;
-    /// Chunks stamped as aggregated so far (from chunk 0 upward).
-    std::uint32_t chunks_aggregated = 0;
     /// First slot of the zone's SLC patch run, once programmed.
     Ppn patch_start;
-    bool patch_contiguous = false;
-    bool zone_aggregated = false;
     /// A reserved normal block failed a program (or was already retired):
     /// part of the zone's "normal" range actually lives in SLC under page
     /// mapping, so no FURTHER aggregation may be stamped. Chunks stamped
     /// before the failure remain layout-resident and stay valid.
     bool degraded = false;
+    bool patch_contiguous = false;
   };
+
+  /// Per-zone write-path runtime: the facts plus what is stamped so far.
+  struct ZoneRuntime : ZoneFacts {
+    /// Chunks stamped as aggregated so far (from chunk 0 upward).
+    std::uint32_t chunks_aggregated = 0;
+    bool zone_aggregated = false;
+  };
+
+  /// The aggregation rule (§III-C, Fig. 5 ②): a zone's first `lpns` lpns
+  /// map at granularity `gran`, the rest page by page. Whole chunks of
+  /// the durable normal prefix aggregate at chunk granularity; a complete
+  /// zone whose patch (if any) is one contiguous SLC run lifts to the
+  /// configured maximum. A degraded zone aggregates nothing.
+  struct Aggregation {
+    std::uint64_t lpns = 0;
+    MapGranularity gran = MapGranularity::kPage;
+  };
+  Aggregation AggregationOf(const ZoneFacts& facts) const;
+  /// Pin the resolver entries of chunks [from, to) of `zone` in the L2P
+  /// cache; their map bits are the caller's.
+  void PinChunks(ZoneId zone, std::uint32_t from, std::uint32_t to);
 
   // PhysicalResolver: aggregated-entry address computation over the
   // reserved layout (normal region) and the patch run (SLC).
@@ -226,18 +248,21 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   Result<FlushResult> ProgramPatchRun(ZoneId zone, ZoneRuntime& zr,
                                       const BufferedExtent& extent, SimTime now);
 
-  /// Stage extent slots in [from_byte, end) to SLC (partial programming).
-  Result<FlushResult> StageSlots(ZoneId zone, ZoneRuntime& zr,
-                                 const BufferedExtent& extent, std::uint64_t from_byte,
-                                 SimTime now);
+  /// Stage `data` in SLC under page mapping: program it issued at
+  /// `issue`, remap every lpn to its new copy, and stamp the journal
+  /// entries since `mark` with the window from `stamp_from` to the end of
+  /// the program. The ppns stay valid until the next SLC program.
+  Result<SlcAllocator::Timed> StageInSlc(std::span<const SlotWrite> data,
+                                         std::uint64_t mark, SimTime stamp_from,
+                                         SimTime issue);
 
-  /// Recovery: a reserved normal block refused (or failed) a one-shot
-  /// unit — program the unit's slots into SLC under page mapping and mark
-  /// the zone degraded (no further aggregation). `mark` is the caller's
-  /// journal mark from before the fold's read-back, so the stamp also
-  /// covers the source invalidates the re-drive supersedes.
-  Result<FlushResult> RedriveUnitToSlc(ZoneRuntime& zr, std::uint64_t mark,
-                                       std::span<const SlotWrite> data, SimTime now);
+  /// Point `lpn` at its new page-mapped copy `ppn`: the table, the L2P
+  /// cache and the L2P log.
+  void RemapPage(Lpn lpn, Ppn ppn) {
+    table_.Set(lpn, ppn);
+    cache_.Erase(L2pKey{MapGranularity::kPage, lpn.value()});
+    l2p_log_.Append(1);
+  }
 
   /// Lazily latch read-only mode when the healthy SLC spare drops below
   /// the configured floor. Called at the top of every write.
@@ -272,6 +297,10 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   /// Append the free-list snapshots every image ends with.
   void AddFreeLists(CheckpointImage& img) const;
 
+  /// Zone-management check: `zone` exists and is sequential (`op` names
+  /// the command in the error).
+  Status CheckSequentialZone(ZoneId zone, const char* op) const;
+
   /// Host-op prologue: refuse ops while powered off, advance the
   /// last-submission watermark, and prune journal/log state that a
   /// future cut can no longer reach.
@@ -288,22 +317,18 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   /// effects. Shared by RecoverZone (which additionally invalidates
   /// orphans and restores runtime) and WriteCheckpoint (which snapshots
   /// the result into ZoneSnap records).
-  struct ZoneReconcile {
-    std::uint64_t durable_normal_end = 0;
-    std::uint64_t staged_end = 0;
-    Ppn patch_start;
-    bool degraded = false;
-    bool patch_contiguous = false;
+  struct ZoneReconcile : ZoneFacts {
     /// Mapped lpns exist past staged_end (islands the mount path must
     /// invalidate); such a zone is never checkpoint-restorable.
     bool has_orphans = false;
   };
   ZoneReconcile ReconcileZoneMapping(ZoneId zone) const;
-  /// The runtime a reconcile restores (aggregation state starts clear).
-  static ZoneRuntime RuntimeOf(const ZoneReconcile& rec);
   /// Zone `zone`'s image record: its reconcile (sequential zones only)
   /// against the live write pointer.
   ZoneSnap SnapZone(ZoneId zone, const ZoneReconcile& rec) const;
+  /// The facts a restorable snapshot records (its inverse): the staged
+  /// extent ends at the write pointer.
+  static ZoneFacts FactsOfSnap(const ZoneSnap& snap);
   /// Sequential zone `z` is restored by the current mount from its
   /// snapshot: restorable there and untouched since (zone_dirty_ final).
   bool RestoredFromSnapshot(std::uint32_t z) const {

@@ -6,16 +6,17 @@
 namespace conzone {
 
 ZoneLayout::ZoneLayout(const FlashGeometry& geometry, std::uint64_t zone_size_bytes,
-                       std::uint32_t superblocks_per_zone,
                        std::uint32_t reserve_offset_superblocks)
     : geo_(geometry),
       zone_bytes_(zone_size_bytes),
-      sbs_per_zone_(superblocks_per_zone),
+      sbs_per_zone_(geo_.NormalSuperblockBytes() ? zone_size_bytes / geo_.NormalSuperblockBytes()
+                                                 : 0),
       reserve_offset_(reserve_offset_superblocks),
-      normal_bytes_(geo_.NormalSuperblockBytes() * superblocks_per_zone),
-      num_zones_(superblocks_per_zone && geo_.NumNormalSuperblocks() > reserve_offset_superblocks
-                     ? (geo_.NumNormalSuperblocks() - reserve_offset_superblocks) /
-                           superblocks_per_zone
+      normal_bytes_(geo_.NormalSuperblockBytes() * sbs_per_zone_),
+      num_zones_(sbs_per_zone_ && geo_.NumNormalSuperblocks() > reserve_offset_superblocks
+                     ? static_cast<std::uint32_t>(
+                           (geo_.NumNormalSuperblocks() - reserve_offset_superblocks) /
+                           sbs_per_zone_)
                      : 0),
       div_chips_(geo_.NumChips()),
       div_units_per_block_(geo_.PagesPerProgramUnit() ? geo_.UnitsPerBlock() : 0),
@@ -26,27 +27,20 @@ ZoneLayout::ZoneLayout(const FlashGeometry& geometry, std::uint64_t zone_size_by
 
 Status ZoneLayout::Validate() const {
   if (sbs_per_zone_ == 0) {
-    return Status::InvalidArgument("layout: need at least one superblock per zone");
+    return Status::InvalidArgument("layout: zone size " + std::to_string(zone_bytes_) +
+                                   " is below one superblock's capacity " +
+                                   std::to_string(geo_.NormalSuperblockBytes()));
   }
   if (num_zones_ == 0) {
     return Status::InvalidArgument("layout: no zones fit in the normal region");
   }
-  if (zone_bytes_ < normal_bytes_) {
-    return Status::InvalidArgument(
-        "layout: zone size " + std::to_string(zone_bytes_) +
-        " below reserved capacity " + std::to_string(normal_bytes_) +
-        " (shrink superblocks_per_zone)");
-  }
   if (zone_bytes_ % geo_.slot_size != 0) {
     return Status::InvalidArgument("layout: zone size must be slot-aligned");
-  }
-  if (patch_bytes() >= normal_bytes_) {
-    return Status::InvalidArgument("layout: patch region larger than normal region");
   }
   return Status::Ok();
 }
 
-SuperblockId ZoneLayout::SuperblockOfZone(ZoneId zone, std::uint32_t k) const {
+SuperblockId ZoneLayout::SuperblockOfZone(ZoneId zone, std::uint64_t k) const {
   assert(zone.value() < num_zones_ && k < sbs_per_zone_);
   return SuperblockId(geo_.NumSlcSuperblocks() + reserve_offset_ +
                       zone.value() * sbs_per_zone_ + k);

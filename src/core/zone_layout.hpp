@@ -28,10 +28,12 @@ namespace conzone {
 
 class ZoneLayout {
  public:
-  /// `reserve_offset_superblocks` normal superblocks are skipped before
-  /// zone 0's reservation (they back the conventional-zone pool).
+  /// Each zone reserves the most normal superblocks whose data capacity
+  /// fits in it; fewer would put a superblock or more of data into its
+  /// SLC patch. `reserve_offset_superblocks` normal superblocks are
+  /// skipped before zone 0's reservation (they back the conventional-zone
+  /// pool).
   ZoneLayout(const FlashGeometry& geometry, std::uint64_t zone_size_bytes,
-             std::uint32_t superblocks_per_zone,
              std::uint32_t reserve_offset_superblocks = 0);
 
   Status Validate() const;
@@ -47,8 +49,10 @@ class ZoneLayout {
     return zone_bytes_ * num_zones_;
   }
 
-  /// k-th reserved superblock of `zone` (k < superblocks_per_zone).
-  SuperblockId SuperblockOfZone(ZoneId zone, std::uint32_t k) const;
+  /// Normal superblocks reserved per zone.
+  std::uint64_t superblocks_per_zone() const { return sbs_per_zone_; }
+  /// k-th reserved superblock of `zone` (k < superblocks_per_zone()).
+  SuperblockId SuperblockOfZone(ZoneId zone, std::uint64_t k) const;
 
   /// Program units per zone in the normal region.
   std::uint64_t UnitsPerZone() const { return normal_bytes_ / geo_.program_unit; }
@@ -82,7 +86,7 @@ class ZoneLayout {
  private:
   FlashGeometry geo_;
   std::uint64_t zone_bytes_;
-  std::uint32_t sbs_per_zone_;
+  std::uint64_t sbs_per_zone_;
   std::uint32_t reserve_offset_;
   std::uint64_t normal_bytes_;
   std::uint32_t num_zones_;

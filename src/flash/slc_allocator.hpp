@@ -18,9 +18,11 @@
 
 #include "common/ids.hpp"
 #include "common/status.hpp"
+#include "common/time.hpp"
 #include "flash/array.hpp"
 #include "flash/geometry.hpp"
 #include "flash/superblock.hpp"
+#include "flash/timing_engine.hpp"
 
 namespace conzone {
 
@@ -29,14 +31,29 @@ class SlcAllocator {
   SlcAllocator(FlashArray& array, SuperblockPool& pool);
 
   /// Program `writes` at the SLC write pointer; returns the physical slot
-  /// of each write, in order. Fails with kResourceExhausted when the
-  /// region runs out of free superblocks (caller must GC first).
+  /// of each write, in order, valid until the next Program call. Fails
+  /// with kResourceExhausted when the region runs out of free superblocks
+  /// (caller must GC first).
   ///
   /// Media faults are absorbed here: a program failure burns the slot,
   /// retires the block, and the write is re-driven at the next healthy
   /// position — so a successful return means every write landed. Burned
   /// positions are reported via last_failed() for timing/accounting.
-  Result<std::vector<Ppn>> Program(std::span<const SlotWrite> writes);
+  Result<std::span<const Ppn>> Program(std::span<const SlotWrite> writes);
+
+  /// The SLC program step: Program `writes` and charge their media time
+  /// on `engine`, all issued at `issue`. Slots sharing a flash page batch
+  /// into one pulse (a partial page program still costs a full pulse).
+  /// The pulses burned on failed slots run first and are booked as
+  /// recovery work; whether a caller waits for them is its own policy.
+  struct Timed {
+    std::span<const Ppn> ppns;  ///< Valid until the next Program call.
+    SimTime data_in;            ///< The data's transfers drained.
+    SimTime end;                ///< The data's pulses ended.
+    SimTime burns_end;          ///< The burned pulses ended (`issue` if none).
+  };
+  Result<Timed> ProgramTimed(std::span<const SlotWrite> writes, FlashTimingEngine& engine,
+                             SimTime issue);
 
   /// Slots burned by program failures during the most recent Program call
   /// (the die ran a pulse there; the data was re-driven elsewhere).
@@ -69,6 +86,7 @@ class SlcAllocator {
   SuperblockId current_;   // invalid until first program
   std::uint64_t index_ = 0;  // flat position in page-fill stripe order
   std::vector<Ppn> failed_;  // burned positions of the last Program call
+  std::vector<Ppn> ppns_;    // slots of the last Program call
 };
 
 }  // namespace conzone

@@ -117,41 +117,4 @@ SimDuration FlashTimingEngine::TotalChannelBusy() const {
   return total;
 }
 
-FlashTimingEngine::ProgramResult ProgramSlcSlots(FlashTimingEngine& engine,
-                                                 const FlashGeometry& geo,
-                                                 std::span<const Ppn> ppns,
-                                                 SimTime issue) {
-  FlashTimingEngine::ProgramResult out{issue, issue};
-  std::size_t i = 0;
-  while (i < ppns.size()) {
-    const FlashPageId page = geo.PageOfSlot(ppns[i]);
-    std::size_t j = i + 1;
-    while (j < ppns.size() && geo.PageOfSlot(ppns[j]) == page) ++j;
-    const auto prog = engine.Program(geo.ChipOfBlock(geo.BlockOfPage(page)),
-                                     CellType::kSlc,
-                                     (j - i) * geo.slot_size, issue);
-    out.data_in = Later(out.data_in, prog.data_in);
-    out.end = Later(out.end, prog.end);
-    i = j;
-  }
-  return out;
-}
-
-FlashTimingEngine::ProgramResult ChargeSlcRewrites(FlashTimingEngine& engine,
-                                                   const FlashGeometry& geo,
-                                                   std::span<const Ppn> ppns,
-                                                   SimTime issue,
-                                                   ReliabilityStats* rel) {
-  if (ppns.empty()) return FlashTimingEngine::ProgramResult{issue, issue};
-  const auto prog = ProgramSlcSlots(engine, geo, ppns, issue);
-  if (rel != nullptr) {
-    const SimDuration spent = engine.timing().For(CellType::kSlc).program_latency *
-                              static_cast<std::uint64_t>(ppns.size());
-    rel->recovery_time += spent;
-    rel->redrive_hist.Record(spent);
-    rel->rewrite_slots += ppns.size();
-  }
-  return prog;
-}
-
 }  // namespace conzone

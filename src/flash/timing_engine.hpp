@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/fastdiv.hpp"
@@ -103,25 +102,5 @@ class FlashTimingEngine {
   /// cadence instead of RAM speed.
   std::vector<SimTime> last_pulse_start_;
 };
-
-/// Program a run of SLC slots allocated in page-fill stripe order: slots
-/// sharing a flash page batch into one program pulse (partial page
-/// programs still cost a full pulse). Returns the latest data-in and
-/// pulse-end times across the groups.
-FlashTimingEngine::ProgramResult ProgramSlcSlots(FlashTimingEngine& engine,
-                                                 const FlashGeometry& geo,
-                                                 std::span<const Ppn> ppns,
-                                                 SimTime issue);
-
-/// Charge the media time of SLC program pulses that FAILED: the die still
-/// ran each pulse before the verify rejected it, so the burned slots cost
-/// normal ProgramSlcSlots time, booked as recovery work in `rel` together
-/// with the rewrite count. (The successful re-drive is charged by the
-/// caller through the ordinary program path.)
-FlashTimingEngine::ProgramResult ChargeSlcRewrites(FlashTimingEngine& engine,
-                                                   const FlashGeometry& geo,
-                                                   std::span<const Ppn> ppns,
-                                                   SimTime issue,
-                                                   ReliabilityStats* rel);
 
 }  // namespace conzone

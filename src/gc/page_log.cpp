@@ -45,6 +45,20 @@ SimTime ReadLiveSlots(FlashArray& array, FlashTimingEngine& engine, SuperblockId
   return reads_done;
 }
 
+Result<SimTime> EraseOrRetire(FlashArray& array, FlashTimingEngine& engine, BlockId b,
+                              SimTime issue) {
+  const FlashGeometry& geo = array.geometry();
+  Status st = array.EraseBlock(b);
+  const SimTime done = engine.Erase(geo.ChipOfBlock(b), geo.CellOfBlock(b), issue);
+  if (!st.ok()) {
+    if (st.code() != StatusCode::kMediaError) return st;
+    array.ScrubBlock(b);
+    array.mutable_reliability().recovery_time +=
+        engine.timing().For(geo.CellOfBlock(b)).erase_latency;
+  }
+  return done;
+}
+
 Result<EraseResult> EraseVictim(FlashArray& array, FlashTimingEngine& engine,
                                 SuperblockPool& pool, SuperblockId victim, SimTime issue) {
   const FlashGeometry& geo = array.geometry();
@@ -57,16 +71,10 @@ Result<EraseResult> EraseVictim(FlashArray& array, FlashTimingEngine& engine,
       array.ScrubBlock(b);
       continue;
     }
-    Status st = array.EraseBlock(b);
-    out.done = Later(out.done, engine.Erase(ChipId{c}, geo.CellOfBlock(b), issue));
-    if (st.ok()) {
-      ++healthy_erased;
-      continue;
-    }
-    if (st.code() != StatusCode::kMediaError) return st;
-    array.ScrubBlock(b);
-    array.mutable_reliability().recovery_time +=
-        engine.timing().For(geo.CellOfBlock(b)).erase_latency;
+    auto erased = EraseOrRetire(array, engine, b, issue);
+    if (!erased.ok()) return erased.status();
+    out.done = Later(out.done, erased.value());
+    if (!array.IsRetired(b)) ++healthy_erased;
   }
   array.StampJournal(mark, issue, out.done);
   if (healthy_erased > 0) {
@@ -177,21 +185,17 @@ Result<FlushTimes> PageLog::FlushExtent(const BufferedExtent& extent, SimTime no
     ++stats_.premature_flushes;
     const std::uint64_t mark = array_.MarkJournal();
     const std::span<const SlotWrite> rest = slots.subspan(i);
-    auto ppns = slc_.Program(rest);
-    if (!ppns.ok()) return ppns.status();
-    if (!slc_.last_failed().empty()) {
-      ChargeSlcRewrites(engine_, geo_, slc_.last_failed(), now,
-                        &array_.mutable_reliability());
-    }
-    const auto prog = ProgramSlcSlots(engine_, geo_, ppns.value(), now);
-    done.sram_free = Later(done.sram_free, prog.data_in);
-    done.media_done = Later(done.media_done, prog.end);
+    auto prog = slc_.ProgramTimed(rest, engine_, now);
+    if (!prog.ok()) return prog.status();
+    done.sram_free = Later(done.sram_free, prog.value().data_in);
+    done.media_done = Later(done.media_done, prog.value().end);
     for (std::size_t k = 0; k < rest.size(); ++k) {
-      if (Status st = SetMapping(rest[k].lpn, ppns.value()[k], Remap::kInPlace); !st.ok()) {
+      if (Status st = SetMapping(rest[k].lpn, prog.value().ppns[k], Remap::kInPlace);
+          !st.ok()) {
         return st;
       }
     }
-    array_.StampJournal(mark, now, prog.end);
+    array_.StampJournal(mark, now, prog.value().end);
   }
   return done;
 }

@@ -75,9 +75,15 @@ SimTime ReadLiveSlots(FlashArray& array, FlashTimingEngine& engine, SuperblockId
                       SimTime issue, std::vector<Ppn>& old_ppns,
                       std::vector<SlotWrite>& live);
 
+/// Erase block `b` at `issue`; returns when the pulse ends. An erase
+/// failure retires the block on the spot: the pulse still ran, its
+/// leftover state is scrubbed and the pulse is booked as recovery time.
+/// Which blocks to skip is the caller's policy.
+Result<SimTime> EraseOrRetire(FlashArray& array, FlashTimingEngine& engine, BlockId b,
+                              SimTime issue);
+
 /// Erase `victim`'s blocks on every chip at `issue`, in one journal
-/// window. Retired blocks are scrubbed, not erased; an erase failure
-/// retires the block on the spot (the pulse still ran). The superblock
+/// window. Retired blocks are scrubbed, not erased. The superblock
 /// returns to its free list while one healthy block survives; a fully
 /// retired superblock is lost capacity.
 struct EraseResult {

@@ -60,7 +60,6 @@ SuperblockId SlcGarbageCollector::SelectVictim() const {
 }
 
 Result<SimTime> SlcGarbageCollector::CollectOne(SuperblockId victim, SimTime now) {
-  const FlashGeometry& geo = array_.geometry();
   const std::uint64_t migrate_mark = array_.MarkJournal();
   ++stats_.victims;
 
@@ -92,21 +91,15 @@ Result<SimTime> SlcGarbageCollector::CollectOne(SuperblockId victim, SimTime now
     }
   }
 
-  // Migrate the rest within the SLC region through the write pointer.
+  // Migrate the rest within the SLC region through the write pointer;
+  // the erase waits for the pulses the migration burned on the way to
+  // healthy blocks, too.
   if (!keep.empty()) {
-    auto ppns = alloc_.Program(keep);
-    if (!ppns.ok()) return ppns.status();
-    if (!alloc_.last_failed().empty()) {
-      // Pulses the migration burned on the way to healthy blocks.
-      progs_done = Later(progs_done,
-                         ChargeSlcRewrites(engine_, geo, alloc_.last_failed(),
-                                           reads_done,
-                                           &array_.mutable_reliability()).end);
-    }
-    progs_done = Later(progs_done,
-                       ProgramSlcSlots(engine_, geo, ppns.value(), reads_done).end);
+    auto prog = alloc_.ProgramTimed(keep, engine_, reads_done);
+    if (!prog.ok()) return prog.status();
+    progs_done = Later(progs_done, Later(prog.value().burns_end, prog.value().end));
     for (std::size_t i = 0; i < keep.size(); ++i) {
-      const Ppn new_ppn = ppns.value()[i];
+      const Ppn new_ppn = prog.value().ppns[i];
       if (remap_) remap_(keep[i].lpn, keep_old[i], new_ppn);
       if (Status st = array_.InvalidateSlot(keep_old[i]); !st.ok()) return st;
       ++stats_.slots_migrated;

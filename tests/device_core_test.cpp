@@ -348,5 +348,88 @@ TEST_F(ConZoneDeviceTest, SequentialFillWholeDeviceAndVerify) {
   EXPECT_EQ(dev_->stats().aggregates_zone, 4u);
 }
 
+TEST(ConZoneZoneOpsTest, OpenAndCloseCheckLikeFinish) {
+  // Conventional zones have no zone state to open or close: opening them
+  // must not use up the open and active limits a sequential zone needs.
+  ConZoneConfig cfg = SmallConfig();
+  cfg.num_conventional_zones = 2;
+  cfg.max_open_zones = 2;
+  cfg.max_active_zones = 2;
+  cfg.fault.power_loss = true;
+  auto made = ConZoneDevice::Create(cfg);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ConZoneDevice& dev = **made;
+  EXPECT_EQ(dev.OpenZone(ZoneId{0}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(dev.OpenZone(ZoneId{1}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(dev.CloseZone(ZoneId{0}).code(), StatusCode::kFailedPrecondition);
+  const std::uint64_t zone_bytes = cfg.zone_size_bytes;
+  auto w = TestWrite(dev, 2 * zone_bytes, 4096, SimTime());
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_TRUE(dev.CloseZone(ZoneId{2}).ok());
+  EXPECT_TRUE(dev.OpenZone(ZoneId{2}).ok());
+
+  // A powered-off device refuses them like every other zone op.
+  ASSERT_TRUE(dev.PowerCut(w.value()).ok());
+  EXPECT_EQ(dev.OpenZone(ZoneId{3}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(dev.CloseZone(ZoneId{2}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(dev.zones().Info(ZoneId{3}).state, ZoneState::kEmpty);
+  ASSERT_TRUE(dev.Recover(w.value()).ok());
+  EXPECT_TRUE(dev.OpenZone(ZoneId{3}).ok());
+}
+
+TEST(ConZoneMultiSuperblockTest, TwoSuperblockZonesFillReadRemountAndReset) {
+  // 32 MiB zones span two 15.75 MiB superblocks (a 512 KiB SLC patch).
+  ConZoneConfig cfg = ConZoneConfig::PaperConfig();
+  cfg.zone_size_bytes = 32 * kMiB;
+  cfg.fault.power_loss = true;
+  cfg.l2p_log.enabled = true;
+  cfg.checkpoint.enabled = true;
+  auto made = ConZoneDevice::Create(cfg);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ConZoneDevice& dev = **made;
+  ASSERT_EQ(dev.info().num_zones, 48u);
+  const std::uint64_t zone_bytes = cfg.zone_size_bytes;
+  SimTime t;
+  for (std::uint64_t z = 0; z < 3; ++z) {
+    for (std::uint64_t off = 0; off < zone_bytes; off += 512 * kKiB) {
+      const std::uint64_t at = z * zone_bytes + off;
+      auto r = TestWrite(dev, at, 512 * kKiB, t, Tokens(at / 4096, 128, z));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      t = r.value();
+    }
+  }
+  auto verify = [&] {
+    for (std::uint64_t z = 0; z < 3; ++z) {
+      std::vector<std::uint64_t> got;
+      auto r = TestRead(dev, z * zone_bytes, zone_bytes, t, &got);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      t = r.value();
+      ASSERT_EQ(got, Tokens(z * zone_bytes / 4096, zone_bytes / 4096, z)) << "zone " << z;
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(verify());
+  EXPECT_EQ(dev.stats().aggregates_zone, 3u);
+  EXPECT_EQ(dev.stats().patch_runs, 3u);
+
+  auto flushed = dev.Flush(t);
+  ASSERT_TRUE(flushed.ok());
+  auto ck = dev.CheckpointNow(flushed.value());
+  ASSERT_TRUE(ck.ok()) << ck.status().ToString();
+  ASSERT_TRUE(dev.PowerCut(ck.value()).ok());
+  auto rec = dev.Recover(ck.value());
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  t = rec.value();
+  EXPECT_EQ(dev.Recovery().zones_restored, 48u);
+  ASSERT_NO_FATAL_FAILURE(verify());
+
+  // A reset erases both superblocks of the zone.
+  const std::uint64_t erases = dev.media_counters().erases_normal;
+  auto reset = dev.ResetZone(ZoneId{1}, t);
+  ASSERT_TRUE(reset.ok()) << reset.status().ToString();
+  EXPECT_EQ(dev.media_counters().erases_normal - erases, 2u * cfg.geometry.NumChips());
+  EXPECT_EQ(dev.zones().Info(ZoneId{1}).write_pointer, 0u);
+  EXPECT_EQ(dev.mapping().zone_mapped_count(ZoneId{1}), 0u);
+}
+
 }  // namespace
 }  // namespace conzone

@@ -298,7 +298,7 @@ class GcFaultTest : public ::testing::Test {
   std::vector<Ppn> Stage(std::uint64_t first_lpn, std::size_t n) {
     auto ppns = alloc_.Program(MakeWrites(first_lpn, n));
     EXPECT_TRUE(ppns.ok()) << ppns.status().ToString();
-    return ppns.value();
+    return {ppns.value().begin(), ppns.value().end()};
   }
 
   FlashArray array_;

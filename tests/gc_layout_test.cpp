@@ -40,7 +40,7 @@ class SlcGcTest : public ::testing::Test {
     }
     auto ppns = alloc_.Program(w);
     EXPECT_TRUE(ppns.ok());
-    return ppns.value();
+    return {ppns.value().begin(), ppns.value().end()};
   }
 
   FlashArray array_;
@@ -130,7 +130,7 @@ TEST(GcConfigTest, Validation) {
 
 TEST(ZoneLayoutTest, PaperLayoutDerivedQuantities) {
   FlashGeometry g;  // paper defaults
-  ZoneLayout layout(g, 16 * kMiB, 1);
+  ZoneLayout layout(g, 16 * kMiB);
   ASSERT_TRUE(layout.Validate().ok());
   EXPECT_EQ(layout.num_zones(), 96u);
   EXPECT_EQ(layout.normal_bytes(), 16128 * kKiB);  // 15.75 MiB
@@ -141,14 +141,14 @@ TEST(ZoneLayoutTest, PaperLayoutDerivedQuantities) {
 
 TEST(ZoneLayoutTest, ReservedSuperblocksFollowSlcRegion) {
   FlashGeometry g;
-  ZoneLayout layout(g, 16 * kMiB, 1);
+  ZoneLayout layout(g, 16 * kMiB);
   EXPECT_EQ(layout.SuperblockOfZone(ZoneId{0}, 0).value(), g.NumSlcSuperblocks());
   EXPECT_EQ(layout.SuperblockOfZone(ZoneId{5}, 0).value(), g.NumSlcSuperblocks() + 5);
 }
 
 TEST(ZoneLayoutTest, UnitsStripeAcrossChips) {
   FlashGeometry g;
-  ZoneLayout layout(g, 16 * kMiB, 1);
+  ZoneLayout layout(g, 16 * kMiB);
   for (std::uint64_t u = 0; u < 8; ++u) {
     EXPECT_EQ(layout.UnitAt(ZoneId{0}, u).chip.value(), u % 4);
   }
@@ -158,7 +158,7 @@ TEST(ZoneLayoutTest, UnitsStripeAcrossChips) {
 
 TEST(ZoneLayoutTest, NormalSlotIsBijectiveOverTheZone) {
   FlashGeometry g;
-  ZoneLayout layout(g, 16 * kMiB, 1);
+  ZoneLayout layout(g, 16 * kMiB);
   std::set<std::uint64_t> seen;
   // Sample every 16th slot of zone 3's normal region.
   for (std::uint64_t off = 0; off < layout.normal_bytes(); off += 16 * 4096) {
@@ -172,7 +172,7 @@ TEST(ZoneLayoutTest, NormalSlotIsBijectiveOverTheZone) {
 
 TEST(ZoneLayoutTest, StripeAdvanceMatchesAllocatorOrder) {
   FlashGeometry g;
-  ZoneLayout layout(g, 16 * kMiB, 1);
+  ZoneLayout layout(g, 16 * kMiB);
   FlashArray array(g);
   SuperblockPool pool(g);
   SlcAllocator alloc(array, pool);
@@ -188,7 +188,7 @@ TEST(ZoneLayoutTest, StripeAdvanceMatchesAllocatorOrder) {
 
 TEST(ZoneLayoutTest, StripeAdvanceStopsAtSuperblockEnd) {
   FlashGeometry g;
-  ZoneLayout layout(g, 16 * kMiB, 1);
+  ZoneLayout layout(g, 16 * kMiB);
   FlashArray array(g);
   SuperblockPool pool(g);
   SlcAllocator alloc(array, pool);
@@ -203,15 +203,15 @@ TEST(ZoneLayoutTest, StripeAdvanceStopsAtSuperblockEnd) {
 
 TEST(ZoneLayoutTest, ValidationRejectsBadShapes) {
   FlashGeometry g;
-  EXPECT_FALSE(ZoneLayout(g, 16 * kMiB, 0).Validate().ok());
-  EXPECT_FALSE(ZoneLayout(g, 8 * kMiB, 1).Validate().ok());  // below reserved capacity
-  EXPECT_FALSE(ZoneLayout(g, 16 * kMiB + 1, 1).Validate().ok());  // unaligned
-  EXPECT_TRUE(ZoneLayout(g, 32 * kMiB, 2).Validate().ok());  // 2 superblocks/zone
+  EXPECT_FALSE(ZoneLayout(g, 8 * kMiB).Validate().ok());  // below one superblock
+  EXPECT_FALSE(ZoneLayout(g, 16 * kMiB + 1).Validate().ok());  // unaligned
+  EXPECT_TRUE(ZoneLayout(g, 32 * kMiB).Validate().ok());  // 2 superblocks/zone
+  EXPECT_EQ(ZoneLayout(g, 32 * kMiB).superblocks_per_zone(), 2u);
 }
 
 TEST(ZoneLayoutTest, MultiSuperblockZones) {
   FlashGeometry g;
-  ZoneLayout layout(g, 32 * kMiB, 2);
+  ZoneLayout layout(g, 32 * kMiB);
   EXPECT_EQ(layout.num_zones(), 48u);
   EXPECT_EQ(layout.normal_bytes(), 2 * 16128 * kKiB);
   // Units walk into the second superblock after exhausting the first.

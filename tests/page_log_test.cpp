@@ -17,48 +17,11 @@
 #include "core/device.hpp"
 #include "legacy/legacy_device.hpp"
 
+#include "test_digest.hpp"
 #include "test_io.hpp"
 
 namespace conzone {
 namespace {
-
-class Digest {
- public:
-  void Add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFFu;
-      h_ *= 0x100000001B3ull;
-    }
-  }
-  void Add(const Result<SimTime>& r) {
-    Add(r.ok() ? r.value().ns() : 0xE000u + static_cast<std::uint64_t>(r.status().code()));
-  }
-  void Add(const MediaCounters& m) {
-    for (std::uint64_t v : {m.slots_programmed_slc, m.slots_programmed_normal, m.page_reads,
-                            m.erases_slc, m.erases_normal}) {
-      Add(v);
-    }
-  }
-  void Add(const TranslatorStats& s) {
-    for (std::uint64_t v : {s.translations, s.cache_hits, s.map_fetches, s.hits_by_gran[0],
-                            s.hits_by_gran[1], s.hits_by_gran[2]}) {
-      Add(v);
-    }
-  }
-  /// Every StatsSnapshot field but host_flushes and zone_resets, which
-  /// the baselines did not always count.
-  void Add(const StatsSnapshot& s) {
-    for (std::uint64_t v : {s.host_bytes_written, s.host_bytes_read, s.flash_bytes_written,
-                            s.writes, s.reads, s.buffer_flushes, s.premature_flushes,
-                            s.overwrites, s.gc_runs, s.gc_slots_migrated}) {
-      Add(v);
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ull;
-};
 
 std::uint64_t TokenOf(std::uint64_t lpn, std::uint64_t version) {
   return (lpn * 0x9E3779B97F4A7C15ull) ^ (version << 40) ^ 0x5A5Au;
