@@ -550,8 +550,10 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushExtent(BufferedExtent ext
       done.sram_free = Later(done.sram_free, prog.data_in);
       if (st.ok()) {
         done.media_done = Later(done.media_done, prog.end);
+        // The unit's slots are consecutive ppns of one block.
+        const Ppn first = layout_.NormalSlot(SeqZone(zone), cur);
         for (std::size_t k = 0; k < data.size(); ++k) {
-          RemapPage(data[k].lpn, layout_.NormalSlot(SeqZone(zone), cur + k * geo.slot_size));
+          RemapPage(data[k].lpn, Ppn(first.value() + k));
         }
         // One window for the fold's read-back invalidates and its
         // program: both become durable when the one-shot pulse ends.
@@ -909,6 +911,7 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
   stats_.host_bytes_read += len;
   const SimTime t0 = now + cfg_.request_overhead;
   SimTime data_done = t0;
+  if (tokens_out) tokens_out->reserve(tokens_out->size() + div_slot_.Div(len));
 
   // Per-request page groups: one sense + transfer per distinct flash page.
   read_groups_.Clear();
@@ -933,6 +936,13 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
       const BufferedExtent& b = buffers_.Contents(buffers_.BufferForZone(zone));
       if (b.empty() || b.owner != zone || lpn < b.first_lpn ||
           lpn.value() >= b.first_lpn.value() + b.slot_count()) {
+        // FINISH moves the write pointer to capacity but flushes the
+        // zone's buffered tail first, so past that tail a full zone has no
+        // data; in an open zone the buffer must hold it.
+        if (zones_.Info(zone).state == ZoneState::kFull) {
+          return Status::OutOfRange("read beyond the data end of finished zone " +
+                                    std::to_string(zone.value()));
+        }
         return Status::Internal("unflushed data missing from write buffer (lpn " +
                                 std::to_string(lpn.value()) + ")");
       }
@@ -971,11 +981,11 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
   }
 
   for (const PageGroup& g : read_groups_.groups()) {
-    const BlockId block = geo.BlockOfPage(g.page);
+    const FlashArray::SlotPlace at = array_.PlaceOf(geo.SlotAt(g.page, 0));
     array_.CountPageRead();
-    data_done = Later(data_done, engine_.ReadPage(geo.ChipOfBlock(block),
-                                                  geo.CellOfBlock(block),
-                                                  g.slots * slot, g.dep, g.retries));
+    const CellType cell = at.slc ? CellType::kSlc : geo.normal_cell;
+    data_done =
+        Later(data_done, engine_.ReadPage(at.chip, cell, g.slots * slot, g.dep, g.retries));
   }
 
   // Stream the payload back to the host.
@@ -987,40 +997,59 @@ Result<std::uint64_t> ConZoneDevice::ReadAggregatedRun(
     MapGranularity gran, SimTime t0, std::vector<std::uint64_t>* tokens_out) {
   const FlashGeometry& geo = cfg_.geometry;
   const std::uint64_t slot = geo.slot_size;
-  const std::uint64_t unit_bytes =
-      gran == MapGranularity::kZone
-          ? cfg_.zone_size_bytes
-          : static_cast<std::uint64_t>(cfg_.lpns_per_chunk) * slot;
   // Translate would hit the same entry, unchanged, for every later slot
   // of the unit that is still durable (not in the write buffer), below
   // the write pointer and in the normal region (patch slots resolve
   // through the SLC stripe instead of the layout).
-  const std::uint64_t run_end =
-      std::min({(off_in_zone / unit_bytes + 1) * unit_bytes,
-                runtime_[static_cast<std::size_t>(zone.value())].staged_end,
+  const std::uint64_t durable_end =
+      std::min({runtime_[static_cast<std::size_t>(zone.value())].staged_end,
                 zones_.Info(zone).write_pointer, layout_.normal_bytes(), req_end});
-  // A program unit's slots are consecutive ppns in one block: consult
-  // the layout once per program unit and step inside it.
-  std::uint64_t next_unit = (off_in_zone / geo.program_unit + 1) * geo.program_unit;
+  if (durable_end <= off_in_zone + slot) return 0;
+  const std::uint64_t unit_bytes =
+      gran == MapGranularity::kZone
+          ? cfg_.zone_size_bytes
+          : static_cast<std::uint64_t>(cfg_.lpns_per_chunk) * slot;
+  const std::uint64_t run_end =
+      std::min((off_in_zone / unit_bytes + 1) * unit_bytes, durable_end);
+
+  // Zone-relative slots [s, s_end) follow the one just read. A program
+  // unit's slots are consecutive ppns in one block, so its pages are
+  // consecutive too: consult the layout once per program unit and read
+  // the unit page by page.
+  const std::uint64_t slots_per_page = div_slots_per_page_.value();
+  const std::uint64_t slots_per_unit = geo.program_unit / slot;
+  std::uint64_t s = div_slot_.Div(off_in_zone) + 1;
+  const std::uint64_t s_end = div_slot_.Div(run_end);
+  std::uint64_t unit = (s - 1) / slots_per_unit;  // holds the slot just read
+  std::uint64_t next_unit = (unit + 1) * slots_per_unit;
+  lpn = Lpn(lpn.value() + 1);
+  ppn = Ppn(ppn.value() + 1);
+  FlashPageId page{div_slots_per_page_.Div(ppn.value())};
+  std::uint64_t in_page = (page.value() + 1) * slots_per_page - ppn.value();
   std::uint64_t n = 0;
-  for (std::uint64_t off = off_in_zone + slot; off < run_end; off += slot) {
-    ++n;
-    lpn = Lpn(lpn.value() + 1);
-    if (off == next_unit) {
-      ppn = layout_.NormalSlot(SeqZone(zone), off);
-      next_unit += geo.program_unit;
-    } else {
-      ppn = Ppn(ppn.value() + 1);
+  while (s < s_end) {
+    if (s == next_unit) {
+      const ZoneLayout::UnitLoc loc = layout_.UnitAt(SeqZone(zone), ++unit);
+      page = geo.PageAt(loc.block, loc.first_page_in_block);
+      ppn = geo.SlotAt(page, 0);
+      in_page = slots_per_page;
+      next_unit += slots_per_unit;
     }
-    // ReadSlot draws read-retry levels from the fault RNG: one call per
-    // slot, in slot order, exactly as the per-slot path makes them.
-    const SlotRead r = array_.ReadSlot(ppn);
-    if (r.state != SlotState::kValid || r.lpn != lpn) {
-      translator_.BookRepeatedHits(gran, n);
-      return StaleSlot(lpn, ppn);
+    const auto count = static_cast<std::uint32_t>(std::min(in_page, s_end - s));
+    // Read-retry levels are drawn one slot at a time, in slot order,
+    // exactly as the per-slot path draws them.
+    const FlashArray::PageRun got = array_.ReadPageRun(ppn, count, lpn, tokens_out);
+    if (got.good < count) {
+      translator_.BookRepeatedHits(gran, n + got.good + 1);
+      return StaleSlot(Lpn(lpn.value() + got.good), Ppn(ppn.value() + got.good));
     }
-    if (tokens_out) tokens_out->push_back(r.token);
-    read_groups_.Add(FlashPageId(div_slots_per_page_.Div(ppn.value())), t0, r.retry_level);
+    read_groups_.Add(page, t0, got.retries, count);
+    n += count;
+    s += count;
+    lpn = Lpn(lpn.value() + count);
+    ppn = Ppn(ppn.value() + count);
+    page = FlashPageId(page.value() + 1);
+    in_page = slots_per_page;
   }
   translator_.BookRepeatedHits(gran, n);
   return n;
@@ -1043,23 +1072,15 @@ Result<SimTime> ConZoneDevice::ResetZone(ZoneId zone, SimTime now) {
   const FlashGeometry& geo = cfg_.geometry;
   buffers_.Discard(zone);
 
-  // Invalidate SLC-resident slots (staged data and the patch, E.2: "if
-  // the zone has some data in SLC, ConZone invalidates it also") and drop
-  // all mappings. The walk stops at the zone's last mapped lpn.
+  // Drop all mappings and invalidate the SLC-resident slots (staged data
+  // and the patch, E.2: "if the zone has some data in SLC, ConZone
+  // invalidates it also"); erased normal blocks reset their own slot
+  // state below.
   const std::uint64_t mark = array_.MarkJournal();
-  const Lpn zbase = ZoneBaseLpn(zone);
-  for (std::uint64_t i = 0; i < LpnsPerZone() && table_.zone_mapped_count(zone) > 0;
-       ++i) {
-    const Lpn lpn = Lpn(zbase.value() + i);
-    const MapEntry e = table_.Get(lpn);
-    if (!e.mapped()) continue;
-    if (geo.IsSlcBlock(geo.BlockOfSlot(e.ppn))) {
-      // Erased normal blocks reset their own slot state below.
-      (void)array_.InvalidateSlot(e.ppn);
-    }
-    table_.Unmap(lpn);
-  }
-  cache_.InvalidateLpnRange(zbase, LpnsPerZone());
+  table_.UnmapZone(zone, [this](Lpn, Ppn ppn) {
+    if (array_.PlaceOf(ppn).slc) (void)array_.InvalidateSlot(ppn);
+  });
+  cache_.InvalidateLpnRange(ZoneBaseLpn(zone), LpnsPerZone());
 
   // Directly erase the reserved normal blocks that hold data.
   const SimTime t0 = now + cfg_.request_overhead;
@@ -1158,17 +1179,10 @@ Result<SimTime> ConZoneDevice::ResetConventionalZone(ZoneId zone, SimTime now) {
   ++stats_.zone_resets;
   buffers_.Discard(zone);
   const std::uint64_t mark = array_.MarkJournal();
-  const Lpn zbase = ZoneBaseLpn(zone);
-  for (std::uint64_t i = 0; i < LpnsPerZone(); ++i) {
-    const Lpn lpn = Lpn(zbase.value() + i);
-    const MapEntry e = table_.Get(lpn);
-    if (!e.mapped()) continue;
-    if (array_.StateOfSlot(e.ppn) == SlotState::kValid) {
-      if (Status st = array_.InvalidateSlot(e.ppn); !st.ok()) return st;
-    }
-    table_.Unmap(lpn);
-  }
-  cache_.InvalidateLpnRange(zbase, LpnsPerZone());
+  table_.UnmapZone(zone, [this](Lpn, Ppn ppn) {
+    if (array_.StateOfSlot(ppn) == SlotState::kValid) (void)array_.InvalidateSlot(ppn);
+  });
+  cache_.InvalidateLpnRange(ZoneBaseLpn(zone), LpnsPerZone());
   // No erase here: the pool's blocks are shared; GC reclaims them. The
   // invalidates are controller metadata; they become cut-proof once the
   // reset is acknowledged.

@@ -21,7 +21,12 @@ MediaCounters MediaCounters::Since(const MediaCounters& base) const {
   return d;
 }
 
-FlashArray::FlashArray(const FlashGeometry& geometry) : geo_(geometry) {
+FlashArray::FlashArray(const FlashGeometry& geometry)
+    : geo_(geometry),
+      div_slots_per_chip_(std::uint64_t{geo_.blocks_per_chip} * geo_.pages_per_block *
+                          geo_.SlotsPerPage()),
+      slc_slots_per_chip_(std::uint64_t{geo_.slc_blocks_per_chip} * geo_.pages_per_block *
+                          geo_.SlotsPerPage()) {
   assert(geo_.Validate().ok());
   // Zero pages: a slot becomes resident host memory once it is written.
   slots_.resize(static_cast<std::size_t>(geo_.TotalSlots()));
@@ -122,6 +127,15 @@ Status FlashArray::ProgramSlots(BlockId block, std::span<const SlotWrite> writes
   return Status::Ok();
 }
 
+std::uint32_t FlashArray::DrawReadRetry(bool slc, std::uint32_t erase_count) const {
+  const std::uint32_t level = fault_->ReadRetryLevel(slc, erase_count);
+  if (level > 0) {
+    rel_.reads_with_retry++;
+    rel_.read_retries += level;
+  }
+  return level;
+}
+
 SlotRead FlashArray::ReadSlot(Ppn ppn) const {
   SlotRead out;
   if (ppn.value() >= slots_.size()) return out;
@@ -129,14 +143,10 @@ SlotRead FlashArray::ReadSlot(Ppn ppn) const {
   out.state = StateOf(s);
   out.lpn = LpnOf(s);
   out.token = s.token;
-  if (fault_ != nullptr && fault_->enabled() && out.state == SlotState::kValid) {
+  if (FaultsEnabled() && out.state == SlotState::kValid) {
     const BlockId block = geo_.BlockOfSlot(ppn);
-    const BlockMeta& meta = blocks_[static_cast<std::size_t>(block.value())];
-    out.retry_level = fault_->ReadRetryLevel(geo_.IsSlcBlock(block), meta.erase_count);
-    if (out.retry_level > 0) {
-      rel_.reads_with_retry++;
-      rel_.read_retries += out.retry_level;
-    }
+    out.retry_level = DrawReadRetry(
+        geo_.IsSlcBlock(block), blocks_[static_cast<std::size_t>(block.value())].erase_count);
   }
   return out;
 }

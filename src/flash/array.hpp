@@ -18,12 +18,14 @@
 // is the job of FlashTimingEngine.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <deque>
 #include <span>
 #include <vector>
 
+#include "common/fastdiv.hpp"
 #include "common/ids.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
@@ -100,6 +102,23 @@ class FlashArray {
   /// fault model attached, `retry_level` reports how many read-retry steps
   /// this sense needed — the timing engine turns that into latency.
   SlotRead ReadSlot(Ppn ppn) const;
+
+  /// What ReadPageRun served: its leading good slots and the worst
+  /// read-retry level among them.
+  struct PageRun {
+    std::uint32_t good = 0;
+    std::uint32_t retries = 0;
+  };
+
+  /// n ReadSlot calls in one, for `n` consecutive slots of one flash page
+  /// from `first` that should hold lpns `lpn`, `lpn` + 1, ...: walks them
+  /// in order, appending each token to `tokens` (when non-null), and stops
+  /// at the first slot that is not valid or holds another lpn. Every
+  /// valid-state slot reached draws its read-retry level in slot order,
+  /// the one it stops at included, exactly as ReadSlot does. Slots past
+  /// the array read as free.
+  PageRun ReadPageRun(Ppn first, std::uint32_t n, Lpn lpn,
+                      std::vector<std::uint64_t>* tokens) const;
 
   /// Record a physical page read (for MediaCounters only; timing is the
   /// engine's job).
@@ -225,6 +244,18 @@ class FlashArray {
   SlotRead PeekSlot(Ppn ppn) const;
 
   // --- Inspectors ---
+  /// The chip a slot lies on and whether its block is SLC: a chip's SLC
+  /// blocks come first, so one reciprocal division by a chip's slot
+  /// count decides both (the read path places every page it reads).
+  struct SlotPlace {
+    ChipId chip;
+    bool slc = false;
+  };
+  SlotPlace PlaceOf(Ppn ppn) const {
+    const std::uint64_t chip = div_slots_per_chip_.Div(ppn.value());
+    return {ChipId(chip),
+            ppn.value() - chip * div_slots_per_chip_.value() < slc_slots_per_chip_};
+  }
   SlotState StateOfSlot(Ppn ppn) const;
   std::uint32_t NextProgramSlot(BlockId block) const;
   /// Global program batch counter: incremented once per ProgramSlots call
@@ -314,12 +345,18 @@ class FlashArray {
     BlockMeta prior_meta;          // erase: meta before the erase
   };
 
+  /// Draw one sense's read-retry level from the attached fault model and
+  /// book it (callers check FaultsEnabled()).
+  std::uint32_t DrawReadRetry(bool slc, std::uint32_t erase_count) const;
+
   bool JournalActive() const { return journal_on_ && !journal_paused_; }
   void UndoProgram(const JournalEntry& e, SimTime cut, PowerCutReport& report);
   void UndoInvalidate(const JournalEntry& e, SimTime cut, PowerCutReport& report);
   void UndoErase(JournalEntry& e, SimTime cut, PowerCutReport& report);
 
   FlashGeometry geo_;
+  FastDiv div_slots_per_chip_;
+  std::uint64_t slc_slots_per_chip_ = 0;
   ZeroedVector<Slot> slots_;
   std::vector<BlockMeta> blocks_;
   MediaCounters counters_;
@@ -334,5 +371,36 @@ class FlashArray {
   bool journal_paused_ = false;
   std::deque<JournalEntry> journal_;
 };
+
+// Inline: the aggregated read path calls it once per flash page.
+inline FlashArray::PageRun FlashArray::ReadPageRun(Ppn first, std::uint32_t n, Lpn lpn,
+                                                   std::vector<std::uint64_t>* tokens) const {
+  PageRun out;
+  if (n == 0 || first.value() >= slots_.size()) return out;
+  // The walk goes through a pointer, which operator[]'s bounds check does
+  // not see past the first slot: bound it here.
+  const auto avail =
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(n, slots_.size() - first.value()));
+  assert(geo_.PageOfSlot(first) == geo_.PageOfSlot(Ppn(first.value() + avail - 1)));
+  const Slot* s = &slots_[SlotIndex(first)];
+  // One page, one block: the fault draws share its cell class and wear.
+  const bool faults = FaultsEnabled();
+  bool slc = false;
+  std::uint32_t erase_count = 0;
+  if (faults) {
+    const BlockId block = geo_.BlockOfSlot(first);
+    slc = geo_.IsSlcBlock(block);
+    erase_count = blocks_[static_cast<std::size_t>(block.value())].erase_count;
+  }
+  for (; out.good < avail; ++out.good) {
+    const Slot& slot = s[out.good];
+    if (StateOf(slot) != SlotState::kValid) break;
+    const std::uint32_t level = faults ? DrawReadRetry(slc, erase_count) : 0;
+    if (LpnOf(slot) != Lpn(lpn.value() + out.good)) break;
+    if (tokens != nullptr) tokens->push_back(slot.token);
+    out.retries = std::max(out.retries, level);
+  }
+  return out;
+}
 
 }  // namespace conzone

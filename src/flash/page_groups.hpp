@@ -9,6 +9,7 @@
 // the simulated result.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,28 +27,31 @@ struct PageGroup {
   std::uint32_t retries = 0;  // max read-retry level across the slots
 };
 
-/// Groups one request's slots by flash page in O(1) per slot, keeping
-/// first-appearance order. A page -> group index (open addressing,
-/// linear probing) finds a page's group. A request builds the index only
-/// when it reaches a second distinct page, so a read of one page never
-/// hashes; the buckets carry the epoch of the request that filled them,
-/// so starting an index bumps the epoch instead of clearing it.
-/// Allocation-free once the index has grown to the largest request seen.
+/// Groups one request's slots by flash page in O(1) per call (one slot or
+/// a run of one page's slots), keeping first-appearance order. A page ->
+/// group index (open addressing, linear probing) finds a page's group. A
+/// request builds the index only when it reaches a second distinct page,
+/// so a read of one page never hashes; the buckets carry the epoch of the
+/// request that filled them, so starting an index bumps the epoch instead
+/// of clearing it. Allocation-free once the index has grown to the
+/// largest request seen.
 class PageGrouper {
  public:
   /// Start a new request: drops the previous request's groups.
   void Clear() { groups_.clear(); }
 
-  /// Count one slot on `page`, fed by a metadata fetch ending at `dep`
-  /// and read at read-retry level `retries`.
-  void Add(FlashPageId page, SimTime dep, std::uint32_t retries) {
+  /// Count `slots` (> 0) slots on `page`, fed by a metadata fetch ending
+  /// at `dep` and read at worst read-retry level `retries`: the same
+  /// groups as that many one-slot calls.
+  void Add(FlashPageId page, SimTime dep, std::uint32_t retries, std::uint32_t slots = 1) {
+    assert(slots > 0);
     if (groups_.empty()) {
-      groups_.push_back(PageGroup{page, 1, dep, retries});
+      groups_.push_back(PageGroup{page, slots, dep, retries});
       return;
     }
     // Consecutive slots of one page (the common run) skip the index.
     if (groups_.back().page == page) {
-      Merge(groups_.back(), dep, retries);
+      Merge(groups_.back(), dep, retries, slots);
       return;
     }
     if (groups_.size() == 1) {
@@ -58,12 +62,12 @@ class PageGrouper {
     std::size_t b = Home(page);
     for (; index_[b].epoch == epoch_; b = (b + 1) & mask_) {
       if (index_[b].page == page) {
-        Merge(groups_[index_[b].group], dep, retries);
+        Merge(groups_[index_[b].group], dep, retries, slots);
         return;
       }
     }
     index_[b] = Bucket{page, epoch_, static_cast<std::uint32_t>(groups_.size())};
-    groups_.push_back(PageGroup{page, 1, dep, retries});
+    groups_.push_back(PageGroup{page, slots, dep, retries});
   }
 
   /// The current request's groups, in first-appearance order.
@@ -76,8 +80,8 @@ class PageGrouper {
     std::uint32_t group = 0;  // index into groups_
   };
 
-  static void Merge(PageGroup& g, SimTime dep, std::uint32_t retries) {
-    ++g.slots;
+  static void Merge(PageGroup& g, SimTime dep, std::uint32_t retries, std::uint32_t slots) {
+    g.slots += slots;
     g.dep = Later(g.dep, dep);
     if (retries > g.retries) g.retries = retries;
   }

@@ -90,6 +90,30 @@ class MappingTable {
   /// Drop the mapping (zone reset / TRIM).
   void Unmap(Lpn lpn);
 
+  /// Drop every mapping of zone `z` (zone reset): visit its mapped
+  /// entries in lpn order as fn(Lpn, Ppn), clearing each, and adjust the
+  /// counts once. The entries, counts and changed flag end as after
+  /// Unmap on each lpn of the zone; the walk stops at the last mapped one.
+  template <typename Fn>
+  void UnmapZone(ZoneId z, Fn&& fn) {
+    const std::size_t zi = static_cast<std::size_t>(z.value());
+    const std::uint32_t mapped = zone_mapped_[zi];
+    if (mapped == 0) return;
+    const std::size_t end = std::min(entries_.size(), (zi + 1) * geo_.lpns_per_zone);
+    std::uint32_t left = mapped;
+    for (std::size_t i = zi * geo_.lpns_per_zone; left > 0 && i < end; ++i) {
+      std::uint64_t& e = entries_[i];
+      const std::uint64_t ppn1 = e & kPpnMask;
+      if (ppn1 == 0) continue;
+      fn(Lpn(i), Ppn(ppn1 - 1));
+      e = 0;
+      --left;
+    }
+    mapped_ -= mapped;
+    zone_mapped_[zi] = 0;
+    zone_changed_[zi] = 1;
+  }
+
   MapEntry Get(Lpn lpn) const;
 
   /// Stamp the map bits of `count` entries starting at `start` as

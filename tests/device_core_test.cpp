@@ -377,6 +377,38 @@ TEST(ConZoneZoneOpsTest, OpenAndCloseCheckLikeFinish) {
   EXPECT_TRUE(dev.OpenZone(ZoneId{3}).ok());
 }
 
+TEST(ConZoneZoneOpsTest, ReadPastFinishedZoneDataEndIsOutOfRange) {
+  // FINISH moves the write pointer to capacity, so the zone check admits
+  // reads up to it; past the data FINISH flushed there is nothing to read.
+  auto made = ConZoneDevice::Create(ConZoneConfig::PaperConfig());
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ConZoneDevice& dev = **made;
+  const std::uint64_t zone_bytes = dev.info().zone_size_bytes;
+  auto w = TestWrite(dev, 0, 40 * kKiB, SimTime());
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  auto f = dev.FinishZone(ZoneId{0}, w.value());
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  const SimTime t = f.value();
+  const std::string past = "OUT_OF_RANGE: read beyond the data end of finished zone 0";
+  EXPECT_EQ(TestRead(dev, 40 * kKiB, 4 * kKiB, t).status().ToString(), past);
+  EXPECT_EQ(TestRead(dev, 0, 44 * kKiB, t).status().ToString(), past);
+  EXPECT_EQ(TestRead(dev, zone_bytes - 4 * kKiB, 4 * kKiB, t).status().ToString(), past);
+  std::vector<std::uint64_t> got;
+  ASSERT_TRUE(TestRead(dev, 0, 40 * kKiB, t, &got).ok());
+  EXPECT_EQ(got.size(), 10u);
+
+  // A zone filled by writes is full too; its buffered tail still reads.
+  SimTime t1 = t;
+  for (std::uint64_t off = 0; off < zone_bytes; off += 512 * kKiB) {
+    auto r = TestWrite(dev, zone_bytes + off, 512 * kKiB, t1);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    t1 = r.value();
+  }
+  ASSERT_EQ(dev.zones().Info(ZoneId{1}).state, ZoneState::kFull);
+  EXPECT_TRUE(TestRead(dev, 2 * zone_bytes - 4 * kKiB, 4 * kKiB, t1).ok());
+  EXPECT_TRUE(TestRead(dev, zone_bytes, zone_bytes, t1).ok());
+}
+
 TEST(ConZoneMultiSuperblockTest, TwoSuperblockZonesFillReadRemountAndReset) {
   // 32 MiB zones span two 15.75 MiB superblocks (a 512 KiB SLC patch).
   ConZoneConfig cfg = ConZoneConfig::PaperConfig();

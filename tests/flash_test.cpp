@@ -2,6 +2,11 @@
 // machine, the timing engine, superblock pools and the SLC allocator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "fault/fault_model.hpp"
 #include "flash/array.hpp"
 #include "flash/geometry.hpp"
 #include "flash/slc_allocator.hpp"
@@ -124,6 +129,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- array ---
 
+TEST(FlashArrayTest, PlaceOfMatchesGeometry) {
+  FlashGeometry paper;
+  for (const FlashGeometry& g : {SmallGeo(), paper}) {
+    const FlashArray a(g);
+    for (std::uint64_t s = 0; s < g.TotalSlots(); ++s) {
+      const FlashArray::SlotPlace at = a.PlaceOf(Ppn{s});
+      ASSERT_EQ(at.chip, g.ChipOfSlot(Ppn{s})) << "slot " << s;
+      ASSERT_EQ(at.slc, g.IsSlcBlock(g.BlockOfSlot(Ppn{s}))) << "slot " << s;
+    }
+  }
+}
+
 TEST(FlashArrayTest, ProgramReadRoundTrip) {
   FlashArray a(SmallGeo());
   const BlockId slc = a.geometry().BlockAt(ChipId{0}, 0);
@@ -193,6 +210,152 @@ TEST(FlashArrayTest, CountersTrackMedia) {
   ASSERT_TRUE(a.EraseBlock(normal).ok());
   EXPECT_EQ(a.counters().erases_slc, 1u);
   EXPECT_EQ(a.counters().erases_normal, 1u);
+}
+
+// --- page-run reads ---
+
+enum class SlotKind { kGood, kInvalid, kWrongLpn, kFree };
+
+/// Every run of the 4-slot page at `page` (from each start slot, up to
+/// `max_end` slots past the page's first) read with ReadPageRun on `a`
+/// and with ReadSlot calls on `b`, which holds the same slots and an
+/// identical fault stream: the same good count, tokens, worst retry level
+/// and reliability counters.
+void ExpectPageRunsMatchSlotReads(FlashArray& a, FlashArray& b, Ppn page, Lpn lpn,
+                                  std::uint32_t max_end, const std::string& what) {
+  for (std::uint32_t start = 0; start < 4; ++start) {
+    for (std::uint32_t n = 1; start + n <= max_end; ++n) {
+      const std::string run = what + " start " + std::to_string(start) + " n " +
+                              std::to_string(n);
+      // Odd runs skip the tokens.
+      std::vector<std::uint64_t> got;
+      const FlashArray::PageRun r = a.ReadPageRun(Ppn{page.value() + start}, n,
+                                                  Lpn{lpn.value() + start},
+                                                  n % 2 == 0 ? &got : nullptr);
+      std::vector<std::uint64_t> want;
+      std::uint32_t good = 0;
+      std::uint32_t retries = 0;
+      for (; good < n; ++good) {
+        const SlotRead s = b.ReadSlot(Ppn{page.value() + start + good});
+        if (s.state != SlotState::kValid || s.lpn != Lpn{lpn.value() + start + good}) break;
+        if (n % 2 == 0) want.push_back(s.token);
+        retries = std::max(retries, s.retry_level);
+      }
+      EXPECT_EQ(r.good, good) << run;
+      EXPECT_EQ(r.retries, retries) << run;
+      EXPECT_EQ(got, want) << run;
+    }
+  }
+  EXPECT_EQ(a.reliability().reads_with_retry, b.reliability().reads_with_retry) << what;
+  EXPECT_EQ(a.reliability().read_retries, b.reliability().read_retries) << what;
+}
+
+/// A pair of arrays with identical fault streams (or none).
+struct TwinArrays {
+  explicit TwinArrays(bool faults) : a(SmallGeo()), b(SmallGeo()) {
+    FaultConfig fc;
+    fc.seed = 11;
+    fc.slc.read_retry = 0.5;
+    fc.normal.read_retry = 0.5;
+    fa = FaultModel(fc);
+    fb = FaultModel(fc);
+    if (faults) {
+      a.AttachFaultModel(&fa);
+      b.AttachFaultModel(&fb);
+    }
+  }
+  /// Program `writes` into `block` of both arrays.
+  void Program(BlockId block, const std::vector<SlotWrite>& writes) {
+    ASSERT_TRUE(a.ProgramSlots(block, writes).ok());
+    ASSERT_TRUE(b.ProgramSlots(block, writes).ok());
+  }
+  void Invalidate(Ppn ppn) {
+    ASSERT_TRUE(a.InvalidateSlot(ppn).ok());
+    ASSERT_TRUE(b.InvalidateSlot(ppn).ok());
+  }
+  /// Both fault streams continue alike: the runs drew what the slot
+  /// reads drew.
+  void ExpectSameNextDraws(const std::string& what) {
+    for (int k = 0; k < 16; ++k) {
+      EXPECT_EQ(fa.ReadRetryLevel(k % 2 == 0, 0), fb.ReadRetryLevel(k % 2 == 0, 0)) << what;
+    }
+  }
+  FaultModel fa;
+  FaultModel fb;
+  FlashArray a;
+  FlashArray b;
+};
+
+TEST(FlashArrayTest, PageRunReadMatchesSlotReads) {
+  const FlashGeometry g = SmallGeo();
+  ASSERT_EQ(g.SlotsPerPage(), 4u);
+  constexpr std::uint64_t kLpn = 500;
+  for (const bool faults : {false, true}) {
+    // An SLC page whose slots are good, invalid, hold another lpn, or are
+    // free (programming is sequential: only as a suffix), in every
+    // combination.
+    for (std::uint32_t code = 0; code < 256; ++code) {
+      SlotKind kinds[4];
+      bool suffix_free = true;
+      for (int i = 0; i < 4; ++i) kinds[i] = static_cast<SlotKind>((code >> (2 * i)) & 3);
+      for (int i = 1; i < 4; ++i) {
+        suffix_free = suffix_free &&
+                      (kinds[i - 1] != SlotKind::kFree || kinds[i] == SlotKind::kFree);
+      }
+      if (!suffix_free) continue;
+      TwinArrays t(faults);
+      const BlockId slc = g.BlockAt(ChipId{1}, 1);
+      const Ppn page = g.SlotAt(g.PageAt(slc, 0), 0);
+      std::vector<SlotWrite> writes;
+      for (std::uint64_t i = 0; i < 4 && kinds[i] != SlotKind::kFree; ++i) {
+        const std::uint64_t lpn = kLpn + i + (kinds[i] == SlotKind::kWrongLpn ? 1000 : 0);
+        writes.push_back(SlotWrite{Lpn{lpn}, 100 + i});
+      }
+      if (!writes.empty()) ASSERT_NO_FATAL_FAILURE(t.Program(slc, writes));
+      for (std::uint64_t i = 0; i < 4; ++i) {
+        if (kinds[i] == SlotKind::kInvalid) {
+          ASSERT_NO_FATAL_FAILURE(t.Invalidate(Ppn{page.value() + i}));
+        }
+      }
+      const std::string what = std::string(faults ? "faults" : "clean") + " slc code " +
+                               std::to_string(code);
+      ExpectPageRunsMatchSlotReads(t.a, t.b, page, Lpn{kLpn}, 4, what);
+      t.ExpectSameNextDraws(what);
+    }
+    // The array's last page, in a normal block, in every combination of
+    // good, invalid and mislabelled slots; runs reach the array's end
+    // and pass it (slots past it read as free).
+    for (std::uint32_t code = 0; code < 81; ++code) {
+      TwinArrays t(faults);
+      const BlockId last = g.BlockAt(ChipId{g.NumChips() - 1}, g.blocks_per_chip - 1);
+      ASSERT_FALSE(g.IsSlcBlock(last));
+      const std::uint64_t block_slots = std::uint64_t{g.pages_per_block} * g.SlotsPerPage();
+      const Ppn page{g.TotalSlots() - 4};
+      SlotKind kinds[4];
+      for (std::uint32_t i = 0, c = code; i < 4; ++i, c /= 3) {
+        kinds[i] = static_cast<SlotKind>(c % 3);
+      }
+      // The block's slot i holds lpn kLpn + i - (block_slots - 4), so the
+      // last page holds kLpn onward.
+      std::vector<SlotWrite> writes;
+      for (std::uint64_t i = 0; i < block_slots; ++i) {
+        const std::uint64_t lpn = kLpn + i - (block_slots - 4);
+        const bool wrong =
+            i + 4 >= block_slots && kinds[i + 4 - block_slots] == SlotKind::kWrongLpn;
+        writes.push_back(SlotWrite{Lpn{lpn + (wrong ? 1000 : 0)}, 100 + i});
+      }
+      ASSERT_NO_FATAL_FAILURE(t.Program(last, writes));
+      for (std::uint64_t i = 0; i < 4; ++i) {
+        if (kinds[i] == SlotKind::kInvalid) {
+          ASSERT_NO_FATAL_FAILURE(t.Invalidate(Ppn{page.value() + i}));
+        }
+      }
+      const std::string what = std::string(faults ? "faults" : "clean") + " end code " +
+                               std::to_string(code);
+      ExpectPageRunsMatchSlotReads(t.a, t.b, page, Lpn{kLpn}, 6, what);
+      t.ExpectSameNextDraws(what);
+    }
+  }
 }
 
 // The largest lpn a slot's OOB word holds (lpn + 1 fills its 62 bits).

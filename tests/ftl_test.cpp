@@ -2,6 +2,7 @@
 // LRU, pinning) and the translator's three search strategies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -162,6 +163,68 @@ TEST(MappingTableTest, PerZoneCountsMatchBruteForce) {
         t.ClearZoneChanged(ZoneId{z});
         at_clear[z] = zone_pairs[z];
       }
+    }
+  }
+}
+
+TEST(MappingTableTest, UnmapZoneMatchesPerLpnUnmap) {
+  // Twin tables filled alike, some entries aggregated; one drops a zone
+  // with UnmapZone, the other with Unmap on each lpn of the zone that
+  // Get shows mapped. The visits, every entry, the counts and the
+  // changed flags must agree. The last zone is partial; the zones are
+  // dense, sparse, mapped only at the end, or empty.
+  MappingGeometry geo = SmallMapGeo();
+  geo.num_lpns += 1000;
+  const std::uint64_t n = geo.num_lpns;
+  const std::uint64_t per_zone = geo.lpns_per_zone;
+  Rng rng(0x0A2E);
+  for (int round = 0; round < 40; ++round) {
+    MappingTable a(geo);
+    MappingTable b(geo);
+    for (std::uint64_t z = 0; z < a.num_zones(); ++z) {
+      const std::uint64_t lo = z * per_zone;
+      const std::uint64_t hi = std::min(n, lo + per_zone);
+      const std::uint64_t kind = rng.NextBelow(4);
+      for (std::uint64_t l = lo; l < hi; ++l) {
+        const bool map = kind == 0   ? rng.NextBelow(8) != 0
+                         : kind == 1 ? rng.NextBelow(50) == 0
+                         : kind == 2 ? l + 3 >= hi
+                                     : false;
+        if (!map) continue;
+        const Ppn ppn{rng.NextBelow(1u << 20)};
+        a.Set(Lpn{l}, ppn);
+        b.Set(Lpn{l}, ppn);
+        if (rng.NextBelow(4) == 0) {
+          a.SetAggregated(Lpn{l}, 1, MapGranularity::kChunk);
+          b.SetAggregated(Lpn{l}, 1, MapGranularity::kChunk);
+        }
+      }
+      a.ClearZoneChanged(ZoneId{z});
+      b.ClearZoneChanged(ZoneId{z});
+    }
+    const ZoneId zone{rng.NextBelow(a.num_zones())};
+    using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+    Pairs got;
+    a.UnmapZone(zone, [&](Lpn l, Ppn p) { got.emplace_back(l.value(), p.value()); });
+    Pairs want;
+    for (std::uint64_t l = zone.value() * per_zone;
+         l < std::min(n, (zone.value() + 1) * per_zone); ++l) {
+      const MapEntry e = b.Get(Lpn{l});
+      if (e.mapped()) want.emplace_back(l, e.ppn.value());
+      b.Unmap(Lpn{l});
+    }
+    const std::string what = "round " + std::to_string(round) + " zone " +
+                             std::to_string(zone.value());
+    ASSERT_EQ(got, want) << what;
+    ASSERT_EQ(a.mapped_count(), b.mapped_count()) << what;
+    for (std::uint64_t z = 0; z < a.num_zones(); ++z) {
+      ASSERT_EQ(a.zone_mapped_count(ZoneId{z}), b.zone_mapped_count(ZoneId{z})) << what;
+      ASSERT_EQ(a.zone_changed(ZoneId{z}), b.zone_changed(ZoneId{z})) << what << " " << z;
+    }
+    for (std::uint64_t l = 0; l < n; ++l) {
+      const MapEntry ea = a.Get(Lpn{l});
+      const MapEntry eb = b.Get(Lpn{l});
+      ASSERT_TRUE(ea.ppn == eb.ppn && ea.gran == eb.gran) << what << " lpn " << l;
     }
   }
 }

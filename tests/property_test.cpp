@@ -16,6 +16,7 @@
 //       scan it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "common/rng.hpp"
@@ -262,6 +263,48 @@ TEST(PageGrouperPropertyTest, MatchesLinearScan) {
     for (const SlotIn& s : slots) grouper.Add(s.page, s.dep, s.retries);
     const std::vector<PageGroup> want = LinearGroups(slots);
     const std::span<const PageGroup> got = grouper.groups();
+    ASSERT_EQ(got.size(), want.size()) << "case " << c;
+    for (std::size_t g = 0; g < want.size(); ++g) {
+      ASSERT_EQ(got[g].page, want[g].page) << "case " << c << " group " << g;
+      ASSERT_EQ(got[g].slots, want[g].slots) << "case " << c << " group " << g;
+      ASSERT_EQ(got[g].dep, want[g].dep) << "case " << c << " group " << g;
+      ASSERT_EQ(got[g].retries, want[g].retries) << "case " << c << " group " << g;
+    }
+  }
+}
+
+/// P7: adding a run of one page's slots in one call gives the groups of
+/// one call per slot, on random page sequences with repeats, runs of 1 to
+/// 4 slots and per-slot retry levels (the run passes their maximum). Odd
+/// cases reuse both groupers across requests.
+TEST(PageGrouperPropertyTest, RunAddMatchesSlotAdds) {
+  Rng rng(0x6A0F);
+  PageGrouper reused_runs;
+  PageGrouper reused_slots;
+  for (int c = 0; c < 400; ++c) {
+    PageGrouper fresh_runs;
+    PageGrouper fresh_slots;
+    PageGrouper& runs = c % 2 == 1 ? reused_runs : fresh_runs;
+    PageGrouper& slots = c % 2 == 1 ? reused_slots : fresh_slots;
+    runs.Clear();
+    slots.Clear();
+    const std::uint64_t pool = 1 + rng.NextBelow(rng.NextBool(0.5) ? 4 : 300);
+    const std::uint64_t n_runs = 1 + rng.NextBelow(rng.NextBool(0.5) ? 8 : 1200);
+    for (std::uint64_t r = 0; r < n_runs; ++r) {
+      const FlashPageId page{rng.NextBelow(pool) * 7919};
+      const SimTime dep = SimTime::FromNanos(rng.NextBelow(1000));
+      const auto n = static_cast<std::uint32_t>(1 + rng.NextBelow(4));
+      std::uint32_t worst = 0;
+      for (std::uint32_t k = 0; k < n; ++k) {
+        const auto retries =
+            static_cast<std::uint32_t>(rng.NextBelow(3) == 0 ? rng.NextBelow(4) : 0);
+        slots.Add(page, dep, retries);
+        worst = std::max(worst, retries);
+      }
+      runs.Add(page, dep, worst, n);
+    }
+    const std::span<const PageGroup> want = slots.groups();
+    const std::span<const PageGroup> got = runs.groups();
     ASSERT_EQ(got.size(), want.size()) << "case " << c;
     for (std::size_t g = 0; g < want.size(); ++g) {
       ASSERT_EQ(got[g].page, want[g].page) << "case " << c << " group " << g;

@@ -158,7 +158,8 @@ TEST_F(ReadPathTest, PinnedKeepsZoneEntriesAcrossCachePressure) {
 //
 // An aggregated cache hit serves the rest of its unit without probing
 // again. Everything the probes would have done must still happen: the
-// same tokens, translator and L2P cache statistics, and cache contents.
+// same tokens, translator and L2P cache statistics, and cache contents,
+// also when a stale slot stops the read.
 
 struct RunMode {
   const char* name;
@@ -301,6 +302,23 @@ TEST_P(RunReadEquivalenceTest, OneReadMatchesSingleSlotReads) {
       const Outcome ob = ReadSlots(*b, r.off, r.len, now);
       EXPECT_EQ(oa.status.code(), ob.status.code()) << what << ": " << oa.status.ToString();
       if (oa.status.ok()) EXPECT_EQ(oa.tokens, ob.tokens) << what;
+      ExpectSameFtlState(*a, *b, what);
+    }
+  }
+
+  // A stale slot inside zone 0's aggregated run (second chunk, page slot
+  // 1) and one at the head of the second read: both reads stop there
+  // with the same error, having booked the same translations and draws.
+  for (const Lpn stale : {Lpn{1029}, Lpn{2048}}) {
+    for (const ConZoneDevice* d : {a.get(), b.get()}) {
+      ASSERT_TRUE(MediaOf(*d).InvalidateSlot(d->mapping().Get(stale).ppn).ok());
+    }
+    for (const char* pass : {"cold", "warm"}) {
+      const std::string what = "stale lpn " + std::to_string(stale.value()) + " " + pass;
+      const Outcome oa = ReadOnce(*a, stale.value() == 2048 ? 8 * kMiB : 0, 8 * kMiB, now);
+      const Outcome ob = ReadSlots(*b, stale.value() == 2048 ? 8 * kMiB : 0, 8 * kMiB, now);
+      EXPECT_EQ(oa.status.code(), StatusCode::kInternal) << what;
+      EXPECT_EQ(oa.status.ToString(), ob.status.ToString()) << what;
       ExpectSameFtlState(*a, *b, what);
     }
   }

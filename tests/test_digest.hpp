@@ -13,6 +13,7 @@
 #include "common/time.hpp"
 #include "core/storage_device.hpp"
 #include "flash/array.hpp"
+#include "ftl/l2p_cache.hpp"
 #include "ftl/translator.hpp"
 
 namespace conzone {
@@ -37,6 +38,12 @@ class Digest {
   void Add(const TranslatorStats& s) {
     for (std::uint64_t v : {s.translations, s.cache_hits, s.map_fetches, s.hits_by_gran[0],
                             s.hits_by_gran[1], s.hits_by_gran[2]}) {
+      Add(v);
+    }
+  }
+  void Add(const L2pCacheStats& s) {
+    for (std::uint64_t v : {s.lookups, s.hits, s.insertions, s.evictions,
+                            s.rejected_insertions}) {
       Add(v);
     }
   }
