@@ -186,6 +186,9 @@ void RecoveryStats::Merge(const RecoveryStats& other) {
   checkpoint_stale_dropped += other.checkpoint_stale_dropped;
   zones_restored += other.zones_restored;
   remount_time += other.remount_time;
+  reerase_time += other.reerase_time;
+  image_load_time += other.image_load_time;
+  tail_scan_time += other.tail_scan_time;
   remount_hist.Merge(other.remount_hist);
   checkpoint_age_hist.Merge(other.checkpoint_age_hist);
 }

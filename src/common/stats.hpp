@@ -178,6 +178,12 @@ struct RecoveryStats {
 
   /// Total simulated time spent remounting, and its per-event spread.
   SimDuration remount_time;
+  /// Where the remount time went, per pass. The image load and the tail
+  /// scan both start when the re-erase ends, so each mount's remount time
+  /// is reerase_time + max(image_load_time, tail_scan_time).
+  SimDuration reerase_time;
+  SimDuration image_load_time;
+  SimDuration tail_scan_time;
   Log2Histogram remount_hist;
   /// Checkpoint age at each image-served mount: simulated time between
   /// the image's media completion and the cut it recovered from.

@@ -21,27 +21,6 @@ Status StaleSlot(Lpn lpn, Ppn ppn) {
                           std::to_string(lpn.value()) + " ppn " +
                           std::to_string(ppn.value()) + ")");
 }
-
-/// Move `bytes` of metadata in page-sized chunks striped round-robin over
-/// `num_chips` chips from `chip`, which ends past the last chunk. Each
-/// chunk goes through `transfer(chip, chunk_bytes, at)`, which returns
-/// its completion. Chunks on one chip chain from `issue`; chips run in
-/// parallel, so the transfer ends at the latest chain.
-template <class Transfer>
-SimTime StripeOverChips(std::uint64_t bytes, std::uint64_t page_size,
-                        std::uint32_t num_chips, std::uint32_t& chip, SimTime issue,
-                        Transfer&& transfer) {
-  std::vector<SimTime> chip_done(num_chips, issue);
-  for (std::uint64_t left = bytes; left > 0;) {
-    const std::uint64_t chunk = std::min(left, page_size);
-    chip_done[chip] = transfer(ChipId{chip}, chunk, chip_done[chip]);
-    chip = (chip + 1) % num_chips;
-    left -= chunk;
-  }
-  SimTime done = issue;
-  for (SimTime d : chip_done) done = Later(done, d);
-  return done;
-}
 }  // namespace
 
 Result<std::unique_ptr<ConZoneDevice>> ConZoneDevice::Create(const ConZoneConfig& config) {
@@ -68,12 +47,10 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
       pool_(cfg_.geometry, static_cast<std::uint32_t>(cfg_.ConventionalSuperblocks())),
       slc_alloc_(array_, pool_),
       buffers_(cfg_.buffers),
-      zones_(ZoneLimitsConfig{cfg_.zone_size_bytes, cfg_.zone_size_bytes,
-                              cfg_.num_conventional_zones + layout_.num_zones(),
+      zones_(ZoneLimitsConfig{cfg_.zone_size_bytes, cfg_.zone_size_bytes, NumZones(),
                               cfg_.max_open_zones, cfg_.max_active_zones}),
       table_(MappingGeometry{
-          (cfg_.num_conventional_zones + layout_.num_zones()) *
-              (cfg_.zone_size_bytes / cfg_.geometry.slot_size),
+          NumZones() * (cfg_.zone_size_bytes / cfg_.geometry.slot_size),
           cfg_.lpns_per_chunk,
           static_cast<std::uint32_t>(cfg_.zone_size_bytes / cfg_.geometry.slot_size),
           static_cast<std::uint32_t>(cfg_.geometry.page_size / 4)}),
@@ -93,7 +70,7 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
       lpns_per_zone_(cfg_.geometry.slot_size
                          ? cfg_.zone_size_bytes / cfg_.geometry.slot_size
                          : 0) {
-  runtime_.resize(cfg_.num_conventional_zones + layout_.num_zones());
+  runtime_.resize(NumZones());
   zone_images_.resize(runtime_.size());
   buffer_ready_.resize(cfg_.buffers.num_buffers, SimTime::Zero());
   // Erase-count-aware allocation (ROADMAP wear leveling): steer SLC and
@@ -118,7 +95,7 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
 DeviceInfo ConZoneDevice::info() const {
   DeviceInfo di;
   di.name = "ConZone";
-  di.num_zones = cfg_.num_conventional_zones + layout_.num_zones();
+  di.num_zones = NumZones();
   di.capacity_bytes = static_cast<std::uint64_t>(di.num_zones) * cfg_.zone_size_bytes;
   di.zone_size_bytes = cfg_.zone_size_bytes;
   di.num_conventional_zones = cfg_.num_conventional_zones;
@@ -236,7 +213,7 @@ Result<SimTime> ConZoneDevice::WriteImpl(std::uint64_t offset, std::uint64_t len
   const std::uint64_t nslots = div_slot_.Div(len);
   const ZoneId zone{div_zone_.Div(offset)};
   const std::uint64_t off_in_zone = offset - zone.value() * cfg_.zone_size_bytes;
-  if (zone.value() >= cfg_.num_conventional_zones + layout_.num_zones()) {
+  if (zone.value() >= NumZones()) {
     return Status::OutOfRange("write beyond device capacity");
   }
   if (len > cfg_.zone_size_bytes || off_in_zone > cfg_.zone_size_bytes - len) {
@@ -650,131 +627,11 @@ SimTime ConZoneDevice::MaybeFlushL2pLog(SimTime now, bool force) {
   return t;
 }
 
-SimTime ConZoneDevice::WriteCheckpoint(SimTime now) {
-  CheckpointImage img;
-  img.seq = ckpt_.NextSeq();
-  img.program_seq = array_.program_seq();
-  // The first image after a mount completes the seeding: a zone still
-  // unchanged since then is one the mount restored, and its runs are the
-  // replayed image's runs clipped to it. Deferred to here because a cut
-  // may come before any image is written.
-  for (const MapRun& run : mount_runs_) {
-    for (std::uint64_t lpn = run.lpn, end = run.lpn + run.count; lpn < end;) {
-      const std::uint64_t z = div_lpns_per_zone_.Div(lpn);
-      const std::uint64_t n = std::min(end, (z + 1) * lpns_per_zone_) - lpn;
-      if (z < zone_images_.size() && !table_.zone_changed(ZoneId{z})) {
-        AppendRun(zone_images_[z].runs, MapRun{lpn, run.ppn + (lpn - run.lpn), n});
-      }
-      lpn += n;
-    }
-  }
-  mount_runs_.clear();
-  // Incremental: a zone whose mapping changed since the last image is
-  // re-walked into its maximal runs and re-reconciled; every other zone
-  // reuses its cached ones. Extent-coded: zoned fills are contiguous in
-  // both lpn and ppn space, so a zone collapses to O(extents) runs. The
-  // cached runs join with AddMapping's merge rule, because a run can
-  // continue across a zone boundary: the run list, and with it every
-  // image byte, is the one a walk of the whole table builds.
-  for (std::uint32_t z = 0; z < zone_images_.size(); ++z) {
-    const ZoneId zone{z};
-    ZoneImage& zi = zone_images_[z];
-    if (table_.zone_changed(zone)) {
-      zi.runs.clear();
-      table_.ForEachMappedInZone(zone, [&](Lpn lpn, Ppn ppn) {
-        AppendRun(zi.runs, MapRun{lpn.value(), ppn.value(), 1});
-      });
-      if (!IsConventional(zone)) zi.rec = ReconcileZoneMapping(zone);
-      table_.ClearZoneChanged(zone);
-    }
-    for (const MapRun& run : zi.runs) AppendRun(img.mappings, run);
-    img.zones.push_back(SnapZone(zone, zi.rec));
-  }
-  AddFreeLists(img);
-  std::vector<std::uint8_t> blob = img.Encode();
-
-  // Honest media cost on the shared chip timelines: reclaim the target
-  // slot's block, then program the image striped across the chips, so it
-  // lands in max-over-chips time, not the sum.
-  const int slot = ckpt_.NextSlot();
-  const SimTime erased = engine_.Erase(ChipId{ckpt_chip_}, cfg_.map_media, now);
-  const SimTime t = StripeOverChips(blob.size(), cfg_.geometry.page_size,
-                                    cfg_.geometry.NumChips(), ckpt_chip_, erased,
-                                    [&](ChipId chip, std::uint64_t chunk, SimTime at) {
-                                      return engine_.Program(chip, cfg_.map_media, chunk,
-                                                             at).end;
-                                    });
-  ++recovery_.checkpoints_written;
-  recovery_.checkpoint_bytes += blob.size();
-  // Commit carries the media window's end: a cut before `t` tears this
-  // slot and mount falls back to the other image (or the full scan).
-  ckpt_.Commit(slot, std::move(blob), img.seq, t);
-  flushed_entries_since_ckpt_ = 0;
-  media_horizon_ = Later(media_horizon_, t);
-  return t;
-}
-
-std::vector<std::uint8_t> ConZoneDevice::CheckpointBlobForTest(std::uint64_t seq) const {
-  CheckpointImage img;
-  img.seq = seq;
-  img.program_seq = array_.program_seq();
-  table_.ForEachMapped([&](Lpn lpn, Ppn ppn) { img.AddMapping(lpn.value(), ppn.value()); });
-  for (std::uint32_t z = 0; z < runtime_.size(); ++z) {
-    const ZoneId zone{z};
-    img.zones.push_back(
-        SnapZone(zone, IsConventional(zone) ? ZoneReconcile{} : ReconcileZoneMapping(zone)));
-  }
-  AddFreeLists(img);
-  return img.Encode();
-}
-
-ZoneSnap ConZoneDevice::SnapZone(ZoneId zone, const ZoneReconcile& rec) const {
-  ZoneSnap snap;
-  snap.write_pointer = zones_.Info(zone).write_pointer;
-  if (IsConventional(zone)) return snap;
-  snap.durable_normal_end = rec.durable_normal_end;
-  snap.patch_start = rec.patch_start.value();
-  if (rec.degraded) snap.flags |= ZoneSnap::kFlagDegraded;
-  if (rec.patch_contiguous) snap.flags |= ZoneSnap::kFlagPatchContiguous;
-  // A zone with no orphans whose staged extent reaches the host-visible
-  // write pointer (nothing buffered or in flight) is restorable: left
-  // untouched, it restores its runtime from these fields at mount
-  // without re-walking its lpns.
-  if (!rec.has_orphans && rec.staged_end == snap.write_pointer) {
-    snap.flags |= ZoneSnap::kFlagRestorable;
-  }
-  return snap;
-}
-
-ConZoneDevice::ZoneFacts ConZoneDevice::FactsOfSnap(const ZoneSnap& snap) {
-  ZoneFacts facts;
-  facts.durable_normal_end = snap.durable_normal_end;
-  facts.staged_end = snap.write_pointer;
-  facts.patch_start = Ppn{snap.patch_start};
-  facts.degraded = (snap.flags & ZoneSnap::kFlagDegraded) != 0;
-  facts.patch_contiguous = (snap.flags & ZoneSnap::kFlagPatchContiguous) != 0;
-  return facts;
-}
-
-void ConZoneDevice::AddFreeLists(CheckpointImage& img) const {
-  for (SuperblockId sb : pool_.FreeSlcList()) img.free_slc.push_back(sb.value());
-  for (SuperblockId sb : pool_.FreeNormalList()) img.free_normal.push_back(sb.value());
-}
-
-Result<SimTime> ConZoneDevice::CheckpointNow(SimTime now) {
-  if (!cfg_.checkpoint.enabled) {
-    return Status::FailedPrecondition("checkpointing is not enabled");
-  }
-  if (Status st = BeginHostOp(now); !st.ok()) return st;
-  const SimTime logged = MaybeFlushL2pLog(now, /*force=*/true);
-  return WriteCheckpoint(logged);
-}
-
 // ---------------------------------------------------------------------------
 // Aggregation maintenance
 // ---------------------------------------------------------------------------
 
-ConZoneDevice::Aggregation ConZoneDevice::AggregationOf(const ZoneFacts& facts) const {
+Aggregation ConZoneDevice::AggregationOf(const ZoneFacts& facts) const {
   // Degraded zones keep part of their "normal" range in SLC under page
   // mapping — aggregated entries would resolve those LPNs to the layout
   // and read stale media.
@@ -844,9 +701,7 @@ std::optional<Ppn> ConZoneDevice::ResolveAggregated(MapGranularity gran,
   (void)unit_index;
   const ZoneId zone{div_lpns_per_zone_.Div(lpn.value())};
   if (IsConventional(zone)) return std::nullopt;  // never aggregated
-  if (zone.value() >= cfg_.num_conventional_zones + layout_.num_zones()) {
-    return std::nullopt;
-  }
+  if (zone.value() >= NumZones()) return std::nullopt;
   const std::uint64_t off =
       (lpn.value() - zone.value() * LpnsPerZone()) * cfg_.geometry.slot_size;
   if (off < layout_.normal_bytes()) return layout_.NormalSlot(SeqZone(zone), off);
@@ -1061,8 +916,7 @@ Result<std::uint64_t> ConZoneDevice::ReadAggregatedRun(
 
 Result<SimTime> ConZoneDevice::ResetZone(ZoneId zone, SimTime now) {
   if (Status st = BeginHostOp(now); !st.ok()) return st;
-  if (!zone.valid() ||
-      zone.value() >= cfg_.num_conventional_zones + layout_.num_zones()) {
+  if (!zone.valid() || zone.value() >= NumZones()) {
     return Status::OutOfRange("reset of invalid zone");
   }
   if (IsConventional(zone)) return ResetConventionalZone(zone, now);
@@ -1134,7 +988,7 @@ Result<SimTime> ConZoneDevice::Flush(SimTime now) {
   // just persisted — a cheap moment to fold the mapping into an image.
   // Gated on a minimum of flushed entries so a flush-heavy host does not
   // pay a full image per Flush.
-  if (cfg_.checkpoint.enabled && cfg_.checkpoint.on_host_flush &&
+  if (cfg_.checkpoint.enabled &&
       flushed_entries_since_ckpt_ >= cfg_.checkpoint.min_flush_entries &&
       flushed_entries_since_ckpt_ > 0) {
     done = WriteCheckpoint(done);
@@ -1191,8 +1045,7 @@ Result<SimTime> ConZoneDevice::ResetConventionalZone(ZoneId zone, SimTime now) {
 }
 
 Status ConZoneDevice::CheckSequentialZone(ZoneId zone, const char* op) const {
-  if (!zone.valid() ||
-      zone.value() >= cfg_.num_conventional_zones + layout_.num_zones()) {
+  if (!zone.valid() || zone.value() >= NumZones()) {
     return Status::OutOfRange(std::string(op) + " of invalid zone");
   }
   if (IsConventional(zone)) {
@@ -1229,530 +1082,6 @@ Result<SimTime> ConZoneDevice::FinishZone(ZoneId zone, SimTime now) {
   }
   if (Status st = zones_.Finish(zone); !st.ok()) return st;
   return done;
-}
-
-// ---------------------------------------------------------------------------
-// Power loss and crash-consistent recovery
-// ---------------------------------------------------------------------------
-
-Status ConZoneDevice::PowerCut(SimTime cut_time) {
-  if (!array_.JournalEnabled()) {
-    return Status::FailedPrecondition(
-        "power loss not enabled (set fault.power_loss before Create)");
-  }
-  if (powered_off_) {
-    return Status::FailedPrecondition("device is already powered off");
-  }
-  if (cut_time < last_submit_) {
-    return Status::InvalidArgument("power cut precedes the last host submission");
-  }
-  ++recovery_.power_cuts;
-  // Media first: every batch whose program window had not closed at the
-  // cut rolls back per the journal's point-of-no-return rule.
-  FlashArray::PowerCutReport rep = array_.ApplyPowerCut(cut_time);
-  recovery_.torn_program_slots += rep.torn_program_slots;
-  recovery_.unissued_program_slots += rep.unissued_program_slots;
-  recovery_.resurrected_slots += rep.resurrected_slots;
-  reerase_pending_ = std::move(rep.reerase);
-  rescan_pending_ = std::move(rep.rescan);
-  last_cut_time_ = cut_time;
-  // A checkpoint image whose programs had not finished at the cut is
-  // torn; the store invalidates it so mount elects the previous image.
-  recovery_.checkpoints_torn += ckpt_.ApplyPowerCut(cut_time);
-  // Volatile controller state dies with the SRAM: buffered host data and
-  // the unflushed (or in-flight) L2P log tail.
-  recovery_.buffered_slots_lost += buffers_.DiscardAll();
-  recovery_.l2p_log_bytes_lost += l2p_log_.DropVolatile(cut_time);
-  // The image cache is controller RAM as well; the mount re-seeds the
-  // zones it restores from the image it loads (WriteCheckpoint appends
-  // their runs to these emptied entries).
-  for (ZoneImage& zi : zone_images_) {
-    zi.runs.clear();
-    zi.rec = ZoneReconcile{};
-  }
-  powered_off_ = true;
-  return Status::Ok();
-}
-
-Result<SimTime> ConZoneDevice::RecoverReeraseTorn(std::span<const BlockId> blocks,
-                                                  SimTime now) {
-  SimTime done = now;
-  for (const BlockId b : blocks) {
-    if (array_.IsRetired(b)) continue;
-    auto erased = EraseOrRetire(array_, engine_, b, now);
-    if (!erased.ok()) return erased.status();
-    done = Later(done, erased.value());
-    ++recovery_.reerased_blocks;
-  }
-  return done;
-}
-
-Result<SimTime> ConZoneDevice::RecoverScanMedia(SimTime now) {
-  const FlashGeometry& geo = cfg_.geometry;
-  std::uint64_t mapped = 0;
-  SimTime done = now;
-  const std::uint32_t num_zones = cfg_.num_conventional_zones + layout_.num_zones();
-  zone_dirty_.assign(num_zones, 0);
-  mount_have_snaps_ = false;
-  mount_runs_.clear();
-  const std::uint64_t lpns_per_zone = LpnsPerZone();
-  auto dirty_lpn = [&](std::uint64_t lpn_v) {
-    const std::uint64_t z = lpn_v / lpns_per_zone;
-    if (z < num_zones) zone_dirty_[static_cast<std::size_t>(z)] = 1;
-  };
-
-  // Checkpoint fast path (§12): replay the newest valid image, then
-  // bound the OOB scan to blocks programmed after its watermark. The
-  // image is a RAM snapshot, so every entry is re-checked against the
-  // media it points at — a slot torn or superseded after the snapshot
-  // rejects here and the tail scan (or a forced rescan) supplies the
-  // truth instead.
-  bool have_ckpt = false;
-  std::uint64_t watermark = 0;
-  std::optional<CheckpointImage> img;  // lives past the tail scan (pass B)
-  std::vector<std::uint8_t> run_clean;
-  if (cfg_.checkpoint.enabled && cfg_.checkpoint.load_at_mount) {
-    const CheckpointStore::Slot* slot = ckpt_.NewestValid();
-    // NewestValid only elects decodable slots, so Decode cannot fail
-    // here; the has_value() check keeps the fallback honest anyway.
-    if (slot != nullptr) img = CheckpointImage::Decode(slot->blob);
-      if (img.has_value()) {
-      // Charge the image load like the write: page reads striped over
-      // the chips from chip 0.
-      std::uint32_t chip = 0;
-      done = StripeOverChips(slot->blob.size(), geo.page_size, geo.NumChips(), chip, done,
-                             [&](ChipId c, std::uint64_t chunk, SimTime at) {
-                               array_.CountPageRead();
-                               return engine_.ReadPage(c, cfg_.map_media, chunk, at);
-                             });
-      watermark = img->program_seq;
-      have_ckpt = true;
-      ++recovery_.checkpoint_loaded;
-      recovery_.checkpoint_age_hist.Record(last_cut_time_ - slot->media_end);
-      if (img->zones.size() == num_zones) {
-        mount_zone_snaps_ = std::move(img->zones);
-        mount_have_snaps_ = true;
-      }
-      // Force-rescan flags: blocks the cut's undo pass put *older* state
-      // back into (resurrected slots, restored erase pre-images) must be
-      // rescanned even below the watermark — and their image runs
-      // re-checked per-slot — because the image may map their lpns
-      // elsewhere or not at all.
-      rescan_flags_.assign(static_cast<std::size_t>(geo.TotalBlocks()), 0);
-      for (const BlockId b : rescan_pending_) {
-        rescan_flags_[static_cast<std::size_t>(b.value())] = 1;
-      }
-      // Pass A — cleanliness only, no installs yet: a run is clean when
-      // every block its ppn span touches is unchanged since the snapshot
-      // (change-seq at or below the watermark, no forced rescan), so the
-      // media still holds exactly what the image recorded. Unclean runs
-      // dirty every zone they span: those zones' restore must fall back
-      // to media reconciliation. Installation waits for the tail scan
-      // below so the final per-zone restore decision (and with it each
-      // entry's aggregation map bits) is known before the table pass.
-      const std::uint64_t num_lpns = table_.geometry().num_lpns;
-      const std::uint64_t run_spb =
-          static_cast<std::uint64_t>(geo.pages_per_block) * geo.SlotsPerPage();
-      const std::uint64_t total_slots = geo.TotalBlocks() * run_spb;
-      run_clean.assign(img->mappings.size(), 0);
-      for (std::size_t ri = 0; ri < img->mappings.size(); ++ri) {
-        const MapRun& run = img->mappings[ri];
-        // Overflow-free bounds: a checksum-valid image may hold any run.
-        bool clean = run.count <= num_lpns && run.lpn <= num_lpns - run.count &&
-                     run.count <= total_slots && run.ppn <= total_slots - run.count;
-        if (clean) {
-          const std::uint64_t b_first = run.ppn / run_spb;
-          const std::uint64_t b_last = (run.ppn + run.count - 1) / run_spb;
-          for (std::uint64_t b = b_first; clean && b <= b_last; ++b) {
-            clean = array_.LastChangeSeq(BlockId{b}) <= watermark &&
-                    rescan_flags_[static_cast<std::size_t>(b)] == 0;
-          }
-        }
-        run_clean[ri] = clean ? 1 : 0;
-        if (!clean) {
-          const std::uint64_t z0 = run.lpn / lpns_per_zone;
-          const std::uint64_t z1 = (run.lpn + run.count - 1) / lpns_per_zone;
-          for (std::uint64_t z = z0; z <= z1 && z < num_zones; ++z) {
-            zone_dirty_[static_cast<std::size_t>(z)] = 1;
-          }
-        }
-      }
-    }
-  }
-  rescan_pending_.clear();
-
-  // Reset the table, skipping the ranges clean image runs will stream
-  // over in pass B: at high fullness nearly every entry is about to be
-  // re-installed, and rewriting the table twice is the dominant mount
-  // cost. Unclean runs and the tail scan need genuinely cleared entries
-  // (they probe `prev.mapped()`), and their lpns are never inside a
-  // clean run: a post-snapshot copy of a clean run's lpn would have
-  // invalidated the run's slot (change-seq bump) or sits in a cut-undo
-  // block (forced rescan) — either way pass A already marked the run
-  // unclean. A stale entry slipping through anyway trips the two-copies
-  // check or the Σvalid == mapped gate; nothing fails silently.
-  {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> keep;
-    if (img.has_value()) {
-      keep.reserve(img->mappings.size());
-      for (std::size_t ri = 0; ri < img->mappings.size(); ++ri) {
-        if (run_clean[ri] != 0) {
-          keep.emplace_back(img->mappings[ri].lpn, img->mappings[ri].count);
-        }
-      }
-    }
-    table_.ClearForMountExcept(keep);
-  }
-
-  const std::uint32_t slots_per_page = geo.SlotsPerPage();
-  const std::uint64_t slots_per_block =
-      static_cast<std::uint64_t>(geo.pages_per_block) * slots_per_page;
-  // Hot loop (the tail path): the flat ppn of a block's slot s is
-  // base + s, so the per-slot PageAt/SlotAt arithmetic is hoisted into
-  // one running base per block.
-  std::uint64_t base = 0;
-  for (std::uint64_t bi = 0; bi < geo.TotalBlocks(); ++bi, base += slots_per_block) {
-    const BlockId b{bi};
-    const std::uint32_t used = array_.NextProgramSlot(b);
-    if (used == 0) continue;
-    const std::uint32_t used_pages = (used + slots_per_page - 1) / slots_per_page;
-    if (have_ckpt && array_.LastProgramSeq(b) <= watermark &&
-        rescan_flags_[static_cast<std::size_t>(bi)] == 0) {
-      // Untouched since the snapshot: the image already mapped every
-      // valid slot here identically. Skip the senses entirely.
-      recovery_.pages_skipped += used_pages;
-      continue;
-    }
-    const ChipId chip = geo.ChipOfBlock(b);
-    const CellType cell = geo.CellOfBlock(b);
-    // One OOB sense per used page; pages of one block are sequential on
-    // the chip, blocks on different chips overlap via the timelines.
-    SimTime block_done = now;
-    for (std::uint32_t p = 0; p < used_pages; ++p) {
-      array_.CountPageRead();
-      block_done = engine_.ReadPage(chip, cell, geo.page_size, block_done);
-      ++recovery_.pages_scanned;
-    }
-    done = Later(done, block_done);
-    for (std::uint32_t s = 0; s < used; ++s) {
-      const Ppn ppn{base + s};
-      // PeekSlot: the mount scan charges timing above but never draws
-      // from the fault RNG — a cut/recover cycle must not perturb the
-      // fault sequence of later host IO.
-      const SlotRead r = array_.PeekSlot(ppn);
-      if (r.state != SlotState::kValid) continue;
-      if (!r.lpn.valid()) continue;  // alignment padding never maps
-      // A scanned-in slot means this zone changed after the snapshot
-      // (or there is no snapshot); its restore must re-reconcile.
-      dirty_lpn(r.lpn.value());
-      const MapEntry prev = table_.Get(r.lpn);
-      if (prev.mapped()) {
-        // Image entries install after this loop, so a prior mapping here
-        // is another scanned block's copy — a genuine double, same as
-        // the full scan. (Same-ppn is unreachable; kept for symmetry
-        // with the image path.)
-        if (prev.ppn == ppn) continue;
-        // ClearForMountExcept trusts that a zone with no mapped entry
-        // holds only default ones; the skipped keep ranges still hold
-        // stale bytes, so a failed mount leaves a wholly cleared table.
-        table_.ClearAllForMount();
-        return Status::Internal("mount scan found two valid copies of lpn " +
-                                std::to_string(r.lpn.value()));
-      }
-      table_.Set(r.lpn, ppn);
-      ++mapped;
-    }
-  }
-
-  // Pass B — install the image runs. zone_dirty_ is final now, so each
-  // restorable-and-clean zone's aggregation boundary is known up front
-  // and a clean run installs with its final map bits in one streaming
-  // store pass (no second SetAggregated sweep at restore time).
-  if (img.has_value()) {
-    std::vector<std::uint64_t> agg_end(num_zones, 0);
-    std::vector<MapGranularity> agg_gran(num_zones, MapGranularity::kPage);
-    if (mount_have_snaps_) {
-      for (std::uint32_t z = cfg_.num_conventional_zones; z < num_zones; ++z) {
-        if (!RestoredFromSnapshot(z)) continue;
-        const Aggregation agg = AggregationOf(FactsOfSnap(mount_zone_snaps_[z]));
-        agg_end[z] = static_cast<std::uint64_t>(z) * lpns_per_zone + agg.lpns;
-        agg_gran[z] = agg.gran;
-      }
-    }
-    std::uint64_t accepted = 0;
-    const std::uint64_t num_lpns = table_.geometry().num_lpns;
-    for (std::size_t ri = 0; ri < img->mappings.size(); ++ri) {
-      const MapRun& run = img->mappings[ri];
-      if (run_clean[ri] != 0) {
-        // Clean runs install blind (image lpns are unique, and a clean
-        // run cannot collide with a scanned-in entry: any supersede of
-        // its data would have changed one of its blocks). Segment by
-        // zone and aggregation boundary for the final map bits.
-        std::uint64_t lpn = run.lpn;
-        std::uint64_t ppn = run.ppn;
-        std::uint64_t left = run.count;
-        while (left > 0) {
-          const std::uint64_t z = lpn / lpns_per_zone;
-          std::uint64_t seg_end = (z + 1) * lpns_per_zone;
-          MapGranularity gran = MapGranularity::kPage;
-          if (z < num_zones && lpn < agg_end[z]) {
-            seg_end = agg_end[z];
-            gran = agg_gran[z];
-          }
-          const std::uint64_t n = std::min(left, seg_end - lpn);
-          table_.InstallRunAtMount(Lpn{lpn}, Ppn{ppn}, n, gran);
-          lpn += n;
-          ppn += n;
-          left -= n;
-        }
-        accepted += run.count;
-        continue;
-      }
-      // Per-entry path: something under the run moved after the
-      // snapshot (pass A already dirtied the spanned zones). Each entry
-      // is re-checked against the media it points at — a slot torn or
-      // superseded after the snapshot rejects here, and the tail scan
-      // already supplied the truth.
-      for (std::uint64_t i = 0; i < run.count; ++i) {
-        const std::uint64_t lpn_v = run.lpn + i;
-        if (lpn_v >= num_lpns) {
-          ++recovery_.checkpoint_stale_dropped;
-          continue;
-        }
-        const Ppn ppn{run.ppn + i};
-        // PeekSlot: no fault RNG draws, same as the scan above.
-        const SlotRead r = array_.PeekSlot(ppn);
-        if (r.state != SlotState::kValid || !r.lpn.valid() ||
-            r.lpn.value() != lpn_v) {
-          ++recovery_.checkpoint_stale_dropped;
-          continue;
-        }
-        const MapEntry prev = table_.Get(Lpn{lpn_v});
-        if (prev.mapped()) {
-          // The tail scan installed this exact mapping already; anything
-          // else is a genuine double copy, same as the full scan.
-          if (prev.ppn == ppn) continue;
-          table_.ClearAllForMount();  // as for the tail scan's double above
-          return Status::Internal("mount scan found two valid copies of lpn " +
-                                  std::to_string(lpn_v));
-        }
-        table_.Set(Lpn{lpn_v}, ppn);
-        ++accepted;
-      }
-    }
-    mapped += accepted;
-    recovery_.checkpoint_mappings += accepted;
-    // A restored zone's table is exactly these runs clipped to the zone:
-    // keep them for its image-cache entry (WriteCheckpoint).
-    if (mount_have_snaps_) mount_runs_ = std::move(img->mappings);
-  }
-  recovery_.replayed_mappings += mapped;
-  return done;
-}
-
-ConZoneDevice::ZoneReconcile ConZoneDevice::ReconcileZoneMapping(
-    ZoneId zone) const {
-  const FlashGeometry& geo = cfg_.geometry;
-  ZoneReconcile rec;
-  const Lpn zbase = ZoneBaseLpn(zone);
-  const std::uint64_t slot = geo.slot_size;
-  const std::uint64_t unit_lpns = geo.program_unit / slot;
-  const std::uint64_t normal_lpns = layout_.normal_bytes() / slot;
-  const std::uint64_t zone_lpns = LpnsPerZone();
-
-  // 1. Durable normal prefix: whole one-shot units fully mapped from unit
-  //    0 upward. A unit counts even when its slots were re-driven into
-  //    SLC — the zone simply comes back degraded, like after a live
-  //    program failure. A one-shot unit never spans blocks and its slots
-  //    are ppn-consecutive, so one NormalSlot call per unit anchors the
-  //    layout compare for all of its lpns.
-  std::uint64_t u = 0;
-  bool degraded = false;
-  for (; u < normal_lpns / unit_lpns; ++u) {
-    const Ppn unit_base =
-        layout_.NormalSlot(SeqZone(zone), u * geo.program_unit);
-    bool full = true;
-    bool off_layout = false;
-    for (std::uint64_t k = 0; k < unit_lpns; ++k) {
-      const std::uint64_t rel = u * unit_lpns + k;
-      const MapEntry e = table_.Get(Lpn(zbase.value() + rel));
-      if (!e.mapped()) {
-        full = false;
-        break;
-      }
-      if (e.ppn.value() != unit_base.value() + k) off_layout = true;
-    }
-    if (!full) break;
-    degraded |= off_layout;
-  }
-  rec.durable_normal_end = u * geo.program_unit;
-  rec.degraded = degraded;
-
-  // 2. Contiguous staged run beyond the durable prefix (SLC staging and,
-  //    on a complete zone, the patch).
-  std::uint64_t s = u * unit_lpns;
-  while (s < zone_lpns && table_.Get(Lpn(zbase.value() + s)).mapped()) ++s;
-  rec.staged_end = s * slot;
-
-  // 3. Mapped islands beyond the staged extent: the s lpns below it are
-  //    all mapped, so any further mapped entry shows in the zone's count.
-  rec.has_orphans = table_.zone_mapped_count(zone) > s;
-
-  // 4. §III-E patch contiguity, rechecked against the stripe layout so
-  //    aggregated reads stay sound after the remount.
-  if (rec.staged_end == cfg_.zone_size_bytes && layout_.patch_bytes() > 0) {
-    const MapEntry first = table_.Get(Lpn(zbase.value() + normal_lpns));
-    bool contiguous = first.mapped();
-    for (std::uint64_t k = 1; contiguous && k < zone_lpns - normal_lpns; ++k) {
-      const MapEntry e = table_.Get(Lpn(zbase.value() + normal_lpns + k));
-      auto expect = layout_.StripeAdvance(first.ppn, k);
-      if (!expect || !e.mapped() || e.ppn != *expect) contiguous = false;
-    }
-    rec.patch_start = first.ppn;
-    rec.patch_contiguous = contiguous;
-  }
-  return rec;
-}
-
-Status ConZoneDevice::RecoverZone(ZoneId zone) {
-  const FlashGeometry& geo = cfg_.geometry;
-  ZoneRuntime& zr = runtime_[static_cast<std::size_t>(zone.value())];
-  const ZoneReconcile rec = ReconcileZoneMapping(zone);
-  zr = ZoneRuntime{rec};  // aggregation state starts clear
-
-  // Orphans: mapped islands beyond the reconciled write pointer are
-  // unreachable under zone semantics. They are always unacknowledged
-  // data — a host Flush waits for every outstanding pulse, so durable
-  // content can never strand behind a hole. Drop them.
-  if (rec.has_orphans) {
-    const Lpn zbase = ZoneBaseLpn(zone);
-    const std::uint64_t zone_lpns = LpnsPerZone();
-    for (std::uint64_t k = rec.staged_end / geo.slot_size; k < zone_lpns; ++k) {
-      const Lpn lpn = Lpn(zbase.value() + k);
-      const MapEntry e = table_.Get(lpn);
-      if (!e.mapped()) continue;
-      if (array_.StateOfSlot(e.ppn) == SlotState::kValid) {
-        if (Status st = array_.InvalidateSlot(e.ppn); !st.ok()) return st;
-      }
-      table_.Unmap(lpn);
-      ++recovery_.orphaned_slots;
-    }
-  }
-
-  // Re-stamp aggregation from scratch over the recovered durable state,
-  // then restore host-visible zone state from the reconciled write
-  // pointer (ZNS after unexpected power off: EMPTY, CLOSED or FULL only).
-  UpdateAggregation(zone, zr);
-  zones_.RestoreAtMount(zone, zr.staged_end);
-  return Status::Ok();
-}
-
-Result<SimTime> ConZoneDevice::Recover(SimTime now) {
-  if (!powered_off_) {
-    return Status::FailedPrecondition("device is not powered off");
-  }
-  // Recovery's own media mutations are the new durable baseline, not
-  // undoable state (a second cut during the remount is not modeled).
-  array_.PauseJournal(true);
-  auto fail = [&](Status st) -> Result<SimTime> {
-    array_.PauseJournal(false);
-    return st;
-  };
-
-  // 1. Torn erases left untrusted cells: run a real erase (wear and
-  //    possible faults included) before anything can program there.
-  auto re = RecoverReeraseTorn(reerase_pending_, now);
-  if (!re.ok()) return fail(re.status());
-  reerase_pending_.clear();
-  SimTime t = re.value();
-
-  // 2. OOB scan: rebuild the page-granularity L2P table from media,
-  //    replaying what the lost log tail described.
-  auto sc = RecoverScanMedia(t);
-  if (!sc.ok()) return fail(sc.status());
-  t = sc.value();
-
-  // 3. The L2P cache died with the SRAM. Clear it before reconciliation
-  //    re-pins aggregated entries.
-  const std::uint32_t num_zones = cfg_.num_conventional_zones + layout_.num_zones();
-  cache_.InvalidateLpnRange(Lpn(0),
-                            static_cast<std::uint64_t>(num_zones) * LpnsPerZone());
-
-  // 4. Per-zone reconciliation: write pointers, staging extents,
-  //    aggregation, orphan slots. A zone whose snapshot is restorable
-  //    and that stayed clean through the scan (no entry dropped, no slot
-  //    sensed, no forced per-entry check) is byte-identical to the image
-  //    — restore its runtime from the snapshot instead of re-walking its
-  //    lpn range.
-  for (std::uint32_t z = 0; z < num_zones; ++z) {
-    const ZoneId zone{z};
-    if (IsConventional(zone)) {
-      // In-place region: no write pointer to reconcile; validity comes
-      // from the rebuilt mapping alone.
-      runtime_[z] = ZoneRuntime{};
-      zones_.RestoreAtMount(zone, 0);
-      continue;
-    }
-    if (RestoredFromSnapshot(z)) {
-      // The snapshot encodes the zone's reconcile: restorable means no
-      // orphans and a staged end equal to the write pointer. It seeds the
-      // image cache, with the runs kept in mount_runs_, so the next image
-      // does not re-walk the zone.
-      const ZoneFacts facts = FactsOfSnap(mount_zone_snaps_[z]);
-      zone_images_[z].rec = ZoneReconcile{facts};
-      table_.ClearZoneChanged(zone);
-      ZoneRuntime& zr = runtime_[z];
-      zr = ZoneRuntime{facts};
-      // Map bits were already written by the scan's bulk install;
-      // regenerate only counters and resolver pins.
-      UpdateAggregation(zone, zr, /*table_prestamped=*/true);
-      zones_.RestoreAtMount(zone, zr.staged_end);
-      ++recovery_.zones_restored;
-      continue;
-    }
-    if (Status st = RecoverZone(zone); !st.ok()) return fail(st);
-  }
-  zones_.RecountAfterMount();
-
-  // 5. Allocators and free lists from the surviving media state.
-  pool_.RebuildFreeLists(array_);
-  slc_alloc_.Remount();
-  conv_log_.Remount();
-  read_only_ = array_.HealthySlcBlocks() < cfg_.fault.read_only_spare_floor_blocks;
-
-  // 6. Counters must reconcile: every mapped LPN points at exactly one
-  //    valid slot and every valid slot is mapped.
-  std::uint64_t valid = 0;
-  for (std::uint64_t b = 0; b < cfg_.geometry.TotalBlocks(); ++b) {
-    valid += array_.ValidSlots(BlockId{b});
-  }
-  if (valid != table_.mapped_count()) {
-    return fail(Status::Internal(
-        "recovery reconcile failed: " + std::to_string(valid) +
-        " valid slots vs " + std::to_string(table_.mapped_count()) +
-        " mapped lpns"));
-  }
-  // The per-zone counts that checkpoint serialisation and reconciliation
-  // trust must add up to the same total.
-  std::uint64_t zone_mapped = 0;
-  for (std::uint64_t z = 0; z < table_.num_zones(); ++z) {
-    zone_mapped += table_.zone_mapped_count(ZoneId{z});
-  }
-  if (zone_mapped != table_.mapped_count()) {
-    return fail(Status::Internal(
-        "recovery reconcile failed: per-zone mapped counts sum to " +
-        std::to_string(zone_mapped) + ", not " + std::to_string(table_.mapped_count())));
-  }
-
-  for (SimTime& br : buffer_ready_) br = t;
-  media_horizon_ = t;
-  last_submit_ = t;
-  powered_off_ = false;
-  ++recovery_.recoveries;
-  recovery_.remount_time += t - now;
-  recovery_.remount_hist.Record(t - now);
-  array_.PauseJournal(false);
-  return t;
 }
 
 }  // namespace conzone

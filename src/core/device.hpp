@@ -33,6 +33,7 @@
 #include "buffer/write_buffer.hpp"
 #include "common/fastdiv.hpp"
 #include "core/config.hpp"
+#include "core/recovery.hpp"
 #include "core/storage_device.hpp"
 #include "core/zone_layout.hpp"
 #include "fault/fault_model.hpp"
@@ -108,8 +109,9 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   /// After PowerCut only Recover() is accepted.
   Status PowerCut(SimTime cut_time);
 
-  /// Remount after a cut: re-erase torn blocks, scan used blocks' OOB to
-  /// rebuild the L2P table (replaying the lost log), reconcile every
+  /// Remount after a cut (recovery.hpp): re-erase torn blocks, rebuild
+  /// the L2P table from the newest checkpoint image and the OOB of the
+  /// blocks programmed after it (replaying the lost log), reconcile every
   /// zone's write pointer with durable content, drop unreachable orphan
   /// slots, rebuild free lists / allocators, and recompute read-only
   /// state. Returns the simulated remount completion time; the device
@@ -210,15 +212,10 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
     bool zone_aggregated = false;
   };
 
-  /// The aggregation rule (§III-C, Fig. 5 ②): a zone's first `lpns` lpns
-  /// map at granularity `gran`, the rest page by page. Whole chunks of
-  /// the durable normal prefix aggregate at chunk granularity; a complete
+  /// The aggregation rule (§III-C, Fig. 5 ②): whole chunks of the
+  /// durable normal prefix aggregate at chunk granularity; a complete
   /// zone whose patch (if any) is one contiguous SLC run lifts to the
   /// configured maximum. A degraded zone aggregates nothing.
-  struct Aggregation {
-    std::uint64_t lpns = 0;
-    MapGranularity gran = MapGranularity::kPage;
-  };
   Aggregation AggregationOf(const ZoneFacts& facts) const;
   /// Pin the resolver entries of chunks [from, to) of `zone` in the L2P
   /// cache; their map bits are the caller's.
@@ -232,6 +229,8 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   SimDuration HostTransferTime(std::uint64_t bytes) const;
   Lpn ZoneBaseLpn(ZoneId zone) const;
   std::uint64_t LpnsPerZone() const { return lpns_per_zone_; }
+  /// Conventional and sequential zones.
+  std::uint32_t NumZones() const { return cfg_.num_conventional_zones + layout_.num_zones(); }
 
   using FlushResult = FlushTimes;
 
@@ -306,17 +305,23 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   /// future cut can no longer reach.
   Status BeginHostOp(SimTime now);
 
-  // --- Power-loss recovery pipeline (Recover() stages) ---
-  /// Re-erase blocks whose erase was torn by the cut.
-  Result<SimTime> RecoverReeraseTorn(std::span<const BlockId> blocks, SimTime now);
-  /// OOB scan of all used blocks: rebuild the page-granularity mapping.
-  /// Returns the scan completion time.
-  Result<SimTime> RecoverScanMedia(SimTime now);
+  // --- Power-loss recovery (recovery.cpp) ---
+  /// Image load: decode the newest valid checkpoint image into `ms` and
+  /// charge its read, striped over the chips from `now`. Returns when the
+  /// read ends (`now` without an image).
+  SimTime LoadImage(MountState& ms, SimTime now);
+  /// Zone restore: every zone takes its reconcile from its snapshot when
+  /// `ms` restores it from one, else from the mapping; drops its orphans,
+  /// re-stamps its aggregation and restores its zone state.
+  Status RestoreZones(const MountState& ms);
+  /// The mount gates: the valid slots and the per-zone mapped counts both
+  /// add up to the table's mapped count.
+  Status CheckMountGates() const;
   /// Pure zone reconciliation over the current mapping: the write-
-  /// pointer / staging / patch facts RecoverZone derives, with no side
-  /// effects. Shared by RecoverZone (which additionally invalidates
-  /// orphans and restores runtime) and WriteCheckpoint (which snapshots
-  /// the result into ZoneSnap records).
+  /// pointer / staging / patch facts, with no side effects. Shared by the
+  /// zone restore (which additionally invalidates orphans and restores
+  /// runtime) and WriteCheckpoint (which snapshots the result into
+  /// ZoneSnap records).
   struct ZoneReconcile : ZoneFacts {
     /// Mapped lpns exist past staged_end (islands the mount path must
     /// invalidate); such a zone is never checkpoint-restorable.
@@ -329,15 +334,6 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   /// The facts a restorable snapshot records (its inverse): the staged
   /// extent ends at the write pointer.
   static ZoneFacts FactsOfSnap(const ZoneSnap& snap);
-  /// Sequential zone `z` is restored by the current mount from its
-  /// snapshot: restorable there and untouched since (zone_dirty_ final).
-  bool RestoredFromSnapshot(std::uint32_t z) const {
-    return mount_have_snaps_ && !IsConventional(ZoneId{z}) && zone_dirty_[z] == 0 &&
-           (mount_zone_snaps_[z].flags & ZoneSnap::kFlagRestorable) != 0;
-  }
-  /// Reconcile one zone: write pointer, staging extents, aggregation,
-  /// orphan slots. `zone` is a sequential zone id.
-  Status RecoverZone(ZoneId zone);
 
   // --- Conventional zones (§III-E extension) ---
   bool IsConventional(ZoneId zone) const {
@@ -426,18 +422,6 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   std::vector<BlockId> rescan_pending_;
   /// When the last cut landed — the checkpoint-age reference point.
   SimTime last_cut_time_;
-  /// Per-block force-rescan flags, rebuilt from rescan_pending_ at each
-  /// mount (scratch, reused across remounts).
-  std::vector<std::uint8_t> rescan_flags_;
-  /// Per-zone mount dirt: set when anything diverged from the checkpoint
-  /// image for that zone (stale entry dropped, per-entry accept path,
-  /// tail-scan sense). A clean zone with a restorable snapshot restores
-  /// its runtime directly instead of re-reconciling.
-  std::vector<std::uint8_t> zone_dirty_;
-  /// Zone snapshots from the image the current mount loaded (empty when
-  /// mounting without a checkpoint).
-  std::vector<ZoneSnap> mount_zone_snaps_;
-  bool mount_have_snaps_ = false;
   RecoveryStats recovery_;
 
   // Per-request scratch buffers: Read/Write never recurse into

@@ -35,16 +35,11 @@ struct CheckpointConfig {
   /// Write a checkpoint after this many flushed L2P-log entries.
   std::uint64_t interval_entries = 16384;
   /// Also checkpoint on a clean host Flush/FUA — the device is quiescent
-  /// and the log was just force-flushed, so the image is cheap to place.
-  bool on_host_flush = true;
-  /// Skip the on-flush checkpoint unless at least this many log entries
-  /// flushed since the last image (a flush-heavy host would otherwise
-  /// pay a full image per Flush).
+  /// and the log was just force-flushed, so the image is cheap to place —
+  /// once at least this many log entries flushed since the last image (a
+  /// flush-heavy host would otherwise pay a full image per Flush).
+  /// UINT64_MAX checkpoints on the interval alone.
   std::uint64_t min_flush_entries = 256;
-  /// Load the newest valid image at mount. Off = write checkpoints but
-  /// ignore them when recovering (full scan) — the bit-identity twin in
-  /// the crash tests proves the fast path against this reference.
-  bool load_at_mount = true;
 
   Status Validate() const;
 };

@@ -13,6 +13,7 @@
 // (CONZONE_CRASH_SOAK=1).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -321,7 +322,7 @@ TEST(CheckpointDeviceTest, EmptyDeviceCheckpointRoundTrips) {
 
 TEST(CheckpointDeviceTest, IntervalPolicyWritesCheckpointsWithoutHostFlush) {
   ConZoneConfig cfg = CkptCrashConfig(/*interval=*/64);
-  cfg.checkpoint.on_host_flush = false;
+  cfg.checkpoint.min_flush_entries = UINT64_MAX;  // no image on a host Flush
   auto dev = ConZoneDevice::Create(cfg);
   ASSERT_TRUE(dev.ok());
   ConZoneDevice& d = **dev;
@@ -382,7 +383,7 @@ TEST(CheckpointDeviceTest, MountSkipsBlocksOlderThanTheWatermark) {
   // Only explicit checkpoints: the tail is exactly what lands after
   // CheckpointNow.
   ConZoneConfig cfg = CkptCrashConfig(/*interval=*/1 << 30);
-  cfg.checkpoint.on_host_flush = false;
+  cfg.checkpoint.min_flush_entries = UINT64_MAX;  // no image on a host Flush
   auto dev = ConZoneDevice::Create(cfg);
   ASSERT_TRUE(dev.ok());
   ConZoneDevice& d = **dev;
@@ -431,7 +432,7 @@ TEST(CheckpointDeviceTest, MountSkipsBlocksOlderThanTheWatermark) {
 
 TEST(CheckpointDeviceTest, ZoneResetAfterCheckpointDoesNotResurrectOldEpoch) {
   ConZoneConfig cfg = CkptCrashConfig(/*interval=*/1 << 30);
-  cfg.checkpoint.on_host_flush = false;
+  cfg.checkpoint.min_flush_entries = UINT64_MAX;  // no image on a host Flush
   auto dev = ConZoneDevice::Create(cfg);
   ASSERT_TRUE(dev.ok());
   ConZoneDevice& d = **dev;
@@ -541,20 +542,30 @@ std::vector<std::uint64_t> MemberZonePrefix(StorageDevice& dev,
   return out;
 }
 
+/// Corrupt `dev`'s newest valid image until no slot decodes, so its next
+/// mount takes the full scan, as a device with no valid image does. Only
+/// a slot that still decodes is flipped: flipping a byte twice would
+/// restore the image.
+void InvalidateImages(ConZoneDevice& dev) {
+  CheckpointStore& store = dev.mutable_checkpoint_store();
+  while (const CheckpointStore::Slot* s = store.NewestValid()) {
+    store.CorruptByteForTest(s == &store.slot(0) ? 0 : 1, 0);
+  }
+}
+
 TEST(CheckpointCrashTest, FastPathRecoversBitIdenticalToFullScan) {
   // Twin devices, same seed, same ops, same cut: one mounts via the
-  // newest image + tail scan, the reference ignores images and does the
-  // full scan. Recovered state must match bit for bit. (The checker
-  // fingerprint mixes the remount DURATION — which the fast path exists
-  // to change — so the comparison reads the state out directly.)
-  ConZoneConfig fast_cfg = CkptCrashConfig(/*interval=*/64, /*min_flush=*/16);
-  ConZoneConfig full_cfg = fast_cfg;
-  full_cfg.checkpoint.load_at_mount = false;
+  // newest image + tail scan; the reference writes the same images but
+  // has them corrupted before each mount, so it does the full scan.
+  // Recovered state must match bit for bit. (The checker fingerprint
+  // mixes the remount DURATION — which the fast path exists to change —
+  // so the comparison reads the state out directly.)
+  const ConZoneConfig cfg = CkptCrashConfig(/*interval=*/64, /*min_flush=*/16);
 
   CrashHarness::Options opt;
   opt.seed = 2718;
-  CrashHarness fast(fast_cfg, opt);
-  CrashHarness full(full_cfg, opt);
+  CrashHarness fast(cfg, opt);
+  CrashHarness full(cfg, opt);
   ASSERT_TRUE(fast.Init().ok());
   ASSERT_TRUE(full.Init().ok());
 
@@ -566,6 +577,7 @@ TEST(CheckpointCrashTest, FastPathRecoversBitIdenticalToFullScan) {
     ASSERT_TRUE(full.RunOps(ops).ok()) << "round=" << round;
     ASSERT_TRUE(fast.Cut(frac).ok()) << "round=" << round;
     ASSERT_TRUE(full.Cut(frac).ok()) << "round=" << round;
+    InvalidateImages(full.device());
     Status sa = fast.RecoverAndVerify();
     ASSERT_TRUE(sa.ok()) << "fast round " << round << ": " << sa.message();
     Status sb = full.RecoverAndVerify();
