@@ -303,12 +303,11 @@ Status ZoneCache::VerifyAndSeal(SimTime now) {
   }
   stats_.mount_entries = index_.size();
 
-  // Rebuild per-zone state. Zones with live entries are sealed: probed
-  // to their durable write pointer and padded to capacity so they stop
-  // holding one of the device's active-zone slots; the cache never
-  // appends into a recovered zone again (it has no other way to learn a
-  // write pointer through StorageDevice). Entry-free zones are reset
-  // into the free pool.
+  // Rebuild per-zone state. Zones with live entries are probed to their
+  // durable write pointer and sealed, so they stop holding one of the
+  // device's active-zone slots; the cache never appends into a recovered
+  // zone again (it has no other way to learn a write pointer through
+  // StorageDevice). Entry-free zones are reset into the free pool.
   for (const auto& [k, e] : index_) {
     DataZone& z = zones_[e.zone - first_data_zone_];
     z.state = ZoneState::kClosed;
@@ -322,8 +321,7 @@ Status ZoneCache::VerifyAndSeal(SimTime now) {
     if (z.state == ZoneState::kClosed) {
       std::sort(z.keys.begin(), z.keys.end(),
                 [](const auto& a, const auto& b) { return a.second < b.second; });
-      // Probe the recovered write pointer (reads past it fail), then
-      // pad to capacity.
+      // Probe the recovered write pointer (reads past it fail).
       std::uint64_t lo = 0;
       for (const auto& [key, slotpos] : z.keys) {
         lo = std::max(lo, static_cast<std::uint64_t>(slotpos) + 1 +
@@ -341,13 +339,9 @@ Status ZoneCache::VerifyAndSeal(SimTime now) {
           hi = mid - 1;
         }
       }
-      if (lo < zone_slots_) {
-        auto w = dev_->Write(IoRequest{ZoneBase(zone) + lo * slot_,
-                                       (zone_slots_ - lo) * slot_, now, {},
-                                       /*want_tokens=*/false, IoClass::kMaintenance});
-        if (!w.ok()) return w.status();
-      }
-      z.wp_slots = static_cast<std::uint32_t>(zone_slots_);
+      z.wp_slots = static_cast<std::uint32_t>(lo);
+      // The mount does not wait for the pad.
+      if (auto s = Seal(zone, IoClass::kMaintenance, now); !s.ok()) return s.status();
     } else {
       auto r = dev_->ResetZone(ZoneId{zone}, now);
       if (!r.ok()) return r.status();
@@ -453,6 +447,52 @@ void ZoneCache::DropIndexEntry(std::uint64_t key) {
   index_.erase(it);
 }
 
+Result<SimTime> ZoneCache::Seal(std::uint32_t zone, IoClass io_class, SimTime now) {
+  DataZone& z = zones_[zone - first_data_zone_];
+  SimTime done = now;
+  if (z.wp_slots < zone_slots_) {
+    auto w = dev_->Write(IoRequest{ZoneBase(zone) + z.wp_slots * slot_,
+                                   (zone_slots_ - z.wp_slots) * slot_, now, {},
+                                   /*want_tokens=*/false, io_class});
+    if (!w.ok()) return w.status();
+    done = w.value().done;
+    z.wp_slots = static_cast<std::uint32_t>(zone_slots_);
+  }
+  z.state = ZoneState::kClosed;
+  std::replace(open_zone_.begin(), open_zone_.end(), zone, kNoZone);
+  return done;
+}
+
+Result<SimTime> ZoneCache::Admit(std::uint32_t zone, std::uint64_t key,
+                                 std::uint32_t group,
+                                 std::span<const std::uint64_t> value,
+                                 IoClass io_class, SimTime now) {
+  DataZone& z = zones_[zone - first_data_zone_];
+  const auto n = static_cast<std::uint32_t>(value.size());
+  std::vector<std::uint64_t> wtok;
+  wtok.reserve(1 + n);
+  wtok.push_back(HeaderToken(key, n, value));
+  wtok.insert(wtok.end(), value.begin(), value.end());
+  auto w = dev_->Write(IoRequest{ZoneBase(zone) + z.wp_slots * slot_,
+                                 wtok.size() * slot_, now,
+                                 std::span<const std::uint64_t>(wtok),
+                                 /*want_tokens=*/false, io_class});
+  if (!w.ok()) return w.status();
+
+  const std::uint32_t slot = z.wp_slots;
+  z.wp_slots += 1 + n;
+  z.live_slots += 1 + n;
+  z.keys.emplace_back(key, slot);
+  DropIndexEntry(key);  // an overwrite's old copy, or a migration's source
+  const std::uint64_t seq = next_seq_++;
+  // Admitted cold: even a migrated entry must re-earn a hit to survive
+  // the next eviction.
+  index_[key] = Entry{zone, slot, n, group, 0, seq};
+  auto j = AppendRecord(JournalRecord{JOp::kPut, key, group, n, zone, slot, seq}, now);
+  if (!j.ok()) return j.status();
+  return Later(w.value().done, j.value());
+}
+
 Result<SimTime> ZoneCache::OpenZoneFor(std::uint32_t stream, SimTime now) {
   SimTime done = now;
   if (free_zones_.empty()) {
@@ -492,7 +532,6 @@ Result<SimTime> ZoneCache::EvictOne(bool allow_migration, SimTime now) {
   SimTime done = now;
 
   const bool migrate = allow_migration && !free_zones_.empty();
-  std::vector<std::uint64_t> vtok;
   for (const auto& [key, slotpos] : vz.keys) {
     auto it = index_.find(key);
     if (it == index_.end() || it->second.zone != victim ||
@@ -511,27 +550,15 @@ Result<SimTime> ZoneCache::EvictOne(bool allow_migration, SimTime now) {
           /*want_tokens=*/true, IoClass::kCacheMigration});
       if (!rd.ok()) return rd.status();
       done = Later(done, rd.value().done);
-      vtok = std::move(rd.value().tokens);
 
       const std::uint32_t need = 1 + e.value_slots;
       const std::uint32_t stream = opt_.num_groups;  // migration stream
       std::uint32_t tz = open_zone_[stream];
       if (tz != kNoZone &&
           zones_[tz - first_data_zone_].wp_slots + need > zone_slots_) {
-        // Pad the full migration zone to capacity (releases its
-        // active-zone slot) and close it.
-        DataZone& oz = zones_[tz - first_data_zone_];
-        if (oz.wp_slots < zone_slots_) {
-          auto pw = dev_->Write(IoRequest{
-              ZoneBase(tz) + oz.wp_slots * slot_,
-              (zone_slots_ - oz.wp_slots) * slot_, now, {},
-              /*want_tokens=*/false, IoClass::kCacheMigration});
-          if (!pw.ok()) return pw.status();
-          done = Later(done, pw.value().done);
-          oz.wp_slots = static_cast<std::uint32_t>(zone_slots_);
-        }
-        oz.state = ZoneState::kClosed;
-        open_zone_[stream] = kNoZone;
+        auto s = Seal(tz, IoClass::kCacheMigration, now);
+        if (!s.ok()) return s.status();
+        done = Later(done, s.value());
         tz = kNoZone;
       }
       if (tz == kNoZone && !free_zones_.empty()) {
@@ -542,33 +569,10 @@ Result<SimTime> ZoneCache::EvictOne(bool allow_migration, SimTime now) {
         }
       }
       if (tz != kNoZone) {
-        DataZone& oz = zones_[tz - first_data_zone_];
-        std::vector<std::uint64_t> wtok;
-        wtok.reserve(need);
-        wtok.push_back(HeaderToken(key, e.value_slots, vtok));
-        wtok.insert(wtok.end(), vtok.begin(), vtok.end());
-        auto w = dev_->Write(IoRequest{
-            ZoneBase(tz) + oz.wp_slots * slot_,
-            static_cast<std::uint64_t>(need) * slot_, now,
-            std::span<const std::uint64_t>(wtok), /*want_tokens=*/false,
-            IoClass::kCacheMigration});
-        if (!w.ok()) return w.status();
-        done = Later(done, w.value().done);
-
-        const std::uint32_t new_slot = oz.wp_slots;
-        oz.wp_slots += need;
-        oz.live_slots += need;
-        oz.keys.emplace_back(key, new_slot);
-        vz.live_slots -= need;
-        const std::uint64_t seq = next_seq_++;
-        // Migration ages the entry back to cold: it must re-earn a hit
-        // to survive the next eviction.
-        index_[key] = Entry{tz, new_slot, e.value_slots, e.group, 0, seq};
-        auto j = AppendRecord(
-            JournalRecord{JOp::kPut, key, e.group, e.value_slots, tz, new_slot, seq},
-            now);
-        if (!j.ok()) return j.status();
-        done = Later(done, j.value());
+        auto a = Admit(tz, key, e.group, rd.value().tokens, IoClass::kCacheMigration,
+                       now);
+        if (!a.ok()) return a.status();
+        done = Later(done, a.value());
         ++stats_.migrated_entries;
         stats_.migrated_slots += need;
         moved = true;
@@ -628,21 +632,11 @@ Result<SimTime> ZoneCache::Put(std::uint64_t key, std::uint32_t group,
       if (!any_closed_live) {
         // All live entries sit in open zones; seal them so eviction can
         // reach them.
-        for (std::uint32_t s = 0; s < open_zone_.size(); ++s) {
-          const std::uint32_t oz = open_zone_[s];
+        for (const std::uint32_t oz : open_zone_) {
           if (oz == kNoZone) continue;
-          DataZone& z = zones_[oz - first_data_zone_];
-          if (z.wp_slots < zone_slots_) {
-            auto pw = dev_->Write(IoRequest{
-                ZoneBase(oz) + z.wp_slots * slot_,
-                (zone_slots_ - z.wp_slots) * slot_, now, {},
-                /*want_tokens=*/false, IoClass::kMaintenance});
-            if (!pw.ok()) return pw.status();
-            done = Later(done, pw.value().done);
-            z.wp_slots = static_cast<std::uint32_t>(zone_slots_);
-          }
-          z.state = ZoneState::kClosed;
-          open_zone_[s] = kNoZone;
+          auto s = Seal(oz, IoClass::kMaintenance, now);
+          if (!s.ok()) return s.status();
+          done = Later(done, s.value());
         }
       }
       auto ev = EvictOne(/*allow_migration=*/false, now);
@@ -668,23 +662,14 @@ Result<SimTime> ZoneCache::Put(std::uint64_t key, std::uint32_t group,
     done = Later(done, ev.value());
   }
 
-  // Admission: the group's open zone, rolled over when the entry does
-  // not fit (the remainder is padded so the device zone goes FULL and
-  // releases its active slot).
+  // Admission: the group's open zone, sealed and rolled over when the
+  // entry does not fit.
   std::uint32_t zone = open_zone_[group];
   if (zone != kNoZone &&
       zones_[zone - first_data_zone_].wp_slots + need > zone_slots_) {
-    DataZone& z = zones_[zone - first_data_zone_];
-    if (z.wp_slots < zone_slots_) {
-      auto pw = dev_->Write(IoRequest{ZoneBase(zone) + z.wp_slots * slot_,
-                                      (zone_slots_ - z.wp_slots) * slot_, now, {},
-                                      /*want_tokens=*/false, IoClass::kMaintenance});
-      if (!pw.ok()) return pw.status();
-      done = Later(done, pw.value().done);
-      z.wp_slots = static_cast<std::uint32_t>(zone_slots_);
-    }
-    z.state = ZoneState::kClosed;
-    open_zone_[group] = kNoZone;
+    auto s = Seal(zone, IoClass::kMaintenance, now);
+    if (!s.ok()) return s.status();
+    done = Later(done, s.value());
     zone = kNoZone;
   }
   if (zone == kNoZone) {
@@ -694,34 +679,14 @@ Result<SimTime> ZoneCache::Put(std::uint64_t key, std::uint32_t group,
     zone = open_zone_[group];
   }
 
-  DataZone& z = zones_[zone - first_data_zone_];
-  std::vector<std::uint64_t> wtok;
-  wtok.reserve(need);
-  wtok.push_back(HeaderToken(key, n, value_tokens));
-  wtok.insert(wtok.end(), value_tokens.begin(), value_tokens.end());
-  auto w = dev_->Write(IoRequest{ZoneBase(zone) + z.wp_slots * slot_,
-                                 static_cast<std::uint64_t>(need) * slot_, now,
-                                 std::span<const std::uint64_t>(wtok),
-                                 /*want_tokens=*/false, IoClass::kHostForeground});
-  if (!w.ok()) return w.status();
-  done = Later(done, w.value().done);
-
-  const std::uint32_t new_slot = z.wp_slots;
-  z.wp_slots += need;
-  z.live_slots += need;
-  z.keys.emplace_back(key, new_slot);
-  if (z.wp_slots == zone_slots_) {
-    z.state = ZoneState::kClosed;
-    open_zone_[group] = kNoZone;
+  auto a = Admit(zone, key, group, value_tokens, IoClass::kHostForeground, now);
+  if (!a.ok()) return a.status();
+  done = Later(done, a.value());
+  if (zones_[zone - first_data_zone_].wp_slots == zone_slots_) {
+    // The put filled its zone exactly: sealing it needs no pad.
+    auto s = Seal(zone, IoClass::kHostForeground, now);
+    if (!s.ok()) return s.status();
   }
-
-  DropIndexEntry(key);  // overwrite: release the old location's slots
-  const std::uint64_t seq = next_seq_++;
-  index_[key] = Entry{zone, new_slot, n, group, 0, seq};
-  auto j = AppendRecord(JournalRecord{JOp::kPut, key, group, n, zone, new_slot, seq},
-                        now);
-  if (!j.ok()) return j.status();
-  done = Later(done, j.value());
 
   ++stats_.puts;
   stats_.admitted_slots += need;

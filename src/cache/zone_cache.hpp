@@ -208,6 +208,15 @@ class ZoneCache {
   Result<SimTime> EvictOne(bool allow_migration, SimTime now);
   Result<SimTime> OpenZoneFor(std::uint32_t stream, SimTime now);
   void DropIndexEntry(std::uint64_t key);  // live-count bookkeeping
+  /// Pad `zone` from its write pointer to capacity, so the device zone
+  /// goes FULL and releases its active-zone slot, and close it. Returns
+  /// the pad's completion (`now` when the zone is already full).
+  Result<SimTime> Seal(std::uint32_t zone, IoClass io_class, SimTime now);
+  /// Write `key`'s header and value at `zone`'s write pointer, index the
+  /// entry there (dropping any older copy) and journal the kPut.
+  Result<SimTime> Admit(std::uint32_t zone, std::uint64_t key, std::uint32_t group,
+                        std::span<const std::uint64_t> value, IoClass io_class,
+                        SimTime now);
   std::uint64_t ZoneBase(std::uint32_t zone) const {
     return static_cast<std::uint64_t>(zone) * zone_bytes_;
   }

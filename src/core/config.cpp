@@ -21,7 +21,6 @@ std::uint64_t ConZoneConfig::ConventionalSuperblocks() const {
 Status ConZoneConfig::Validate() const {
   if (Status st = geometry.Validate(); !st.ok()) return st;
   if (Status st = buffers.Validate(); !st.ok()) return st;
-  if (Status st = gc.Validate(); !st.ok()) return st;
   if (Status st = l2p_log.Validate(); !st.ok()) return st;
   if (Status st = checkpoint.Validate(); !st.ok()) return st;
   if (checkpoint.enabled && !l2p_log.enabled) {

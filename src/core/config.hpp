@@ -13,7 +13,6 @@
 #include "ftl/l2p_cache.hpp"
 #include "ftl/l2p_log.hpp"
 #include "ftl/translator.hpp"
-#include "gc/slc_gc.hpp"
 
 namespace conzone {
 
@@ -64,9 +63,6 @@ struct ConZoneConfig {
   /// Physical superblocks backing the conventional zones: their capacity
   /// rounded up, plus two superblocks of GC headroom (0 without them).
   std::uint64_t ConventionalSuperblocks() const;
-
-  // --- Erase path ---
-  GcConfig gc;
 
   // --- Reliability ---
   /// NAND fault injection (all-zero default = no faults, zero hot-path

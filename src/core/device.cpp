@@ -56,10 +56,10 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
           static_cast<std::uint32_t>(cfg_.geometry.page_size / 4)}),
       cache_(cfg_.l2p),
       translator_(table_, cache_, *this, cfg_.translator),
-      gc_(array_, engine_, pool_, slc_alloc_, cfg_.gc),
+      gc_(array_, engine_, pool_, slc_alloc_),
       l2p_log_(cfg_.l2p_log),
       conv_log_(array_, engine_, pool_, slc_alloc_, buffers_, buffer_ready_, table_, cache_,
-                translator_, &l2p_log_, cfg_.map_media, cfg_.gc, kTokenSalt),
+                translator_, &l2p_log_, cfg_.map_media, kTokenSalt),
       div_slot_(cfg_.geometry.slot_size),
       div_zone_(cfg_.zone_size_bytes),
       div_slots_per_page_(cfg_.geometry.slot_size ? cfg_.geometry.SlotsPerPage() : 0),
@@ -326,7 +326,7 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushConventional(
   auto placed = conv_log_.FlushExtent(extent, now);
   if (!placed.ok()) return placed.status();
   FlushResult done = placed.value();
-  if (pool_.FreeNormalCount() < cfg_.gc.low_watermark) {
+  if (pool_.FreeNormalCount() < kGcLowWatermark) {
     auto gc_done = conv_log_.Collect(PageLog::Region::kLog, done.media_done);
     if (!gc_done.ok()) return gc_done.status();
     done.media_done = Later(done.media_done, gc_done.value());

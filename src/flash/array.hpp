@@ -231,7 +231,6 @@ class FlashArray {
   /// or before `horizon`. Host ops call this with their submission time:
   /// a future cut can never be earlier, so those entries are durable.
   void PruneJournal(SimTime horizon);
-  std::size_t JournalDepth() const { return journal_.size(); }
 
   /// Roll the media back to its durable state at cut time `cut` and
   /// clear the journal. Requires the journal enabled.

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace conzone {
 
@@ -16,15 +15,6 @@ enum class CellType : std::uint8_t {
   kTlc = 1,
   kQlc = 2,
 };
-
-constexpr std::string_view CellTypeName(CellType t) {
-  switch (t) {
-    case CellType::kSlc: return "SLC";
-    case CellType::kTlc: return "TLC";
-    case CellType::kQlc: return "QLC";
-  }
-  return "?";
-}
 
 /// Bits stored per cell; also the capacity divisor when a multi-level
 /// block is programmed in SLC mode.

@@ -49,9 +49,6 @@ struct FlashGeometry {
   ChannelId ChannelOfChip(ChipId chip) const {
     return ChannelId(chip.value() / chips_per_channel);
   }
-  ChipId ChipAt(ChannelId ch, std::uint32_t index_in_channel) const {
-    return ChipId(ch.value() * chips_per_channel + index_in_channel);
-  }
 
   // --- Blocks ---
   std::uint64_t TotalBlocks() const {

@@ -13,13 +13,6 @@ Status SlcAllocator::BindNextSuperblock() {
   return Status::Ok();
 }
 
-std::uint64_t SlcAllocator::SlotsLeftInCurrent() const {
-  if (!current_.valid()) return 0;
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(geo_.SlcUsableSlotsPerBlock()) * geo_.NumChips();
-  return total - index_;
-}
-
 Result<std::span<const Ppn>> SlcAllocator::Program(std::span<const SlotWrite> writes) {
   // Page-fill stripe order within the superblock: flat index i maps to
   //   page row  = i / (slots_per_page * chips)

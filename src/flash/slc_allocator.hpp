@@ -59,10 +59,6 @@ class SlcAllocator {
   /// (the die ran a pulse there; the data was re-driven elsewhere).
   std::span<const Ppn> last_failed() const { return failed_; }
 
-  /// Slots still available without taking another superblock from the
-  /// pool (GC trigger input).
-  std::uint64_t SlotsLeftInCurrent() const;
-
   /// The superblock the pointer is currently bound to (invalid if none
   /// yet). GC must never pick this as a victim.
   SuperblockId current_superblock() const { return current_; }

@@ -45,7 +45,6 @@ class SuperblockPool {
   Status ReleaseSlc(SuperblockId sb);
 
   std::size_t FreeSlcCount() const { return free_slc_.size(); }
-  std::uint32_t TotalSlcCount() const { return geo_.NumSlcSuperblocks(); }
   /// Whether `sb` currently sits on the SLC free list. GC victim selection
   /// needs this explicitly once retired blocks exist: a free-list member
   /// can still carry stale slot state in a retired block, so "no valid
@@ -57,7 +56,6 @@ class SuperblockPool {
   /// Return an erased normal superblock to the free list.
   Status ReleaseNormal(SuperblockId sb);
   std::size_t FreeNormalCount() const { return free_normal_.size(); }
-  std::uint32_t TotalNormalCount() const { return geo_.NumNormalSuperblocks(); }
   /// Normal superblocks the free list cycles: the first this many.
   std::uint32_t NormalPoolCount() const { return normal_pool_count_; }
   bool IsFreeNormal(SuperblockId sb) const;

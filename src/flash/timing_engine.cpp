@@ -100,21 +100,4 @@ SimTime FlashTimingEngine::Erase(ChipId chip, CellType cell, SimTime issue) {
   return die.Reserve(issue, timing_.For(cell).erase_latency).end;
 }
 
-SimTime FlashTimingEngine::ChipIdleAt(ChipId chip) const {
-  return chips_[static_cast<std::size_t>(chip.value())].busy_until();
-}
-
-SimDuration FlashTimingEngine::TotalChipBusy() const {
-  SimDuration total;
-  for (const auto& c : chips_) total += c.busy_time();
-  for (const auto& c : chip_reads_) total += c.busy_time();
-  return total;
-}
-
-SimDuration FlashTimingEngine::TotalChannelBusy() const {
-  SimDuration total;
-  for (const auto& c : channels_) total += c.busy_time();
-  return total;
-}
-
 }  // namespace conzone

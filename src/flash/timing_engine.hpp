@@ -61,14 +61,7 @@ class FlashTimingEngine {
 
   SimTime Erase(ChipId chip, CellType cell, SimTime issue);
 
-  /// When `chip` next goes idle (for GC scheduling heuristics).
-  SimTime ChipIdleAt(ChipId chip) const;
-
   const TimingConfig& timing() const { return timing_; }
-
-  /// Aggregate busy time across chips/channels (utilization reporting).
-  SimDuration TotalChipBusy() const;
-  SimDuration TotalChannelBusy() const;
 
  private:
   /// Channel bus serving `chip` (chip→channel mapping is fixed at

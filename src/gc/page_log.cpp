@@ -91,7 +91,7 @@ PageLog::PageLog(FlashArray& array, FlashTimingEngine& engine, SuperblockPool& p
                  SlcAllocator& slc, WriteBufferPool& buffers,
                  std::vector<SimTime>& buffer_ready, MappingTable& table, L2PCache& cache,
                  Translator& translator, L2pLog* l2p_log, CellType map_media,
-                 const GcConfig& gc, std::uint64_t token_salt)
+                 std::uint64_t token_salt)
     : array_(array),
       engine_(engine),
       pool_(pool),
@@ -105,7 +105,6 @@ PageLog::PageLog(FlashArray& array, FlashTimingEngine& engine, SuperblockPool& p
       alloc_(array, pool),
       geo_(array.geometry()),
       map_media_(map_media),
-      gc_(gc),
       token_salt_(token_salt),
       unit_slots_(geo_.slot_size ? geo_.program_unit / geo_.slot_size : 0),
       div_slots_per_page_(geo_.slot_size ? geo_.SlotsPerPage() : 0) {}
@@ -265,7 +264,7 @@ Result<SimTime> PageLog::Collect(Region region, SimTime now) {
   SimTime t = now;
   std::size_t last_free = free_count();
   int stalled = 0;
-  while (free_count() < gc_.reclaim_target) {
+  while (free_count() < kGcReclaimTarget) {
     const SuperblockId victim = SelectVictim(region);
     if (!victim.valid()) {
       if (free_count() == 0) {

@@ -123,7 +123,7 @@ class PageLog {
   PageLog(FlashArray& array, FlashTimingEngine& engine, SuperblockPool& pool,
           SlcAllocator& slc, WriteBufferPool& buffers, std::vector<SimTime>& buffer_ready,
           MappingTable& table, L2PCache& cache, Translator& translator, L2pLog* l2p_log,
-          CellType map_media, const GcConfig& gc, std::uint64_t token_salt);
+          CellType map_media, std::uint64_t token_salt);
 
   /// Buffer `nslots` slots from `first`, owned by `owner`, starting at
   /// `t`; returns when the host transfer into SRAM ends. Each buffer the
@@ -182,7 +182,6 @@ class PageLog {
   NormalAllocator alloc_;
   const FlashGeometry& geo_;
   CellType map_media_;
-  GcConfig gc_;
   std::uint64_t token_salt_;
   std::uint64_t unit_slots_;
   FastDiv div_slots_per_page_;

@@ -7,20 +7,9 @@
 
 namespace conzone {
 
-Status GcConfig::Validate() const {
-  if (low_watermark == 0) {
-    return Status::InvalidArgument("gc: watermark must be >= 1 (allocator headroom)");
-  }
-  if (reclaim_target < low_watermark) {
-    return Status::InvalidArgument("gc: reclaim target below watermark");
-  }
-  return Status::Ok();
-}
-
 SlcGarbageCollector::SlcGarbageCollector(FlashArray& array, FlashTimingEngine& engine,
-                                         SuperblockPool& pool, SlcAllocator& allocator,
-                                         const GcConfig& config)
-    : array_(array), engine_(engine), pool_(pool), alloc_(allocator), cfg_(config) {}
+                                         SuperblockPool& pool, SlcAllocator& allocator)
+    : array_(array), engine_(engine), pool_(pool), alloc_(allocator) {}
 
 SuperblockId SlcGarbageCollector::SelectVictim() const {
   const FlashGeometry& geo = array_.geometry();
@@ -122,7 +111,7 @@ Result<SimTime> SlcGarbageCollector::CollectOne(SuperblockId victim, SimTime now
 Result<SimTime> SlcGarbageCollector::Run(SimTime now) {
   ++stats_.runs;
   SimTime t = now;
-  while (pool_.FreeSlcCount() < cfg_.reclaim_target) {
+  while (pool_.FreeSlcCount() < kGcReclaimTarget) {
     const SuperblockId victim = SelectVictim();
     if (!victim.valid()) {
       if (pool_.FreeSlcCount() == 0) {

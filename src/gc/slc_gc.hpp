@@ -27,14 +27,11 @@
 
 namespace conzone {
 
-struct GcConfig {
-  /// Run GC when the SLC free list drops below this many superblocks.
-  std::uint32_t low_watermark = 2;
-  /// Keep collecting until the free list is back at this level.
-  std::uint32_t reclaim_target = 3;
-
-  Status Validate() const;
-};
+/// Collect a region when its free list drops below this many
+/// superblocks (at least one, so the allocator keeps headroom)...
+inline constexpr std::uint32_t kGcLowWatermark = 2;
+/// ...and keep collecting until the free list is back at this level.
+inline constexpr std::uint32_t kGcReclaimTarget = 3;
 
 struct GcStats {
   std::uint64_t runs = 0;
@@ -61,8 +58,7 @@ class SlcGarbageCollector {
       std::function<Result<SimTime>(std::vector<SlotWrite>, SimTime reads_done)>;
 
   SlcGarbageCollector(FlashArray& array, FlashTimingEngine& engine,
-                      SuperblockPool& pool, SlcAllocator& allocator,
-                      const GcConfig& config);
+                      SuperblockPool& pool, SlcAllocator& allocator);
 
   void set_remap_hook(RemapHook hook) { remap_ = std::move(hook); }
   void set_evict_hook(EvictFilter filter, EvictHook hook) {
@@ -70,7 +66,7 @@ class SlcGarbageCollector {
     evict_ = std::move(hook);
   }
 
-  bool NeedsGc() const { return pool_.FreeSlcCount() < cfg_.low_watermark; }
+  bool NeedsGc() const { return pool_.FreeSlcCount() < kGcLowWatermark; }
 
   /// Collect until the reclaim target is met or no victim remains.
   /// Returns the simulated completion time (>= now). The device holds the
@@ -94,7 +90,6 @@ class SlcGarbageCollector {
   FlashTimingEngine& engine_;
   SuperblockPool& pool_;
   SlcAllocator& alloc_;
-  GcConfig cfg_;
   RemapHook remap_;
   EvictFilter evict_filter_;
   EvictHook evict_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "host/members.hpp"
+
 namespace conzone {
 
 Result<std::unique_ptr<RedundantVolume>> RedundantVolume::Create(
@@ -22,16 +24,7 @@ Result<std::unique_ptr<RedundantVolume>> RedundantVolume::Create(
     if (!di.zoned()) {
       return Status::InvalidArgument("mirror members must be zoned");
     }
-    if (di.io_alignment != first.io_alignment) {
-      return Status::InvalidArgument("members disagree on I/O alignment");
-    }
-    if (di.zone_size_bytes != first.zone_size_bytes) {
-      return Status::InvalidArgument("members disagree on zone size");
-    }
-    if (di.num_conventional_zones != 0) {
-      return Status::InvalidArgument(
-          "members with conventional zones are not supported");
-    }
+    if (Status st = CheckMemberGeometry(di, first); !st.ok()) return st;
     rows = std::min(rows, di.num_zones);
   }
 
@@ -76,22 +69,7 @@ DeviceInfo RedundantVolume::info() const {
   di.zone_size_bytes = zone_bytes_;
   di.num_zones = rows_;
   di.capacity_bytes = zone_bytes_ * di.num_zones;
-  // Opening a logical zone opens that zone on every member, so the
-  // guaranteed volume-wide limit is the weakest member's (0 = unlimited;
-  // any limited member caps the volume).
-  std::uint32_t open = 0, active = 0;
-  for (const auto& m : members_) {
-    const DeviceInfo mi = m->info();
-    if (mi.max_open_zones != 0) {
-      open = open == 0 ? mi.max_open_zones : std::min(open, mi.max_open_zones);
-    }
-    if (mi.max_active_zones != 0) {
-      active =
-          active == 0 ? mi.max_active_zones : std::min(active, mi.max_active_zones);
-    }
-  }
-  di.max_open_zones = open;
-  di.max_active_zones = active;
+  FoldZoneLimits(members_, &di);
   for (const auto& m : members_) di.slc_bytes += m->info().slc_bytes;
   // The volume serves while any member is active.
   const bool live = std::find(state_.begin(), state_.end(), MemberState::kActive) !=
@@ -323,21 +301,15 @@ Result<SimTime> RedundantVolume::Flush(SimTime now) {
 }
 
 StatsSnapshot RedundantVolume::Stats() const {
-  StatsSnapshot s;
-  for (const auto& m : members_) s.Merge(m->Stats());
-  return s;
+  return SumOverMembers(members_, &StorageDevice::Stats);
 }
 
 ReliabilityStats RedundantVolume::Reliability() const {
-  ReliabilityStats s;
-  for (const auto& m : members_) s.Merge(m->Reliability());
-  return s;
+  return SumOverMembers(members_, &StorageDevice::Reliability);
 }
 
 RecoveryStats RedundantVolume::Recovery() const {
-  RecoveryStats s;
-  for (const auto& m : members_) s.Merge(m->Recovery());
-  return s;
+  return SumOverMembers(members_, &StorageDevice::Recovery);
 }
 
 Status RedundantVolume::MarkFailed(std::uint32_t i) {
@@ -368,18 +340,9 @@ Status RedundantVolume::ReplaceMember(std::uint32_t i,
   if (!fi.zoned()) {
     return Status::InvalidArgument("mirror members must be zoned");
   }
-  if (fi.io_alignment != align_) {
-    return Status::InvalidArgument("replacement disagrees on I/O alignment");
-  }
-  if (fi.zone_size_bytes != zone_bytes_) {
-    return Status::InvalidArgument("replacement disagrees on zone size");
-  }
+  if (Status st = CheckMemberGeometry(fi, member_info_); !st.ok()) return st;
   if (fi.num_zones < rows_) {
     return Status::InvalidArgument("replacement has too few zones");
-  }
-  if (fi.num_conventional_zones != 0) {
-    return Status::InvalidArgument(
-        "members with conventional zones are not supported");
   }
   if (fi.health != DeviceHealth::kHealthy) {
     return Status::FailedPrecondition("replacement device is not healthy");
@@ -633,25 +596,9 @@ Result<SimTime> RedundantVolume::TickRebuild(SimTime now) {
   for (std::uint32_t budget = rows_per_tick_; budget > 0; --budget) {
     if (rebuild_member_ < 0) break;  // A leg failure latched the fresh member.
     const std::uint32_t m = static_cast<std::uint32_t>(rebuild_member_);
-    if (rebuild_phase_ == 0) {
-      if (rebuild_zone_ >= rows_) {
-        rebuild_phase_ = 1;
-        rebuild_verify_zone_ = 0;
-        continue;
-      }
-      bool content = true;
-      auto r = RebuildRow(now, &content);
-      if (!r.ok()) return r;
-      done = Later(done, r.value());
-      if (!content || rebuild_off_ >= zone_bytes_) {
-        // Zone complete: flush before moving on so a later cut can
-        // only tear the zone under copy, never a finished one.
-        auto f = members_[m]->Flush(now);
-        if (f.ok()) done = Later(done, f.value());
-        rebuild_zone_++;
-        rebuild_off_ = 0;
-        rebuild_fail_streak_ = 0;
-      }
+    if (rebuild_phase_ == 0 && rebuild_zone_ >= rows_) {
+      rebuild_phase_ = 1;
+      rebuild_verify_zone_ = 0;
     } else if (rebuild_phase_ == 1) {
       if (rebuild_verify_zone_ >= rows_) {
         auto f = members_[m]->Flush(now);
@@ -671,17 +618,17 @@ Result<SimTime> RedundantVolume::TickRebuild(SimTime now) {
       } else {
         rebuild_verify_zone_++;
       }
-    } else {  // Phase 2: re-copy the torn zone, then resume the sweep.
-      bool content = true;
-      auto r = RebuildRow(now, &content);
-      if (!r.ok()) return r;
-      done = Later(done, r.value());
-      if (!content || rebuild_off_ >= zone_bytes_) {
-        auto f = members_[m]->Flush(now);
-        if (f.ok()) done = Later(done, f.value());
+    } else {
+      // Phase 0 copies the zone under the cursor; phase 2 re-copies the
+      // torn zone, then hands it back to the verify sweep.
+      bool zone_done = false;
+      auto c = CopyRow(now, &zone_done);
+      if (!c.ok()) return c;
+      done = Later(done, c.value());
+      if (zone_done && rebuild_phase_ == 0) {
+        rebuild_zone_++;
+      } else if (zone_done) {
         rebuild_phase_ = 1;  // Re-check the same zone, then continue.
-        rebuild_off_ = 0;
-        rebuild_fail_streak_ = 0;
       }
     }
   }
@@ -742,6 +689,23 @@ Status RedundantVolume::FreshWriteFailed(Status leg, SimTime now, SimTime* done)
   }
   return Status::Internal("rebuild cannot make progress on member zone " +
                           std::to_string(zr));
+}
+
+Result<SimTime> RedundantVolume::CopyRow(SimTime now, bool* zone_done) {
+  bool content = true;
+  auto r = RebuildRow(now, &content);
+  if (!r.ok()) return r;
+  SimTime done = r.value();
+  *zone_done = !content || rebuild_off_ >= zone_bytes_;
+  if (*zone_done) {
+    // Flush before leaving the zone so a later cut can only tear the
+    // zone under copy, never a finished one.
+    auto f = members_[static_cast<std::uint32_t>(rebuild_member_)]->Flush(now);
+    if (f.ok()) done = Later(done, f.value());
+    rebuild_off_ = 0;
+    rebuild_fail_streak_ = 0;
+  }
+  return done;
 }
 
 Result<SimTime> RedundantVolume::RebuildRow(SimTime now, bool* content) {

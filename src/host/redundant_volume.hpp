@@ -211,6 +211,10 @@ class RedundantVolume final : public StorageDevice {
   /// every member's durable content (zone exhausted).
   Result<SimTime> ScrubRow(std::uint64_t logical, std::uint64_t row, SimTime now,
                            bool* content);
+  /// One copy step of phase 0 or 2: RebuildRow, and at the zone's
+  /// content end (*zone_done) flush the fresh member and rewind the
+  /// cursor and fail streak.
+  Result<SimTime> CopyRow(SimTime now, bool* zone_done);
   /// Copy one stripe row of the zone under rebuild onto the fresh
   /// member; sets *content=false at the source's durable end.
   Result<SimTime> RebuildRow(SimTime now, bool* content);

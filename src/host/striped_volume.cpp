@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "host/members.hpp"
+
 namespace conzone {
 
 Result<std::unique_ptr<StripedVolume>> StripedVolume::Create(
@@ -16,23 +18,7 @@ Result<std::unique_ptr<StripedVolume>> StripedVolume::Create(
   }
   const DeviceInfo first = members[0]->info();
   for (const auto& m : members) {
-    const DeviceInfo di = m->info();
-    if (di.io_alignment != first.io_alignment) {
-      return Status::InvalidArgument("members disagree on I/O alignment");
-    }
-    if (di.zoned() != first.zoned()) {
-      return Status::InvalidArgument(
-          "cannot mix zoned and conventional members in one volume");
-    }
-    if (di.zoned()) {
-      if (di.zone_size_bytes != first.zone_size_bytes) {
-        return Status::InvalidArgument("members disagree on zone size");
-      }
-      if (di.num_conventional_zones != 0) {
-        return Status::InvalidArgument(
-            "members with conventional zones are not supported");
-      }
-    }
+    if (Status st = CheckMemberGeometry(m->info(), first); !st.ok()) return st;
   }
 
   if (options.stripe_bytes == 0 ||
@@ -92,22 +78,7 @@ DeviceInfo StripedVolume::info() const {
     di.zone_size_bytes = zone_bytes_;
     di.num_zones = rows_;
     di.capacity_bytes = zone_bytes_ * di.num_zones;
-    // Opening a logical zone opens one member zone on every member, so
-    // the guaranteed volume-wide limit is the weakest member's
-    // (0 = unlimited; any limited member caps the volume).
-    std::uint32_t open = 0, active = 0;
-    for (const auto& m : members_) {
-      const DeviceInfo mi = m->info();
-      if (mi.max_open_zones != 0) {
-        open = open == 0 ? mi.max_open_zones : std::min(open, mi.max_open_zones);
-      }
-      if (mi.max_active_zones != 0) {
-        active =
-            active == 0 ? mi.max_active_zones : std::min(active, mi.max_active_zones);
-      }
-    }
-    di.max_open_zones = open;
-    di.max_active_zones = active;
+    FoldZoneLimits(members_, &di);
   } else {
     di.capacity_bytes = member_span_ * members_.size();
   }
@@ -322,21 +293,15 @@ Result<SimTime> StripedVolume::Flush(SimTime now) {
 }
 
 StatsSnapshot StripedVolume::Stats() const {
-  StatsSnapshot s;
-  for (const auto& m : members_) s.Merge(m->Stats());
-  return s;
+  return SumOverMembers(members_, &StorageDevice::Stats);
 }
 
 ReliabilityStats StripedVolume::Reliability() const {
-  ReliabilityStats s;
-  for (const auto& m : members_) s.Merge(m->Reliability());
-  return s;
+  return SumOverMembers(members_, &StorageDevice::Reliability);
 }
 
 RecoveryStats StripedVolume::Recovery() const {
-  RecoveryStats s;
-  for (const auto& m : members_) s.Merge(m->Recovery());
-  return s;
+  return SumOverMembers(members_, &StorageDevice::Recovery);
 }
 
 }  // namespace conzone

@@ -13,7 +13,6 @@ Status LegacyConfig::Validate() const {
   if (over_provision < 0.0 || over_provision >= 0.5) {
     return Status::InvalidArgument("legacy: over-provision must be in [0, 0.5)");
   }
-  if (Status st = gc.Validate(); !st.ok()) return st;
   if (host_link_bandwidth_bps == 0) {
     return Status::InvalidArgument("legacy: host link bandwidth must be > 0");
   }
@@ -50,7 +49,7 @@ LegacyDevice::LegacyDevice(const LegacyConfig& config)
                   TranslatorConfig{L2pSearchStrategy::kBitmap, /*hybrid=*/false,
                                    cfg_.prefetch_window}),
       log_(array_, engine_, pool_, slc_alloc_, buffers_, buffer_ready_, table_, cache_,
-           translator_, /*l2p_log=*/nullptr, cfg_.map_media, cfg_.gc, kTokenSalt) {
+           translator_, /*l2p_log=*/nullptr, cfg_.map_media, kTokenSalt) {
   buffer_ready_.resize(cfg_.buffers.num_buffers, SimTime::Zero());
 }
 
@@ -165,12 +164,12 @@ Result<FlushTimes> LegacyDevice::FlushExtent(const BufferedExtent& extent, SimTi
   // Full GC over both regions (Fig. 1 E.1/E.2): the normal region, then
   // the SLC region, each once its free list drops below the watermark.
   SimTime t = done.media_done;
-  if (pool_.FreeNormalCount() < cfg_.gc.low_watermark) {
+  if (pool_.FreeNormalCount() < kGcLowWatermark) {
     auto r = log_.Collect(PageLog::Region::kLog, t);
     if (!r.ok()) return r.status();
     t = r.value();
   }
-  if (pool_.FreeSlcCount() < cfg_.gc.low_watermark) {
+  if (pool_.FreeSlcCount() < kGcLowWatermark) {
     auto r = log_.Collect(PageLog::Region::kSlc, t);
     if (!r.ok()) return r.status();
     t = r.value();

@@ -54,9 +54,6 @@ struct LegacyConfig {
   /// §IV-C: prefetch window of 1023 entries (one chunk per miss).
   std::uint32_t prefetch_window = 1023;
   CellType map_media = CellType::kTlc;
-  /// Collect a region when its free superblocks drop below the low
-  /// watermark, up to the reclaim target.
-  GcConfig gc;
   std::uint64_t host_link_bandwidth_bps = 4200 * kMiB;
   SimDuration request_overhead = SimDuration::Micros(15);
 

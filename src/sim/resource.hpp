@@ -9,8 +9,6 @@
 // simulated time.
 #pragma once
 
-#include <cstdint>
-
 #include "common/time.hpp"
 
 namespace conzone {
@@ -27,28 +25,14 @@ class ResourceTimeline {
     const SimTime start = Later(earliest, busy_until_);
     const SimTime end = start + dur;
     busy_until_ = end;
-    busy_time_ += dur;
-    ++reservations_;
     return {start, end};
   }
 
   /// When the resource next becomes idle.
   SimTime busy_until() const { return busy_until_; }
 
-  /// Total time the resource has been occupied (utilization numerator).
-  SimDuration busy_time() const { return busy_time_; }
-  std::uint64_t reservations() const { return reservations_; }
-
-  void Reset() {
-    busy_until_ = SimTime::Zero();
-    busy_time_ = SimDuration();
-    reservations_ = 0;
-  }
-
  private:
   SimTime busy_until_;
-  SimDuration busy_time_;
-  std::uint64_t reservations_ = 0;
 };
 
 }  // namespace conzone

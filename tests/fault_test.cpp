@@ -293,7 +293,7 @@ class GcFaultTest : public ::testing::Test {
         engine_(FaultGeo(), TimingConfig{}),
         pool_(FaultGeo()),
         alloc_(array_, pool_),
-        gc_(array_, engine_, pool_, alloc_, GcConfig{2, 3}) {}
+        gc_(array_, engine_, pool_, alloc_) {}
 
   std::vector<Ppn> Stage(std::uint64_t first_lpn, std::size_t n) {
     auto ppns = alloc_.Program(MakeWrites(first_lpn, n));

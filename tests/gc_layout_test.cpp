@@ -26,7 +26,7 @@ class SlcGcTest : public ::testing::Test {
         engine_(GcGeo(), TimingConfig{}),
         pool_(GcGeo()),
         alloc_(array_, pool_),
-        gc_(array_, engine_, pool_, alloc_, GcConfig{2, 3}) {
+        gc_(array_, engine_, pool_, alloc_) {
     gc_.set_remap_hook([this](Lpn lpn, Ppn o, Ppn n) {
       remaps_[lpn.value()] = {o, n};
     });
@@ -118,12 +118,6 @@ TEST_F(SlcGcTest, FullyValidRegionStillReclaimsWithMigration) {
   // it may stop short of the target when no net gain is possible.
   ASSERT_TRUE(done.ok()) << done.status().ToString();
   (void)a;
-}
-
-TEST(GcConfigTest, Validation) {
-  EXPECT_FALSE((GcConfig{0, 1}).Validate().ok());
-  EXPECT_FALSE((GcConfig{3, 2}).Validate().ok());
-  EXPECT_TRUE((GcConfig{2, 3}).Validate().ok());
 }
 
 // --- zone layout ---

@@ -42,16 +42,6 @@ TEST(ResourceTimelineTest, GapLeavesResourceIdle) {
   r.Reserve(SimTime::Zero(), SimDuration::Nanos(10));
   const auto late = r.Reserve(SimTime::FromNanos(1000), SimDuration::Nanos(10));
   EXPECT_EQ(late.start.ns(), 1000u);
-  EXPECT_EQ(r.busy_time().ns(), 20u);  // utilization counts work only
-  EXPECT_EQ(r.reservations(), 2u);
-}
-
-TEST(ResourceTimelineTest, ResetClearsState) {
-  ResourceTimeline r;
-  r.Reserve(SimTime::Zero(), SimDuration::Nanos(10));
-  r.Reset();
-  EXPECT_EQ(r.busy_until().ns(), 0u);
-  EXPECT_EQ(r.busy_time().ns(), 0u);
 }
 
 // The queue API the contract tests drive, so one test body checks both
