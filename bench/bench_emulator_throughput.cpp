@@ -2,10 +2,10 @@
 //
 // Unlike the fig*/table* benches — which report *simulated* bandwidth and
 // latency — this harness measures how fast the emulator machinery runs on
-// the host: simulated IOs per wall-clock second and simulator events per
+// the host: simulated IOs per wall-clock second and FIO chain steps per
 // wall-clock second, for random-read, sequential-write and mixed 4 KiB
 // workloads at iodepth 1/2/4/8. It is the regression gate for hot-path
-// work (event queue, L2P cache, address arithmetic, allocation-free IO
+// work (FIO issue loop, L2P cache, address arithmetic, allocation-free IO
 // paths): run it before and after, and check sim_ios_per_s.
 //
 // Reference numbers are checked in at BENCH_emulator_throughput.json

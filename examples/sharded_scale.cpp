@@ -2,7 +2,7 @@
 //
 // Runs the same preconditioned 4 KiB random-read workload on N fully
 // independent device shards (own config, own seeded fault stream, own
-// event queue) with one thread per shard, and reports the
+// FIO runner) with one thread per shard, and reports the
 // AGGREGATE simulated IOs per wall-clock second plus the scaling
 // efficiency relative to the 1-shard baseline:
 //

@@ -5,7 +5,7 @@
 
 namespace conzone {
 
-Status WriteBufferConfig::Validate() const {
+Status WriteBufferConfig::Validate(std::uint64_t slot_bytes) const {
   if (num_buffers == 0) return Status::InvalidArgument("buffers: need at least one");
   if (slot_bytes == 0 || buffer_bytes == 0 || buffer_bytes % slot_bytes != 0) {
     return Status::InvalidArgument("buffers: size must be a multiple of the slot size");
@@ -13,9 +13,11 @@ Status WriteBufferConfig::Validate() const {
   return Status::Ok();
 }
 
-WriteBufferPool::WriteBufferPool(const WriteBufferConfig& config)
-    : cfg_(config), div_num_buffers_(config.num_buffers) {
-  assert(cfg_.Validate().ok());
+WriteBufferPool::WriteBufferPool(const WriteBufferConfig& config, std::uint64_t slot_bytes)
+    : cfg_(config),
+      slot_capacity_(config.buffer_bytes / slot_bytes),
+      div_num_buffers_(config.num_buffers) {
+  assert(cfg_.Validate(slot_bytes).ok());
   buffers_.resize(cfg_.num_buffers);
   last_append_.resize(cfg_.num_buffers, 0);
 }

@@ -31,9 +31,9 @@ namespace conzone {
 struct WriteBufferConfig {
   std::uint32_t num_buffers = 2;
   std::uint64_t buffer_bytes = 384 * kKiB;  ///< One superpage (§II-A).
-  std::uint64_t slot_bytes = 4 * kKiB;
 
-  Status Validate() const;
+  /// `slot_bytes` is the geometry's slot size; a buffer holds whole slots.
+  Status Validate(std::uint64_t slot_bytes) const;
 };
 
 /// The content of one buffer: a run of consecutive logical slots of a
@@ -55,9 +55,7 @@ struct WriteBufferStats {
 
 class WriteBufferPool {
  public:
-  explicit WriteBufferPool(const WriteBufferConfig& config);
-
-  const WriteBufferConfig& config() const { return cfg_; }
+  WriteBufferPool(const WriteBufferConfig& config, std::uint64_t slot_bytes);
 
   /// The buffer a zone writes through: zone index mod pool size (the
   /// paper's rule).
@@ -70,7 +68,7 @@ class WriteBufferPool {
   /// Current content of a buffer (owner invalid when empty).
   const BufferedExtent& Contents(WriteBufferId buffer) const;
 
-  std::uint64_t SlotCapacity() const { return cfg_.buffer_bytes / cfg_.slot_bytes; }
+  std::uint64_t SlotCapacity() const { return slot_capacity_; }
   std::uint64_t FreeSlots(WriteBufferId buffer) const;
 
   /// Append consecutive slots for `zone`. Preconditions (caller enforces
@@ -116,6 +114,7 @@ class WriteBufferPool {
 
  private:
   WriteBufferConfig cfg_;
+  std::uint64_t slot_capacity_;  ///< Slots per buffer.
   FastDiv div_num_buffers_;  ///< BufferForZone runs once per write IO.
   std::vector<BufferedExtent> buffers_;
   std::vector<std::uint64_t> last_append_;  ///< Recency for stream picking.

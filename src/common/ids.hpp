@@ -41,7 +41,6 @@ class Id {
 
 // Logical address spaces (host-visible).
 using Lpn = Id<struct LpnTag>;        ///< Logical page number, 4 KiB units.
-using ChunkId = Id<struct ChunkTag>;  ///< Logical chunk, 1024 LPAs (4 MiB).
 using ZoneId = Id<struct ZoneTag>;    ///< Logical zone.
 
 // Physical address spaces (media-side).

@@ -121,12 +121,6 @@ class [[nodiscard]] Result {
   const T& operator*() const& { return value(); }
   const T* operator->() const { return &value(); }
 
-  /// The value, or `fallback` when this Result holds an error.
-  T value_or(T fallback) const& { return ok() ? *value_ : std::move(fallback); }
-  T value_or(T fallback) && {
-    return ok() ? std::move(*value_) : std::move(fallback);
-  }
-
  private:
   void CheckOk() const {
     if (!ok()) internal::FailFast("Result::value() called on an error result");

@@ -20,7 +20,7 @@ std::uint64_t ConZoneConfig::ConventionalSuperblocks() const {
 
 Status ConZoneConfig::Validate() const {
   if (Status st = geometry.Validate(); !st.ok()) return st;
-  if (Status st = buffers.Validate(); !st.ok()) return st;
+  if (Status st = buffers.Validate(geometry.slot_size); !st.ok()) return st;
   if (Status st = l2p_log.Validate(); !st.ok()) return st;
   if (Status st = checkpoint.Validate(); !st.ok()) return st;
   if (checkpoint.enabled && !l2p_log.enabled) {
@@ -29,9 +29,6 @@ Status ConZoneConfig::Validate() const {
         "flushed log entries)");
   }
   if (Status st = fault.Validate(); !st.ok()) return st;
-  if (buffers.slot_bytes != geometry.slot_size) {
-    return Status::InvalidArgument("config: buffer slot size != geometry slot size");
-  }
   const std::uint64_t conv_sbs = ConventionalSuperblocks();
   ZoneLayout layout(geometry, zone_size_bytes,
                     static_cast<std::uint32_t>(

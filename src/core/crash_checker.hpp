@@ -168,7 +168,6 @@ class CrashHarness {
 
   ConZoneDevice& device() { return *dev_; }
   const ConZoneDevice& device() const { return *dev_; }
-  const CrashConsistencyChecker& checker() const { return *checker_; }
   std::uint64_t fingerprint() const { return checker_->fingerprint(); }
   SimTime now() const { return now_; }
   SimTime last_submit() const { return last_submit_; }

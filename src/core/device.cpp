@@ -36,7 +36,6 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
         c.l2p.lpns_per_chunk = c.lpns_per_chunk;
         c.l2p.lpns_per_zone =
             static_cast<std::uint32_t>(c.zone_size_bytes / c.geometry.slot_size);
-        c.buffers.slot_bytes = c.geometry.slot_size;
         return c;
       }()),
       layout_(cfg_.geometry, cfg_.zone_size_bytes,
@@ -46,7 +45,7 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
       engine_(cfg_.geometry, cfg_.timing),
       pool_(cfg_.geometry, static_cast<std::uint32_t>(cfg_.ConventionalSuperblocks())),
       slc_alloc_(array_, pool_),
-      buffers_(cfg_.buffers),
+      buffers_(cfg_.buffers, cfg_.geometry.slot_size),
       zones_(ZoneLimitsConfig{cfg_.zone_size_bytes, cfg_.zone_size_bytes, NumZones(),
                               cfg_.max_open_zones, cfg_.max_active_zones}),
       table_(MappingGeometry{

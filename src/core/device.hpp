@@ -153,7 +153,6 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   const L2pLog& l2p_log() const { return l2p_log_; }
   std::uint32_t num_conventional_zones() const { return cfg_.num_conventional_zones; }
   const FlashArray& array() const { return array_; }
-  const FlashTimingEngine& engine() const { return engine_; }
   /// Device counters, the conventional zones' page log folded in.
   ConZoneStats stats() const;
   const MediaCounters& media_counters() const { return array_.counters(); }

@@ -39,7 +39,6 @@ class ZoneLayout {
   Status Validate() const;
 
   std::uint32_t num_zones() const { return num_zones_; }
-  std::uint64_t zone_bytes() const { return zone_bytes_; }
   /// Bytes of a zone that live in its reserved normal superblocks.
   std::uint64_t normal_bytes() const { return normal_bytes_; }
   /// Bytes of a zone patched into SLC (zone_bytes - normal_bytes).

@@ -125,10 +125,6 @@ class FaultModel {
   const FaultCounters& counters() const { return counters_; }
 
   // --- Power-cut stream ---
-  /// Whether the random cut schedule is configured.
-  bool cut_stream_enabled() const {
-    return cfg_.power_cut_mean_interval_ns > 0;
-  }
   /// Next scheduled cut strictly after `t`, exponentially distributed
   /// with the configured mean. Draws from a private RNG stream
   /// (decorrelated from the fault draws) so enabling cuts does not shift

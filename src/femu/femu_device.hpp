@@ -82,7 +82,6 @@ class FemuModelDevice final : public StorageDevice {
                            std::vector<std::uint64_t>* tokens_out);
 
   SimDuration Jitter();
-  std::uint64_t zone_bytes() const { return zone_bytes_; }
 
   FemuConfig cfg_;
   std::uint64_t zone_bytes_;

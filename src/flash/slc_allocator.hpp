@@ -37,8 +37,7 @@ class SlcAllocator {
   ///
   /// Media faults are absorbed here: a program failure burns the slot,
   /// retires the block, and the write is re-driven at the next healthy
-  /// position — so a successful return means every write landed. Burned
-  /// positions are reported via last_failed() for timing/accounting.
+  /// position — so a successful return means every write landed.
   Result<std::span<const Ppn>> Program(std::span<const SlotWrite> writes);
 
   /// The SLC program step: Program `writes` and charge their media time
@@ -54,10 +53,6 @@ class SlcAllocator {
   };
   Result<Timed> ProgramTimed(std::span<const SlotWrite> writes, FlashTimingEngine& engine,
                              SimTime issue);
-
-  /// Slots burned by program failures during the most recent Program call
-  /// (the die ran a pulse there; the data was re-driven elsewhere).
-  std::span<const Ppn> last_failed() const { return failed_; }
 
   /// The superblock the pointer is currently bound to (invalid if none
   /// yet). GC must never pick this as a victim.

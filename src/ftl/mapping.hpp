@@ -126,9 +126,6 @@ class MappingTable {
   void DowngradeToPage(Lpn start, std::uint64_t count);
 
   // --- Address helpers ---
-  ChunkId ChunkOf(Lpn lpn) const { return ChunkId(lpn.value() / geo_.lpns_per_chunk); }
-  ZoneId ZoneOf(Lpn lpn) const { return ZoneId(lpn.value() / geo_.lpns_per_zone); }
-  Lpn ChunkBase(ChunkId c) const { return Lpn(c.value() * geo_.lpns_per_chunk); }
   Lpn ZoneBase(ZoneId z) const { return Lpn(z.value() * geo_.lpns_per_zone); }
 
   /// Metadata flash page holding the entry for `lpn`.

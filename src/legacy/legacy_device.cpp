@@ -9,7 +9,7 @@ constexpr std::uint64_t kTokenSalt = 0x1E6AC700ull;
 
 Status LegacyConfig::Validate() const {
   if (Status st = geometry.Validate(); !st.ok()) return st;
-  if (Status st = buffers.Validate(); !st.ok()) return st;
+  if (Status st = buffers.Validate(geometry.slot_size); !st.ok()) return st;
   if (over_provision < 0.0 || over_provision >= 0.5) {
     return Status::InvalidArgument("legacy: over-provision must be in [0, 0.5)");
   }
@@ -25,11 +25,7 @@ Result<std::unique_ptr<LegacyDevice>> LegacyDevice::Create(const LegacyConfig& c
 }
 
 LegacyDevice::LegacyDevice(const LegacyConfig& config)
-    : cfg_([&] {
-        LegacyConfig c = config;
-        c.buffers.slot_bytes = c.geometry.slot_size;
-        return c;
-      }()),
+    : cfg_(config),
       usable_bytes_(RoundDown(
           static_cast<std::uint64_t>(
               static_cast<double>(cfg_.geometry.NormalRegionBytes()) *
@@ -39,7 +35,7 @@ LegacyDevice::LegacyDevice(const LegacyConfig& config)
       engine_(cfg_.geometry, cfg_.timing),
       pool_(cfg_.geometry),
       slc_alloc_(array_, pool_),
-      buffers_(cfg_.buffers),
+      buffers_(cfg_.buffers, cfg_.geometry.slot_size),
       table_(MappingGeometry{
           usable_bytes_ / cfg_.geometry.slot_size, cfg_.l2p.lpns_per_chunk,
           cfg_.l2p.lpns_per_zone,

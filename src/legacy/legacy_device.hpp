@@ -46,8 +46,7 @@ struct LegacyConfig {
   TimingConfig timing;
   /// Same buffer SRAM budget as ConZone (two superpage buffers); the
   /// Legacy controller assigns them to detected write streams.
-  WriteBufferConfig buffers{/*num_buffers=*/2, /*buffer_bytes=*/384 * kKiB,
-                            /*slot_bytes=*/4 * kKiB};
+  WriteBufferConfig buffers{/*num_buffers=*/2, /*buffer_bytes=*/384 * kKiB};
   /// Fraction of the normal region hidden from the host as GC headroom.
   double over_provision = 0.07;
   L2pCacheConfig l2p;

@@ -81,8 +81,6 @@ class ShardedRunner {
   /// fails the whole run with the lowest-numbered failing shard's status.
   Result<ShardedResult> Run();
 
-  const ShardPlan& plan() const { return plan_; }
-
   /// The job list shard `shard_id` actually runs (derived seeds).
   /// Exposed for tests asserting the derivation contract.
   static std::vector<JobSpec> JobsForShard(const ShardPlan& plan,

@@ -131,8 +131,6 @@ class FleetSoakRunner {
   /// status is returned.
   Result<FleetSoakResult> Run();
 
-  const FleetSoakPlan& plan() const { return plan_; }
-
   /// The exact device configuration shard `shard_id` soaks: ForShard
   /// seed derivation + ConsumerDefaults rates + wear ramp + the shard's
   /// staggered checkpoint cadence + power-loss journaling. Exposed so

@@ -1,11 +1,23 @@
 #include "workload/fio.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <utility>
 
-#include "sim/event_queue.hpp"
-
 namespace conzone {
+namespace {
+
+/// One chain of job `job`, due to step at `when`. Steps run earliest
+/// first; steps due together run in arming order (`seq`).
+struct PendingStep {
+  SimTime when;
+  std::uint64_t seq;
+  std::size_t job;
+  auto operator<=>(const PendingStep&) const = default;
+};
+
+}  // namespace
 
 Status FioRunner::ValidateSpec(const JobSpec& spec) const {
   const DeviceInfo& di = info_;
@@ -51,8 +63,8 @@ Status FioRunner::ValidateSpec(const JobSpec& spec) const {
       return Status::InvalidArgument(spec.name + ": block larger than region");
     }
   }
-  if (spec.io_count == 0 && spec.runtime == SimDuration()) {
-    return Status::InvalidArgument(spec.name + ": need io_count or runtime");
+  if (spec.io_count == 0) {
+    return Status::InvalidArgument(spec.name + ": io_count must be >= 1");
   }
   return Status::Ok();
 }
@@ -132,30 +144,13 @@ Result<SimTime> FioRunner::IssueOne(JobState& job, SimTime t) {
   return r.value().done;
 }
 
-struct FioRunner::RunCtx {
-  std::vector<JobState>& states;
-  EventQueue& q;
-};
-
-void FioRunner::ArmChain(RunCtx& ctx, std::size_t idx, SimTime at) {
-  ctx.q.Schedule(at, [this, &ctx, idx](SimTime when) { IssueLoop(ctx, idx, when); });
-}
-
-// Self-scheduling issue loops: each job runs `iodepth` independent
-// submission chains. A chain issues the job's next IO and re-arms itself
-// at that IO's completion (+think time); the chains share the job's
-// cursor, RNG and stop state, so outstanding-IO count never exceeds
-// iodepth and the issue order stays deterministic (events run one at a
-// time, FIFO at equal timestamps). iodepth=1 is exactly the synchronous
-// loop.
-void FioRunner::IssueLoop(RunCtx& ctx, std::size_t idx, SimTime t) {
-  JobState& job = ctx.states[idx];
-  if (job.done || !run_error_.ok()) return;
-  if (t >= job.deadline ||
-      (job.spec.io_count != 0 && job.ios_done >= job.spec.io_count)) {
-    job.done = true;
-    return;
-  }
+// One step of a job's submission chain. Each job runs `iodepth` chains
+// that share its cursor, RNG and stop state; a chain issues the job's
+// next IO and steps again at that IO's completion, so no job ever has
+// more than iodepth IOs outstanding. iodepth=1 is exactly the
+// synchronous loop.
+std::optional<SimTime> FioRunner::Step(JobState& job, SimTime t) {
+  if (job.ios_done >= job.spec.io_count || job.result.io_errors != 0) return std::nullopt;
   const std::uint64_t pos_before = job.position;
   auto comp = IssueOne(job, t);
   if (!comp.ok()) {
@@ -164,14 +159,12 @@ void FioRunner::IssueLoop(RunCtx& ctx, std::size_t idx, SimTime t) {
     // Anything else is a runner/device bug and aborts the whole run.
     const StatusCode code = comp.status().code();
     if (code == StatusCode::kMediaError || code == StatusCode::kResourceExhausted) {
-      if (job.result.io_errors == 0) job.result.first_error = comp.status();
-      job.result.io_errors++;
-      job.done = true;
-      return;
+      job.result.first_error = comp.status();
+      ++job.result.io_errors;
+    } else {
+      run_error_ = comp.status();
     }
-    run_error_ = comp.status();
-    job.done = true;
-    return;
+    return std::nullopt;
   }
   // Reconstruct the issued length for accounting.
   std::uint64_t len = job.spec.block_size;
@@ -186,7 +179,7 @@ void FioRunner::IssueLoop(RunCtx& ctx, std::size_t idx, SimTime t) {
   if (comp.value() > job.result.last_completion) {
     job.result.last_completion = comp.value();
   }
-  ArmChain(ctx, idx, comp.value() + job.spec.think_time);
+  return comp.value();
 }
 
 Result<RunResult> FioRunner::Run(const std::vector<JobSpec>& jobs, SimTime start) {
@@ -211,22 +204,28 @@ Result<RunResult> FioRunner::Run(const std::vector<JobSpec>& jobs, SimTime start
     js.div_span_ = FastDiv(s.zone_span_bytes ? s.zone_span_bytes : zs);
     js.result.name = s.name;
     js.result.first_issue = start;
-    if (s.runtime != SimDuration()) js.deadline = start + s.runtime;
     states.push_back(std::move(js));
   }
 
-  EventQueue q;
-  RunCtx ctx{states, q};
+  // Arm every chain at `start`, job by job, then step the earliest chain
+  // until none is left. A completion before its submission steps the
+  // chain again at once, after the steps already due then.
+  std::priority_queue<PendingStep, std::vector<PendingStep>, std::greater<>> pending;
+  std::uint64_t seq = 0;
   for (std::size_t i = 0; i < states.size(); ++i) {
-    for (std::uint32_t d = 0; d < states[i].spec.iodepth; ++d) {
-      ArmChain(ctx, i, start);
+    for (std::uint32_t d = 0; d < states[i].spec.iodepth; ++d) pending.push({start, seq++, i});
+  }
+  RunResult out;
+  while (!pending.empty() && run_error_.ok()) {
+    const PendingStep step = pending.top();
+    pending.pop();
+    ++out.events;
+    if (const auto done = Step(states[step.job], step.when)) {
+      pending.push({Later(*done, step.when), seq++, step.job});
     }
   }
-  q.RunAll();
   if (!run_error_.ok()) return run_error_;
 
-  RunResult out;
-  out.events = q.executed();
   SimTime span_start = SimTime::Max();
   SimTime span_end = start;
   for (JobState& js : states) {

@@ -7,16 +7,17 @@
 // consumer I/O stacks behave (§II-A: frequent synchronous writes). With
 // iodepth=N a job keeps up to N requests outstanding: N independent
 // self-pacing submission chains share the job's cursor/RNG/stop state,
-// and the event queue interleaves their submissions in simulated-time
-// order. Concurrency (across chains and across jobs) is resolved by the
-// device's internal resource model, which serializes contended hardware.
-// iodepth=1 reduces exactly to the synchronous behavior. Each chain
-// step is one event: an error-free run of N IOs over jobs of total depth
-// D executes N + D events (every chain ends with one event that issues
-// nothing).
+// and the runner steps the chains in simulated-time order, earliest
+// first and in arming order at equal times. Concurrency (across chains
+// and across jobs) is resolved by the device's internal resource model,
+// which serializes contended hardware. iodepth=1 reduces exactly to the
+// synchronous behavior. Each chain step is one event: a run of N IOs
+// over jobs of total depth D executes N + D events (every chain ends
+// with one step that issues nothing or fails).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,13 +55,12 @@ struct JobSpec {
   /// size and at least one block). Lets read jobs target the written
   /// prefix of partially-filled zones.
   std::uint64_t zone_span_bytes = 0;
-  /// Stop conditions (at least one must be set; both = whichever first).
+  /// The job stops after this many IOs (at least 1), or at its first
+  /// per-IO error.
   std::uint64_t io_count = 0;
-  SimDuration runtime;
   /// Sequential jobs wrap to the region start when they reach the end;
   /// zoned write jobs must reset the zones they wrap into.
   bool reset_zones_on_wrap = false;
-  SimDuration think_time;
   std::uint64_t seed = 1;
   /// Outstanding requests the job keeps in flight (fio's iodepth). 1 =
   /// fully synchronous; N>1 runs N submission chains that each issue the
@@ -119,9 +119,7 @@ class FioRunner {
     std::uint64_t virtual_size = 0;  // region_size or zone_list span
     std::uint64_t position = 0;      // sequential cursor
     std::uint64_t ios_done = 0;
-    SimTime deadline = SimTime::Max();
     JobResult result;
-    bool done = false;
     // Per-IO constants hoisted out of PickOffset (random jobs draw one
     // offset per IO; the divisions would otherwise dominate the draw).
     std::uint64_t rand_slots = 0;      // virtual_size / block_size
@@ -129,19 +127,16 @@ class FioRunner {
     FastDiv div_span_;                 // zone_list span (zone_span_bytes or zone size)
   };
 
-  struct RunCtx;
-  /// Schedule the next step of one of job `idx`'s chains at `at`.
-  void ArmChain(RunCtx& ctx, std::size_t idx, SimTime at);
-
   Status ValidateSpec(const JobSpec& spec) const;
   /// Issue one IO for `job` at time `t`; returns completion time or the
   /// error that aborted the run.
   Result<SimTime> IssueOne(JobState& job, SimTime t);
   std::uint64_t PickOffset(JobState& job, std::uint64_t* len);
-  /// One step of a job's submission chain: issue the next IO and re-arm
-  /// the chain at its completion. Direct member dispatch — runs once per
-  /// simulated IO, so no std::function indirection.
-  void IssueLoop(RunCtx& ctx, std::size_t idx, SimTime t);
+  /// One step of a job's submission chain at time `t`: issue the job's
+  /// next IO and return its completion, at which Run steps the chain
+  /// again. Returns nothing when the job is done or this IO failed; a
+  /// failure that is not per-IO is kept in run_error_ and ends the run.
+  std::optional<SimTime> Step(JobState& job, SimTime t);
 
   StorageDevice& device_;
   /// Cached at construction: info() builds a fresh DeviceInfo (including

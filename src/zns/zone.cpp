@@ -4,17 +4,6 @@
 
 namespace conzone {
 
-std::string_view ZoneStateName(ZoneState s) {
-  switch (s) {
-    case ZoneState::kEmpty: return "EMPTY";
-    case ZoneState::kImplicitOpen: return "IMPLICIT_OPEN";
-    case ZoneState::kExplicitOpen: return "EXPLICIT_OPEN";
-    case ZoneState::kClosed: return "CLOSED";
-    case ZoneState::kFull: return "FULL";
-  }
-  return "?";
-}
-
 Status ZoneLimitsConfig::Validate() const {
   if (num_zones == 0) return Status::InvalidArgument("zones: need at least one zone");
   if (zone_size_bytes == 0) return Status::InvalidArgument("zones: zero zone size");

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -29,8 +28,6 @@ enum class ZoneState : std::uint8_t {
   kClosed,
   kFull,
 };
-
-std::string_view ZoneStateName(ZoneState s);
 
 struct ZoneLimitsConfig {
   std::uint64_t zone_size_bytes = 0;      ///< LBA-space span of one zone.

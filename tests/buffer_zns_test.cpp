@@ -7,11 +7,12 @@
 namespace conzone {
 namespace {
 
+constexpr std::uint64_t kSlot = 4 * kKiB;
+
 WriteBufferConfig SmallBufCfg() {
   WriteBufferConfig c;
   c.num_buffers = 2;
-  c.buffer_bytes = 16 * kKiB;  // 4 slots
-  c.slot_bytes = 4 * kKiB;
+  c.buffer_bytes = 16 * kKiB;  // 4 slots of kSlot
   return c;
 }
 
@@ -24,7 +25,7 @@ std::vector<SlotWrite> Slots(std::uint64_t first_lpn, std::size_t n) {
 // --- write buffers ---
 
 TEST(WriteBufferPoolTest, ModuloMapping) {
-  WriteBufferPool pool(SmallBufCfg());
+  WriteBufferPool pool(SmallBufCfg(), kSlot);
   EXPECT_EQ(pool.BufferForZone(ZoneId{0}).value(), 0u);
   EXPECT_EQ(pool.BufferForZone(ZoneId{1}).value(), 1u);
   EXPECT_EQ(pool.BufferForZone(ZoneId{2}).value(), 0u);
@@ -32,7 +33,7 @@ TEST(WriteBufferPoolTest, ModuloMapping) {
 }
 
 TEST(WriteBufferPoolTest, ConflictDetection) {
-  WriteBufferPool pool(SmallBufCfg());
+  WriteBufferPool pool(SmallBufCfg(), kSlot);
   ASSERT_TRUE(pool.Append(ZoneId{0}, Lpn{0}, Slots(0, 2)).ok());
   EXPECT_FALSE(pool.HasConflict(ZoneId{0}));  // same zone continues
   EXPECT_TRUE(pool.HasConflict(ZoneId{2}));   // same buffer, other zone
@@ -40,7 +41,7 @@ TEST(WriteBufferPoolTest, ConflictDetection) {
 }
 
 TEST(WriteBufferPoolTest, AppendEnforcesContiguity) {
-  WriteBufferPool pool(SmallBufCfg());
+  WriteBufferPool pool(SmallBufCfg(), kSlot);
   ASSERT_TRUE(pool.Append(ZoneId{0}, Lpn{0}, Slots(0, 2)).ok());
   EXPECT_EQ(pool.Append(ZoneId{0}, Lpn{5}, Slots(5, 1)).code(),
             StatusCode::kInvalidArgument);
@@ -51,14 +52,14 @@ TEST(WriteBufferPoolTest, AppendEnforcesContiguity) {
 }
 
 TEST(WriteBufferPoolTest, AppendRejectsForeignOwner) {
-  WriteBufferPool pool(SmallBufCfg());
+  WriteBufferPool pool(SmallBufCfg(), kSlot);
   ASSERT_TRUE(pool.Append(ZoneId{0}, Lpn{0}, Slots(0, 1)).ok());
   EXPECT_EQ(pool.Append(ZoneId{2}, Lpn{100}, Slots(100, 1)).code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(WriteBufferPoolTest, TakeReturnsContentAndClears) {
-  WriteBufferPool pool(SmallBufCfg());
+  WriteBufferPool pool(SmallBufCfg(), kSlot);
   ASSERT_TRUE(pool.Append(ZoneId{0}, Lpn{10}, Slots(10, 3)).ok());
   const BufferedExtent e = pool.Take(WriteBufferId{0}, /*conflict=*/true);
   EXPECT_EQ(e.owner, ZoneId{0});
@@ -70,7 +71,7 @@ TEST(WriteBufferPoolTest, TakeReturnsContentAndClears) {
 }
 
 TEST(WriteBufferPoolTest, DiscardDropsOnlyThatZone) {
-  WriteBufferPool pool(SmallBufCfg());
+  WriteBufferPool pool(SmallBufCfg(), kSlot);
   ASSERT_TRUE(pool.Append(ZoneId{0}, Lpn{0}, Slots(0, 1)).ok());
   ASSERT_TRUE(pool.Append(ZoneId{1}, Lpn{4096}, Slots(4096, 1)).ok());
   pool.Discard(ZoneId{0});
@@ -79,7 +80,7 @@ TEST(WriteBufferPoolTest, DiscardDropsOnlyThatZone) {
 }
 
 TEST(WriteBufferPoolTest, StreamPickerPrefersContinuation) {
-  WriteBufferPool pool(SmallBufCfg());
+  WriteBufferPool pool(SmallBufCfg(), kSlot);
   ASSERT_TRUE(pool.AppendTo(WriteBufferId{0}, ZoneId{0}, Lpn{0}, Slots(0, 2)).ok());
   ASSERT_TRUE(pool.AppendTo(WriteBufferId{1}, ZoneId{0}, Lpn{50}, Slots(50, 2)).ok());
   EXPECT_EQ(pool.PickBufferForStream(Lpn{2}).value(), 0u);   // continues buffer 0
@@ -89,7 +90,7 @@ TEST(WriteBufferPoolTest, StreamPickerPrefersContinuation) {
 }
 
 TEST(WriteBufferPoolTest, StreamPickerPrefersEmptyOverEviction) {
-  WriteBufferPool pool(SmallBufCfg());
+  WriteBufferPool pool(SmallBufCfg(), kSlot);
   ASSERT_TRUE(pool.AppendTo(WriteBufferId{0}, ZoneId{0}, Lpn{0}, Slots(0, 2)).ok());
   EXPECT_EQ(pool.PickBufferForStream(Lpn{999}).value(), 1u);  // buffer 1 empty
 }
@@ -97,10 +98,10 @@ TEST(WriteBufferPoolTest, StreamPickerPrefersEmptyOverEviction) {
 TEST(WriteBufferPoolTest, ConfigValidation) {
   WriteBufferConfig c = SmallBufCfg();
   c.num_buffers = 0;
-  EXPECT_FALSE(c.Validate().ok());
+  EXPECT_FALSE(c.Validate(kSlot).ok());
   c = SmallBufCfg();
   c.buffer_bytes = 10 * 1000;  // not a slot multiple
-  EXPECT_FALSE(c.Validate().ok());
+  EXPECT_FALSE(c.Validate(kSlot).ok());
 }
 
 // --- zones ---

@@ -294,9 +294,6 @@ TEST(MappingTableTest, EntryEncodingRoundTripsExtremes) {
 
 TEST(MappingTableTest, AddressHelpers) {
   MappingTable t(SmallMapGeo());
-  EXPECT_EQ(t.ChunkOf(Lpn{1025}).value(), 1u);
-  EXPECT_EQ(t.ZoneOf(Lpn{4097}).value(), 1u);
-  EXPECT_EQ(t.ChunkBase(ChunkId{2}), Lpn{2048});
   EXPECT_EQ(t.ZoneBase(ZoneId{1}), Lpn{4096});
   EXPECT_EQ(t.MapPageOf(Lpn{4095}), 0u);
   EXPECT_EQ(t.MapPageOf(Lpn{4096}), 1u);

@@ -1,6 +1,10 @@
 // Tests for the FIO-like workload runner against the real ConZone device.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/device.hpp"
 #include "workload/fio.hpp"
 
@@ -38,20 +42,6 @@ TEST_F(FioRunnerTest, IoCountStopsTheJob) {
   EXPECT_EQ(r.value().total.ops, 10u);
   EXPECT_EQ(r.value().total.bytes, 10 * 128 * kKiB);
   EXPECT_EQ(r.value().latency.count(), 10u);
-}
-
-TEST_F(FioRunnerTest, RuntimeStopsTheJob) {
-  FioRunner fio(*dev_);
-  JobSpec w;
-  w.direction = IoDirection::kWrite;
-  w.block_size = 384 * kKiB;
-  w.region_size = 16 * kMiB;
-  w.runtime = SimDuration::Millis(20);
-  auto r = fio.Run({w});
-  ASSERT_TRUE(r.ok());
-  EXPECT_GT(r.value().total.ops, 0u);
-  EXPECT_LE(r.value().end_time.ns(), SimDuration::Millis(25).ns() +
-                                         SimDuration::Millis(20).ns());
 }
 
 TEST_F(FioRunnerTest, SequentialWritesAreZoneLegal) {
@@ -339,17 +329,55 @@ TEST(FioDeterminismTest, IodepthMonotonicallyImprovesSimulatedIops) {
   }
 }
 
-TEST_F(FioRunnerTest, ThinkTimeSpacesRequests) {
-  FioRunner fio(*dev_);
-  JobSpec w;
-  w.direction = IoDirection::kWrite;
-  w.block_size = 4096;
-  w.region_size = 1 * kMiB;
-  w.io_count = 10;
-  w.think_time = SimDuration::Millis(1);
-  auto r = fio.Run({w});
-  ASSERT_TRUE(r.ok());
-  EXPECT_GT(r.value().total.elapsed.ms(), 9.0);
+// --- issue order ---
+
+// Reads of the first MiB complete 50 ns before they were submitted; all
+// others complete 100 ns after. Logs which half each read hit and when
+// it was submitted.
+class SkewedDevice final : public StorageDevice {
+ public:
+  DeviceInfo info() const override {
+    DeviceInfo di;
+    di.name = "skewed";
+    di.capacity_bytes = 2 * kMiB;
+    return di;
+  }
+  Result<IoResult> Write(const IoRequest& req) override { return Read(req); }
+  Result<IoResult> Read(const IoRequest& req) override {
+    const bool early = req.offset < kMiB;
+    issued.emplace_back(early ? 'E' : 'L', req.now.ns());
+    IoResult res;
+    res.done = early ? SimTime::FromNanos(req.now.ns() - 50) : req.now + SimDuration::Nanos(100);
+    return res;
+  }
+  std::vector<std::pair<char, std::uint64_t>> issued;
+};
+
+// A chain whose IO completes before it was submitted steps again at the
+// current time, after the steps already due then: submit times never go
+// back, and steps due together run in the order they were armed.
+TEST(FioIssueOrderTest, CompletionsInThePastStepAfterDueChains) {
+  SkewedDevice dev;
+  JobSpec early;
+  early.name = "early";
+  early.region_size = 1 * kMiB;
+  early.io_count = 5;
+  early.iodepth = 2;
+  JobSpec late = early;
+  late.name = "late";
+  late.region_offset = 1 * kMiB;
+  late.io_count = 3;
+  late.iodepth = 1;
+  auto r = FioRunner(dev).Run({early, late}, SimTime::FromNanos(1000));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::vector<std::pair<char, std::uint64_t>> want = {
+      {'E', 1000}, {'E', 1000}, {'L', 1000}, {'E', 1000},
+      {'E', 1000}, {'E', 1000}, {'L', 1100}, {'L', 1200}};
+  EXPECT_EQ(dev.issued, want);
+  EXPECT_TRUE(std::is_sorted(dev.issued.begin(), dev.issued.end(),
+                             [](const auto& a, const auto& b) { return a.second < b.second; }));
+  EXPECT_EQ(r.value().events, 8u + 2 + 1);
+  EXPECT_EQ(r.value().end_time.ns(), 1300u);
 }
 
 }  // namespace
