@@ -540,7 +540,9 @@ Result<SimTime> ZoneCache::EvictOne(bool allow_migration, SimTime now) {
     }
     Entry e = it->second;
     bool moved = false;
-    if (migrate && e.hits >= opt_.migrate_min_hits) {
+    // Entries with a Get hit since admission migrate; colder entries are
+    // dropped with the zone.
+    if (migrate && e.hits > 0) {
       // Read the live value out of the victim and re-admit it through
       // the internal migration stream, tagged kCacheMigration so device
       // stats attribute the rewrite to eviction, not to the host.

@@ -42,9 +42,6 @@ struct ZoneCacheOptions {
   /// Must be >= 1 so a migration target zone can always be opened
   /// mid-eviction.
   std::uint32_t reserve_free_zones = 2;
-  /// Entries with at least this many Get hits since admission are
-  /// migrated on eviction; colder entries are dropped with the zone.
-  std::uint32_t migrate_min_hits = 1;
   /// Journal + device flush cadence in Puts (0 = flush on every Put).
   /// Between flushes, acknowledged puts may be lost by a power cut —
   /// allowed by the crash contract.

@@ -131,6 +131,14 @@ struct ReliabilityStats {
   Log2Histogram read_retry_hist;  ///< Extra sense time per retried read.
   Log2Histogram redrive_hist;     ///< Program time per re-drive/burn event.
 
+  /// Book one re-drive: `spent` of burned program time, after which
+  /// `slots` slots are written again.
+  void BookRedrive(SimDuration spent, std::uint64_t slots) {
+    recovery_time += spent;
+    redrive_hist.Record(spent);
+    rewrite_slots += slots;
+  }
+
   /// Fold another device's stats into this one — shard aggregation.
   void Merge(const ReliabilityStats& other);
 

@@ -49,9 +49,6 @@ Status ConZoneConfig::Validate() const {
   if (max_open_zones == 0 || max_active_zones < max_open_zones) {
     return Status::InvalidArgument("config: need max_active >= max_open >= 1");
   }
-  if (host_link_bandwidth_bps == 0) {
-    return Status::InvalidArgument("config: host link bandwidth must be > 0");
-  }
   return Status::Ok();
 }
 

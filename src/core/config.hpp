@@ -70,12 +70,6 @@ struct ConZoneConfig {
   /// spare floor.
   FaultConfig fault;
 
-  // --- Host interface ---
-  /// Host-link (UFS) bandwidth for request payload transfer.
-  std::uint64_t host_link_bandwidth_bps = 4200 * kMiB;
-  /// Fixed firmware/submission overhead charged per request.
-  SimDuration request_overhead = SimDuration::Micros(15);
-
   Status Validate() const;
 
   /// The §IV-A evaluation configuration: TLC, 2 channels x 2 chips,

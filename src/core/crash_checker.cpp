@@ -286,6 +286,13 @@ Status CrashConsistencyChecker::VerifyAfterRecovery(ConZoneDevice& dev, SimTime 
 // ---------------------------------------------------------------------------
 
 namespace {
+/// Sequential zones the stream cycles over.
+constexpr std::uint32_t kActiveZones = 4;
+/// Per-write length cap, in 4 KiB slots.
+constexpr std::uint64_t kMaxWriteSlots = 16;
+/// Share of ops that FINISH a zone.
+constexpr double kFinishProb = 0.02;
+
 ConZoneConfig WithPowerLoss(ConZoneConfig c) {
   c.fault.power_loss = true;  // The harness is pointless without the journal.
   return c;
@@ -311,7 +318,7 @@ Status CrashHarness::RunOne() {
   const std::uint64_t slot = cfg_.geometry.slot_size;
   const std::uint64_t capacity = dev_->zones().config().zone_capacity_bytes;
   const std::uint32_t num_seq = dev_->info().num_zones - cfg_.num_conventional_zones;
-  const std::uint32_t active = std::min(opt_.active_zones, num_seq);
+  const std::uint32_t active = std::min(kActiveZones, num_seq);
   const SimTime submit = now_;
   last_submit_ = submit;
 
@@ -322,8 +329,8 @@ Status CrashHarness::RunOne() {
     const ZoneId zone{static_cast<std::uint32_t>(
         rng_.NextBelow(cfg_.num_conventional_zones))};
     const std::uint64_t off_slots = rng_.NextBelow(zone_slots);
-    const std::uint64_t len_slots = 1 + rng_.NextBelow(std::min<std::uint64_t>(
-                                            opt_.max_write_slots, zone_slots - off_slots));
+    const std::uint64_t len_slots =
+        1 + rng_.NextBelow(std::min(kMaxWriteSlots, zone_slots - off_slots));
     std::vector<std::uint64_t> tokens(len_slots);
     for (auto& t : tokens) t = next_token_++;
     const std::uint64_t off =
@@ -356,7 +363,7 @@ Status CrashHarness::RunOne() {
   }
   r -= opt_.reset_prob;
 
-  if (r < opt_.finish_prob) {
+  if (r < kFinishProb) {
     // Finish wants a started, not-yet-full zone; fall through to a write
     // when none qualifies.
     for (std::uint32_t k = 0; k < active; ++k) {
@@ -386,7 +393,7 @@ Status CrashHarness::RunOne() {
   }
   const std::uint64_t room = (capacity - info->write_pointer) / slot;
   const std::uint64_t len_slots =
-      1 + rng_.NextBelow(std::min<std::uint64_t>(opt_.max_write_slots, room));
+      1 + rng_.NextBelow(std::min(kMaxWriteSlots, room));
   std::vector<std::uint64_t> tokens(len_slots);
   for (auto& t : tokens) t = next_token_++;
   const std::uint64_t off = zone.value() * cfg_.zone_size_bytes + info->write_pointer;

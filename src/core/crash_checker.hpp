@@ -135,11 +135,8 @@ class CrashHarness {
  public:
   struct Options {
     std::uint64_t seed = 1;
-    std::uint32_t active_zones = 4;     ///< Sequential zones the stream cycles over.
-    std::uint32_t max_write_slots = 16;  ///< Per-write length cap (4 KiB slots).
     double flush_prob = 0.12;
     double reset_prob = 0.05;
-    double finish_prob = 0.02;
     double conv_prob = 0.15;  ///< Used only when the config has conventional zones.
   };
 

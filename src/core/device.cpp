@@ -65,7 +65,6 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
       div_lpns_per_zone_(cfg_.geometry.slot_size
                              ? cfg_.zone_size_bytes / cfg_.geometry.slot_size
                              : 0),
-      div_host_bw_(cfg_.host_link_bandwidth_bps),
       lpns_per_zone_(cfg_.geometry.slot_size
                          ? cfg_.zone_size_bytes / cfg_.geometry.slot_size
                          : 0) {
@@ -159,18 +158,6 @@ ConZoneStats ConZoneDevice::stats() const {
   return s;
 }
 
-SimDuration ConZoneDevice::HostTransferTime(std::uint64_t bytes) const {
-  // Same 64-bit fast path as TimingConfig::TransferTime: request sizes
-  // keep bytes * 1e9 well inside 64 bits, and the link bandwidth is
-  // fixed, so the reciprocal answers exactly.
-  if (bytes <= UINT64_MAX / 1000000000ull) {
-    return SimDuration::Nanos(div_host_bw_.Div(bytes * 1000000000ull));
-  }
-  const unsigned __int128 ns = static_cast<unsigned __int128>(bytes) * 1000000000ull /
-                               cfg_.host_link_bandwidth_bps;
-  return SimDuration::Nanos(static_cast<std::uint64_t>(ns));
-}
-
 Lpn ConZoneDevice::ZoneBaseLpn(ZoneId zone) const {
   return Lpn(zone.value() * LpnsPerZone());
 }
@@ -236,7 +223,7 @@ Result<SimTime> ConZoneDevice::WriteImpl(std::uint64_t offset, std::uint64_t len
   stats_.host_bytes_written += len;
 
   // Host DMA into device SRAM.
-  SimTime t = now + cfg_.request_overhead;
+  SimTime t = now + kRequestOverhead;
   t = host_link_.Reserve(t, HostTransferTime(len)).end;
 
   const Lpn first_lpn = Lpn(div_slot_.Div(offset));
@@ -378,7 +365,6 @@ Result<SimTime> ConZoneDevice::ReadBackStaged(ZoneId zone, std::uint64_t begin,
     PageLoad& load = pages[geo.PageOfSlot(e.ppn).value()];
     load.count++;
     if (r.retry_level > load.retries) load.retries = r.retry_level;
-    if (Status st = array_.InvalidateSlot(e.ppn); !st.ok()) return st;
     ++stats_.fold_slots_read;
   }
   for (const auto& [page, load] : pages) {
@@ -390,14 +376,10 @@ Result<SimTime> ConZoneDevice::ReadBackStaged(ZoneId zone, std::uint64_t begin,
   return done;
 }
 
-Result<SlcAllocator::Timed> ConZoneDevice::StageInSlc(std::span<const SlotWrite> data,
-                                                      std::uint64_t mark,
-                                                      SimTime stamp_from, SimTime issue) {
-  auto prog = slc_alloc_.ProgramTimed(data, engine_, issue);
-  if (!prog.ok()) return prog.status();
-  for (std::size_t k = 0; k < data.size(); ++k) RemapPage(data[k].lpn, prog.value().ppns[k]);
-  array_.StampJournal(mark, stamp_from, prog.value().end);
-  return prog;
+Status ConZoneDevice::Supersede(Lpn lpn, Ppn ppn) {
+  const Ppn old = RemapPage(lpn, ppn);
+  if (!old.valid() || array_.StateOfSlot(old) != SlotState::kValid) return Status::Ok();
+  return array_.InvalidateSlot(old);
 }
 
 Result<ConZoneDevice::FlushResult> ConZoneDevice::ProgramPatchRun(
@@ -409,9 +391,9 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::ProgramPatchRun(
   const std::uint64_t ext_start =
       (extent.first_lpn.value() - zbase.value()) * geo.slot_size;
 
-  // Assemble the full patch: staged pieces are read back and invalidated
-  // (they will be re-programmed contiguously), the rest comes from the
-  // flushed buffer extent.
+  // Assemble the full patch: staged pieces are read back (they will be
+  // re-programmed contiguously), the rest comes from the flushed buffer
+  // extent.
   std::vector<SlotWrite> data;
   data.reserve((end - begin) / geo.slot_size);
   const std::uint64_t mark = array_.MarkJournal();
@@ -431,16 +413,21 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::ProgramPatchRun(
   }
 
   // Issued once the staged pieces are read back; the window opens at the
-  // flush so it covers their invalidates.
-  auto prog = StageInSlc(data, mark, now, reads_done);
-  if (!prog.ok()) return prog.status();
-  const std::span<const Ppn> ppns = prog.value().ppns;
+  // flush and covers the staged copies the run supersedes.
+  Ppn start;
   bool contiguous = true;
-  for (std::size_t k = 1; k < ppns.size() && contiguous; ++k) {
-    auto expect = layout_.StripeAdvance(ppns[0], k);
-    contiguous = expect && *expect == ppns[k];
-  }
-  zr.patch_start = ppns[0];
+  auto prog = slc_alloc_.Write(data, engine_, reads_done, [&](std::size_t k, Ppn ppn) {
+    if (k == 0) {
+      start = ppn;
+    } else if (contiguous) {
+      auto expect = layout_.StripeAdvance(start, k);
+      contiguous = expect && *expect == ppn;
+    }
+    return Supersede(data[k].lpn, ppn);
+  });
+  if (!prog.ok()) return prog.status();
+  array_.StampJournal(mark, now, prog.value().end);
+  zr.patch_start = start;
   zr.patch_contiguous = contiguous;
   zr.durable_normal_end = begin;
   zr.staged_end = end;
@@ -473,10 +460,9 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushExtent(BufferedExtent ext
   std::vector<SlotWrite> data;
   data.reserve(unit / geo.slot_size);
   while (cur < layout_.normal_bytes() && cur + unit <= ext_end) {
-    // Reclaim SLC headroom for a possible re-drive BEFORE the fold
-    // invalidates its staged source copies: GC running after that point
-    // could durably erase the only surviving copies of data whose
-    // superseding program a cut may still tear.
+    // Reclaim SLC headroom for a possible re-drive before the read-back,
+    // so no GC runs between the read-back and the program that
+    // supersedes the copies it read.
     if (gc_.NeedsGc()) {
       auto gc_done = gc_.Run(now);
       if (!gc_done.ok()) return gc_done.status();
@@ -489,7 +475,8 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushExtent(BufferedExtent ext
     SimTime reads_done = now;
     std::uint64_t staged_bytes = 0;
     if (cur < zr.staged_end) {
-      // Fold: staged SLC data is read out and invalidated (§III-B ③).
+      // Fold: staged SLC data is read out (§III-B ③); the unit's program
+      // supersedes it.
       const std::uint64_t staged_upto = std::min(zr.staged_end, cur + unit);
       staged_bytes = staged_upto - cur;
       auto rd = ReadBackStaged(zone, cur, staged_upto, data, now);
@@ -529,31 +516,32 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushExtent(BufferedExtent ext
         // The unit's slots are consecutive ppns of one block.
         const Ppn first = layout_.NormalSlot(SeqZone(zone), cur);
         for (std::size_t k = 0; k < data.size(); ++k) {
-          RemapPage(data[k].lpn, Ppn(first.value() + k));
+          if (Status sup = Supersede(data[k].lpn, Ppn(first.value() + k)); !sup.ok()) {
+            return sup;
+          }
         }
-        // One window for the fold's read-back invalidates and its
-        // program: both become durable when the one-shot pulse ends.
+        // One window for the fold's program and the staged copies it
+        // supersedes: both become durable when the one-shot pulse ends.
         array_.StampJournal(mark, now, prog.end);
       } else {
         // The layout is fixed, so the unit cannot relocate within the
         // zone's reserved blocks: re-drive it into SLC.
-        ReliabilityStats& rel = array_.mutable_reliability();
-        rel.recovery_time += engine_.timing().For(geo.normal_cell).program_latency;
-        rel.redrive_hist.Record(engine_.timing().For(geo.normal_cell).program_latency);
-        rel.rewrite_slots += data.size();
+        array_.mutable_reliability().BookRedrive(
+            engine_.timing().For(geo.normal_cell).program_latency, data.size());
         redrive = true;
       }
     }
     if (redrive) {
-      // Re-drive the unit into SLC under page mapping. No GC here: the
-      // fold already invalidated the unit's staged source copies, so
-      // reclaiming now could durably erase the only surviving copies
-      // before the re-drive program completes (GC ran before the
-      // read-back instead). The window reaches back to the fold's mark,
-      // so it also covers the source invalidates the re-drive supersedes
-      // (a burned one-shot pulse leaves no journal entry of its own).
-      auto rd = StageInSlc(data, mark, reads_done, reads_done);
+      // Re-drive the unit into SLC under page mapping. No GC here (GC ran
+      // before the read-back instead). The window reaches back to the
+      // fold's mark, so it covers the staged copies the re-drive
+      // supersedes (a burned one-shot pulse leaves no journal entry of
+      // its own).
+      auto rd = slc_alloc_.Write(data, engine_, reads_done, [&](std::size_t k, Ppn ppn) {
+        return Supersede(data[k].lpn, ppn);
+      });
       if (!rd.ok()) return rd.status();
+      array_.StampJournal(mark, reads_done, rd.value().end);
       done.sram_free = Later(done.sram_free, rd.value().data_in);
       done.media_done = Later(done.media_done, rd.value().end);
       // Part of the zone's nominally-normal range now lives in SLC: freeze
@@ -581,11 +569,15 @@ Result<ConZoneDevice::FlushResult> ConZoneDevice::FlushExtent(BufferedExtent ext
   } else if (ext_end > std::max(cur, zr.staged_end)) {
     // (2): sub-unit remainder — partial-program into the SLC secondary
     // write buffer (premature flush).
-    const std::uint64_t first = (std::max(cur, zr.staged_end) - ext_start) / geo.slot_size;
+    const std::span<const SlotWrite> rest =
+        std::span<const SlotWrite>(extent.slots)
+            .subspan((std::max(cur, zr.staged_end) - ext_start) / geo.slot_size);
     const std::uint64_t mark = array_.MarkJournal();
-    auto st = StageInSlc(std::span<const SlotWrite>(extent.slots).subspan(first), mark, now,
-                         now);
+    auto st = slc_alloc_.Write(rest, engine_, now, [&](std::size_t k, Ppn ppn) {
+      return Supersede(rest[k].lpn, ppn);
+    });
     if (!st.ok()) return st.status();
+    array_.StampJournal(mark, now, st.value().end);
     done.sram_free = Later(done.sram_free, st.value().data_in);
     done.media_done = Later(done.media_done, st.value().end);
     zr.staged_end = ext_end;
@@ -763,7 +755,7 @@ Result<SimTime> ConZoneDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
 
   ++stats_.reads;
   stats_.host_bytes_read += len;
-  const SimTime t0 = now + cfg_.request_overhead;
+  const SimTime t0 = now + kRequestOverhead;
   SimTime data_done = t0;
   if (tokens_out) tokens_out->reserve(tokens_out->size() + div_slot_.Div(len));
 
@@ -936,7 +928,7 @@ Result<SimTime> ConZoneDevice::ResetZone(ZoneId zone, SimTime now) {
   cache_.InvalidateLpnRange(ZoneBaseLpn(zone), LpnsPerZone());
 
   // Directly erase the reserved normal blocks that hold data.
-  const SimTime t0 = now + cfg_.request_overhead;
+  const SimTime t0 = now + kRequestOverhead;
   SimTime done = t0;
   for (std::uint64_t k = 0; k < layout_.superblocks_per_zone(); ++k) {
     const SuperblockId sb = layout_.SuperblockOfZone(SeqZone(zone), k);
@@ -1039,8 +1031,8 @@ Result<SimTime> ConZoneDevice::ResetConventionalZone(ZoneId zone, SimTime now) {
   // No erase here: the pool's blocks are shared; GC reclaims them. The
   // invalidates are controller metadata; they become cut-proof once the
   // reset is acknowledged.
-  array_.StampJournal(mark, now, now + cfg_.request_overhead);
-  return now + cfg_.request_overhead;
+  array_.StampJournal(mark, now, now + kRequestOverhead);
+  return now + kRequestOverhead;
 }
 
 Status ConZoneDevice::CheckSequentialZone(ZoneId zone, const char* op) const {

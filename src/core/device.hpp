@@ -225,7 +225,6 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   std::optional<Ppn> ResolveAggregated(MapGranularity gran, std::uint64_t unit_index,
                                        Lpn lpn) const override;
 
-  SimDuration HostTransferTime(std::uint64_t bytes) const;
   Lpn ZoneBaseLpn(ZoneId zone) const;
   std::uint64_t LpnsPerZone() const { return lpns_per_zone_; }
   /// Conventional and sequential zones.
@@ -246,28 +245,27 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   Result<FlushResult> ProgramPatchRun(ZoneId zone, ZoneRuntime& zr,
                                       const BufferedExtent& extent, SimTime now);
 
-  /// Stage `data` in SLC under page mapping: program it issued at
-  /// `issue`, remap every lpn to its new copy, and stamp the journal
-  /// entries since `mark` with the window from `stamp_from` to the end of
-  /// the program. The ppns stay valid until the next SLC program.
-  Result<SlcAllocator::Timed> StageInSlc(std::span<const SlotWrite> data,
-                                         std::uint64_t mark, SimTime stamp_from,
-                                         SimTime issue);
-
   /// Point `lpn` at its new page-mapped copy `ppn`: the table, the L2P
-  /// cache and the L2P log.
-  void RemapPage(Lpn lpn, Ppn ppn) {
-    table_.Set(lpn, ppn);
+  /// cache and the L2P log. Returns the ppn the table pointed at.
+  Ppn RemapPage(Lpn lpn, Ppn ppn) {
+    const Ppn old = table_.Set(lpn, ppn);
     cache_.Erase(L2pKey{MapGranularity::kPage, lpn.value()});
     l2p_log_.Append(1);
+    return old;
   }
+
+  /// Point `lpn` at its new copy `ppn` (RemapPage), then invalidate the
+  /// copy the table pointed at, if that is still valid. Call it once the
+  /// new copy is programmed, inside the new copy's journal window.
+  Status Supersede(Lpn lpn, Ppn ppn);
 
   /// Lazily latch read-only mode when the healthy SLC spare drops below
   /// the configured floor. Called at the top of every write.
   bool InReadOnly();
 
   /// Read staged SLC slots for zone-relative range [begin, end); groups
-  /// by flash page, invalidates them, appends their data to `out`.
+  /// by flash page and appends their data to `out`. The copies stay valid
+  /// until their replacement supersedes them.
   Result<SimTime> ReadBackStaged(ZoneId zone, std::uint64_t begin, std::uint64_t end,
                                  std::vector<SlotWrite>& out, SimTime now);
 
@@ -435,7 +433,6 @@ class ConZoneDevice final : public StorageDevice, private PhysicalResolver {
   FastDiv div_zone_;            ///< zone_size_bytes
   FastDiv div_slots_per_page_;  ///< geometry.SlotsPerPage()
   FastDiv div_lpns_per_zone_;   ///< zone_size / slot_size
-  FastDiv div_host_bw_;         ///< host_link_bandwidth_bps
   std::uint64_t lpns_per_zone_ = 0;
 };
 

@@ -4,11 +4,16 @@
 
 namespace conzone {
 
+namespace {
+/// KVM exit latency fluctuation per request, uniform in [min, max] ns.
+constexpr std::uint64_t kKvmJitterMinNs = 20'000;
+constexpr std::uint64_t kKvmJitterMaxNs = 80'000;
+/// Virtio/NVMe-over-QEMU software stack overhead per request.
+constexpr SimDuration kQemuOverhead = SimDuration::Micros(25);
+}  // namespace
+
 Status FemuConfig::Validate() const {
   if (Status st = geometry.Validate(); !st.ok()) return st;
-  if (kvm_jitter_max < kvm_jitter_min) {
-    return Status::InvalidArgument("femu: jitter max below min");
-  }
   if (max_open_zones == 0 || max_active_zones < max_open_zones) {
     return Status::InvalidArgument("femu: bad zone limits");
   }
@@ -86,9 +91,7 @@ StatsSnapshot FemuModelDevice::Stats() const {
 }
 
 SimDuration FemuModelDevice::Jitter() {
-  const std::uint64_t lo = cfg_.kvm_jitter_min.ns();
-  const std::uint64_t hi = cfg_.kvm_jitter_max.ns();
-  return SimDuration::Nanos(rng_.NextInRange(lo, hi));
+  return SimDuration::Nanos(rng_.NextInRange(kKvmJitterMinNs, kKvmJitterMaxNs));
 }
 
 Result<SimTime> FemuModelDevice::WriteImpl(std::uint64_t offset, std::uint64_t len,
@@ -119,7 +122,7 @@ Result<SimTime> FemuModelDevice::WriteImpl(std::uint64_t offset, std::uint64_t l
 
   // QEMU stack + KVM exit, then wait for any in-flight flush of this
   // zone's buffer.
-  SimTime t = now + cfg_.request_overhead + Jitter();
+  SimTime t = now + kQemuOverhead + Jitter();
   t = Later(t, buffer_ready_[static_cast<std::size_t>(zone.value())]);
 
   // Program a superpage (all chips in parallel, no bus transfer cost)
@@ -172,7 +175,7 @@ Result<SimTime> FemuModelDevice::ReadImpl(std::uint64_t offset, std::uint64_t le
     }
   }
 
-  const SimTime t0 = now + cfg_.request_overhead + Jitter();
+  const SimTime t0 = now + kQemuOverhead + Jitter();
   // One uniform multi-level-cell sense per flash page. FEMU's QEMU I/O
   // thread walks the pages of a request serially and every page-sized
   // DMA crosses the host/guest boundary, so each sense picks up its own
@@ -196,10 +199,10 @@ Result<SimTime> FemuModelDevice::ResetZone(ZoneId zone, SimTime now) {
   if (Status st = zones_.Reset(zone); !st.ok()) return st;
   ++stats_.zone_resets;
   buffered_[static_cast<std::size_t>(zone.value())] = 0;
-  SimTime done = now + cfg_.request_overhead + Jitter();
+  SimTime done = now + kQemuOverhead + Jitter();
   for (std::uint32_t c = 0; c < cfg_.geometry.NumChips(); ++c) {
     done = Later(done, engine_.Erase(ChipId{c}, cfg_.geometry.normal_cell,
-                                     now + cfg_.request_overhead));
+                                     now + kQemuOverhead));
   }
   return done;
 }

@@ -37,12 +37,7 @@ struct FemuConfig {
   TimingConfig timing;  ///< channel_bandwidth is forced to 0 (unmodeled).
   std::uint32_t max_open_zones = 6;
   std::uint32_t max_active_zones = 12;
-  /// KVM exit latency fluctuation, uniform in [min, max], per request.
-  SimDuration kvm_jitter_min = SimDuration::Micros(20);
-  SimDuration kvm_jitter_max = SimDuration::Micros(80);
-  /// Virtio/NVMe-over-QEMU software stack overhead per request.
-  SimDuration request_overhead = SimDuration::Micros(25);
-  std::uint64_t seed = 42;
+  std::uint64_t seed = 42;  ///< Seed of the KVM exit jitter stream.
 
   Status Validate() const;
 };

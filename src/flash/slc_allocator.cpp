@@ -83,23 +83,17 @@ FlashTimingEngine::ProgramResult ProgramSlcSlots(FlashTimingEngine& engine,
 }
 }  // namespace
 
-Result<SlcAllocator::Timed> SlcAllocator::ProgramTimed(std::span<const SlotWrite> writes,
-                                                       FlashTimingEngine& engine,
-                                                       SimTime issue) {
-  auto ppns = Program(writes);
-  if (!ppns.ok()) return ppns.status();
-  Timed out{ppns.value(), issue, issue, issue};
+SlcAllocator::Timed SlcAllocator::Charge(FlashTimingEngine& engine, SimTime issue) {
+  Timed out{issue, issue, issue};
   if (!failed_.empty()) {
     // The die ran each burned pulse before the verify rejected it.
     out.burns_end = ProgramSlcSlots(engine, geo_, failed_, issue).end;
-    ReliabilityStats& rel = array_.mutable_reliability();
-    const SimDuration spent = engine.timing().For(CellType::kSlc).program_latency *
-                              static_cast<std::uint64_t>(failed_.size());
-    rel.recovery_time += spent;
-    rel.redrive_hist.Record(spent);
-    rel.rewrite_slots += failed_.size();
+    array_.mutable_reliability().BookRedrive(
+        engine.timing().For(CellType::kSlc).program_latency *
+            static_cast<std::uint64_t>(failed_.size()),
+        failed_.size());
   }
-  const auto prog = ProgramSlcSlots(engine, geo_, out.ppns, issue);
+  const auto prog = ProgramSlcSlots(engine, geo_, ppns_, issue);
   out.data_in = prog.data_in;
   out.end = prog.end;
   return out;

@@ -40,19 +40,37 @@ class SlcAllocator {
   /// position — so a successful return means every write landed.
   Result<std::span<const Ppn>> Program(std::span<const SlotWrite> writes);
 
-  /// The SLC program step: Program `writes` and charge their media time
-  /// on `engine`, all issued at `issue`. Slots sharing a flash page batch
-  /// into one pulse (a partial page program still costs a full pulse).
-  /// The pulses burned on failed slots run first and are booked as
-  /// recovery work; whether a caller waits for them is its own policy.
+  /// The SLC write step, the one way data enters SLC: Program `writes`
+  /// issued at `issue` and charge their media time on `engine`. Slots
+  /// sharing a flash page batch into one pulse (a partial page program
+  /// still costs a full pulse). The pulses burned on failed slots run
+  /// first and are booked once as recovery work. Then `place(k, ppn)`
+  /// (returning Status) gets write k's new slot, in order; the step stops
+  /// at the first failure. `place` remaps, and a caller that replaces a
+  /// copy invalidates the old one there, after its replacement is
+  /// programmed and inside the caller's journal window. `place` must not
+  /// program SLC.
+  ///
+  /// The callers still differ in three ways, each an open defect:
+  ///  - only the SLC GC waits for `burns_end`;
+  ///  - only the fold makes room (SLC GC) before its read-back;
+  ///  - the device's staged read-back issues its page reads in hash order.
   struct Timed {
-    std::span<const Ppn> ppns;  ///< Valid until the next Program call.
-    SimTime data_in;            ///< The data's transfers drained.
-    SimTime end;                ///< The data's pulses ended.
-    SimTime burns_end;          ///< The burned pulses ended (`issue` if none).
+    SimTime data_in;    ///< The data's transfers drained.
+    SimTime end;        ///< The data's pulses ended.
+    SimTime burns_end;  ///< The burned pulses ended (`issue` if none).
   };
-  Result<Timed> ProgramTimed(std::span<const SlotWrite> writes, FlashTimingEngine& engine,
-                             SimTime issue);
+  template <class Place>
+  Result<Timed> Write(std::span<const SlotWrite> writes, FlashTimingEngine& engine,
+                      SimTime issue, Place&& place) {
+    auto ppns = Program(writes);
+    if (!ppns.ok()) return ppns.status();
+    const Timed out = Charge(engine, issue);
+    for (std::size_t k = 0; k < ppns_.size(); ++k) {
+      if (Status st = place(k, ppns_[k]); !st.ok()) return st;
+    }
+    return out;
+  }
 
   /// The superblock the pointer is currently bound to (invalid if none
   /// yet). GC must never pick this as a victim.
@@ -69,6 +87,9 @@ class SlcAllocator {
 
  private:
   Status BindNextSuperblock();
+  /// Charge the last Program call's burned and data pulses, issued at
+  /// `issue`, and book the burns.
+  Timed Charge(FlashTimingEngine& engine, SimTime issue);
 
   FlashArray& array_;
   SuperblockPool& pool_;

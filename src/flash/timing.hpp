@@ -20,6 +20,29 @@
 
 namespace conzone {
 
+/// Program-suspend-to-read: mobile NAND lets a read preempt an ongoing
+/// program or erase pulse at this fixed penalty instead of queueing
+/// behind it, so the fold-back path (§III-B ③) does not serialize behind
+/// every in-flight one-shot program.
+inline constexpr SimDuration kReadSuspendPenalty = SimDuration::Micros(40);
+
+/// The host link (UFS) of ConZone and Legacy: the bandwidth request
+/// payloads cross it at, and the fixed firmware/submission overhead
+/// charged per request.
+inline constexpr std::uint64_t kHostLinkBandwidthBps = 4200 * kMiB;
+inline constexpr SimDuration kRequestOverhead = SimDuration::Micros(15);
+
+/// Time to move `bytes` over the host link. Request sizes keep
+/// bytes * 1e9 inside 64 bits, where dividing by the constant bandwidth
+/// compiles to a multiply; only absurd sizes take the 128-bit path.
+constexpr SimDuration HostTransferTime(std::uint64_t bytes) {
+  if (bytes <= UINT64_MAX / 1000000000ull) {
+    return SimDuration::Nanos(bytes * 1000000000ull / kHostLinkBandwidthBps);
+  }
+  return SimDuration::Nanos(static_cast<std::uint64_t>(
+      static_cast<unsigned __int128>(bytes) * 1000000000ull / kHostLinkBandwidthBps));
+}
+
 struct MediaTiming {
   SimDuration read_latency;
   SimDuration program_latency;
@@ -36,13 +59,6 @@ struct TimingConfig {
 
   /// Channel (flash bus) bandwidth in bytes/second. §IV-A: 3200 MiB/s.
   std::uint64_t channel_bandwidth_bps = 3200 * kMiB;
-
-  /// Program-suspend-to-read: mobile NAND lets a read preempt an ongoing
-  /// program pulse at a fixed penalty instead of queueing behind it.
-  /// Without it, the fold-back path (§III-B ③) serializes behind every
-  /// in-flight one-shot program.
-  bool program_suspend_reads = true;
-  SimDuration read_suspend_penalty = SimDuration::Micros(40);
 
   const MediaTiming& For(CellType t) const {
     switch (t) {

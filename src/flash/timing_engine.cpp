@@ -34,26 +34,13 @@ SimTime FlashTimingEngine::ReadPage(ChipId chip, CellType cell, std::uint64_t by
     rel_->read_retry_hist.Record(extra);
   }
 
-  ResourceTimeline::Reservation sense;
-  if (timing_.program_suspend_reads) {
-    // The sense preempts any in-flight program pulse (at a penalty)
-    // instead of queueing behind it; reads still serialize against each
-    // other on the die's read path.
-    auto& reads = chip_reads_[static_cast<std::size_t>(chip.value())];
-    const bool program_in_flight = die.busy_until() > issue;
-    SimDuration cost = sense_latency;
-    if (program_in_flight) cost += timing_.read_suspend_penalty;
-    sense = reads.Reserve(issue, cost);
-  } else {
-    sense = die.Reserve(issue, sense_latency);
-  }
-  const auto xfer = bus.Reserve(sense.end, XferTime(bytes));
-  if (!timing_.program_suspend_reads && xfer.end > die.busy_until()) {
-    // The die's register holds the data until the bus drains it; extend
-    // the die occupancy without double-counting utilization.
-    die.Reserve(die.busy_until(), xfer.end - die.busy_until());
-  }
-  return xfer.end;
+  // The sense preempts any in-flight program or erase pulse (at a
+  // penalty) instead of queueing behind it; reads still serialize
+  // against each other on the die's read path.
+  SimDuration cost = sense_latency;
+  if (die.busy_until() > issue) cost += kReadSuspendPenalty;
+  const auto sense = chip_reads_[static_cast<std::size_t>(chip.value())].Reserve(issue, cost);
+  return bus.Reserve(sense.end, XferTime(bytes)).end;
 }
 
 FlashTimingEngine::ProgramResult FlashTimingEngine::Program(ChipId chip, CellType cell,

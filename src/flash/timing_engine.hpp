@@ -3,8 +3,8 @@
 // Each die and each channel bus is a ResourceTimeline. Operations are
 // scheduled with the classic ordering:
 //
-//   read:    [chip: sense tR] -> [channel: transfer out] (chip holds its
-//            data register until the transfer drains);
+//   read:    [chip read path: sense tR, suspending any pulse in flight
+//            at a fixed penalty] -> [channel: transfer out];
 //   program: [channel: transfer in] -> [chip: program tPROG];
 //   erase:   [chip: tERASE].
 //
@@ -83,7 +83,7 @@ class FlashTimingEngine {
   FlashGeometry geo_;
   TimingConfig timing_;
   std::vector<ResourceTimeline> chips_;       ///< Program/erase path per die.
-  std::vector<ResourceTimeline> chip_reads_;  ///< Suspend-mode read path per die.
+  std::vector<ResourceTimeline> chip_reads_;  ///< Read path per die (suspends pulses).
   std::vector<ResourceTimeline> channels_;
   std::vector<std::uint32_t> bus_of_chip_;    ///< chip -> index in channels_
   FastDiv div_bw_;                            ///< timing_.channel_bandwidth_bps

@@ -30,16 +30,18 @@ void MappingTable::CountRun(std::uint64_t lpn, std::uint64_t count) {
   }
 }
 
-void MappingTable::Set(Lpn lpn, Ppn ppn) {
+Ppn MappingTable::Set(Lpn lpn, Ppn ppn) {
   assert(lpn.value() < geo_.num_lpns);
   std::uint64_t& e = entries_[static_cast<std::size_t>(lpn.value())];
   const auto z = static_cast<std::size_t>(div_lpns_per_zone_.Div(lpn.value()));
-  if ((e & kPpnMask) == 0) {
+  const Ppn old((e & kPpnMask) - 1);  // 0 - 1 wraps to Ppn::Invalid()
+  if (!old.valid()) {
     ++mapped_;
     ++zone_mapped_[z];
   }
   zone_changed_[z] = 1;
   e = Pack(ppn, MapGranularity::kPage);
+  return old;
 }
 
 void MappingTable::InstallRunAtMount(Lpn lpn, Ppn ppn, std::uint64_t count,

@@ -57,9 +57,10 @@ class MappingTable {
 
   const MappingGeometry& geometry() const { return geo_; }
 
-  /// Point `lpn` at `ppn` with page-granularity map bits. Any previous
-  /// aggregation covering `lpn` must have been downgraded first.
-  void Set(Lpn lpn, Ppn ppn);
+  /// Point `lpn` at `ppn` with page-granularity map bits, and return the
+  /// ppn it pointed at (invalid if unmapped). Any previous aggregation
+  /// covering `lpn` must have been downgraded first.
+  Ppn Set(Lpn lpn, Ppn ppn);
 
   /// Bulk install of `count` consecutive lpns to consecutive ppns with
   /// the given map bits, for the mount fast path only: pure streaming

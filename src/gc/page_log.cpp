@@ -125,14 +125,11 @@ Status PageLog::SetMapping(Lpn lpn, Ppn ppn, Remap remap) {
 
 SimTime PageLog::ChargeBurns(SimTime issue) {
   SimTime done = issue;
-  ReliabilityStats& rel = array_.mutable_reliability();
   const SimDuration pulse = engine_.timing().For(geo_.normal_cell).program_latency;
   for (const ChipId chip : alloc_.last_failed_chips()) {
     done = Later(done,
                  engine_.Program(chip, geo_.normal_cell, geo_.program_unit, issue).data_in);
-    rel.recovery_time += pulse;
-    rel.redrive_hist.Record(pulse);
-    rel.rewrite_slots += unit_slots_;
+    array_.mutable_reliability().BookRedrive(pulse, unit_slots_);
   }
   return done;
 }
@@ -184,16 +181,12 @@ Result<FlushTimes> PageLog::FlushExtent(const BufferedExtent& extent, SimTime no
     ++stats_.premature_flushes;
     const std::uint64_t mark = array_.MarkJournal();
     const std::span<const SlotWrite> rest = slots.subspan(i);
-    auto prog = slc_.ProgramTimed(rest, engine_, now);
+    auto prog = slc_.Write(rest, engine_, now, [&](std::size_t k, Ppn ppn) {
+      return SetMapping(rest[k].lpn, ppn, Remap::kInPlace);
+    });
     if (!prog.ok()) return prog.status();
     done.sram_free = Later(done.sram_free, prog.value().data_in);
     done.media_done = Later(done.media_done, prog.value().end);
-    for (std::size_t k = 0; k < rest.size(); ++k) {
-      if (Status st = SetMapping(rest[k].lpn, prog.value().ppns[k], Remap::kInPlace);
-          !st.ok()) {
-        return st;
-      }
-    }
     array_.StampJournal(mark, now, prog.value().end);
   }
   return done;
@@ -283,16 +276,16 @@ Result<SimTime> PageLog::Collect(Region region, SimTime now) {
     old_ppns_.clear();
     live_.clear();
     const SimTime reads_done = ReadLiveSlots(array_, engine_, victim, t, old_ppns_, live_);
-    // Invalidate the old copies first, so the mapping never points at a
-    // second valid copy while re-logging.
-    for (const Ppn old : old_ppns_) {
-      if (Status st = array_.InvalidateSlot(old); !st.ok()) return st;
-    }
     for (std::size_t i = 0; i < live_.size(); i += unit_slots_) {
       const std::size_t n = std::min<std::size_t>(unit_slots_, live_.size() - i);
       auto unit = ProgramUnit(std::span<const SlotWrite>(live_).subspan(i, n), reads_done,
                               Remap::kRepoint);
       if (!unit.ok()) return unit.status();
+      // A unit's source copies die only once it is programmed, so a
+      // failed program leaves them valid and mapped.
+      for (std::size_t k = i; k < i + n; ++k) {
+        if (Status st = array_.InvalidateSlot(old_ppns_[k]); !st.ok()) return st;
+      }
       t = Later(t, Later(unit.value().sram_free, unit.value().media_done));
       stats_.gc_slots_migrated += n;
     }

@@ -107,7 +107,7 @@ class PageLog {
   /// How a slot written into the log is mapped.
   enum class Remap : std::uint8_t {
     kInPlace,  ///< Host data: invalidates the old valid copy, counts an overwrite.
-    kRepoint,  ///< GC and eviction: the old copy is already (or soon) dropped.
+    kRepoint,  ///< GC and eviction: the caller invalidates the old copy after.
   };
   /// The superblocks a GC pass collects.
   enum class Region : std::uint8_t {

@@ -84,15 +84,14 @@ Result<SimTime> SlcGarbageCollector::CollectOne(SuperblockId victim, SimTime now
   // the erase waits for the pulses the migration burned on the way to
   // healthy blocks, too.
   if (!keep.empty()) {
-    auto prog = alloc_.ProgramTimed(keep, engine_, reads_done);
+    auto prog = alloc_.Write(keep, engine_, reads_done, [&](std::size_t k, Ppn new_ppn) {
+      if (remap_) remap_(keep[k].lpn, keep_old[k], new_ppn);
+      if (Status st = array_.InvalidateSlot(keep_old[k]); !st.ok()) return st;
+      ++stats_.slots_migrated;
+      return Status::Ok();
+    });
     if (!prog.ok()) return prog.status();
     progs_done = Later(progs_done, Later(prog.value().burns_end, prog.value().end));
-    for (std::size_t i = 0; i < keep.size(); ++i) {
-      const Ppn new_ppn = prog.value().ppns[i];
-      if (remap_) remap_(keep[i].lpn, keep_old[i], new_ppn);
-      if (Status st = array_.InvalidateSlot(keep_old[i]); !st.ok()) return st;
-      ++stats_.slots_migrated;
-    }
   }
 
   // Stamp the migration's journal entries before issuing erases: the

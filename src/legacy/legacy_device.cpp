@@ -5,18 +5,15 @@ namespace conzone {
 namespace {
 /// Default integrity token (salt ^ lpn) when the host supplies none.
 constexpr std::uint64_t kTokenSalt = 0x1E6AC700ull;
+/// Fraction of the normal region hidden from the host as GC headroom.
+constexpr double kOverProvision = 0.07;
+/// §IV-C: prefetch window of 1023 entries (one chunk per miss).
+constexpr std::uint32_t kPrefetchWindow = 1023;
 }  // namespace
 
 Status LegacyConfig::Validate() const {
   if (Status st = geometry.Validate(); !st.ok()) return st;
-  if (Status st = buffers.Validate(geometry.slot_size); !st.ok()) return st;
-  if (over_provision < 0.0 || over_provision >= 0.5) {
-    return Status::InvalidArgument("legacy: over-provision must be in [0, 0.5)");
-  }
-  if (host_link_bandwidth_bps == 0) {
-    return Status::InvalidArgument("legacy: host link bandwidth must be > 0");
-  }
-  return Status::Ok();
+  return buffers.Validate(geometry.slot_size);
 }
 
 Result<std::unique_ptr<LegacyDevice>> LegacyDevice::Create(const LegacyConfig& config) {
@@ -29,7 +26,7 @@ LegacyDevice::LegacyDevice(const LegacyConfig& config)
       usable_bytes_(RoundDown(
           static_cast<std::uint64_t>(
               static_cast<double>(cfg_.geometry.NormalRegionBytes()) *
-              (1.0 - cfg_.over_provision)),
+              (1.0 - kOverProvision)),
           cfg_.geometry.program_unit)),
       array_(cfg_.geometry),
       engine_(cfg_.geometry, cfg_.timing),
@@ -43,9 +40,9 @@ LegacyDevice::LegacyDevice(const LegacyConfig& config)
       cache_(cfg_.l2p),
       translator_(table_, cache_, resolver_,
                   TranslatorConfig{L2pSearchStrategy::kBitmap, /*hybrid=*/false,
-                                   cfg_.prefetch_window}),
+                                   kPrefetchWindow}),
       log_(array_, engine_, pool_, slc_alloc_, buffers_, buffer_ready_, table_, cache_,
-           translator_, /*l2p_log=*/nullptr, cfg_.map_media, kTokenSalt) {
+           translator_, /*l2p_log=*/nullptr, /*map_media=*/CellType::kTlc, kTokenSalt) {
   buffer_ready_.resize(cfg_.buffers.num_buffers, SimTime::Zero());
 }
 
@@ -140,10 +137,7 @@ Result<SimTime> LegacyDevice::WriteImpl(std::uint64_t offset, std::uint64_t len,
   ++stats_.writes;
   stats_.host_bytes_written += len;
 
-  SimTime t = now + cfg_.request_overhead;
-  const unsigned __int128 xfer_ns = static_cast<unsigned __int128>(len) * 1000000000ull /
-                                    cfg_.host_link_bandwidth_bps;
-  t = host_link_.Reserve(t, SimDuration::Nanos(static_cast<std::uint64_t>(xfer_ns))).end;
+  const SimTime t = host_link_.Reserve(now + kRequestOverhead, HostTransferTime(len)).end;
 
   // Streams have no zone identity; extents are keyed by contiguity only.
   return log_.Write(ZoneId{0}, Lpn(offset / slot), len / slot, tokens, t,
@@ -192,7 +186,7 @@ Result<SimTime> LegacyDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
   }
   ++stats_.reads;
   stats_.host_bytes_read += len;
-  const SimTime t0 = now + cfg_.request_overhead;
+  const SimTime t0 = now + kRequestOverhead;
   SimTime data_done = t0;
 
   read_groups_.Clear();
@@ -208,11 +202,7 @@ Result<SimTime> LegacyDevice::ReadImpl(std::uint64_t offset, std::uint64_t len,
                                                   g.slots * slot, g.dep));
   }
 
-  const unsigned __int128 xfer_ns = static_cast<unsigned __int128>(len) * 1000000000ull /
-                                    cfg_.host_link_bandwidth_bps;
-  return host_link_
-      .Reserve(data_done, SimDuration::Nanos(static_cast<std::uint64_t>(xfer_ns)))
-      .end;
+  return host_link_.Reserve(data_done, HostTransferTime(len)).end;
 }
 
 Result<SimTime> LegacyDevice::Flush(SimTime now) {

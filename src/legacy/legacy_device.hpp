@@ -47,14 +47,7 @@ struct LegacyConfig {
   /// Same buffer SRAM budget as ConZone (two superpage buffers); the
   /// Legacy controller assigns them to detected write streams.
   WriteBufferConfig buffers{/*num_buffers=*/2, /*buffer_bytes=*/384 * kKiB};
-  /// Fraction of the normal region hidden from the host as GC headroom.
-  double over_provision = 0.07;
   L2pCacheConfig l2p;
-  /// §IV-C: prefetch window of 1023 entries (one chunk per miss).
-  std::uint32_t prefetch_window = 1023;
-  CellType map_media = CellType::kTlc;
-  std::uint64_t host_link_bandwidth_bps = 4200 * kMiB;
-  SimDuration request_overhead = SimDuration::Micros(15);
 
   Status Validate() const;
 };

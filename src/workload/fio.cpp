@@ -174,12 +174,12 @@ std::optional<SimTime> FioRunner::Step(JobState& job, SimTime t) {
   job.ios_done++;
   job.result.throughput.bytes += len;
   job.result.throughput.ops += 1;
-  job.result.latency.Record(comp.value() - t);
+  // A completion before its submission counts as completing at once.
+  const SimTime done = Later(comp.value(), t);
+  job.result.latency.Record(done - t);
   // Chains can complete out of order; keep the latest completion.
-  if (comp.value() > job.result.last_completion) {
-    job.result.last_completion = comp.value();
-  }
-  return comp.value();
+  if (done > job.result.last_completion) job.result.last_completion = done;
+  return done;
 }
 
 Result<RunResult> FioRunner::Run(const std::vector<JobSpec>& jobs, SimTime start) {
@@ -221,7 +221,7 @@ Result<RunResult> FioRunner::Run(const std::vector<JobSpec>& jobs, SimTime start
     pending.pop();
     ++out.events;
     if (const auto done = Step(states[step.job], step.when)) {
-      pending.push({Later(*done, step.when), seq++, step.job});
+      pending.push({*done, seq++, step.job});
     }
   }
   if (!run_error_.ok()) return run_error_;

@@ -133,9 +133,10 @@ class FioRunner {
   Result<SimTime> IssueOne(JobState& job, SimTime t);
   std::uint64_t PickOffset(JobState& job, std::uint64_t* len);
   /// One step of a job's submission chain at time `t`: issue the job's
-  /// next IO and return its completion, at which Run steps the chain
-  /// again. Returns nothing when the job is done or this IO failed; a
-  /// failure that is not per-IO is kept in run_error_ and ends the run.
+  /// next IO and return its completion, clamped to `t`, at which Run
+  /// steps the chain again. Returns nothing when the job is done or this
+  /// IO failed; a failure that is not per-IO is kept in run_error_ and
+  /// ends the run.
   std::optional<SimTime> Step(JobState& job, SimTime t);
 
   StorageDevice& device_;

@@ -463,5 +463,55 @@ TEST(ConZoneMultiSuperblockTest, TwoSuperblockZonesFillReadRemountAndReset) {
   EXPECT_EQ(dev.mapping().zone_mapped_count(ZoneId{1}), 0u);
 }
 
+TEST(ConZoneSupersedeTest, PatchRunOutOfSlcKeepsStagedSlotsReadable) {
+  // 4 MiB zones over one 3.75 MiB superblock each: every complete zone
+  // programs a 256 KiB patch run into three 1.25 MiB SLC superblocks.
+  ConZoneConfig cfg = ConZoneConfig::PaperConfig();
+  cfg.geometry.pages_per_block = 60;
+  cfg.geometry.blocks_per_chip = 40;
+  cfg.geometry.slc_blocks_per_chip = 3;
+  cfg.zone_size_bytes = 4 * kMiB;
+  cfg.lpns_per_chunk = 256;
+  auto made = ConZoneDevice::Create(cfg);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ConZoneDevice& dev = **made;
+  ASSERT_EQ(dev.info().num_zones, 37u);
+  const std::uint64_t zone_bytes = cfg.zone_size_bytes;
+  const std::uint64_t normal_bytes = cfg.geometry.NormalSuperblockBytes();
+  const std::uint64_t staged_end = normal_bytes + 16 * kKiB;
+
+  // Zone 0 stages the first 16 KiB of its patch in SLC.
+  auto w = TestWrite(dev, 0, staged_end, SimTime(), Tokens(0, staged_end / 4096));
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  auto flushed = dev.Flush(w.value());
+  ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+  SimTime t = flushed.value();
+
+  // Complete zones until their patch runs use up the SLC region.
+  for (std::uint64_t z = 1;; ++z) {
+    ASSERT_LT(z, 37u) << "SLC never ran out";
+    auto r = TestWrite(dev, z * zone_bytes, zone_bytes, t,
+                       Tokens(z * zone_bytes / 4096, zone_bytes / 4096));
+    if (!r.ok()) {
+      ASSERT_EQ(r.status().code(), StatusCode::kResourceExhausted) << r.status().ToString();
+      break;
+    }
+    t = r.value();
+  }
+
+  // Completing zone 0 reads its staged slots back for the patch run,
+  // whose program then finds no SLC left.
+  auto done = TestWrite(dev, staged_end, zone_bytes - staged_end, t,
+                        Tokens(staged_end / 4096, (zone_bytes - staged_end) / 4096));
+  ASSERT_FALSE(done.ok());
+  EXPECT_EQ(done.status().code(), StatusCode::kResourceExhausted) << done.status().ToString();
+
+  // Nothing superseded the staged copies, so they still read.
+  std::vector<std::uint64_t> got;
+  auto r = TestRead(dev, normal_bytes, 16 * kKiB, t, &got);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(got, Tokens(normal_bytes / 4096, 4));
+}
+
 }  // namespace
 }  // namespace conzone

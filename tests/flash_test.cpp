@@ -476,7 +476,6 @@ TEST(TimingEngineTest, TransferTimeMatchesBandwidth) {
 TEST(TimingEngineTest, ReadIsSensePlusTransfer) {
   FlashGeometry g;
   TimingConfig t;
-  t.program_suspend_reads = false;
   FlashTimingEngine e(g, t);
   const SimTime end = e.ReadPage(ChipId{0}, CellType::kTlc, 16 * kKiB, SimTime::Zero());
   EXPECT_NEAR((end - SimTime::Zero()).us(), 32.0 + 4.883, 0.01);
@@ -485,7 +484,6 @@ TEST(TimingEngineTest, ReadIsSensePlusTransfer) {
 TEST(TimingEngineTest, ChannelSharedBetweenChips) {
   FlashGeometry g;
   TimingConfig t;
-  t.program_suspend_reads = false;
   FlashTimingEngine e(g, t);
   // Chips 0 and 1 share channel 0: their transfers serialize.
   const SimTime end0 = e.ReadPage(ChipId{0}, CellType::kTlc, 16 * kKiB, SimTime::Zero());
@@ -512,7 +510,7 @@ TEST(TimingEngineTest, ProgramCadenceIsOneDeepPipelined) {
 
 TEST(TimingEngineTest, SuspendedReadPaysPenaltyNotPulse) {
   FlashGeometry g;
-  TimingConfig t;  // suspend on by default
+  TimingConfig t;
   FlashTimingEngine e(g, t);
   e.Program(ChipId{0}, CellType::kTlc, 96 * kKiB, SimTime::Zero());
   const SimTime issue = SimTime::FromNanos(100000);  // mid-pulse
@@ -525,13 +523,12 @@ TEST(TimingEngineTest, SuspendedReadPaysPenaltyNotPulse) {
 TEST(TimingEngineTest, EraseOccupiesDie) {
   FlashGeometry g;
   TimingConfig t;
-  t.program_suspend_reads = false;
   FlashTimingEngine e(g, t);
   const SimTime end = e.Erase(ChipId{3}, CellType::kTlc, SimTime::Zero());
   EXPECT_NEAR((end - SimTime::Zero()).us(), 3500.0, 1.0);
-  // A read behind the erase waits (no suspend path).
+  // A read during the erase suspends it: sense, penalty and transfer.
   const SimTime r = e.ReadPage(ChipId{3}, CellType::kTlc, 16 * kKiB, SimTime::Zero());
-  EXPECT_GT(r, end);
+  EXPECT_NEAR((r - SimTime::Zero()).us(), 32.0 + 40.0 + 4.883, 0.01);
 }
 
 // --- superblock pool ---

@@ -280,5 +280,58 @@ TEST(PageLogPinTest, SlcEvictionAfterBurnedProgramsBitForBit) {
   EXPECT_EQ(dg.value(), 0x7E92DC14D8B033E4ull) << std::hex << dg.value();
 }
 
+TEST(PageLogSupersedeTest, PoolGcOutOfSuperblocksKeepsSourcesReadable) {
+  // Failed normal programs retire pool blocks until pool GC finds no free
+  // superblock for a unit it moves. The unit's source copies die only
+  // once it is programmed, so each lpn still reads its last acknowledged
+  // version; the failed write may have landed in part.
+  ConZoneConfig cfg = ConventionalPinConfig();
+  cfg.fault.seed = 32;
+  cfg.fault.normal.program_fail = 1e-3;
+  auto made = ConZoneDevice::Create(cfg);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ConZoneDevice& dev = **made;
+  const std::uint64_t span = 2 * dev.info().zone_size_bytes;
+  std::vector<std::uint64_t> version(span / 4096);
+  Digest dg;
+  SimTime t;
+  ASSERT_NO_FATAL_FAILURE(Fill(dev, 0, span, version, t, dg));
+
+  // Churn's writes, without its reads and flushes, until one fails.
+  Rng rng(31);
+  std::uint64_t next_version = 0;
+  std::uint64_t failed_first = 0, failed_slots = 0, failed_version = 0;
+  for (int i = 0;; ++i) {
+    ASSERT_LT(i, 20000) << "no write failed";
+    const std::uint64_t pick = rng.NextBelow(100);
+    const std::uint64_t len = pick < 20 ? 512 * kKiB : pick < 35 ? 64 * kKiB : 4096;
+    const std::uint64_t first = rng.NextBelow(span / len) * len / 4096;
+    if (pick >= 75) continue;
+    const std::uint64_t v = ++next_version;
+    std::vector<std::uint64_t> tokens(len / 4096);
+    for (std::uint64_t k = 0; k < tokens.size(); ++k) tokens[k] = TokenOf(first + k, v);
+    auto r = TestWrite(dev, first * 4096, len, t, tokens);
+    if (!r.ok()) {
+      ASSERT_EQ(r.status().code(), StatusCode::kResourceExhausted) << r.status().ToString();
+      failed_first = first;
+      failed_slots = tokens.size();
+      failed_version = v;
+      break;
+    }
+    for (std::uint64_t k = 0; k < tokens.size(); ++k) version[first + k] = v;
+    t = r.value();
+  }
+
+  for (std::uint64_t lpn = 0; lpn < span / 4096; ++lpn) {
+    std::vector<std::uint64_t> got;
+    auto r = TestRead(dev, lpn * 4096, 4096, t, &got);
+    ASSERT_TRUE(r.ok()) << "lpn " << lpn << ": " << r.status().ToString();
+    const std::uint64_t v = VersionOf(lpn, got[0]);
+    const bool in_failed = lpn >= failed_first && lpn < failed_first + failed_slots;
+    EXPECT_TRUE(v == version[lpn] || (in_failed && v == failed_version))
+        << "lpn " << lpn << " reads version " << v << ", last acknowledged " << version[lpn];
+  }
+}
+
 }  // namespace
 }  // namespace conzone

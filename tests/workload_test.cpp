@@ -355,7 +355,8 @@ class SkewedDevice final : public StorageDevice {
 
 // A chain whose IO completes before it was submitted steps again at the
 // current time, after the steps already due then: submit times never go
-// back, and steps due together run in the order they were armed.
+// back, and steps due together run in the order they were armed. Such a
+// completion counts as completing at once, so its latency is 0.
 TEST(FioIssueOrderTest, CompletionsInThePastStepAfterDueChains) {
   SkewedDevice dev;
   JobSpec early;
@@ -378,6 +379,8 @@ TEST(FioIssueOrderTest, CompletionsInThePastStepAfterDueChains) {
                              [](const auto& a, const auto& b) { return a.second < b.second; }));
   EXPECT_EQ(r.value().events, 8u + 2 + 1);
   EXPECT_EQ(r.value().end_time.ns(), 1300u);
+  EXPECT_EQ(r.value().jobs[0].latency.max().ns(), 0u);
+  EXPECT_EQ(r.value().latency.max().ns(), 100u);
 }
 
 }  // namespace
